@@ -20,13 +20,16 @@ test:
 
 # jeddlint over the shipped sources: the clean example and the five
 # Figure 2 analyses must produce no warnings or errors (exit 0); the
-# seeded-defect example must trip the checkers (exit non-zero).
+# seeded-defect example must trip the checkers (exit non-zero).  Then
+# the CLI pipeline once more with every executed IR instruction
+# shadow-checked against the refcount discipline (JEDD_CHECK_IR).
 lint:
 	dune build bin/jeddc_main.exe bin/analyze_main.exe
 	dune exec bin/jeddc_main.exe -- --lint=text examples/lint_clean.jedd
 	dune exec bin/analyze_main.exe -- -b tiny --lint
 	dune exec bin/analyze_main.exe -- -f examples/shapes.mjava --lint
 	! dune exec bin/jeddc_main.exe -- --lint=text examples/lint_defects.jedd
+	JEDD_CHECK_IR=1 dune exec bin/analyze_main.exe -- -b tiny --verify
 
 smoke:
 	dune build @bench-smoke

@@ -2032,9 +2032,8 @@ let hoist_run ~optimize =
   U.set_profile_level u U.Counts;
   U.set_on_op u
     (Some (fun (e : U.op_event) -> if e.U.op = "replace" then incr dyn));
-  let ir = Jedd_lang.Ir_interp.create compiled inst in
-  Jedd_lang.Ir_interp.set_print_hook ir (fun _ -> ());
-  ignore (Jedd_lang.Ir_interp.call ir "Hoist.run" []);
+  Interp.set_print_hook inst (fun _ -> ());
+  ignore (Interp.call inst "Hoist.run" []);
   U.set_on_op u None;
   U.cleanup u;
   (static_sites, !dyn)

@@ -15,23 +15,6 @@ let read_file path =
   close_in ic;
   s
 
-(* --jobs N, then JEDD_JOBS, then the recommended domain count.  The
-   translator pipeline itself is single-domain — the flag is validated
-   here so the three CLIs agree on the interface, and generated-code
-   consumers can rely on jeddc rejecting the same values jedd-analyze
-   would. *)
-let resolve_jobs jobs =
-  let parse s =
-    try Jedd_bdd.Par.jobs_of_string s
-    with Invalid_argument msg ->
-      Printf.eprintf "jeddc: %s\n" msg;
-      exit 2
-  in
-  match (jobs, Sys.getenv_opt "JEDD_JOBS") with
-  | Some s, _ -> parse s
-  | None, Some s -> parse s
-  | None, None -> Jedd_bdd.Par.default_jobs ()
-
 (* --domain-report=json: machine-readable dump of the constraint-graph
    statistics, the computed widths, the weighted-assignment outcome (if
    any), and every candidate replace site with its static weight. *)
@@ -104,8 +87,7 @@ let domain_report_json (compiled : Jedd_lang.Driver.compiled) =
   add "}";
   Buffer.contents buf
 
-let run files output stats dimacs dump_ir lint optimize domain_report jobs =
-  ignore (resolve_jobs jobs : int);
+let run files output stats dimacs dump_ir lint optimize domain_report =
   if files = [] then begin
     prerr_endline "jeddc: no input files";
     exit 2
@@ -268,22 +250,12 @@ let domain_report_arg =
            static weight, loop depth and fixed-point flag) and exit.  Only \
            $(b,json) is supported.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Parallel width for the generated runtime (1..64); validated here, \
-           falls back to JEDD_JOBS then the recommended domain count.  The \
-           translator itself runs on one domain.")
-
 let cmd =
   Cmd.v
     (Cmd.info "jeddc" ~version:Jedd_relation.Version.banner
        ~doc:"Jedd to Java translator (PLDI 2004 reproduction)")
     Term.(
       const run $ files_arg $ output_arg $ stats_arg $ dimacs_arg $ dump_ir_arg
-      $ lint_arg $ optimize_arg $ domain_report_arg $ jobs_arg)
+      $ lint_arg $ optimize_arg $ domain_report_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -3,7 +3,7 @@
 
    The AST graph drives the §4.2 liveness analysis and the source-level
    jeddlint checkers; the IR graph drives the static refcount-discipline
-   verifier.  Both stay faithful to how [Ir_interp] actually executes:
+   verifier.  Both stay faithful to how [Interp] actually executes:
    short-circuit conditions become branching subgraphs, and the frees
    the interpreter synthesises after a relational comparison appear as
    explicit [IFree] nodes. *)
@@ -169,7 +169,7 @@ let build_ir (m : Ir.cmethod) : ir_cfg =
       prev is
   in
   (* conditions in continuation style: route the true/false outcomes to
-     [t] / [f], mirroring [Ir_interp.eval_cond]'s short-circuiting and
+     [t] / [f], mirroring [Interp.eval_cond]'s short-circuiting and
      its free-after-compare of the operand registers *)
   let rec cond prev (c : Ir.ccond) ~t ~f =
     match c with

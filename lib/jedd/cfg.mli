@@ -4,7 +4,7 @@
     The AST graph drives the §4.2 liveness analysis and the
     source-level jeddlint checkers; the IR graph drives the static
     refcount-discipline verifier.  Short-circuit conditions become
-    branching subgraphs, and the frees [Ir_interp] synthesises after a
+    branching subgraphs, and the frees [Interp] performs after a
     relational comparison appear as explicit [IFree] instruction
     nodes, so IR-level analyses see exactly the transitions the
     interpreter performs. *)

@@ -1,4 +1,4 @@
-type compiled = {
+type compiled = Lower.compiled = {
   tprog : Tast.tprogram;
   graph : Constraints.t;
   assignment : Encode.assignment;
@@ -60,4 +60,4 @@ let compile_exn ?max_paths_per_class ?weight ~file src =
   | Error e -> failwith (error_to_string e)
 
 let instantiate ?node_capacity ?node_limit ?backend c =
-  Interp.instantiate ?node_capacity ?node_limit ?backend c.tprog c.assignment
+  Interp.instantiate ?node_capacity ?node_limit ?backend c

@@ -5,7 +5,7 @@
     analyses of §5 compiled together — "All 5 combined" in Table 1):
     they are concatenated into one program sharing declarations. *)
 
-type compiled = {
+type compiled = Lower.compiled = {
   tprog : Tast.tprogram;
   graph : Constraints.t;
   assignment : Encode.assignment;
@@ -47,6 +47,7 @@ val instantiate :
   ?backend:Jedd_relation.Backend.kind ->
   compiled ->
   Interp.t
-(** Set up a runnable instance (universe + fields initialised). *)
+(** Set up a runnable instance (universe + fields initialised, every
+    method lowered). *)
 
 val error_to_string : error -> string

@@ -1,20 +1,20 @@
 open Tast
+open Ir
+module SS = Set.Make (String)
 
 type ctx = {
-  compiled : Driver.compiled;
+  compiled : Lower.compiled;
   buf : Buffer.t;
   mutable indent : int;
-  mutable tmp : int;
+  pending : (reg, string) Hashtbl.t;
+      (* the Java expression each written but not yet read register holds *)
+  mutable declared : SS.t;  (* locals whose container is in scope *)
 }
 
-let phys ctx site attr_name =
-  (ctx.compiled.Driver.assignment.Encode.phys_of site attr_name).p_name
+let layout_string l = Format.asprintf "%a" pp_layout l
 
-let layout ctx site (schema : attr_info list) =
-  "<"
-  ^ String.concat ", "
-      (List.map (fun a -> a.a_name ^ ":" ^ phys ctx site a.a_name) schema)
-  ^ ">"
+(* a container's layout, as the string its constructor takes *)
+let var_layout ctx key = layout_string (Lower.var_layout ctx.compiled key)
 
 let line ctx fmt =
   Printf.ksprintf
@@ -24,184 +24,139 @@ let line ctx fmt =
       Buffer.add_char ctx.buf '\n')
     fmt
 
-let fresh ctx =
-  ctx.tmp <- ctx.tmp + 1;
-  Printf.sprintf "tmp%d" ctx.tmp
-
 let var_java key = String.map (fun c -> if c = '.' then '_' else c) key
 
-let attr_list attrs =
-  "new Attribute[] { "
-  ^ String.concat ", " (List.map (fun a -> a.a_name ^ ".v()") attrs)
-  ^ " }"
+let jedd name args = Printf.sprintf "Jedd.v().%s(%s)" name (String.concat ", " args)
+let attr a = a ^ ".v()"
+let attr_array l = "new Attribute[] { " ^ String.concat ", " (List.map attr l) ^ " }"
 
-(* Emit the expression bottom-up into statements, returning the Java
-   expression holding the result.  A replace is emitted at every
-   consumption point where the wrapper's assigned layout differs from
-   the subexpression's own — exactly the replaces §3.3.2 decided on. *)
-let rec emit_expr ctx (e : texpr) : string =
-  let site = Constraints.S_expr e.eid in
-  match e.edesc with
-  | TEmpty -> "Jedd.v().falseBDD()"
-  | TFull -> "Jedd.v().trueBDD()"
-  | TVar (_, key) -> var_java key ^ ".get()"
-  | TLiteral pieces ->
-    let objs =
-      String.concat ", "
-        (List.map
-           (fun (o, a) ->
-             (match o with
-             | Tobj_var (n, _) -> n
-             | Tobj_int k -> string_of_int k)
-             ^ " => " ^ a.a_name ^ ":" ^ phys ctx site a.a_name)
-           pieces)
-    in
-    Printf.sprintf "Jedd.v().literal(new Object[] { %s })" objs
-  | TBinop (op, l, r) ->
-    let jl = emit_consumed ctx l in
-    let jr = emit_consumed ctx r in
-    let name =
-      match op with
-      | Ast.Union -> "union"
-      | Ast.Inter -> "intersect"
-      | Ast.Diff -> "minus"
-    in
-    Printf.sprintf "Jedd.v().%s(%s, %s)" name jl jr
-  | TReplace (reps, c) ->
-    let jc = emit_consumed ctx c in
-    List.fold_left
-      (fun acc rep ->
-        match rep with
-        | TProj a ->
-          Printf.sprintf "Jedd.v().project(%s, %s.v())" acc a.a_name
-        | TRen (a, b) ->
-          Printf.sprintf "Jedd.v().rename(%s, %s.v(), %s.v())" acc a.a_name
-            b.a_name
-        | TCopy (a, b, c') ->
-          Printf.sprintf "Jedd.v().copy(%s, %s.v(), %s.v(), %s.v(), %s)" acc
-            a.a_name b.a_name c'.a_name
-            (phys ctx site c'.a_name))
-      jc reps
-  | TJoin (kind, l, la, r, ra) ->
-    let jl = emit_consumed ctx l in
-    let jr = emit_consumed ctx r in
-    let name = match kind with Ast.Join -> "join" | Ast.Compose -> "compose" in
-    Printf.sprintf "Jedd.v().%s(%s, %s, %s, %s)" name jl (attr_list la) jr
-      (attr_list ra)
-  | TCall (q, args) ->
-    let jargs =
-      List.map
-        (fun (a : targ) ->
-          match a with
-          | Targ_rel t -> emit_consumed ctx t
-          | Targ_obj (Tobj_var (n, _)) -> n
-          | Targ_obj (Tobj_int k) -> string_of_int k)
-        args
-    in
-    Printf.sprintf "%s(%s)"
-      (var_java q)
-      (String.concat ", " jargs)
+let operand o = Format.asprintf "%a" pp_operand o
 
-and emit_consumed ctx (child : texpr) : string =
-  let inner = emit_expr ctx child in
-  if child.is_poly then inner
-  else begin
-    let own =
-      List.map
-        (fun a -> phys ctx (Constraints.S_expr child.eid) a.a_name)
-        child.eschema
-    in
-    let want =
-      List.map
-        (fun a -> phys ctx (Constraints.S_wrap child.eid) a.a_name)
-        child.eschema
-    in
-    if own = want then inner
-    else begin
-      (* materialise the replace the assignment stage kept *)
-      let tmp = fresh ctx in
-      line ctx "final Object %s = Jedd.v().replace(%s, /* -> %s */);" tmp inner
-        (layout ctx (Constraints.S_wrap child.eid) child.eschema);
-      tmp
-    end
-  end
+(* A register is read by exactly one instruction (the register
+   discipline), so its defining expression is printed inline at that
+   read, rebuilding the source's nesting. *)
+let read ctx r =
+  match Hashtbl.find_opt ctx.pending r with
+  | Some e ->
+    Hashtbl.remove ctx.pending r;
+    e
+  | None -> Printf.sprintf "r%d" r
 
-let rec emit_stmt ctx (s : tstmt) =
-  match s with
-  | TDecl (key, init, _) ->
-    let v = Hashtbl.find ctx.compiled.Driver.tprog.vars key in
-    let j =
-      match init with
-      | Some t -> emit_consumed ctx t
-      | None -> "Jedd.v().falseBDD()"
-    in
+let store ctx key meth rhs =
+  let v = Hashtbl.find ctx.compiled.tprog.vars key in
+  if v.v_kind = Vlocal && not (SS.mem key ctx.declared) then begin
+    ctx.declared <- SS.add key ctx.declared;
     line ctx "final RelationContainer %s = new RelationContainer(\"%s\");"
-      (var_java key)
-      (layout ctx (Constraints.S_var key) v.v_schema);
-    line ctx "%s.eq(%s);" (var_java key) j
-  | TAssign (key, _, t, _) ->
-    let j = emit_consumed ctx t in
-    line ctx "%s.eq(%s);" (var_java key) j
-  | TOp_assign (op, key, _, t, _) ->
-    let j = emit_consumed ctx t in
+      (var_java key) (var_layout ctx key)
+  end;
+  line ctx "%s.%s(%s);" (var_java key) meth rhs
+
+let instr ctx (i : instr) =
+  let def d e = Hashtbl.replace ctx.pending d e in
+  match i with
+  | ILoad (d, key) -> def d (var_java key ^ ".get()")
+  | IStore (key, r) -> store ctx key "eq" (read ctx r)
+  | IStoreUnion (key, r) -> store ctx key "eqUnion" (read ctx r)
+  | IStoreInter (key, r) -> store ctx key "eqIntersect" (read ctx r)
+  | IStoreDiff (key, r) -> store ctx key "eqMinus" (read ctx r)
+  | IConst (d, full, _) -> def d (jedd (if full then "trueBDD" else "falseBDD") [])
+  | ILiteral (d, layout, objs) ->
+    def d
+      (Printf.sprintf "Jedd.v().literal(new Object[] { %s })"
+         (String.concat ", "
+            (List.map2
+               (fun o (a, p) -> operand o ^ " => " ^ a ^ ":" ^ p)
+               objs layout)))
+  | IUnion (d, a, b) | IInter (d, a, b) | IDiff (d, a, b) ->
     let name =
-      match op with
-      | Ast.Union -> "eqUnion"
-      | Ast.Inter -> "eqIntersect"
-      | Ast.Diff -> "eqMinus"
+      match i with IUnion _ -> "union" | IInter _ -> "intersect" | _ -> "minus"
     in
-    line ctx "%s.%s(%s);" (var_java key) name j
-  | TIf (c, th, el) ->
-    line ctx "if (%s) {" (emit_cond ctx c);
-    ctx.indent <- ctx.indent + 1;
-    emit_stmt ctx th;
-    ctx.indent <- ctx.indent - 1;
-    (match el with
-    | Some el ->
-      line ctx "} else {";
-      ctx.indent <- ctx.indent + 1;
-      emit_stmt ctx el;
-      ctx.indent <- ctx.indent - 1
-    | None -> ());
-    line ctx "}"
-  | TWhile (c, body) ->
-    line ctx "while (%s) {" (emit_cond ctx c);
-    ctx.indent <- ctx.indent + 1;
-    emit_stmt ctx body;
-    ctx.indent <- ctx.indent - 1;
-    line ctx "}"
-  | TDo_while (body, c) ->
-    line ctx "do {";
-    ctx.indent <- ctx.indent + 1;
-    emit_stmt ctx body;
-    ctx.indent <- ctx.indent - 1;
-    line ctx "} while (%s);" (emit_cond ctx c)
-  | TBlock stmts ->
-    line ctx "{";
-    ctx.indent <- ctx.indent + 1;
-    List.iter (emit_stmt ctx) stmts;
-    ctx.indent <- ctx.indent - 1;
-    line ctx "}"
-  | TReturn (None, _) -> line ctx "return;"
-  | TReturn (Some t, _) -> line ctx "return %s;" (emit_consumed ctx t)
-  | TExpr t -> line ctx "%s;" (emit_expr ctx t)
-  | TPrint t -> line ctx "System.out.println(%s.toString());" (emit_expr ctx t)
+    let a = read ctx a in
+    def d (jedd name [ a; read ctx b ])
+  | IProject (d, s, attrs) -> def d (jedd "project" (read ctx s :: List.map attr attrs))
+  | IRename (d, s, pairs) ->
+    def d
+      (jedd "rename"
+         (read ctx s :: List.concat_map (fun (a, b) -> [ attr a; attr b ]) pairs))
+  | ICopy (d, s, a, c, phys) -> def d (jedd "copy" [ read ctx s; attr a; attr c; phys ])
+  | IJoin (d, a, la, b, lb) | ICompose (d, a, la, b, lb) ->
+    let name = match i with IJoin _ -> "join" | _ -> "compose" in
+    let a = read ctx a in
+    def d (jedd name [ a; attr_array la; read ctx b; attr_array lb ])
+  | IReplace (d, s, layout) ->
+    (* a replace the assignment stage kept (§3.3.2) *)
+    def d (jedd "replace" [ read ctx s; "\"" ^ layout_string layout ^ "\"" ])
+  | ICall (dest, q, args) -> (
+    let args =
+      List.map (function Carg_reg r -> read ctx r | Carg_obj o -> operand o) args
+    in
+    let e = Printf.sprintf "%s(%s)" (var_java q) (String.concat ", " args) in
+    match dest with Some d -> def d e | None -> line ctx "%s;" e)
+  | IFree r ->
+    (* a value computed for its own sake (an expression statement) *)
+    if Hashtbl.mem ctx.pending r then line ctx "%s;" (read ctx r)
+  | IKill key -> line ctx "%s.kill();" (var_java key)
+  | IPrint r -> line ctx "System.out.println(%s.toString());" (read ctx r)
 
-and emit_cond ctx (c : tcond) : string =
+let rec cond ctx (c : ccond) : string =
   match c with
-  | TBool b -> string_of_bool b
-  | TNot c -> "!(" ^ emit_cond ctx c ^ ")"
-  | TAnd (a, b) -> emit_cond ctx a ^ " && " ^ emit_cond ctx b
-  | TOr (a, b) -> emit_cond ctx a ^ " || " ^ emit_cond ctx b
-  | TCmp_eq (l, r) ->
-    Printf.sprintf "Jedd.v().equals(%s, %s)" (emit_expr ctx l)
-      (emit_expr ctx r)
-  | TCmp_ne (l, r) ->
-    Printf.sprintf "!Jedd.v().equals(%s, %s)" (emit_expr ctx l)
-      (emit_expr ctx r)
+  | Cbool b -> string_of_bool b
+  | Cnot c -> "!(" ^ cond ctx c ^ ")"
+  | Cand (a, b) | Cor (a, b) ->
+    let a = cond ctx a in
+    let op = match c with Cand _ -> " && " | _ -> " || " in
+    a ^ op ^ cond ctx b
+  | Ceq (code, r, rhs) | Cne (code, r, rhs) ->
+    List.iter (instr ctx) code;
+    let l = read ctx r in
+    let r =
+      match rhs with
+      | Rhs_empty -> jedd "falseBDD" []
+      | Rhs_full -> jedd "trueBDD" []
+      | Rhs_reg (code2, r2) ->
+        List.iter (instr ctx) code2;
+        read ctx r2
+    in
+    (match c with Ceq _ -> "" | _ -> "!") ^ jedd "equals" [ l; r ]
 
-let emit_method_into ctx q =
-  let m = Hashtbl.find ctx.compiled.Driver.tprog.methods q in
+let rec stmt ctx (s : cstmt) =
+  match s with
+  | CExec is -> List.iter (instr ctx) is
+  | CBlock b ->
+    line ctx "{";
+    block ctx b;
+    line ctx "}"
+  | CIf (c, th, el) ->
+    line ctx "if (%s) {" (cond ctx c);
+    block ctx th;
+    if el <> [] then begin
+      line ctx "} else {";
+      block ctx el
+    end;
+    line ctx "}"
+  | CWhile (c, body) ->
+    line ctx "while (%s) {" (cond ctx c);
+    block ctx body;
+    line ctx "}"
+  | CDoWhile (body, c) ->
+    line ctx "do {";
+    block ctx body;
+    line ctx "} while (%s);" (cond ctx c)
+  | CReturn (code, r) -> (
+    List.iter (instr ctx) code;
+    match r with
+    | Some r -> line ctx "return %s;" (read ctx r)
+    | None -> line ctx "return;")
+
+and block ctx b =
+  let declared = ctx.declared in
+  ctx.indent <- ctx.indent + 1;
+  List.iter (stmt ctx) b;
+  ctx.indent <- ctx.indent - 1;
+  ctx.declared <- declared
+
+let emit_method_into ctx (m : cmethod) =
+  let q = m.c_qualified in
   let params =
     String.concat ", "
       (List.map
@@ -209,10 +164,12 @@ let emit_method_into ctx q =
            match p with
            | Tparam_rel key -> "final RelationContainer " ^ var_java key
            | Tparam_obj (name, d) -> "final " ^ d.d_name ^ " " ^ name)
-         m.tm_params)
+         m.c_params)
   in
   let ret =
-    match m.tm_return with None -> "void" | Some _ -> "RelationContainer"
+    match (Hashtbl.find ctx.compiled.tprog.methods q).tm_return with
+    | None -> "void"
+    | Some _ -> "RelationContainer"
   in
   line ctx "public %s %s(%s) {" ret
     (var_java
@@ -220,18 +177,28 @@ let emit_method_into ctx q =
        | Some i -> String.sub q (i + 1) (String.length q - i - 1)
        | None -> q))
     params;
-  ctx.indent <- ctx.indent + 1;
-  List.iter (emit_stmt ctx) m.tm_body;
-  ctx.indent <- ctx.indent - 1;
+  Hashtbl.reset ctx.pending;
+  ctx.declared <- SS.empty;
+  block ctx m.c_body;
   line ctx "}"
 
+let create compiled size =
+  {
+    compiled;
+    buf = Buffer.create size;
+    indent = 0;
+    pending = Hashtbl.create 16;
+    declared = SS.empty;
+  }
+
 let emit_method compiled q =
-  let ctx = { compiled; buf = Buffer.create 2048; indent = 0; tmp = 0 } in
-  emit_method_into ctx q;
+  let ctx = create compiled 2048 in
+  emit_method_into ctx (Lower.lower_method compiled q);
   Buffer.contents ctx.buf
 
 let emit_program compiled =
-  let ctx = { compiled; buf = Buffer.create 8192; indent = 0; tmp = 0 } in
+  let ctx = create compiled 8192 in
+  let methods = Lower.lower_program compiled in
   line ctx "// Generated by jeddc (OCaml reproduction). Do not edit.";
   line ctx "import jedd.internal.Jedd;";
   line ctx "import jedd.internal.RelationContainer;";
@@ -239,36 +206,29 @@ let emit_program compiled =
   line ctx "";
   List.iter
     (fun cls ->
+      let prefix = cls ^ "." in
+      let in_class key = String.starts_with ~prefix key in
       line ctx "public class %s {" cls;
       ctx.indent <- ctx.indent + 1;
       (* fields *)
       Hashtbl.iter
         (fun key (v : var_info) ->
-          if
-            v.v_kind = Vfield
-            && String.length key > String.length cls
-            && String.sub key 0 (String.length cls + 1) = cls ^ "."
-          then
+          if v.v_kind = Vfield && in_class key then
             line ctx
               "private final RelationContainer %s = new RelationContainer(\"%s\");"
-              (var_java key)
-              (layout ctx (Constraints.S_var key) v.v_schema))
-        compiled.Driver.tprog.vars;
+              (var_java key) (var_layout ctx key))
+        compiled.tprog.vars;
       line ctx "";
       (* methods *)
       List.iter
         (fun q ->
-          if
-            String.length q > String.length cls
-            && String.sub q 0 (String.length cls + 1) = cls ^ "."
-            && not (String.contains q '<')
-          then begin
-            emit_method_into ctx q;
+          if in_class q && not (String.contains q '<') then begin
+            emit_method_into ctx (Hashtbl.find methods q);
             line ctx ""
           end)
-        compiled.Driver.tprog.method_order;
+        compiled.tprog.method_order;
       ctx.indent <- ctx.indent - 1;
       line ctx "}";
       line ctx "")
-    compiled.Driver.tprog.classes;
+    compiled.tprog.classes;
   Buffer.contents ctx.buf

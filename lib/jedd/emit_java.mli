@@ -1,15 +1,16 @@
 (** Pretty-printer for jeddc's output: the Java code the paper's
     translator generates (Figure 1, ".java" box).
 
-    Relations become [jedd.internal.RelationContainer] fields and locals
-    (§4.2); every relational operation becomes a call into the runtime
-    ([Jedd.v().join(...)], [Jedd.v().compose(...)], ...), with the
-    physical-domain assignment spelled out and a [Jedd.v().replace(...)]
-    inserted exactly where the assignment stage decided a replace is
-    needed.  The output is documentation-grade Java (it is not compiled
-    here — our interpreter executes the same operation sequence), and
-    matches what the original jeddc emitted closely enough to read
-    side-by-side with the paper. *)
+    It prints [Lower]'s IR, the code [Interp] executes: relations become
+    [jedd.internal.RelationContainer] fields and locals (§4.2); every
+    relational operation becomes a call into the runtime
+    ([Jedd.v().join(...)], [Jedd.v().compose(...)], ...), with a
+    [Jedd.v().replace(...)] exactly where the assignment stage kept a
+    replace and a [kill()] where a local's live range ends.  Each
+    register is printed inline where it is read, so expressions nest as
+    in the source.  The output is documentation-grade Java (it is not
+    compiled here), close enough to what the original jeddc emitted to
+    read side-by-side with the paper. *)
 
 val emit_program : Driver.compiled -> string
 (** All classes of the compiled program. *)

@@ -1,4 +1,5 @@
 open Tast
+open Ir
 module U = Jedd_relation.Universe
 module Dom = Jedd_relation.Domain
 module Phys = Jedd_relation.Physdom
@@ -11,24 +12,27 @@ exception Runtime_error of string
 let fail fmt = Format.kasprintf (fun s -> raise (Runtime_error s)) fmt
 
 type t = {
-  prog : tprogram;
-  asg : Encode.assignment;
+  compiled : Lower.compiled;
   u : U.t;
   domains : (string, Dom.t) Hashtbl.t;
   attrs : (string, Attr.t) Hashtbl.t;
   physdoms : (string, Phys.t) Hashtbl.t;
   fields : (var_key, R.t ref) Hashtbl.t;
-  liveness : (string, Liveness.t) Hashtbl.t;  (* per qualified method *)
-  liveness_lock : Mutex.t;
-      (* the table fills lazily on first call of each method; interpreter
-         instances are shared read-mostly when analyses run on separate
-         domains, so the fill must be a critical section *)
+  methods : (string, cmethod) Hashtbl.t;  (* [Lower]'s code, by qualified name *)
+  labels : (string, string array) Hashtbl.t;
+      (* per method: register -> "file:line,col" of the expression it
+         holds, the profiler label of the operation that writes it *)
+  check : bool;
+      (* shadow the register-discipline state machine on every executed
+         instruction (JEDD_CHECK_IR=1); shares [Ir.Discipline] with the
+         static verifier so runtime and prover enforce the same rules *)
   mutable print_hook : string -> unit;
 }
 
 type value = VRel of R.t | VObj of int
 
 let universe t = t.u
+let methods t = t.methods
 
 let domain t name =
   match Hashtbl.find_opt t.domains name with
@@ -45,32 +49,34 @@ let physdom t name =
   | Some p -> p
   | None -> fail "unknown physical domain %s" name
 
-(* The runtime layout of an attribute list at a given constraint site. *)
-let schema_at t site (schema : attr_info list) =
+let schema_of_layout t (layout : layout) =
   Schema.make
     (List.map
-       (fun (a : attr_info) ->
-         {
-           Schema.attr = attribute t a.a_name;
-           phys = physdom t (t.asg.Encode.phys_of site a.a_name).p_name;
-         })
-       schema)
+       (fun (attr_name, phys_name) ->
+         { Schema.attr = attribute t attr_name; phys = physdom t phys_name })
+       layout)
 
 let schema_of_var t key =
-  match Hashtbl.find_opt t.prog.vars key with
-  | Some v -> schema_at t (Constraints.S_var key) v.v_schema
-  | None -> fail "unknown variable %s" key
+  if Hashtbl.mem t.compiled.tprog.vars key then
+    schema_of_layout t (Lower.var_layout t.compiled key)
+  else fail "unknown variable %s" key
 
 let set_print_hook t hook = t.print_hook <- hook
 
-let instantiate_base ?(node_capacity = 1 lsl 16) ?node_limit ?backend
-    (prog : tprogram) (asg : Encode.assignment) : t =
+let check_from_env () =
+  match Sys.getenv_opt "JEDD_CHECK_IR" with
+  | Some ("" | "0") | None -> false
+  | Some _ -> true
+
+let create ?(node_capacity = 1 lsl 16) ?node_limit ?backend
+    (c : Lower.compiled) : t =
+  let prog = c.Lower.tprog in
   let u = U.create ~node_capacity ?node_limit ?backend () in
   let physdoms = Hashtbl.create 16 in
   List.iter
     (fun (p : phys_info) ->
       let bits =
-        match List.assoc_opt p.p_name asg.Encode.widths with
+        match List.assoc_opt p.p_name c.assignment.Encode.widths with
         | Some w -> w
         | None -> max 1 (Option.value p.p_min_bits ~default:1)
       in
@@ -87,419 +93,327 @@ let instantiate_base ?(node_capacity = 1 lsl 16) ?node_limit ?backend
       Hashtbl.add attrs a.a_name
         (Attr.declare ~name:a.a_name ~domain:(Hashtbl.find domains a.a_domain.d_name)))
     prog.attrs;
-  let t =
-    {
-      prog;
-      asg;
-      u;
-      domains;
-      attrs;
-      physdoms;
-      fields = Hashtbl.create 32;
-      liveness = Hashtbl.create 16;
-      liveness_lock = Mutex.create ();
-      print_hook = print_string;
-    }
-  in
-  (* every field starts as 0B at its assigned layout (§4.2: one
-     container per field) *)
+  let methods, prov = Lower.lower_program_ex c in
+  let labels = Hashtbl.create 16 in
   Hashtbl.iter
-    (fun key (v : var_info) ->
-      if v.v_kind = Vfield then
-        Hashtbl.add t.fields key
-          (ref (R.empty u (schema_at t (Constraints.S_var key) v.v_schema))))
-    prog.vars;
-  t
+    (fun q (mp : Lower.method_provenance) ->
+      let a = Array.make (Hashtbl.find methods q).c_nregs "" in
+      Hashtbl.iter
+        (fun r p -> a.(r) <- Format.asprintf "%a" Ast.pp_pos p)
+        mp.mp_reg_pos;
+      Hashtbl.replace labels q a)
+    prov.pp_methods;
+  {
+    compiled = c;
+    u;
+    domains;
+    attrs;
+    physdoms;
+    fields = Hashtbl.create 32;
+    methods;
+    labels;
+    check = check_from_env ();
+    print_hook = print_string;
+  }
 
-(* -- evaluation -------------------------------------------------------------- *)
+(* -- execution: a register machine over the lowered code ---------------------- *)
 
 type frame = {
-  meth : string;  (* qualified name, for return-site layouts *)
+  meth : string;  (* qualified name, for error messages *)
+  regs : R.t option array;
+  owned : bool array;
+  labels : string array;
   locals : (var_key, R.t ref) Hashtbl.t;
   objs : (string, int) Hashtbl.t;
+  disc : Discipline.frame option;  (* shadow state when checking *)
 }
 
 exception Return_value of R.t option
 
-(* evaluation yields a relation plus ownership: temporaries are released
-   by their consumer; variable reads are owned by the variable *)
-type owned = { rel : R.t; owned : bool }
+let label frame r = if r < Array.length frame.labels then frame.labels.(r) else ""
+
+let disc_fail frame what errs =
+  fail "JEDD_CHECK_IR: %s in %s: %s" what frame.meth (String.concat "; " errs)
+
+let reg_value frame r =
+  match frame.regs.(r) with
+  | Some v -> v
+  | None -> fail "%s: register r%d read before being written" frame.meth r
+
+(* consume a register: the caller takes the value; ownership moves out
+   (a borrowed register yields a dup so the consumer can free safely) *)
+let consume_reg frame r =
+  let v = reg_value frame r in
+  let owned = frame.owned.(r) in
+  frame.regs.(r) <- None;
+  frame.owned.(r) <- false;
+  if owned then v else R.dup v
+
+let set_reg frame r v =
+  frame.regs.(r) <- Some v;
+  frame.owned.(r) <- true
+
+let resolve_operand frame = function
+  | Op_int n -> n
+  | Op_objparam name -> (
+    match Hashtbl.find_opt frame.objs name with
+    | Some v -> v
+    | None -> fail "%s: object parameter %s unbound" frame.meth name)
+
+let slot_of t frame key =
+  match Hashtbl.find_opt frame.locals key with
+  | Some slot -> Some slot
+  | None -> Hashtbl.find_opt t.fields key
 
 let read_var t frame key =
-  match Hashtbl.find_opt frame.locals key with
-  | Some r -> !r
-  | None -> (
-    match Hashtbl.find_opt t.fields key with
-    | Some r -> !r
-    | None -> fail "variable %s has no storage" key)
+  match slot_of t frame key with
+  | Some slot -> !slot
+  | None -> fail "%s: variable %s has no storage" frame.meth key
 
-let write_var t frame key rel =
-  let slot =
-    match Hashtbl.find_opt frame.locals key with
-    | Some r -> r
-    | None -> (
-      match Hashtbl.find_opt t.fields key with
-      | Some r -> r
-      | None -> fail "variable %s has no storage" key)
-  in
-  let old = !slot in
-  slot := rel;
-  (* §4.2 case 2: the overwritten BDD's count drops immediately *)
-  R.release old
-
-let release_if_owned o = if o.owned then R.release o.rel
-
-(* Take ownership of a value coerced to a storage layout (declared
+(* Take ownership of a value coerced to a variable's layout (declared
    attribute order included). *)
-let own_at target (o : owned) =
-  let c = R.coerce o.rel target in
-  if c == o.rel then (if o.owned then o.rel else R.dup o.rel)
+let own_at ?label t key v =
+  let c = R.coerce ?label v (schema_of_var t key) in
+  if c == v then v
   else begin
-    release_if_owned o;
+    R.release v;
     c
   end
 
-(* Coerce an evaluated operand to the dummy-replace wrapper's layout.
-   When the assignment gave the wrapper the same layout, this is the
-   no-op replace the translator removes (§3.3.2). *)
-let consume t frame eval_fn (child : texpr) ~(fallback : Schema.t option) =
-  if child.is_poly then begin
-    let sch =
-      match fallback with
-      | Some s -> s
-      | None -> fail "0B/1B in a context with no expected schema"
-    in
-    match child.edesc with
-    | TEmpty -> { rel = R.empty t.u sch; owned = true }
-    | TFull -> { rel = R.full t.u sch; owned = true }
-    | _ -> assert false
-  end
-  else begin
-    let o = eval_fn frame child in
-    let target = schema_at t (Constraints.S_wrap child.eid) child.eschema in
-    let coerced =
-      R.coerce ~label:(Format.asprintf "%a" Ast.pp_pos child.epos) o.rel target
-    in
-    if coerced == o.rel then o
-    else begin
-      release_if_owned o;
-      { rel = coerced; owned = true }
-    end
-  end
+(* [value] is owned by this function and is handed to the storage; §4.2
+   case 2: the overwritten BDD's count drops immediately *)
+let store_var t frame ~label key value =
+  let value = own_at ~label t key value in
+  match slot_of t frame key with
+  | Some slot ->
+    let old = !slot in
+    slot := value;
+    R.release old
+  | None ->
+    (* first store to a local: this is its declaration *)
+    Hashtbl.replace frame.locals key (ref value)
 
-let rec eval t frame (e : texpr) : owned =
-  let site = Constraints.S_expr e.eid in
-  match e.edesc with
-  | TEmpty | TFull -> fail "0B/1B evaluated without context at %s"
-                        (Format.asprintf "%a" Ast.pp_pos e.epos)
-  | TVar (_, key) -> { rel = read_var t frame key; owned = false }
-  | TLiteral pieces ->
-    let sch = schema_at t site e.eschema in
-    let objs =
+let set_op = function
+  | IUnion _ | IStoreUnion _ -> R.union
+  | IInter _ | IStoreInter _ -> R.inter
+  | _ -> R.diff
+
+let rec exec_instr t frame (i : instr) : unit =
+  (match frame.disc with
+  | Some d -> (
+    match Discipline.step d i with
+    | [] -> ()
+    | errs ->
+      disc_fail frame
+        (Format.asprintf "discipline violation at [%a]" pp_instr i)
+        errs)
+  | None -> ());
+  let attrs = List.map (attribute t) in
+  match i with
+  | ILoad (r, key) ->
+    frame.regs.(r) <- Some (read_var t frame key);
+    frame.owned.(r) <- false
+  | IStore (key, r) ->
+    store_var t frame ~label:(label frame r) key (consume_reg frame r)
+  | IStoreUnion (key, r) | IStoreInter (key, r) | IStoreDiff (key, r) ->
+    let rhs = consume_reg frame r in
+    let label = label frame r in
+    let result = set_op i ~label (read_var t frame key) rhs in
+    R.release rhs;
+    store_var t frame ~label key result
+  | IConst (r, full, layout) ->
+    let sch = schema_of_layout t layout in
+    set_reg frame r (if full then R.full t.u sch else R.empty t.u sch)
+  | ILiteral (r, layout, operands) ->
+    set_reg frame r
+      (R.tuple t.u (schema_of_layout t layout)
+         (List.map (resolve_operand frame) operands))
+  | IUnion (d, a, b) | IInter (d, a, b) | IDiff (d, a, b) ->
+    set_reg frame d
+      (set_op i ~label:(label frame d) (reg_value frame a) (reg_value frame b))
+  | IProject (d, s, names) ->
+    set_reg frame d
+      (R.project_away ~label:(label frame d) (reg_value frame s) (attrs names))
+  | IRename (d, s, pairs) ->
+    set_reg frame d
+      (R.rename ~label:(label frame d) (reg_value frame s)
+         (List.map (fun (a, b) -> (attribute t a, attribute t b)) pairs))
+  | ICopy (d, s, a, c, phys) ->
+    set_reg frame d
+      (R.copy ~label:(label frame d) ~phys:(physdom t phys) (reg_value frame s)
+         (attribute t a) ~as_:(attribute t c))
+  | IJoin (d, a, la, b, lb) ->
+    set_reg frame d
+      (R.join ~label:(label frame d) (reg_value frame a) (attrs la)
+         (reg_value frame b) (attrs lb))
+  | ICompose (d, a, la, b, lb) ->
+    set_reg frame d
+      (R.compose ~label:(label frame d) (reg_value frame a) (attrs la)
+         (reg_value frame b) (attrs lb))
+  | IReplace (d, s, layout) ->
+    let v = reg_value frame s in
+    let c = R.coerce ~label:(label frame d) v (schema_of_layout t layout) in
+    set_reg frame d (if c == v then R.dup v else c)
+  | ICall (dest, q, args) -> (
+    let values =
       List.map
-        (fun (o, _) ->
-          match o with
-          | Tobj_int n -> n
-          | Tobj_var (name, _) -> (
-            match Hashtbl.find_opt frame.objs name with
-            | Some v -> v
-            | None -> fail "object parameter %s unbound" name))
-        pieces
+        (function
+          | Carg_reg r -> VRel (consume_reg frame r)
+          | Carg_obj o -> VObj (resolve_operand frame o))
+        args
     in
-    { rel = R.tuple t.u sch objs; owned = true }
-  | TBinop (op, l, r) ->
-    let lo = consume t frame (eval t) l ~fallback:None in
-    let target_fallback = Some (R.schema lo.rel) in
-    let ro = consume t frame (eval t) r ~fallback:target_fallback in
-    let f =
-      match op with
-      | Ast.Union -> R.union
-      | Ast.Inter -> R.inter
-      | Ast.Diff -> R.diff
-    in
-    let result = f ~label:(pos_label e) lo.rel ro.rel in
-    release_if_owned lo;
-    release_if_owned ro;
-    { rel = result; owned = true }
-  | TReplace (reps, c) ->
-    let co = consume t frame (eval t) c ~fallback:None in
-    let result =
-      List.fold_left
-        (fun (acc : owned) rep ->
-          let next =
-            match rep with
-            | TProj a ->
-              R.project_away ~label:(pos_label e) acc.rel [ attribute t a.a_name ]
-            | TRen (a, b) ->
-              R.rename ~label:(pos_label e) acc.rel
-                [ (attribute t a.a_name, attribute t b.a_name) ]
-            | TCopy (a, b, c') ->
-              let copied =
-                R.copy ~label:(pos_label e)
-                  ~phys:(physdom t (t.asg.Encode.phys_of site c'.a_name).p_name)
-                  acc.rel (attribute t a.a_name) ~as_:(attribute t c'.a_name)
-              in
-              if a.a_name = b.a_name then copied
-              else begin
-                let renamed =
-                  R.rename copied [ (attribute t a.a_name, attribute t b.a_name) ]
-                in
-                R.release copied;
-                renamed
-              end
-          in
-          release_if_owned acc;
-          { rel = next; owned = true })
-        co reps
-    in
-    result
-  | TJoin (kind, l, la, r, ra) ->
-    let lo = consume t frame (eval t) l ~fallback:None in
-    let ro = consume t frame (eval t) r ~fallback:None in
-    let lattrs = List.map (fun a -> attribute t a.a_name) la in
-    let rattrs = List.map (fun a -> attribute t a.a_name) ra in
-    let result =
-      match kind with
-      | Ast.Join -> R.join ~label:(pos_label e) lo.rel lattrs ro.rel rattrs
-      | Ast.Compose -> R.compose ~label:(pos_label e) lo.rel lattrs ro.rel rattrs
-    in
-    release_if_owned lo;
-    release_if_owned ro;
-    { rel = result; owned = true }
-  | TCall (q, args) -> (
-    match call_method t q (eval_args t frame q args) with
-    | Some rel -> { rel; owned = true }
-    | None -> fail "void method %s used as an expression" q)
+    match (call t q values, dest) with
+    | Some r, Some d -> set_reg frame d r
+    | Some r, None -> R.release r
+    | None, Some _ -> fail "%s: void method %s used for its value" frame.meth q
+    | None, None -> ())
+  | IFree r ->
+    (match frame.regs.(r) with
+    | Some v when frame.owned.(r) -> R.release v
+    | _ -> ());
+    frame.regs.(r) <- None;
+    frame.owned.(r) <- false
+  | IKill key -> (
+    match Hashtbl.find_opt frame.locals key with
+    | Some slot -> R.release !slot
+    | None -> ())
+  | IPrint r -> t.print_hook (R.to_string (reg_value frame r))
 
-and pos_label (e : texpr) = Format.asprintf "%a" Ast.pp_pos e.epos
-
-and eval_args t frame q (args : targ list) : value list =
-  let m = Hashtbl.find t.prog.methods q in
-  List.map2
-    (fun (arg : targ) (p : tparam) ->
-      match (arg, p) with
-      | Targ_obj (Tobj_int n), _ -> VObj n
-      | Targ_obj (Tobj_var (name, _)), _ -> (
-        match Hashtbl.find_opt frame.objs name with
-        | Some v -> VObj v
-        | None -> fail "object parameter %s unbound" name)
-      | Targ_rel te, Tparam_rel key ->
-        let target =
-          schema_at t (Constraints.S_var key)
-            (Hashtbl.find t.prog.vars key).v_schema
-        in
-        let o = consume t frame (eval t) te ~fallback:(Some target) in
-        (* hand ownership to the callee *)
-        if o.owned then VRel o.rel else VRel (R.dup o.rel)
-      | Targ_rel _, Tparam_obj _ -> assert false)
-    args m.tm_params
-
-and eval_cond t frame (c : tcond) : bool =
+and eval_cond t frame (c : ccond) : bool =
   match c with
-  | TBool b -> b
-  | TNot c -> not (eval_cond t frame c)
-  | TAnd (a, b) -> eval_cond t frame a && eval_cond t frame b
-  | TOr (a, b) -> eval_cond t frame a || eval_cond t frame b
-  | TCmp_eq (l, r) | TCmp_ne (l, r) ->
-    let eq = compare_rels t frame l r in
-    (match c with TCmp_eq _ -> eq | _ -> not eq)
-
-and compare_rels t frame (l : texpr) (r : texpr) : bool =
-  (* [Compare] allows 0B/1B on either side; normalise the constant to
-     the right (comparison is symmetric) *)
-  let l, r = if l.is_poly then (r, l) else (l, r) in
-  let lo = consume t frame (eval t) l ~fallback:None in
-  let result =
-    if r.is_poly then
-      match r.edesc with
-      | TEmpty -> R.is_empty lo.rel
-      | TFull ->
-        let full = R.full t.u (R.schema lo.rel) in
-        let e = R.equal lo.rel full in
+  | Cbool b -> b
+  | Cnot c -> not (eval_cond t frame c)
+  | Cand (a, b) -> eval_cond t frame a && eval_cond t frame b
+  | Cor (a, b) -> eval_cond t frame a || eval_cond t frame b
+  | Ceq (code, r, rhs) | Cne (code, r, rhs) ->
+    List.iter (exec_instr t frame) code;
+    let check_cmp r2 =
+      match frame.disc with
+      | Some d -> (
+        match Discipline.compare_reads d r r2 with
+        | [] -> ()
+        | errs -> disc_fail frame "discipline violation at comparison" errs)
+      | None -> ()
+    in
+    let result =
+      match rhs with
+      | Rhs_empty ->
+        check_cmp None;
+        R.is_empty (reg_value frame r)
+      | Rhs_full ->
+        check_cmp None;
+        let v = reg_value frame r in
+        let full = R.full t.u (R.schema v) in
+        let e = R.equal v full in
         R.release full;
         e
-      | _ -> assert false
-    else begin
-      let ro = consume t frame (eval t) r ~fallback:(Some (R.schema lo.rel)) in
-      let e = R.equal lo.rel ro.rel in
-      release_if_owned ro;
-      e
-    end
-  in
-  release_if_owned lo;
-  result
+      | Rhs_reg (code2, r2) ->
+        List.iter (exec_instr t frame) code2;
+        check_cmp (Some r2);
+        let e = R.equal (reg_value frame r) (reg_value frame r2) in
+        exec_instr t frame (IFree r2);
+        e
+    in
+    exec_instr t frame (IFree r);
+    (match c with Ceq _ -> result | _ -> not result)
 
-and exec t frame (s : tstmt) : unit =
-  exec_stmt t frame s;
-  (* §4.2: release variables whose last use was this statement (the
-     static liveness analysis ran at instantiation) *)
-  let lv_opt =
-    Mutex.lock t.liveness_lock;
-    let v = Hashtbl.find_opt t.liveness frame.meth in
-    Mutex.unlock t.liveness_lock;
-    v
-  in
-  match lv_opt with
-  | Some lv ->
-    List.iter
-      (fun key ->
-        match Hashtbl.find_opt frame.locals key with
-        | Some slot -> R.release !slot
-        | None -> ())
-      (Liveness.kills_after lv s)
-  | None -> ()
-
-and exec_stmt t frame (s : tstmt) : unit =
+and exec_stmt t frame (s : cstmt) : unit =
   match s with
-  | TDecl (key, init, _) ->
-    let v = Hashtbl.find t.prog.vars key in
-    let target = schema_at t (Constraints.S_var key) v.v_schema in
-    let value =
-      match init with
-      | None -> R.empty t.u target
-      | Some te ->
-        let o = consume t frame (eval t) te ~fallback:(Some target) in
-        own_at target o
-    in
-    (* redeclaration in a later loop iteration releases the old handle *)
-    (match Hashtbl.find_opt frame.locals key with
-    | Some old -> R.release !old
-    | None -> ());
-    Hashtbl.replace frame.locals key (ref value)
-  | TAssign (key, _, te, _) ->
-    let v = Hashtbl.find t.prog.vars key in
-    let target = schema_at t (Constraints.S_var key) v.v_schema in
-    let o = consume t frame (eval t) te ~fallback:(Some target) in
-    write_var t frame key (own_at target o)
-  | TOp_assign (op, key, _, te, _) ->
-    let v = Hashtbl.find t.prog.vars key in
-    let target = schema_at t (Constraints.S_var key) v.v_schema in
-    let o = consume t frame (eval t) te ~fallback:(Some target) in
-    let current = read_var t frame key in
-    let f =
-      match op with
-      | Ast.Union -> R.union
-      | Ast.Inter -> R.inter
-      | Ast.Diff -> R.diff
-    in
-    let updated = f current o.rel in
-    release_if_owned o;
-    write_var t frame key updated
-  | TIf (c, th, el) ->
-    if eval_cond t frame c then exec t frame th
-    else Option.iter (exec t frame) el
-  | TWhile (c, body) ->
+  | CExec instrs -> List.iter (exec_instr t frame) instrs
+  | CBlock stmts -> List.iter (exec_stmt t frame) stmts
+  | CIf (c, th, el) ->
+    if eval_cond t frame c then List.iter (exec_stmt t frame) th
+    else List.iter (exec_stmt t frame) el
+  | CWhile (c, body) ->
     while eval_cond t frame c do
-      exec t frame body
+      List.iter (exec_stmt t frame) body
     done
-  | TDo_while (body, c) ->
+  | CDoWhile (body, c) ->
     let continue_loop = ref true in
     while !continue_loop do
-      exec t frame body;
+      List.iter (exec_stmt t frame) body;
       continue_loop := eval_cond t frame c
     done
-  | TBlock stmts -> List.iter (exec t frame) stmts
-  | TReturn (None, _) -> raise (Return_value None)
-  | TReturn (Some te, _) ->
-    let fallback =
-      match (Hashtbl.find t.prog.methods frame.meth).tm_return with
-      | Some schema ->
-        Some (schema_at t (Constraints.S_return frame.meth) schema)
-      | None -> None
-    in
-    let o = consume t frame (eval t) te ~fallback in
-    (* the wrapper layout for a return equals the return-site layout *)
-    raise (Return_value (Some (if o.owned then o.rel else R.dup o.rel)))
-  | TExpr te -> (
-    match te.edesc with
-    | TCall (q, args) -> (
-      (* a statement-level call may be void *)
-      match call_method t q (eval_args t frame q args) with
-      | Some r -> R.release r
-      | None -> ())
-    | _ ->
-      if not te.is_poly then begin
-        let o = eval t frame te in
-        release_if_owned o
-      end)
-  | TPrint te ->
-    if te.is_poly then t.print_hook "0B/1B\n"
-    else begin
-      (* printing is layout-independent: no wrapper, no coercion *)
-      let o = eval t frame te in
-      t.print_hook (R.to_string o.rel);
-      release_if_owned o
-    end
+  | CReturn (code, r) ->
+    List.iter (exec_instr t frame) code;
+    (match (frame.disc, r) with
+    | Some d, Some r -> (
+      match Discipline.consume_return d r with
+      | [] -> ()
+      | errs -> disc_fail frame "discipline violation at return" errs)
+    | _ -> ());
+    raise (Return_value (Option.map (consume_reg frame) r))
 
-and call_method t q (args : value list) : R.t option =
+and call t q (args : value list) : R.t option =
   let m =
-    match Hashtbl.find_opt t.prog.methods q with
+    match Hashtbl.find_opt t.methods q with
     | Some m -> m
     | None -> fail "unknown method %s" q
   in
-  (let need =
-     Mutex.lock t.liveness_lock;
-     let n = not (Hashtbl.mem t.liveness q) in
-     Mutex.unlock t.liveness_lock;
-     n
-   in
-   if need then begin
-     (* analyze outside the lock; a racing duplicate is idempotent *)
-     let lv = Liveness.analyze m in
-     Mutex.lock t.liveness_lock;
-     if not (Hashtbl.mem t.liveness q) then Hashtbl.replace t.liveness q lv;
-     Mutex.unlock t.liveness_lock
-   end);
-  let frame = { meth = q; locals = Hashtbl.create 8; objs = Hashtbl.create 4 } in
-  if List.length args <> List.length m.tm_params then
-    fail "method %s expects %d arguments" q (List.length m.tm_params);
+  if List.length args <> List.length m.c_params then
+    fail "method %s expects %d arguments, got %d" q (List.length m.c_params)
+      (List.length args);
+  let frame =
+    {
+      meth = q;
+      regs = Array.make (max 1 m.c_nregs) None;
+      owned = Array.make (max 1 m.c_nregs) false;
+      labels = Option.value (Hashtbl.find_opt t.labels q) ~default:[||];
+      locals = Hashtbl.create 8;
+      objs = Hashtbl.create 4;
+      disc = (if t.check then Some (Discipline.init m.c_nregs) else None);
+    }
+  in
   List.iter2
     (fun (p : tparam) (v : value) ->
       match (p, v) with
-      | Tparam_rel key, VRel r ->
-        let target =
-          schema_at t (Constraints.S_var key)
-            (Hashtbl.find t.prog.vars key).v_schema
-        in
-        let r' =
-          let c = R.coerce r target in
-          if c == r then r
-          else begin
-            R.release r;
-            c
-          end
-        in
-        Hashtbl.replace frame.locals key (ref r')
+      | Tparam_rel key, VRel r -> Hashtbl.replace frame.locals key (ref (own_at t key r))
       | Tparam_obj (name, _), VObj n -> Hashtbl.replace frame.objs name n
-      | Tparam_rel _, VObj _ -> fail "method %s: relation argument expected" q
-      | Tparam_obj _, VRel _ -> fail "method %s: object argument expected" q)
-    m.tm_params args;
+      | Tparam_rel key, VObj _ -> fail "method %s: relation argument expected for %s" q key
+      | Tparam_obj (name, _), VRel _ ->
+        fail "method %s: object argument expected for %s" q name)
+    m.c_params args;
   let result =
     try
-      List.iter (exec t frame) m.tm_body;
+      List.iter (exec_stmt t frame) m.c_body;
       None
     with Return_value r -> r
   in
-  (* §4.2 cases 3/4: locals and parameters die with the frame *)
+  (* §4.2 cases 3/4: locals and parameters die with the frame; stray
+     owned registers are swept *)
+  (match frame.disc with
+  | Some d -> (
+    match Discipline.leaks d with
+    | [] -> ()
+    | errs -> disc_fail frame "leak at method exit" errs)
+  | None -> ());
   Hashtbl.iter (fun _ slot -> R.release !slot) frame.locals;
+  Array.iteri
+    (fun i v ->
+      match v with Some v when frame.owned.(i) -> R.release v | _ -> ())
+    frame.regs;
   result
 
 (* -- host API ------------------------------------------------------------------ *)
 
-let run_field_initialisers t =
-  List.iter
-    (fun q ->
-      if
-        String.length q >= 7
-        &&
-        let parts = String.split_on_char '.' q in
-        match parts with
-        | [ _; meth ] -> String.length meth > 6 && String.sub meth 0 6 = "<init:"
-        | _ -> false
-      then ignore (call_method t q []))
-    t.prog.method_order
+let is_init q =
+  match String.split_on_char '.' q with
+  | [ _; meth ] -> String.starts_with ~prefix:"<init:" meth
+  | _ -> false
 
-let is_field t key = Hashtbl.mem t.fields key
+let instantiate ?node_capacity ?node_limit ?backend c =
+  let t = create ?node_capacity ?node_limit ?backend c in
+  (* every field starts as 0B at its assigned layout (§4.2: one
+     container per field), then the field initialisers run *)
+  Hashtbl.iter
+    (fun key (v : var_info) ->
+      if v.v_kind = Vfield then
+        Hashtbl.add t.fields key (ref (R.empty t.u (schema_of_var t key))))
+    t.compiled.tprog.vars;
+  List.iter
+    (fun q -> if is_init q then ignore (call t q []))
+    t.compiled.tprog.method_order;
+  t
 
 let get_field t key =
   match Hashtbl.find_opt t.fields key with
@@ -509,10 +423,8 @@ let get_field t key =
 let set_field t key rel =
   match Hashtbl.find_opt t.fields key with
   | Some slot ->
-    let v = Hashtbl.find t.prog.vars key in
-    let target = schema_at t (Constraints.S_var key) v.v_schema in
     let rel' =
-      let c = R.coerce rel target in
+      let c = R.coerce rel (schema_of_var t key) in
       if c == rel then R.dup rel else c
     in
     let old = !slot in
@@ -520,24 +432,18 @@ let set_field t key rel =
     R.release old
   | None -> fail "unknown field %s" key
 
-let call t q args = call_method t q args
-
 (* Declaration-order registry listings for the snapshot layer: the
    program's declaration lists drive the order, the instance tables
    supply the runtime values. *)
 let registries t =
   ( List.map (fun (d : domain_info) -> (d.d_name, Hashtbl.find t.domains d.d_name))
-      t.prog.domains,
+      t.compiled.tprog.domains,
     List.map (fun (a : attr_info) -> (a.a_name, Hashtbl.find t.attrs a.a_name))
-      t.prog.attrs,
+      t.compiled.tprog.attrs,
     List.map (fun (p : phys_info) -> (p.p_name, Hashtbl.find t.physdoms p.p_name))
-      t.prog.physdoms )
+      t.compiled.tprog.physdoms )
 
 let fields t =
   Hashtbl.fold (fun key slot acc -> (key, !slot) :: acc) t.fields []
   |> List.sort (fun (a, _) (b, _) -> compare a b)
 
-let instantiate ?node_capacity ?node_limit ?backend prog asg =
-  let t = instantiate_base ?node_capacity ?node_limit ?backend prog asg in
-  run_field_initialisers t;
-  t

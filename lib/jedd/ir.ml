@@ -186,7 +186,7 @@ let method_size m = List.fold_left (fun a s -> a + stmt_size s) 0 m.c_body
 
    The static verifier ([Jedd_lint.Refcount]) proves these rules over
    every path of the IR control-flow graph; the dynamic checker
-   ([Ir_interp] under JEDD_CHECK_IR=1) asserts them on the actually
+   ([Interp] under JEDD_CHECK_IR=1) asserts them on the actually
    executed path.  Both share the transition rules below, so the prover
    and the runtime can never drift apart. *)
 

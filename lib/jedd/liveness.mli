@@ -7,7 +7,8 @@
     [analyze] runs a backward may-live analysis over a method body
     (iterating loops to a fixpoint) and records, for each statement, the
     local variables and parameters whose last use is at that statement —
-    the interpreter releases them right after executing it.  Fields are
+    [Lower] emits an [IKill] for each right after that statement's code,
+    and the interpreter releases them there.  Fields are
     never killed (they stay live in their containers); a variable can be
     safely "killed" twice because releases are idempotent, which also
     covers the both-branches-of-an-if case. *)

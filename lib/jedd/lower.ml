@@ -10,10 +10,23 @@
 open Tast
 open Ir
 
-(* Provenance the lint subsystem feeds on: where each kept replace came
-   from (for the §3.3.3-style SAT-core audit) and which source position
-   each result register was materialised at (for attributing IR-level
-   diagnostics back to the program text). *)
+(* A compiled program: the typed AST with its physical-domain
+   assignment.  [Driver] re-exports this record as [Driver.compiled];
+   it lives here so that [Interp] can lower what it runs. *)
+type compiled = {
+  tprog : Tast.tprogram;
+  graph : Constraints.t;
+  assignment : Encode.assignment;
+  constraint_stats : Constraints.stats;
+  weighted_stats : Encode.weighted_stats option;
+      (* present when the weighted objective ran *)
+}
+
+(* Provenance the lint subsystem and the interpreter feed on: where
+   each kept replace came from (for the §3.3.3-style SAT-core audit)
+   and which source position each register was materialised at (for
+   attributing IR-level diagnostics and the profiler's per-operation
+   labels back to the program text). *)
 type replace_site = {
   rs_method : string;  (* qualified method *)
   rs_eid : int;  (* the coerced subexpression's node id *)
@@ -32,8 +45,20 @@ type program_provenance = {
   pp_replaces : replace_site list;  (* program order *)
 }
 
+(* The concrete layout the assignment gives an attribute list at a
+   constraint site. *)
+let layout_of (c : compiled) site (schema : attr_info list) : layout =
+  List.map
+    (fun (a : attr_info) ->
+      (a.a_name, (c.assignment.Encode.phys_of site a.a_name).p_name))
+    schema
+
+(* The layout of a field, parameter or local variable's container. *)
+let var_layout (c : compiled) key =
+  layout_of c (Constraints.S_var key) (Hashtbl.find c.tprog.vars key).v_schema
+
 type st = {
-  compiled : Driver.compiled;
+  compiled : compiled;
   meth_q : string;  (* qualified name of the method being lowered *)
   mutable next_reg : int;
   mutable code : instr list;  (* reversed *)
@@ -53,15 +78,6 @@ let take_code st =
   st.code <- [];
   c
 
-let layout_at st site (schema : attr_info list) : layout =
-  List.map
-    (fun (a : attr_info) ->
-      (a.a_name, (st.compiled.Driver.assignment.Encode.phys_of site a.a_name).p_name))
-    schema
-
-let var_layout st key =
-  let v = Hashtbl.find st.compiled.Driver.tprog.vars key in
-  layout_at st (Constraints.S_var key) v.v_schema
 
 (* result: register plus whether the lowering owns it *)
 let rec lower_expr st (e : texpr) : reg * bool =
@@ -88,13 +104,12 @@ and lower_expr_raw st (e : texpr) : reg * bool =
           | Tobj_var (name, _) -> Op_objparam name)
         pieces
     in
-    emit st (ILiteral (r, layout_at st site e.eschema, objs));
+    emit st (ILiteral (r, layout_of st.compiled site e.eschema, objs));
     (r, true)
   | TBinop (op, l, r_) ->
-    let la = lower_consumed st l ~fallback:(lazy (layout_at st site e.eschema)) in
-    let rb =
-      lower_consumed st r_ ~fallback:(lazy (layout_at st site e.eschema))
-    in
+    let fallback = lazy (layout_of st.compiled site e.eschema) in
+    let la = lower_consumed st l ~fallback in
+    let rb = lower_consumed st r_ ~fallback in
     let d = fresh st in
     emit st
       (match op with
@@ -107,20 +122,26 @@ and lower_expr_raw st (e : texpr) : reg * bool =
   | TReplace (reps, c) ->
     let src = lower_consumed st c ~fallback:(lazy (assert false)) in
     let current = ref src in
+    (* every step of the chain is attributed to the replace expression *)
+    let step () =
+      let r = fresh st in
+      Hashtbl.replace st.reg_pos r e.epos;
+      r
+    in
     List.iter
       (fun rep ->
-        let d = fresh st in
+        let d = step () in
         (match rep with
         | TProj a -> emit st (IProject (d, fst !current, [ a.a_name ]))
         | TRen (a, b) -> emit st (IRename (d, fst !current, [ (a.a_name, b.a_name) ]))
         | TCopy (a, b, c') ->
           let phys_c =
-            (st.compiled.Driver.assignment.Encode.phys_of site c'.a_name).p_name
+            (st.compiled.assignment.Encode.phys_of site c'.a_name).p_name
           in
           if a.a_name = b.a_name then
             emit st (ICopy (d, fst !current, a.a_name, c'.a_name, phys_c))
           else begin
-            let mid = fresh st in
+            let mid = step () in
             emit st (ICopy (mid, fst !current, a.a_name, c'.a_name, phys_c));
             emit st (IRename (d, mid, [ (a.a_name, b.a_name) ]));
             emit st (IFree mid)
@@ -143,28 +164,26 @@ and lower_expr_raw st (e : texpr) : reg * bool =
     free_if st b;
     (d, true)
   | TCall (q, args) ->
-    let m = Hashtbl.find st.compiled.Driver.tprog.methods q in
-    let cargs =
-      List.map2
-        (fun (a : targ) (p : tparam) ->
-          match (a, p) with
-          | Targ_obj (Tobj_int n), _ -> Carg_obj (Op_int n)
-          | Targ_obj (Tobj_var (name, _)), _ -> Carg_obj (Op_objparam name)
-          | Targ_rel t, Tparam_rel key ->
-            let r =
-              lower_consumed st t ~fallback:(lazy (var_layout st key))
-            in
-            (* ownership transfers to the callee; the interpreter dups
-               borrowed registers at the call *)
-            Carg_reg (fst r)
-          | Targ_rel _, Tparam_obj _ -> assert false)
-        args m.tm_params
-    in
+    let cargs = lower_args st q args in
     let d = fresh st in
     emit st (ICall (Some d, q, cargs));
     (d, true)
 
 and free_if st (r, owned) = if owned then emit st (IFree r)
+
+and lower_args st q (args : targ list) : call_arg list =
+  let m = Hashtbl.find st.compiled.tprog.methods q in
+  List.map2
+    (fun (a : targ) (p : tparam) ->
+      match (a, p) with
+      | Targ_obj (Tobj_int n), _ -> Carg_obj (Op_int n)
+      | Targ_obj (Tobj_var (name, _)), _ -> Carg_obj (Op_objparam name)
+      | Targ_rel t, Tparam_rel key ->
+        (* ownership transfers to the callee; the interpreter dups
+           borrowed registers at the call *)
+        Carg_reg (fst (lower_consumed st t ~fallback:(lazy (var_layout st.compiled key))))
+      | Targ_rel _, Tparam_obj _ -> assert false)
+    args m.tm_params
 
 (* consume a subexpression through its dummy-replace wrapper *)
 and lower_consumed st (child : texpr) ~fallback : reg * bool =
@@ -176,8 +195,9 @@ and lower_consumed st (child : texpr) ~fallback : reg * bool =
   end
   else begin
     let (r, owned) = lower_expr st child in
-    let own_layout = layout_at st (Constraints.S_expr child.eid) child.eschema in
-    let want = layout_at st (Constraints.S_wrap child.eid) child.eschema in
+    let layout site = layout_of st.compiled site child.eschema in
+    let own_layout = layout (Constraints.S_expr child.eid) in
+    let want = layout (Constraints.S_wrap child.eid) in
     if List.sort compare own_layout = List.sort compare want then (r, owned)
     else begin
       let d = fresh st in
@@ -234,18 +254,18 @@ let rec lower_stmt st liveness (s : tstmt) : cstmt =
     (match init with
     | None ->
       let r = fresh st in
-      emit st (IConst (r, false, var_layout st key));
+      emit st (IConst (r, false, var_layout st.compiled key));
       emit st (IStore (key, r))
     | Some te ->
-      let r = lower_consumed st te ~fallback:(lazy (var_layout st key)) in
+      let r = lower_consumed st te ~fallback:(lazy (var_layout st.compiled key)) in
       emit st (IStore (key, fst r)));
     CExec (take_code st @ kills ())
   | TAssign (key, _, te, _) ->
-    let r = lower_consumed st te ~fallback:(lazy (var_layout st key)) in
+    let r = lower_consumed st te ~fallback:(lazy (var_layout st.compiled key)) in
     emit st (IStore (key, fst r));
     CExec (take_code st @ kills ())
   | TOp_assign (op, key, _, te, _) ->
-    let r = lower_consumed st te ~fallback:(lazy (var_layout st key)) in
+    let r = lower_consumed st te ~fallback:(lazy (var_layout st.compiled key)) in
     emit st
       (match op with
       | Ast.Union -> IStoreUnion (key, fst r)
@@ -275,34 +295,18 @@ let rec lower_stmt st liveness (s : tstmt) : cstmt =
     | k -> CBlock (lowered @ [ CExec k ]))
   | TReturn (None, _) -> CReturn ([], None)
   | TReturn (Some te, _) ->
-    let meth = Hashtbl.find st.compiled.Driver.tprog.methods st.meth_q in
+    let meth = Hashtbl.find st.compiled.tprog.methods st.meth_q in
     let fallback =
       lazy
         (match meth.tm_return with
-        | Some schema -> layout_at st (Constraints.S_return st.meth_q) schema
+        | Some schema -> layout_of st.compiled (Constraints.S_return st.meth_q) schema
         | None -> invalid_arg "Lower: return value in a void method")
     in
     let r = lower_consumed st te ~fallback in
     CReturn (take_code st, Some (fst r))
   | TExpr te ->
     (match te.edesc with
-    | TCall (q, args) ->
-      let m = Hashtbl.find st.compiled.Driver.tprog.methods q in
-      let cargs =
-        List.map2
-          (fun (a : targ) (p : tparam) ->
-            match (a, p) with
-            | Targ_obj (Tobj_int n), _ -> Carg_obj (Op_int n)
-            | Targ_obj (Tobj_var (name, _)), _ -> Carg_obj (Op_objparam name)
-            | Targ_rel t, Tparam_rel key ->
-              let r =
-                lower_consumed st t ~fallback:(lazy (var_layout st key))
-              in
-              Carg_reg (fst r)
-            | Targ_rel _, Tparam_obj _ -> assert false)
-          args m.tm_params
-      in
-      emit st (ICall (None, q, cargs))
+    | TCall (q, args) -> emit st (ICall (None, q, lower_args st q args))
     | _ ->
       if not te.is_poly then begin
         let r = lower_expr st te in
@@ -317,9 +321,9 @@ let rec lower_stmt st liveness (s : tstmt) : cstmt =
     end;
     CExec (take_code st @ kills ())
 
-let lower_method_ex (compiled : Driver.compiled) q : cmethod * method_provenance
+let lower_method_ex (compiled : compiled) q : cmethod * method_provenance
     =
-  let m = Hashtbl.find compiled.Driver.tprog.methods q in
+  let m = Hashtbl.find compiled.tprog.methods q in
   let st =
     {
       compiled;
@@ -343,7 +347,7 @@ let lower_method_ex (compiled : Driver.compiled) q : cmethod * method_provenance
 
 let lower_method compiled q = fst (lower_method_ex compiled q)
 
-let lower_program_ex (compiled : Driver.compiled) :
+let lower_program_ex (compiled : compiled) :
     (string, cmethod) Hashtbl.t * program_provenance =
   let out = Hashtbl.create 16 in
   let pp_methods = Hashtbl.create 16 in
@@ -354,8 +358,8 @@ let lower_program_ex (compiled : Driver.compiled) :
       Hashtbl.replace out q meth;
       Hashtbl.replace pp_methods q mp;
       replaces := List.rev_append mp.mp_replaces !replaces)
-    compiled.Driver.tprog.method_order;
+    compiled.tprog.method_order;
   (out, { pp_methods; pp_replaces = List.rev !replaces })
 
-let lower_program (compiled : Driver.compiled) : (string, cmethod) Hashtbl.t =
+let lower_program (compiled : compiled) : (string, cmethod) Hashtbl.t =
   fst (lower_program_ex compiled)

@@ -6,7 +6,7 @@
    fixpoint proves that on every path each owned intermediate is freed
    or consumed exactly once, nothing is read after its value is gone,
    and no owned value survives to method exit.  The transition rules
-   are the same ones [Ir_interp] replays dynamically under
+   are the same ones [Interp] replays dynamically under
    JEDD_CHECK_IR=1, so a proof here is a proof about what the
    interpreter will actually do. *)
 

@@ -46,8 +46,8 @@ let test_combined_compiles () =
       (st.Jedd_lang.Constraints.n_rel_exprs > 40)
   | Error e -> Alcotest.failf "combined: %s" (Driver.error_to_string e)
 
-let check_against_reference p =
-  let r = Suite.run_all p in
+(* the five results of one pipeline run against the reference *)
+let check_results p (r : Suite.results) =
   (* ground truth *)
   let ref_hier = Reference.hierarchy p in
   let ref_pt, _ref_fieldpt = Reference.points_to p in
@@ -78,6 +78,8 @@ let check_against_reference p =
     "side effects"
     (Reference.ITS.elements ref_se |> List.map (fun (a, b, c) -> [ a; b; c ]))
     r.Suite.side_effects
+
+let check_against_reference p = check_results p (Suite.run_all p)
 
 let test_suite_tiny () = check_against_reference (tiny ())
 let test_suite_small () = check_against_reference (small ())

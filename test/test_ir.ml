@@ -1,13 +1,11 @@
 (* Tests for the lowered IR (§3.2 code generation): lowering structure,
-   and differential execution — the register machine and the
-   tree-walking interpreter must produce identical relations on the same
-   programs and inputs. *)
+   and execution by [Interp]'s register machine checked against
+   hand-computed tuples. *)
 
 module Driver = Jedd_lang.Driver
 module Interp = Jedd_lang.Interp
 module Ir = Jedd_lang.Ir
 module Lower = Jedd_lang.Lower
-module Ir_interp = Jedd_lang.Ir_interp
 module R = Jedd_relation.Relation
 
 let preamble =
@@ -45,25 +43,26 @@ let figure4 =
      \  }\n\
      }\n"
 
-(* run a program + scenario through both engines, compare every field *)
-let differential src ~fields ~scenario =
-  let c = compile src in
-  (* tree interpreter *)
-  let inst1 = Driver.instantiate c in
-  scenario inst1 (fun q args -> ignore (Interp.call inst1 q args));
-  let res1 = List.map (fun f -> R.tuples (Interp.get_field inst1 f)) fields in
-  (* IR engine on a fresh instance *)
-  let inst2 = Driver.instantiate c in
-  let ir = Ir_interp.create c inst2 in
-  scenario inst2 (fun q args -> ignore (Ir_interp.call ir q args));
-  let res2 = List.map (fun f -> R.tuples (Interp.get_field inst2 f)) fields in
-  List.iter2
-    (fun (f : string) (t1, t2) ->
-      Alcotest.(check (list (list int)))
-        (Printf.sprintf "field %s agrees" f)
-        t1 t2)
-    fields
-    (List.combine res1 res2)
+(* run a scenario on a fresh instance of [src]; return a field's tuples *)
+let run_scenario src ~field ~scenario =
+  let inst = Driver.instantiate (compile src) in
+  scenario inst (fun q args -> ignore (Interp.call inst q args));
+  R.tuples (Interp.get_field inst field)
+
+(* Figure 4's resolver on the given facts; returns the answer tuples
+   (rectype, signature, tgttype, method) *)
+let resolve_figure4 ~declares ~receivers ~extend =
+  run_scenario figure4 ~field:"Resolver.answer" ~scenario:(fun inst call ->
+      let u = Interp.universe inst in
+      let rel key tuples = R.of_tuples u (Interp.schema_of_var inst key) tuples in
+      let d = rel "Resolver.declaresMethod" declares in
+      Interp.set_field inst "Resolver.declaresMethod" d;
+      R.release d;
+      call "Resolver.resolve"
+        [
+          Interp.VRel (rel "Resolver.resolve.receiverTypes" receivers);
+          Interp.VRel (rel "Resolver.resolve.extend" extend);
+        ])
 
 let test_lowering_structure () =
   let c = compile figure4 in
@@ -101,52 +100,23 @@ let test_replace_sites_lowered () =
   Alcotest.(check bool) "IReplace present" true !has_replace
 
 let test_figure4_differential () =
-  differential figure4 ~fields:[ "Resolver.answer" ] ~scenario:(fun inst call ->
-      let u = Interp.universe inst in
-      let set f tuples =
-        let r = R.of_tuples u (Interp.schema_of_var inst f) tuples in
-        Interp.set_field inst f r;
-        R.release r
-      in
-      set "Resolver.declaresMethod" [ [ 0; 0; 0 ]; [ 1; 1; 1 ] ];
-      let recv =
-        R.of_tuples u
-          (Interp.schema_of_var inst "Resolver.resolve.receiverTypes")
-          [ [ 1; 0 ]; [ 1; 1 ] ]
-      in
-      let extend =
-        R.of_tuples u
-          (Interp.schema_of_var inst "Resolver.resolve.extend")
-          [ [ 1; 0 ] ]
-      in
-      call "Resolver.resolve" [ Interp.VRel recv; Interp.VRel extend ])
+  (* a three-level hierarchy 2 <: 1 <: 0: the do-while climbs it once
+     per iteration until every (receiver, signature) pair resolves *)
+  Alcotest.(check (list (list int)))
+    "resolution walks up to the declaring supertype"
+    [ [ 1; 0; 0; 0 ]; [ 2; 0; 0; 0 ]; [ 2; 1; 1; 2 ]; [ 2; 2; 2; 3 ] ]
+    (resolve_figure4
+       ~declares:[ [ 0; 0; 0 ]; [ 0; 1; 1 ]; [ 1; 1; 2 ]; [ 2; 2; 3 ] ]
+       ~receivers:[ [ 2; 0 ]; [ 2; 1 ]; [ 2; 2 ]; [ 1; 0 ] ]
+       ~extend:[ [ 1; 0 ]; [ 2; 1 ] ])
 
 let test_figure4_ir_result_correct () =
-  let c = compile figure4 in
-  let inst = Driver.instantiate c in
-  let ir = Ir_interp.create c inst in
-  let u = Interp.universe inst in
-  let set f tuples =
-    let r = R.of_tuples u (Interp.schema_of_var inst f) tuples in
-    Interp.set_field inst f r;
-    R.release r
-  in
-  set "Resolver.declaresMethod" [ [ 0; 0; 0 ]; [ 1; 1; 1 ] ];
-  let recv =
-    R.of_tuples u
-      (Interp.schema_of_var inst "Resolver.resolve.receiverTypes")
-      [ [ 1; 0 ]; [ 1; 1 ] ]
-  in
-  let extend =
-    R.of_tuples u
-      (Interp.schema_of_var inst "Resolver.resolve.extend")
-      [ [ 1; 0 ] ]
-  in
-  ignore (Ir_interp.call ir "Resolver.resolve" [ Interp.VRel recv; Interp.VRel extend ]);
   Alcotest.(check (list (list int)))
     "IR engine resolves the calls"
     [ [ 1; 0; 0; 0 ]; [ 1; 1; 1; 1 ] ]
-    (R.tuples (Interp.get_field inst "Resolver.answer"))
+    (resolve_figure4 ~declares:[ [ 0; 0; 0 ]; [ 1; 1; 1 ] ]
+       ~receivers:[ [ 1; 0 ]; [ 1; 1 ] ]
+       ~extend:[ [ 1; 0 ] ])
 
 let test_calls_differential () =
   let src =
@@ -158,9 +128,11 @@ let test_calls_differential () =
        \  public void m( Type t ) { bump(t); f = get() | f; }\n\
        }\n"
   in
-  differential src ~fields:[ "C.f" ] ~scenario:(fun _inst call ->
-      call "C.m" [ Interp.VObj 3 ];
-      call "C.m" [ Interp.VObj 6 ])
+  Alcotest.(check (list (list int)))
+    "each call adds its object" [ [ 3 ]; [ 6 ] ]
+    (run_scenario src ~field:"C.f" ~scenario:(fun _inst call ->
+         call "C.m" [ Interp.VObj 3 ];
+         call "C.m" [ Interp.VObj 6 ]))
 
 let test_control_flow_differential () =
   let src =
@@ -178,28 +150,92 @@ let test_control_flow_differential () =
        \  }\n\
        }\n"
   in
-  differential src ~fields:[ "C.acc" ] ~scenario:(fun inst call ->
-      let u = Interp.universe inst in
-      let seed =
-        R.of_tuples u (Interp.schema_of_var inst "C.m.seed") [ [ 0 ] ]
-      in
-      let succ =
-        R.of_tuples u
-          (Interp.schema_of_var inst "C.m.succ")
-          [ [ 0; 1 ]; [ 1; 2 ]; [ 5; 6 ] ]
-      in
-      call "C.m" [ Interp.VRel seed; Interp.VRel succ ])
+  (* the while loop collects everything reachable from 0 along succ;
+     5 -> 6 is unreachable *)
+  Alcotest.(check (list (list int)))
+    "reachable set" [ [ 0 ]; [ 1 ]; [ 2 ] ]
+    (run_scenario src ~field:"C.acc" ~scenario:(fun inst call ->
+         let u = Interp.universe inst in
+         let seed =
+           R.of_tuples u (Interp.schema_of_var inst "C.m.seed") [ [ 0 ] ]
+         in
+         let succ =
+           R.of_tuples u
+             (Interp.schema_of_var inst "C.m.succ")
+             [ [ 0; 1 ]; [ 1; 2 ]; [ 5; 6 ] ]
+         in
+         call "C.m" [ Interp.VRel seed; Interp.VRel succ ]))
+
+let contains hay needle =
+  match Str.search_forward (Str.regexp_string needle) hay 0 with
+  | _ -> true
+  | exception Not_found -> false
+
+let test_call_errors () =
+  (* every engine failure is a Runtime_error that names the method *)
+  let inst = Driver.instantiate (compile figure4) in
+  let expect what q args =
+    match Interp.call inst q args with
+    | _ -> Alcotest.failf "%s: call returned" what
+    | exception Interp.Runtime_error msg ->
+      if not (contains msg q) then Alcotest.failf "%s: %S does not name %s" what msg q
+  in
+  expect "arity" "Resolver.resolve" [];
+  expect "argument kind" "Resolver.resolve" [ Interp.VObj 1; Interp.VObj 2 ];
+  expect "unknown method" "Resolver.nosuch" []
+
+let test_every_op_labelled () =
+  (* each relational operation a Jedd method issues carries the source
+     position of the expression it computes, compound assignments'
+     unions included *)
+  let module Recorder = Jedd_profiler.Recorder in
+  let p = Jedd_minijava.Workload.generate Jedd_minijava.Workload.tiny in
+  let inst =
+    Driver.instantiate
+      (compile (Jedd_analyses.Suite.source_for p "Points-to Analysis"))
+  in
+  Jedd_analyses.Pointsto.load_facts inst p;
+  let u = Interp.universe inst in
+  let rec_ = Recorder.create () in
+  Recorder.attach rec_ u ~level:Jedd_relation.Universe.Counts;
+  ignore (Interp.call inst "PointsTo.runNaive" []);
+  Recorder.detach u;
+  let events = List.map (fun (r : Recorder.row) -> r.event) (Recorder.rows rec_) in
+  let position = Str.regexp {|t\.jedd:[0-9]+,[0-9]+$|} in
+  List.iter
+    (fun (e : Jedd_relation.Universe.op_event) ->
+      if not (Str.string_match position e.label 0) then
+        Alcotest.failf "%s labelled %S" e.op e.label)
+    events;
+  Alcotest.(check bool) "|= unions recorded" true
+    (List.exists (fun (e : Jedd_relation.Universe.op_event) -> e.op = "union") events);
+  (* the profiler CSV feeds the shape estimator through those labels;
+     points-to's joins are all compositions *)
+  let join =
+    List.find (fun (e : Jedd_relation.Universe.op_event) -> e.op = "compose") events
+  in
+  let csv = Filename.temp_file "jedd-labels" ".csv" in
+  Out_channel.with_open_bin csv (fun oc ->
+      output_string oc (Jedd_profiler.Report.to_csv rec_));
+  let hints = Jedd_cost.Shape.hints_of_csv csv in
+  Sys.remove csv;
+  Alcotest.(check (option int)) "a join's label resolves"
+    (Some
+       (List.fold_left
+          (fun m (e : Jedd_relation.Universe.op_event) ->
+            if e.label = join.label then max m e.result_nodes else m)
+          0 events))
+    (hints join.label)
 
 let test_pointsto_via_ir () =
-  (* the Points-to analysis, executed entirely by the IR engine, must
-     match the reference implementation *)
+  (* the Points-to analysis's naive Jedd loop must match the reference
+     implementation *)
   let p = Jedd_minijava.Workload.generate Jedd_minijava.Workload.tiny in
   let src = Jedd_analyses.Suite.source_for p "Points-to Analysis" in
   let c = compile src in
   let inst = Driver.instantiate c in
-  let ir = Ir_interp.create c inst in
   Jedd_analyses.Pointsto.load_facts inst p;
-  ignore (Ir_interp.call ir "PointsTo.runNaive" []);
+  ignore (Interp.call inst "PointsTo.runNaive" []);
   let got = R.tuples (Interp.get_field inst "PointsTo.pt") in
   let ref_pt, _ = Jedd_minijava.Reference.points_to p in
   Alcotest.(check (list (list int)))
@@ -224,11 +260,10 @@ let test_no_leaks_via_ir () =
   in
   let c = compile src in
   let inst = Driver.instantiate c in
-  let ir = Ir_interp.create c inst in
   let u = Interp.universe inst in
   let before = Jedd_relation.Relation.live_root_count u in
   let x = R.of_tuples u (Interp.schema_of_var inst "C.m.x") [ [ 1 ]; [ 4 ] ] in
-  ignore (Ir_interp.call ir "C.m" [ Interp.VRel x ]);
+  ignore (Interp.call inst "C.m" [ Interp.VRel x ]);
   (* x's handle was transferred to the callee and released there *)
   Alcotest.(check int) "no leaked handles" before
     (Jedd_relation.Relation.live_root_count u)
@@ -247,4 +282,6 @@ let suite =
       test_control_flow_differential;
     Alcotest.test_case "points-to via IR" `Quick test_pointsto_via_ir;
     Alcotest.test_case "no leaks via IR" `Quick test_no_leaks_via_ir;
+    Alcotest.test_case "call errors name the method" `Quick test_call_errors;
+    Alcotest.test_case "every op labelled" `Quick test_every_op_labelled;
   ]

@@ -2,11 +2,11 @@
    clean-run assertions over known-good sources, and both halves of the
    refcount-discipline checker (the static verifier and the
    JEDD_CHECK_IR runtime shadow) on a deliberately corrupted IR
-   fixture. *)
+   fixture and on the five analyses. *)
 
 module Driver = Jedd_lang.Driver
+module Interp = Jedd_lang.Interp
 module Ir = Jedd_lang.Ir
-module Ir_interp = Jedd_lang.Ir_interp
 module Lint = Jedd_lint.Driver
 module Diag = Jedd_lint.Diag
 module Refcount = Jedd_lint.Refcount
@@ -119,31 +119,46 @@ let test_static_verifier_rejects_corrupt_ir () =
     (contains all "read before being written");
   Alcotest.(check bool) "leak detected" true (contains all "leak")
 
+(* instances created inside [f] shadow-check every instruction *)
+let with_check_ir f =
+  let prev = Option.value (Sys.getenv_opt "JEDD_CHECK_IR") ~default:"0" in
+  Unix.putenv "JEDD_CHECK_IR" "1";
+  Fun.protect ~finally:(fun () -> Unix.putenv "JEDD_CHECK_IR" prev) f
+
 let test_dynamic_check_rejects_corrupt_ir () =
-  let c = defects () in
-  let inst = Driver.instantiate c in
-  let ir = Ir_interp.create c inst in
-  Ir_interp.set_print_hook ir (fun _ -> ());
-  Ir_interp.set_check ir true;
-  Hashtbl.replace (Ir_interp.methods ir) "Bad.m" corrupt_method;
-  match Ir_interp.call ir "Bad.m" [] with
-  | _ -> Alcotest.fail "corrupted method executed without an Ir_error"
-  | exception Ir_interp.Ir_error msg ->
-    Alcotest.(check bool) "names the violation" true (contains msg "freed twice")
+  let inst = with_check_ir (fun () -> Driver.instantiate (defects ())) in
+  Interp.set_print_hook inst (fun _ -> ());
+  Hashtbl.replace (Interp.methods inst) "Bad.m" corrupt_method;
+  match Interp.call inst "Bad.m" [] with
+  | _ -> Alcotest.fail "corrupted method executed without a Runtime_error"
+  | exception Interp.Runtime_error msg ->
+    Alcotest.(check bool) "names the violation" true (contains msg "freed twice");
+    Alcotest.(check bool) "names the method" true (contains msg "Bad.m")
 
 let test_dynamic_check_clean_run () =
   (* JEDD_CHECK_IR=1 shadows every executed instruction; a correct
      lowering must run to completion without tripping it *)
-  Unix.putenv "JEDD_CHECK_IR" "1";
-  let c = defects () in
-  let inst = Driver.instantiate c in
-  let ir = Ir_interp.create c inst in
-  Unix.putenv "JEDD_CHECK_IR" "0";
-  Ir_interp.set_print_hook ir (fun _ -> ());
-  (match Ir_interp.call ir "Defects.run" [] with
+  let inst = with_check_ir (fun () -> Driver.instantiate (defects ())) in
+  Interp.set_print_hook inst (fun _ -> ());
+  (match Interp.call inst "Defects.run" [] with
   | Some _ -> Alcotest.fail "void method returned a value"
   | None -> ());
   Alcotest.(check pass) "checked run completed" () ()
+
+let test_dynamic_check_analyses () =
+  (* the five analyses, combined, shadow-checked end to end: the
+     semi-naive pipeline and the paper's naive loops *)
+  List.iter
+    (fun p ->
+      List.iter
+        (fun naive ->
+          let _, r = with_check_ir (fun () -> Suite.run_combined ~naive p) in
+          Test_analyses.check_results p r)
+        [ false; true ])
+    [
+      Workload.generate Workload.tiny;
+      Jedd_minijava.Frontend.load_file "../examples/shapes.mjava";
+    ]
 
 let suite =
   [
@@ -161,4 +176,6 @@ let suite =
       test_dynamic_check_rejects_corrupt_ir;
     Alcotest.test_case "JEDD_CHECK_IR passes a clean run" `Quick
       test_dynamic_check_clean_run;
+    Alcotest.test_case "JEDD_CHECK_IR passes the five analyses" `Quick
+      test_dynamic_check_analyses;
   ]
