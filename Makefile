@@ -1,7 +1,7 @@
 .PHONY: all check test smoke bench-smoke release bench-json bench-json3 \
-        bench-json5 bench-json6 bench-json7 bench-json8 bench-json9 \
-        bench-json10 par-test serve-smoke load-smoke incr-smoke cost-smoke \
-        mtbdd-smoke lint clean
+        bench-json5 bench-json7 bench-json8 bench-json9 bench-json10 \
+        par-test serve-smoke load-smoke incr-smoke cost-smoke mtbdd-smoke \
+        lint clean
 
 all:
 	dune build
@@ -57,19 +57,15 @@ bench-json3:
 bench-json5:
 	dune exec --profile release bench/main.exe -- json5
 
-# Multi-core scaling curves (1/2/4/8 domains) for the points-to
-# join/compose hot path and the combined five-analysis suite; fails if
-# parallel results are not bit-identical to sequential, and (on hosts
-# with >= 4 cpus) if neither curve reaches 2x at 4 domains.
-bench-json6:
-	dune exec --profile release bench/main.exe -- json6
-
-# The parallel differential suite plus an end-to-end pipeline run at
-# --jobs 4 verified against the reference analyses.  Used by CI.
+# The one multi-core mode: frozen managers read by several domains.  The
+# parallel suite (reader domains against pinned handles, scratch under
+# chunk refills and table growth, invariants across sweeps) plus the
+# serve suite, which runs multi-worker frozen serving end to end.  Used
+# by CI.
 par-test:
-	dune build test/test_main.exe bin/analyze_main.exe
+	dune build test/test_main.exe
 	dune exec test/test_main.exe -- test parallel
-	dune exec bin/analyze_main.exe -- -b compress --jobs 4 --verify
+	dune exec test/test_main.exe -- test serve
 
 # End-to-end daemon round trip: jeddd cold start, jeddq queries over
 # the socket, snapshot save, warm restart, answers compared.
@@ -128,15 +124,20 @@ bench-json9:
 # suite (apply/exist/replace brute-force differentials, bool round
 # trips, weighted relations, weighted analyses), the extmem suite whose
 # storm and 3-way differential now cover the mtbdd backend, an
-# end-to-end mtbdd pipeline run, and a tiny json10 run whose gates
-# require the mtbdd points-to support to be tuple-identical to the
-# in-core result and the counting projection to match a boolean
-# recount.
+# end-to-end mtbdd pipeline run, the up-front usage error (exit 2) for
+# a snapshot request on mtbdd, by flag and by environment, and a tiny
+# json10 run whose gates require the mtbdd points-to support to be
+# tuple-identical to the in-core result and the counting projection to
+# match a boolean recount.
 mtbdd-smoke:
 	dune build test/test_main.exe bench/main.exe bin/analyze_main.exe
 	dune exec test/test_main.exe -- test mtbdd -q
 	dune exec test/test_main.exe -- test extmem -q
 	dune exec bin/analyze_main.exe -- -b tiny --backend=mtbdd
+	dune exec bin/analyze_main.exe -- -b tiny --backend=mtbdd \
+	  --save-snapshot _build/mtbdd-smoke.snap; test $$? -eq 2
+	JEDD_BACKEND=mtbdd dune exec bin/analyze_main.exe -- -b tiny \
+	  --save-snapshot _build/mtbdd-smoke.snap; test $$? -eq 2
 	JEDD_MTBDD_BENCH=tiny \
 	  JEDD_BENCH_JSON10_PATH=_build/BENCH_pr10.smoke.json \
 	  dune exec bench/main.exe -- json10

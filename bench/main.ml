@@ -11,14 +11,11 @@
      dune exec bench/main.exe -- bechamel     -- Bechamel micro-benchmarks
      dune exec bench/main.exe -- reorder      -- order optimizer off vs on
      dune exec bench/main.exe -- backend      -- in-core vs extmem points-to
-     dune exec bench/main.exe -- parallel     -- multi-core scaling curves
      dune exec bench/main.exe -- json         -- write BENCH_pr1.json
      dune exec bench/main.exe -- json2        -- write BENCH_pr2.json
      dune exec bench/main.exe -- json3        -- write BENCH_pr3.json
      dune exec bench/main.exe -- json5        -- write BENCH_pr5.json
                                                  (cold vs warm-start jeddd)
-     dune exec bench/main.exe -- json6        -- write BENCH_pr6.json
-                                                 (multi-core scaling, PR 6)
      dune exec bench/main.exe -- json8        -- write BENCH_pr8.json
                                                  (incremental cost per edit)
      dune exec bench/main.exe -- json9        -- write BENCH_pr9.json
@@ -1152,208 +1149,6 @@ let bench_json5 ?(path = "BENCH_pr5.json") () =
   Printf.printf "wrote %s\n" path
 
 (* ----------------------------------------------------------------- *)
-(* Parallel scaling: points-to hot path and the combined suite at     *)
-(* 1/2/4/8 domains, with bit-identical-results gates (PR 6)           *)
-(* ----------------------------------------------------------------- *)
-
-type par_run = {
-  pr_jobs : int;
-  pr_seconds : float; (* best of [par_repeats] *)
-  pr_all_seconds : float list;
-  pr_forks : int;
-  pr_steals : int;
-  pr_stw : int;
-  pr_barrier_waits : int;
-  pr_chunk_refills : int;
-  pr_domains_used : int;
-}
-
-let par_jobs_curve = [ 1; 2; 4; 8 ]
-let par_repeats = 3
-let host_cpus () = Domain.recommended_domain_count ()
-
-(* Table 2's hand-coded solver with every relprod/union on the
-   work-stealing pool.  The timed region is the solve only; the gate is
-   exact tuple-set equality with the sequential solver. *)
-let pointsto_par_runs name =
-  let p = Workload.generate (Workload.profile_named name) in
-  let bseq = Baseline.create p in
-  Baseline.solve bseq;
-  let ref_tuples = Baseline.pt_tuples bseq in
-  Baseline.destroy bseq;
-  let run jobs =
-    let times = ref [] in
-    let forks = ref 0 and steals = ref 0 in
-    let stw = ref 0 and waits = ref 0 and refills = ref 0 and doms = ref 0 in
-    for _ = 1 to par_repeats do
-      let b = Baseline.create p in
-      let (f, s), t = wall (fun () -> Baseline.solve_par ~jobs b) in
-      if Baseline.pt_tuples b <> ref_tuples then begin
-        Printf.eprintf
-          "json6: parallel points-to (jobs=%d) differs from sequential\n" jobs;
-        exit 1
-      end;
-      let ps = M.par_stats (Baseline.manager b) in
-      forks := f;
-      steals := s;
-      stw := ps.M.par_stw_sections;
-      waits := ps.M.par_barrier_waits;
-      refills := ps.M.par_chunk_refills;
-      doms := ps.M.par_domains;
-      Baseline.destroy b;
-      times := t :: !times
-    done;
-    {
-      pr_jobs = jobs;
-      pr_seconds = List.fold_left min infinity !times;
-      pr_all_seconds = List.rev !times;
-      pr_forks = !forks;
-      pr_steals = !steals;
-      pr_stw = !stw;
-      pr_barrier_waits = !waits;
-      pr_chunk_refills = !refills;
-      pr_domains_used = !doms;
-    }
-  in
-  List.map run par_jobs_curve
-
-(* The five Figure 2 analyses end to end, stage-parallel
-   ({Hierarchy ∥ Points-to} → Vcall → {Call Graph ∥ Side Effects}); the
-   gate is equality of all five result lists with the jobs=1 run. *)
-let combined_par_runs name =
-  let p = Workload.generate (Workload.profile_named name) in
-  let results_of (r : Suite.results) =
-    (r.Suite.subtypes, r.Suite.pt, r.Suite.resolved, r.Suite.reachable,
-     r.Suite.side_effects)
-  in
-  let reference = ref None in
-  let run jobs =
-    let times = ref [] in
-    let stw = ref 0 and waits = ref 0 and refills = ref 0 and doms = ref 0 in
-    for _ = 1 to par_repeats do
-      let (inst, r), t = wall (fun () -> Suite.run_combined ~jobs p) in
-      (match !reference with
-      | None -> reference := Some (results_of r)
-      | Some rr ->
-        if results_of r <> rr then begin
-          Printf.eprintf
-            "json6: combined suite (jobs=%d) differs from jobs=1\n" jobs;
-          exit 1
-        end);
-      let m = Jedd_relation.Universe.manager (Interp.universe inst) in
-      let ps = M.par_stats m in
-      stw := ps.M.par_stw_sections;
-      waits := ps.M.par_barrier_waits;
-      refills := ps.M.par_chunk_refills;
-      doms := ps.M.par_domains;
-      times := t :: !times
-    done;
-    {
-      pr_jobs = jobs;
-      pr_seconds = List.fold_left min infinity !times;
-      pr_all_seconds = List.rev !times;
-      pr_forks = 0;
-      pr_steals = 0;
-      pr_stw = !stw;
-      pr_barrier_waits = !waits;
-      pr_chunk_refills = !refills;
-      pr_domains_used = !doms;
-    }
-  in
-  List.map run par_jobs_curve
-
-let par_benchmark_name () = "javac"
-
-let speedup_at runs jobs =
-  let base = (List.find (fun r -> r.pr_jobs = 1) runs).pr_seconds in
-  match List.find_opt (fun r -> r.pr_jobs = jobs) runs with
-  | Some r when r.pr_seconds > 0.0 -> base /. r.pr_seconds
-  | _ -> 0.0
-
-let parallel_bench () =
-  line ();
-  let name = par_benchmark_name () in
-  Printf.printf
-    "Parallel scaling on %s (host cpus: %d; best of %d runs per point)\n"
-    name (host_cpus ()) par_repeats;
-  let show title runs =
-    Printf.printf "%s\n" title;
-    Printf.printf
-      "  %5s %10s %9s %9s %9s %6s %8s %8s\n"
-      "jobs" "seconds" "speedup" "forks" "steals" "stw" "waits" "refills";
-    List.iter
-      (fun r ->
-        Printf.printf "  %5d %10.3f %8.2fx %9d %9d %6d %8d %8d\n" r.pr_jobs
-          r.pr_seconds
-          (speedup_at runs r.pr_jobs)
-          r.pr_forks r.pr_steals r.pr_stw r.pr_barrier_waits
-          r.pr_chunk_refills)
-      runs
-  in
-  show "hand-coded points-to join/compose (solve_par):"
-    (pointsto_par_runs name);
-  show "combined five-analysis suite (run_combined ~jobs):"
-    (combined_par_runs name)
-
-let bench_json6 ?(path = "BENCH_pr6.json") () =
-  let name = par_benchmark_name () in
-  let cpus = host_cpus () in
-  let pts = pointsto_par_runs name in
-  let comb = combined_par_runs name in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  let emit_runs runs =
-    List.iteri
-      (fun i r ->
-        out
-          "    {\"jobs\": %d, \"seconds\": %.4f, \"speedup\": %.3f, \
-           \"runs\": [%s], \"forks\": %d, \"steals\": %d, \
-           \"stw_sections\": %d, \"barrier_waits\": %d, \
-           \"chunk_refills\": %d, \"domains_used\": %d}%s\n"
-          r.pr_jobs r.pr_seconds
-          (speedup_at runs r.pr_jobs)
-          (String.concat ", "
-             (List.map (Printf.sprintf "%.4f") r.pr_all_seconds))
-          r.pr_forks r.pr_steals r.pr_stw r.pr_barrier_waits
-          r.pr_chunk_refills r.pr_domains_used
-          (if i = List.length runs - 1 then "" else ","))
-      runs
-  in
-  let pt4 = speedup_at pts 4 and comb4 = speedup_at comb 4 in
-  let gate_asserted = cpus >= 4 in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v6\",\n";
-  out "  \"benchmark\": %S,\n" name;
-  out "  \"host_cpus\": %d,\n" cpus;
-  out "  \"repeats\": %d,\n" par_repeats;
-  out "  \"pointsto_solve_par\": [\n";
-  emit_runs pts;
-  out "  ],\n";
-  out "  \"combined_suite\": [\n";
-  emit_runs comb;
-  out "  ],\n";
-  out "  \"results_identical\": true,\n";
-  out "  \"speedup_gate\": {\"required_at_4_domains\": 2.0, \
-       \"asserted\": %b, \"pointsto_speedup_at_4\": %.3f, \
-       \"combined_speedup_at_4\": %.3f}\n"
-    gate_asserted pt4 comb4;
-  out "}\n";
-  (* The curves only rise with real cores under them: on a single-core
-     host the gate degrades to the (unconditional) identity checks. *)
-  if gate_asserted && pt4 < 2.0 && comb4 < 2.0 then begin
-    Printf.eprintf
-      "json6: speedup at 4 domains below the 2x bar on a %d-cpu host \
-       (pointsto %.2fx, combined %.2fx)\n"
-      cpus pt4 comb4;
-    exit 1
-  end;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
-(* ----------------------------------------------------------------- *)
 (* BENCH_pr7.json: the serving story.  One snapshot on disk behind    *)
 (* the jeddd-serve front end; a frozen worker sweep at 1/2/4/8        *)
 (* domains under closed-loop multi-client load; a frozen-vs-          *)
@@ -1364,6 +1159,9 @@ let bench_json6 ?(path = "BENCH_pr6.json") () =
 
 module Serve = Jedd_serve.Serve
 module SJson = Jedd_server.Json
+
+let worker_curve = [ 1; 2; 4; 8 ]
+let host_cpus () = Domain.recommended_domain_count ()
 
 let serve_fixture () =
   let bench_name =
@@ -1588,7 +1386,7 @@ let bench_json7 ?(path = "BENCH_pr7.json") () =
             require_clean (Printf.sprintf "json7 (workers=%d)" workers) r;
             let hits, misses = serve_cache_stats ~sock in
             (workers, r, hits, misses)))
-      par_jobs_curve
+      worker_curve
   in
   if not !differential_ok then exit 1;
   (* frozen vs refcounted, single worker, same load over TCP *)
@@ -2389,13 +2187,11 @@ let () =
   run "ablation-zdd" ablation_zdd;
   run "reorder" reorder_bench;
   if List.mem "backend" cmds then backend_bench ();
-  if List.mem "parallel" cmds then parallel_bench ();
   if List.mem "bechamel" cmds then bechamel ();
   if List.mem "json" cmds then bench_json ();
   if List.mem "json2" cmds then bench_json2 ();
   if List.mem "json3" cmds then bench_json3 ();
   if List.mem "json5" cmds then bench_json5 ();
-  if List.mem "json6" cmds then bench_json6 ();
   if List.mem "json7" cmds then bench_json7 ();
   if List.mem "json8" cmds then bench_json8 ();
   (* cost-smoke runs json9 on the tiny profiles; JEDD_BENCH_JSON9_PATH

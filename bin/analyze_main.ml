@@ -4,7 +4,6 @@
 open Cmdliner
 module Workload = Jedd_minijava.Workload
 module Program = Jedd_minijava.Program
-module Reference = Jedd_minijava.Reference
 module Suite = Jedd_analyses.Suite
 
 let backend_of_string s =
@@ -12,19 +11,6 @@ let backend_of_string s =
   with Invalid_argument msg ->
     Printf.eprintf "jedd-analyze: %s\n" msg;
     exit 2
-
-(* --jobs N, then JEDD_JOBS, then the recommended domain count. *)
-let resolve_jobs jobs =
-  let parse s =
-    try Jedd_bdd.Par.jobs_of_string s
-    with Invalid_argument msg ->
-      Printf.eprintf "jedd-analyze: %s\n" msg;
-      exit 2
-  in
-  match (jobs, Sys.getenv_opt "JEDD_JOBS") with
-  | Some s, _ -> parse s
-  | None, Some s -> parse s
-  | None, None -> Jedd_bdd.Par.default_jobs ()
 
 let lint_suite p =
   (* lint each of the Figure 2 analyses as jeddc --lint would *)
@@ -53,8 +39,7 @@ let print_results (r : Suite.results) =
     (List.length r.Suite.side_effects)
 
 let run benchmark file verify reorder backend node_limit lint save_snapshot
-    serve optimize jobs =
-  let jobs = resolve_jobs jobs in
+    serve optimize =
   let name, p =
     if file <> "" then (file, Jedd_minijava.Frontend.load_file file)
     else
@@ -71,6 +56,14 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
     | None, Some b -> Some (backend_of_string b)
     | None, None -> None
   in
+  (* snapshots are levelized node files, which terminal-valued BDDs
+     cannot be written as *)
+  if backend = Some `Mtbdd && save_snapshot <> None then begin
+    prerr_endline
+      "jedd-analyze: the mtbdd backend has no levelized snapshot format; \
+       drop --save-snapshot or use another backend";
+    exit 2
+  end;
   (match backend with
   | Some `Extmem -> Format.printf "backend: extmem (out-of-core streaming)@."
   | Some `Hybrid ->
@@ -83,13 +76,6 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
        0/1-weighted relations)@."
   | _ -> ());
   Format.printf "workload %s: %a@." name Program.pp_stats p;
-  (* Stage-level parallelism lives in [Suite.run_combined]; the extmem
-     and hybrid backends are single-domain, so parallel requests fall
-     back there. *)
-  let parallel =
-    jobs > 1 && (backend = None || backend = Some `Incore)
-  in
-  if parallel then Format.printf "parallel: %d domains@." jobs;
   let t0 = Unix.gettimeofday () in
   let needs_instance = save_snapshot <> None || serve <> None in
   let oom () =
@@ -104,9 +90,9 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
     (* snapshotting and serving need the live combined instance; the
        plain report path keeps the historical per-analysis universes *)
     try
-      if needs_instance || parallel then
+      if needs_instance then
         let inst, r =
-          Suite.run_combined ?backend ?node_limit ~reorder ~jobs ~optimize p
+          Suite.run_combined ?backend ?node_limit ~reorder ~optimize p
         in
         (Some inst, r)
       else (None, Suite.run_all ?backend ?node_limit ~reorder ~optimize p)
@@ -133,19 +119,14 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
     Jedd_server.Server.serve server
   | _ -> ());
   if verify then begin
-    let ref_pt, _ = Reference.points_to p in
-    let ref_targets = Reference.call_targets p ref_pt in
-    let ref_reach = Reference.reachable p ref_targets in
-    let ref_se = Reference.side_effects p ref_pt ref_targets in
-    let ok =
-      List.length r.Suite.pt = Reference.IPS.cardinal ref_pt
-      && List.length r.Suite.call_edges = Reference.IPS.cardinal ref_targets
-      && List.length r.Suite.reachable = Reference.IS.cardinal ref_reach
-      && List.length r.Suite.side_effects = Reference.ITS.cardinal ref_se
-    in
+    let mismatches = Suite.verify p r in
     Printf.printf "verification against reference implementations: %s\n"
-      (if ok then "PASS" else "FAIL");
-    if not ok then exit 1
+      (if mismatches = [] then "PASS" else "FAIL");
+    List.iter
+      (fun (rel, n) ->
+        Printf.printf "  %s: symmetric difference of %d tuples\n" rel n)
+      mismatches;
+    if mismatches <> [] then exit 1
   end
 
 let benchmark_arg =
@@ -214,8 +195,9 @@ let save_snapshot_arg =
     & info [ "save-snapshot" ] ~docv:"FILE"
         ~doc:
           "After the pipeline completes, persist the combined analysis \
-           universe (checksummed binary snapshot, both backends) to FILE; \
-           jeddd can warm-start from it without recomputing")
+           universe (checksummed binary snapshot; every backend but \
+           mtbdd) to FILE; jeddd can warm-start from it without \
+           recomputing")
 
 let serve_arg =
   Arg.(
@@ -237,18 +219,6 @@ let optimize_arg =
            SAT solve minimises the summed weight of the copies it keeps.  \
            Results are bit-identical; dynamic replace executions drop.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Run the BDD engine and the analysis stages on $(docv) domains \
-           (1..64).  Falls back to the JEDD_JOBS environment variable, then \
-           to the machine's recommended domain count.  Results are \
-           bit-identical to --jobs=1; the extmem backend is single-domain \
-           and ignores this.")
-
 let cmd =
   Cmd.v
     (Cmd.info "jedd-analyze" ~version:Jedd_relation.Version.banner
@@ -256,6 +226,6 @@ let cmd =
     Term.(
       const run $ benchmark_arg $ file_arg $ verify_arg $ reorder_arg
       $ backend_arg $ node_limit_arg $ lint_arg $ save_snapshot_arg
-      $ serve_arg $ optimize_arg $ jobs_arg)
+      $ serve_arg $ optimize_arg)
 
 let () = exit (Cmd.eval cmd)

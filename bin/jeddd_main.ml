@@ -22,24 +22,13 @@ let backend_of_string s =
   try Jedd_relation.Backend.kind_of_string s
   with Invalid_argument msg -> fail "jeddd: %s" msg
 
-(* --jobs N, then JEDD_JOBS, then the recommended domain count. *)
-let resolve_jobs jobs =
-  let parse s =
-    try Jedd_bdd.Par.jobs_of_string s
-    with Invalid_argument msg -> fail "jeddd: %s" msg
-  in
-  match (jobs, Sys.getenv_opt "JEDD_JOBS") with
-  | Some s, _ -> parse s
-  | None, Some s -> parse s
-  | None, None -> Jedd_bdd.Par.default_jobs ()
-
 (* Returns the snapshot plus its universe hash (the MD5 of the snapshot
    bytes) — the cache key component that makes result-cache entries
    snapshot-specific.  [freeze_at_load] lands a warm load directly in
    frozen mode; it is requested only when no --save/--tag follows
    (those re-serialize, which is cleaner before the final compaction). *)
 let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark ~backend
-    ~node_limit ~save ~tag ~jobs ~freeze_at_load =
+    ~node_limit ~save ~tag ~freeze_at_load =
   let backend = Option.map backend_of_string backend in
   let t0 = Unix.gettimeofday () in
   let snap, origin, hash =
@@ -65,7 +54,7 @@ let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark ~backend
         else Workload.profile_named benchmark
       in
       let p = Workload.generate profile in
-      let inst, _ = Suite.run_combined ?backend ?node_limit ~jobs p in
+      let inst, _ = Suite.run_combined ?backend ?node_limit p in
       let snap = Suite.snapshot ~meta:[ ("workload", benchmark) ] inst in
       ( snap,
         Printf.sprintf "cold run of %s" benchmark,
@@ -151,8 +140,7 @@ let make_live ~benchmark ~want_freeze ~save ~tag ~store_dir =
 
 let run socket no_socket tcp http workers no_freeze sweep_threshold
     cache_capacity snapshot_file store_dir store_name benchmark backend
-    node_limit save tag jobs live =
-  let jobs = resolve_jobs jobs in
+    node_limit save tag live =
   if workers < 1 then fail "jeddd: --workers must be >= 1";
   let backend_name =
     match backend with Some b -> Some b | None -> Sys.getenv_opt "JEDD_BACKEND"
@@ -191,7 +179,7 @@ let run socket no_socket tcp http workers no_freeze sweep_threshold
       else
         ( None,
           load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark
-            ~backend ~node_limit ~save ~tag ~jobs ~freeze_at_load )
+            ~backend ~node_limit ~save ~tag ~freeze_at_load )
     with
     | Snapshot.Corrupt msg -> fail "jeddd: corrupt snapshot: %s" msg
     | Cas.Corrupt_object msg -> fail "jeddd: %s" msg
@@ -374,16 +362,6 @@ let live_arg =
            with --store and --tag, every generation is published under \
            the ref, as a differential snapshot when smaller.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "j"; "jobs" ] ~docv:"N"
-        ~doc:
-          "Domains for a cold analysis run (1..64); falls back to JEDD_JOBS, \
-           then to the recommended domain count.  Snapshot loads and query \
-           serving are unaffected.")
-
 let cmd =
   Cmd.v
     (Cmd.info "jeddd" ~version:Jedd_relation.Version.banner
@@ -395,6 +373,6 @@ let cmd =
       const run $ socket_arg $ no_socket_arg $ tcp_arg $ http_arg
       $ workers_arg $ no_freeze_arg $ sweep_threshold_arg $ cache_capacity_arg
       $ snapshot_arg $ store_arg $ name_arg $ benchmark_arg $ backend_arg
-      $ node_limit_arg $ save_arg $ tag_arg $ jobs_arg $ live_arg)
+      $ node_limit_arg $ save_arg $ tag_arg $ live_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -147,66 +147,6 @@ let solve ?(use_relprod = true) (t : t) =
     continue_loop := not (t.pt = old_pt && t.fieldpt = old_fieldpt)
   done
 
-(* The same solve with every relational product and union running on a
-   work-stealing pool ([Jedd_bdd.Par]) — the points-to join/compose hot
-   path of the parallel-speedup benchmark.  The iteration structure is
-   identical to [solve], so by canonicity the pt/fieldpt roots match the
-   sequential ones bit for bit, iteration by iteration.
-
-   Reference discipline: this is the only registered domain, so a GC can
-   only run at the [checkpoint] at the top of the loop — pool workers
-   never collect — and at that point every live root ([pt], [fieldpt]
-   and the input relations) carries a reference.  Raw intermediates are
-   therefore safe within one iteration body, exactly as in [solve].
-
-   Returns the pool's (forks, steals) so the scaling benchmark can tell
-   a flat curve from a non-parallelised run; (0, 0) when [jobs <= 1]. *)
-let solve_par ?(use_relprod = true) ?(jobs = Jedd_bdd.Par.default_jobs ())
-    (t : t) =
-  if jobs <= 1 then begin
-    solve ~use_relprod t;
-    (0, 0)
-  end
-  else begin
-    let module Par = Jedd_bdd.Par in
-    let m = t.man in
-    M.enter_parallel m;
-    let pool = Par.create ~jobs () in
-    Fun.protect
-      ~finally:(fun () ->
-        Par.shutdown pool;
-        M.exit_parallel m)
-      (fun () ->
-        M.stw_register m;
-        Fun.protect ~finally:(fun () -> M.stw_unregister m) @@ fun () ->
-        let relprod a b cube =
-          if use_relprod then Par.relprod pool m a b cube
-          else Par.exist pool m (Par.band pool m a b) cube
-        in
-        set_pt t t.alloc;
-        let continue_loop = ref true in
-        while !continue_loop do
-          M.checkpoint m;
-          let old_pt = t.pt and old_fieldpt = t.fieldpt in
-          let moved = relprod t.assign t.pt t.v1_cube in
-          let copy_new = Rep.replace m moved t.v2_to_v1 in
-          set_pt t (Par.bor pool m t.pt copy_new);
-          let st1 = relprod t.store t.pt t.v1_cube in
-          let ptb =
-            Rep.replace m (Rep.replace m t.pt t.v1_to_v2) t.h1_to_h2
-          in
-          let st2 = relprod st1 ptb t.v2_cube in
-          set_fieldpt t (Par.bor pool m t.fieldpt st2);
-          let ptb' = Rep.replace m t.pt t.h1_to_h2 in
-          let ld1 = relprod t.load ptb' t.v1_cube in
-          let ld2 = relprod ld1 t.fieldpt t.h2f_cube in
-          let load_new = Rep.replace m ld2 t.v2_to_v1 in
-          set_pt t (Par.bor pool m t.pt load_new);
-          continue_loop := not (t.pt = old_pt && t.fieldpt = old_fieldpt)
-        done;
-        Par.stats pool)
-  end
-
 let pt_tuples (t : t) =
   let acc = ref [] in
   let levels =

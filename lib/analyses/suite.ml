@@ -79,8 +79,8 @@ let receiver_types (p : P.t) pt_tuples =
    fields by qualified name, so they run unchanged on the combined
    instance. *)
 let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?backend
-    ?(reorder = false) ?(jobs = 1) ?headroom ?(naive = false)
-    ?(optimize = false) (p : P.t) : Interp.t * results =
+    ?(reorder = false) ?headroom ?(naive = false) ?(optimize = false)
+    (p : P.t) : Interp.t * results =
   let compiled =
     match
       Driver.compile ?weight:(weight_hook optimize)
@@ -92,92 +92,67 @@ let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?backend
   let inst =
     Driver.instantiate ~node_capacity ?node_limit ?backend compiled
   in
-  let u = Interp.universe inst in
-  let sequential () =
-    Hierarchy.load_facts inst p;
-    if naive then Hierarchy.run_naive inst else Hierarchy.run inst;
-    let subtypes = Hierarchy.results inst in
-    Pointsto.load_facts inst p;
-    if naive then Pointsto.run_naive ~reorder inst
-    else Pointsto.run ~reorder inst;
-    let pt = Pointsto.results inst in
-    Vcall.load_facts inst p;
-    (if naive then Vcall.run_naive inst (receiver_types p pt)
-     else Vcall.run inst (receiver_types p pt));
-    let resolved = Vcall.results inst in
-    let call_edges = Vcall.call_edges inst in
-    Callgraph.load_facts inst p ~call_edges;
-    if naive then Callgraph.run_naive ~reorder inst
-    else Callgraph.run ~reorder inst;
-    let reachable = Callgraph.results inst in
-    Sideeffect.load_facts inst p ~pt ~call_edges;
-    if naive then Sideeffect.run_naive inst else Sideeffect.run inst;
-    let side_effects = Sideeffect.results inst in
-    (inst, { subtypes; pt; resolved; call_edges; reachable; side_effects })
+  Hierarchy.load_facts inst p;
+  if naive then Hierarchy.run_naive inst else Hierarchy.run inst;
+  let subtypes = Hierarchy.results inst in
+  Pointsto.load_facts inst p;
+  if naive then Pointsto.run_naive ~reorder inst
+  else Pointsto.run ~reorder inst;
+  let pt = Pointsto.results inst in
+  Vcall.load_facts inst p;
+  (if naive then Vcall.run_naive inst (receiver_types p pt)
+   else Vcall.run inst (receiver_types p pt));
+  let resolved = Vcall.results inst in
+  let call_edges = Vcall.call_edges inst in
+  Callgraph.load_facts inst p ~call_edges;
+  if naive then Callgraph.run_naive ~reorder inst
+  else Callgraph.run ~reorder inst;
+  let reachable = Callgraph.results inst in
+  Sideeffect.load_facts inst p ~pt ~call_edges;
+  if naive then Sideeffect.run_naive inst else Sideeffect.run inst;
+  let side_effects = Sideeffect.results inst in
+  (inst, { subtypes; pt; resolved; call_edges; reachable; side_effects })
+
+(* Size of the multiset symmetric difference of two tuple lists: a
+   missing, an extra and a duplicated tuple each count once. *)
+let sym_diff a b =
+  let rec go a b n =
+    match (a, b) with
+    | [], l | l, [] -> n + List.length l
+    | x :: a', y :: b' ->
+      let c = compare x y in
+      if c = 0 then go a' b' n
+      else if c < 0 then go a' b (n + 1)
+      else go a b' (n + 1)
   in
-  if naive || jobs <= 1 || Jedd_relation.Universe.backend_kind u <> `Incore
-  then sequential ()
-  else begin
-    (* Stage-parallel schedule over Figure 2's dependency structure:
-       {Hierarchy ∥ Points-to} → Virtual Calls → {Call Graph ∥ Side
-       Effects}.  All domains share the one universe, whose declarations
-       are frozen after instantiation; the manager runs in parallel mode
-       so hash-consing is lock-striped and GC / reordering become
-       stop-the-world phases at safe points.  Every participating domain
-       registers with the rendezvous; the coordinating parent must NOT
-       stay registered while blocked in [Domain.join] (it would never
-       park, stalling any worker-triggered GC), so it steps out around
-       each barrier. *)
-    let module M = Jedd_bdd.Manager in
-    let m = Jedd_relation.Universe.manager u in
-    M.enter_parallel m;
-    Fun.protect ~finally:(fun () -> M.exit_parallel m) @@ fun () ->
-    M.stw_register m;
-    Fun.protect ~finally:(fun () -> M.stw_unregister m) @@ fun () ->
-    let spawn f =
-      Domain.spawn (fun () ->
-          M.stw_register m;
-          Fun.protect ~finally:(fun () -> M.stw_unregister m) f)
-    in
-    let join2 da db =
-      M.stw_unregister m;
-      let ra = try Ok (Domain.join da) with e -> Error e in
-      let rb = try Ok (Domain.join db) with e -> Error e in
-      M.stw_register m;
-      match (ra, rb) with
-      | Ok a, Ok b -> (a, b)
-      | Error e, _ | _, Error e -> raise e
-    in
-    Hierarchy.load_facts inst p;
-    Pointsto.load_facts inst p;
-    let dh =
-      spawn (fun () ->
-          Hierarchy.run inst;
-          Hierarchy.results inst)
-    and dp =
-      spawn (fun () ->
-          Pointsto.run ~reorder inst;
-          Pointsto.results inst)
-    in
-    let subtypes, pt = join2 dh dp in
-    Vcall.load_facts inst p;
-    Vcall.run inst (receiver_types p pt);
-    let resolved = Vcall.results inst in
-    let call_edges = Vcall.call_edges inst in
-    Callgraph.load_facts inst p ~call_edges;
-    Sideeffect.load_facts inst p ~pt ~call_edges;
-    let dc =
-      spawn (fun () ->
-          Callgraph.run ~reorder inst;
-          Callgraph.results inst)
-    and ds =
-      spawn (fun () ->
-          Sideeffect.run inst;
-          Sideeffect.results inst)
-    in
-    let reachable, side_effects = join2 dc ds in
-    (inst, { subtypes; pt; resolved; call_edges; reachable; side_effects })
-  end
+  go (List.sort compare a) (List.sort compare b) 0
+
+(* The five relations the non-BDD reference analyses compute, compared
+   tuple for tuple; [resolved] has no reference counterpart. *)
+let verify (p : P.t) (r : results) =
+  let module R = Jedd_minijava.Reference in
+  let pairs s = List.map (fun (a, b) -> [ a; b ]) (R.IPS.elements s) in
+  let pt, _ = R.points_to p in
+  let targets = R.call_targets p pt in
+  List.filter_map
+    (fun (name, want, got) ->
+      let d = sym_diff want got in
+      if d = 0 then None else Some (name, d))
+    [
+      ( "subtypes",
+        pairs (R.IPS.filter (fun (a, b) -> a <> b) (R.hierarchy p)),
+        r.subtypes );
+      ("pt", pairs pt, r.pt);
+      ("call_edges", pairs targets, r.call_edges);
+      ( "reachable",
+        List.map (fun m -> [ m ]) (R.IS.elements (R.reachable p targets)),
+        r.reachable );
+      ( "side_effects",
+        List.map
+          (fun (a, b, c) -> [ a; b; c ])
+          (R.ITS.elements (R.side_effects p pt targets)),
+        r.side_effects );
+    ]
 
 (* Package a combined instance as a store snapshot: the instance's
    registries plus every field relation, under its qualified name. *)

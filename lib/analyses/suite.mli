@@ -72,7 +72,6 @@ val run_combined :
   ?node_limit:int ->
   ?backend:Jedd_relation.Backend.kind ->
   ?reorder:bool ->
-  ?jobs:int ->
   ?headroom:bool ->
   ?naive:bool ->
   ?optimize:bool ->
@@ -83,19 +82,20 @@ val run_combined :
     results.  This is the form worth persisting: every result relation
     ([Hierarchy.subtypes], [PointsTo.pt], [VirtualCalls.resolved],
     [CallGraph.reachable], [SideEffects.modSet], ...) is a field of the
-    shared instance.
-
-    With [jobs > 1] (in-core backend only — ignored on extmem), the
-    independent analyses of each pipeline stage run on separate OCaml 5
-    domains sharing the universe: Hierarchy with Points-to, then Virtual
-    Call Resolution, then Call Graph with Side Effects.  The manager is
-    switched into parallel mode for the duration; results are identical
-    to the sequential schedule.
+    shared instance.  The analyses run one after another in Figure 2
+    order.
 
     The fixed points run semi-naively (through {!Jedd_incr.Fixpoint});
     [~naive:true] switches to the original full-relation do-while loops
-    (sequential only) — the differential suite checks the two agree
-    tuple-for-tuple. *)
+    — the differential suite checks the two agree tuple-for-tuple. *)
+
+val verify : Jedd_minijava.Program.t -> results -> (string * int) list
+(** Compare a run's results tuple for tuple against the non-BDD
+    reference analyses ({!Jedd_minijava.Reference}): [subtypes], [pt],
+    [call_edges], [reachable] and [side_effects] ([resolved] has no
+    reference counterpart).  Returns each relation that differs, named
+    as its field, with the size of its symmetric difference; [[]] means
+    all five agree. *)
 
 val snapshot :
   ?meta:(string * string) list -> Jedd_lang.Interp.t -> Jedd_store.Snapshot.t

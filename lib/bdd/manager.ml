@@ -53,15 +53,14 @@ let vec_push v x =
 
 (* -- Parallel-mode state ------------------------------------------------ *)
 
-(* Under OCaml 5 domains the manager can be switched into parallel mode:
-   the unique table stays one hash table but its buckets are guarded by
-   a fixed set of stripe locks, node allocation is served from
-   per-domain chunks carved off the shared free list, and every domain
-   memoises through its own operation cache (the shared cache of the
-   sequential mode is left untouched and resumes on exit).  GC and
-   reordering become stop-the-world sections: registered domains park at
-   their next [checkpoint], parallel-apply regions drain, then the
-   coordinator runs alone. *)
+(* A frozen manager can be switched into parallel mode for concurrent
+   readers: the unique table stays one hash table but its buckets are
+   guarded by a fixed set of stripe locks, node allocation is served
+   from per-domain chunks carved off the shared free list, and every
+   domain memoises through its own operation cache (the shared cache of
+   the sequential mode is left untouched and resumes on exit).  Frozen
+   managers never collect, reorder, count references or allocate
+   variables, so nothing else needs coordinating. *)
 
 let max_slots = 64
 let chunk_cap = 256
@@ -87,19 +86,10 @@ type slot_state = {
 type par_state = {
   p_epoch : int;
   stripe_locks : Mutex.t array;
-  refc_locks : Mutex.t array;
   alloc_lock : Mutex.t;
   slot_lock : Mutex.t;
   slots : slot_state option array;
   mutable nslots : int;
-  (* stop-the-world rendezvous *)
-  stw_lock : Mutex.t;
-  stw_cond : Condition.t;
-  stw_want : bool Atomic.t;
-  mutable stw_owner : int; (* Domain id of the coordinator, -1 when none *)
-  mutable parked : int;
-  mutable registered : int; (* domains that park at checkpoints *)
-  mutable active_regions : int; (* in-flight parallel-apply regions *)
   mutable depth : int; (* enter_parallel nesting *)
 }
 
@@ -177,8 +167,6 @@ type t = {
   mutable frozen_live : int; (* allocated nodes right after [freeze] *)
   mutable frozen_sweeps : int;
   (* Cumulative parallel-mode statistics (survive [exit_parallel]). *)
-  mutable stw_sections : int;
-  mutable barrier_waits : int;
   mutable chunk_refills : int;
   mutable par_domains_used : int;
 }
@@ -269,8 +257,6 @@ let create ?(node_capacity = 1 lsl 15) ?(cache_bits = 14) ?(cache_ways = 4)
       frozen = false;
       frozen_live = 0;
       frozen_sweeps = 0;
-      stw_sections = 0;
-      barrier_waits = 0;
       chunk_refills = 0;
       par_domains_used = 0;
     }
@@ -309,12 +295,7 @@ let ensure_order_capacity m n =
    stale entries from an earlier [enter_parallel] window — or from another
    manager — are never confused with live ones. *)
 
-type dls_entry = {
-  e_uid : int;
-  e_epoch : int;
-  e_slot : int;
-  mutable e_registered : bool; (* this domain parks at checkpoints *)
-}
+type dls_entry = { e_uid : int; e_epoch : int; e_slot : int }
 
 let dls_key : dls_entry list ref Domain.DLS.key =
   Domain.DLS.new_key (fun () -> ref [])
@@ -353,7 +334,7 @@ let dls_entry m (p : par_state) =
     p.nslots <- s + 1;
     if p.nslots > m.par_domains_used then m.par_domains_used <- p.nslots;
     Mutex.unlock p.slot_lock;
-    let e = { e_uid = m.uid; e_epoch = p.p_epoch; e_slot = s; e_registered = false } in
+    let e = { e_uid = m.uid; e_epoch = p.p_epoch; e_slot = s } in
     let cell = Domain.DLS.get dls_key in
     cell := e :: List.filter (fun o -> o.e_uid <> m.uid) !cell;
     e
@@ -365,29 +346,14 @@ let slot_of m (p : par_state) =
 
 let new_var m =
   if m.frozen then frozen_error "Manager.new_var";
-  match m.par with
-  | None ->
-    let v = m.nvars in
-    m.nvars <- v + 1;
-    (* The fresh variable enters at the bottom of the current order; since
-       existing variables occupy levels [0, v), the new level is [v]. *)
-    ensure_order_capacity m m.nvars;
-    m.var2level.(v) <- v;
-    m.level2var.(v) <- v;
-    v
-  | Some p ->
-    (* Runtime scratch-domain declarations can race; serialise them.
-       [ensure_order_capacity] replaces the map arrays, but concurrent
-       readers only ever look up variables that existed before their
-       operation started, and the old arrays keep those entries. *)
-    Mutex.lock p.slot_lock;
-    let v = m.nvars in
-    m.nvars <- v + 1;
-    ensure_order_capacity m m.nvars;
-    m.var2level.(v) <- v;
-    m.level2var.(v) <- v;
-    Mutex.unlock p.slot_lock;
-    v
+  let v = m.nvars in
+  m.nvars <- v + 1;
+  (* The fresh variable enters at the bottom of the current order; since
+     existing variables occupy levels [0, v), the new level is [v]. *)
+  ensure_order_capacity m m.nvars;
+  m.var2level.(v) <- v;
+  m.level2var.(v) <- v;
+  v
 
 let level_of_var m v =
   if v < 0 || v >= m.nvars then invalid_arg "Manager.level_of_var";
@@ -603,134 +569,9 @@ let grow m =
   m.grows <- m.grows + 1;
   m.grow_millis <- m.grow_millis +. ((Sys.time () -. t0) *. 1000.0)
 
-(* -- Stop-the-world rendezvous ------------------------------------------ *)
-
-(* GC and reordering mutate the table wholesale, so in parallel mode they
-   run inside [exclusive]: the coordinator raises [stw_want], registered
-   domains park at their next [checkpoint] (their only safepoint),
-   parallel-apply regions drain, and then the coordinator has the store
-   to itself.  A domain blocked waiting to start a region counts itself
-   as parked so the coordinator never waits on it. *)
-
-let self_id () = (Domain.self () :> int)
-
-let park_loop m (p : par_state) =
-  (* caller holds [p.stw_lock] *)
-  while Atomic.get p.stw_want && p.stw_owner <> self_id () do
-    p.parked <- p.parked + 1;
-    m.barrier_waits <- m.barrier_waits + 1;
-    Condition.broadcast p.stw_cond;
-    Condition.wait p.stw_cond p.stw_lock;
-    p.parked <- p.parked - 1
-  done
-
-let park_if_stw m (p : par_state) =
-  if Atomic.get p.stw_want && p.stw_owner <> self_id () then begin
-    Mutex.lock p.stw_lock;
-    park_loop m p;
-    Condition.broadcast p.stw_cond;
-    Mutex.unlock p.stw_lock
-  end
-
-let region_begin m =
-  match m.par with
-  | None -> ()
-  | Some p ->
-    Mutex.lock p.stw_lock;
-    park_loop m p;
-    p.active_regions <- p.active_regions + 1;
-    Mutex.unlock p.stw_lock
-
-(* Unconditional region entry: does NOT wait out a pending stop-the-world
-   phase, so it is only sound when the caller guarantees another region
-   is already open and stays open (the coordinator is then blocked on
-   that one anyway).  Used by pool workers joining the region their
-   run's caller holds. *)
-let region_join m =
-  match m.par with
-  | None -> ()
-  | Some p ->
-    Mutex.lock p.stw_lock;
-    p.active_regions <- p.active_regions + 1;
-    Mutex.unlock p.stw_lock
-
-let region_end m =
-  match m.par with
-  | None -> ()
-  | Some p ->
-    Mutex.lock p.stw_lock;
-    p.active_regions <- p.active_regions - 1;
-    Condition.broadcast p.stw_cond;
-    Mutex.unlock p.stw_lock
-
-let stw_register m =
-  match m.par with
-  | None -> ()
-  | Some p ->
-    let e = dls_entry m p in
-    if not e.e_registered then begin
-      Mutex.lock p.stw_lock;
-      e.e_registered <- true;
-      p.registered <- p.registered + 1;
-      Condition.broadcast p.stw_cond;
-      (* if a stop-the-world phase is in flight, park before touching
-         the node store: from this point the coordinator counts on us *)
-      park_loop m p;
-      Mutex.unlock p.stw_lock
-    end
-
-let stw_unregister m =
-  match m.par with
-  | None -> ()
-  | Some p -> (
-    match dls_find m p with
-    | Some e when e.e_registered ->
-      Mutex.lock p.stw_lock;
-      e.e_registered <- false;
-      p.registered <- p.registered - 1;
-      Condition.broadcast p.stw_cond;
-      Mutex.unlock p.stw_lock
-    | _ -> ())
-
-let exclusive m f =
-  match m.par with
-  | None -> f ()
-  | Some p ->
-    let self = self_id () in
-    if p.stw_owner = self then f () (* reentrant: already coordinating *)
-    else begin
-      Mutex.lock p.stw_lock;
-      (* wait out any current coordinator, counting as parked meanwhile *)
-      park_loop m p;
-      Atomic.set p.stw_want true;
-      p.stw_owner <- self;
-      let self_registered =
-        match dls_find m p with Some e -> e.e_registered | None -> false
-      in
-      (* [need] is recomputed each round: domains may register or
-         unregister while we wait (both broadcast) *)
-      while
-        (let need = p.registered - if self_registered then 1 else 0 in
-         p.parked < need)
-        || p.active_regions > 0
-      do
-        Condition.wait p.stw_cond p.stw_lock
-      done;
-      m.stw_sections <- m.stw_sections + 1;
-      Mutex.unlock p.stw_lock;
-      let finish () =
-        Mutex.lock p.stw_lock;
-        p.stw_owner <- -1;
-        Atomic.set p.stw_want false;
-        Condition.broadcast p.stw_cond;
-        Mutex.unlock p.stw_lock
-      in
-      Fun.protect ~finally:finish f
-    end
-
 (* Return every chunk-held node to the shared free list.  Runs only at
-   quiescence (inside a stop-the-world section or at [exit_parallel]),
-   when no domain is consuming its chunk. *)
+   quiescence ([frozen_sweep] or [exit_parallel]), when no domain is
+   consuming its chunk. *)
 let flush_chunks m (p : par_state) =
   Mutex.lock p.alloc_lock;
   for i = 0 to p.nslots - 1 do
@@ -808,68 +649,42 @@ let gc_raw m =
   if m.level_index <> None then m.level_index <- Some (build_level_index m);
   m.gc_millis <- m.gc_millis +. ((Sys.time () -. t0) *. 1000.0)
 
-(* In parallel mode a collection needs the world stopped and every
-   domain's allocation chunk returned first (chunk-held nodes are
-   invisible to the sweep). *)
-let gc m =
-  if m.frozen then () (* frozen roots are pinned without refcounts; see
-                         [frozen_sweep] for the quiesced reclaim path *)
-  else
-    match m.par with
-    | None -> gc_raw m
-    | Some p ->
-      exclusive m (fun () ->
-          flush_chunks m p;
-          gc_raw m)
-
-let checkpoint_seq m =
-  (* Auto-reorder trigger: safe points are the only places a reorder may
-     run (no recursive operation is in flight), so the hook fires here
-     when the live-node population has crossed the configured threshold
-     since the last reorder.  [in_reorder] guards against reentry from
-     the checkpoints the reorder engine itself performs. *)
-  (match m.reorder_hook with
-  | Some hook
-    when m.reorder_threshold > 0
-         && (not m.in_reorder)
-         && m.allocated >= m.reorder_threshold ->
-    m.in_reorder <- true;
-    Fun.protect ~finally:(fun () -> m.in_reorder <- false) hook
-  | _ -> ());
-  if m.free_count * 4 < m.capacity then begin
-    gc m;
-    (* If collection freed too little, enlarge so the mutator does not
-       immediately bump into the wall again — unless a node budget says
-       the next doubling is off-limits; then run on what collection
-       recovered and let [alloc] raise if the wall is real. *)
-    if
-      m.free_count * 4 < m.capacity
-      && not (m.node_limit > 0 && m.capacity * 2 > m.node_limit)
-    then grow m
-  end
+(* Frozen roots are pinned without refcounts, so a frozen manager
+   reclaims only through [frozen_sweep], at quiescence.  Parallel mode
+   is frozen-only, so a collection never meets allocation chunks. *)
+let gc m = if not m.frozen then gc_raw m
 
 let checkpoint m =
-  if m.frozen then ()
-    (* The whole point of frozen mode: the query path crosses safe
-       points without GC, reorder triggers or cache-generation bumps.
-       Scratch nodes accumulate until [frozen_sweep]. *)
-  else
-  match m.par with
-  | None -> checkpoint_seq m
-  | Some p ->
-    (* Checkpoints are the parallel-mode safepoints: park if a
-       coordinator wants the world stopped, then apply the usual
-       auto-reorder/GC policy inside a stop-the-world section of our
-       own.  The triggers are read racily — that only stales the
-       decision by one checkpoint; the policy re-checks once exclusive. *)
-    park_if_stw m p;
-    let wants_reorder =
-      m.reorder_threshold > 0 && (not m.in_reorder)
-      && m.allocated >= m.reorder_threshold
-      && m.reorder_hook <> None
-    in
-    let wants_gc = m.free_count * 4 < m.capacity in
-    if wants_reorder || wants_gc then exclusive m (fun () -> checkpoint_seq m)
+  (* Frozen: the query path crosses safe points without GC, reorder
+     triggers or cache-generation bumps; scratch nodes accumulate until
+     [frozen_sweep]. *)
+  if not m.frozen then begin
+    (* Auto-reorder trigger: safe points are the only places a reorder
+       may run (no recursive operation is in flight), so the hook fires
+       here when the live-node population has crossed the configured
+       threshold since the last reorder.  [in_reorder] guards against
+       reentry from the checkpoints the reorder engine itself performs. *)
+    (match m.reorder_hook with
+    | Some hook
+      when m.reorder_threshold > 0
+           && (not m.in_reorder)
+           && m.allocated >= m.reorder_threshold ->
+      m.in_reorder <- true;
+      Fun.protect ~finally:(fun () -> m.in_reorder <- false) hook
+    | _ -> ());
+    if m.free_count * 4 < m.capacity then begin
+      gc m;
+      (* If collection freed too little, enlarge so the mutator does not
+         immediately bump into the wall again — unless a node budget
+         says the next doubling is off-limits; then run on what
+         collection recovered and let [alloc] raise if the wall is
+         real. *)
+      if
+        m.free_count * 4 < m.capacity
+        && not (m.node_limit > 0 && m.capacity * 2 > m.node_limit)
+      then grow m
+    end
+  end
 
 (* -- Node creation ------------------------------------------------------ *)
 
@@ -934,10 +749,10 @@ let grow_all_stripes m (p : par_state) =
     Mutex.unlock p.stripe_locks.(i)
   done
 
-(* Refill a domain's allocation chunk from the shared free list.  A GC
-   here would deadlock (we hold [alloc_lock]; collection needs every
-   other domain parked), so when the budget wall is real we raise
-   [Out_of_nodes] directly — reclaim happens at the next checkpoint. *)
+(* Refill a domain's allocation chunk from the shared free list.  A
+   frozen manager never collects, so when the budget wall is real we
+   raise [Out_of_nodes] directly; scratch is reclaimed by the next
+   [frozen_sweep]. *)
 let chunk_refill m (p : par_state) (sl : slot_state) =
   Mutex.lock p.alloc_lock;
   let ch = sl.s_chunk in
@@ -1228,39 +1043,22 @@ let check_invariants m =
         !in_chunks !chunk_seen);
   List.rev !errs
 
-(* Refcount traffic from several domains (including GC finalisers
-   releasing relation handles) is serialised through a small striped
-   lock array.  The critical sections allocate nothing, so an OCaml GC
-   finaliser can never re-enter a lock its own domain already holds. *)
+(* Ref-count-free query path: on a frozen manager, roots pinned before
+   the freeze keep their counts and relations created by queries are
+   scratch, reclaimed wholesale by [frozen_sweep].  Parallel mode is
+   frozen-only, so the counts are never touched from two domains. *)
 let addref m n =
   if m.frozen then n
-    (* Ref-count-free query path: roots pinned before the freeze keep
-       their counts; relations created by queries are scratch and are
-       reclaimed wholesale by [frozen_sweep]. *)
-  else
-  match m.par with
-  | None ->
+  else begin
     m.refc.(n) <- m.refc.(n) + 1;
     n
-  | Some p ->
-    let lk = p.refc_locks.(n land (Array.length p.refc_locks - 1)) in
-    Mutex.lock lk;
-    m.refc.(n) <- m.refc.(n) + 1;
-    Mutex.unlock lk;
-    n
+  end
 
 let delref m n =
-  if m.frozen then ()
-  else
-  match m.par with
-  | None ->
+  if not m.frozen then begin
     assert (m.refc.(n) > 0);
     m.refc.(n) <- m.refc.(n) - 1
-  | Some p ->
-    let lk = p.refc_locks.(n land (Array.length p.refc_locks - 1)) in
-    Mutex.lock lk;
-    m.refc.(n) <- m.refc.(n) - 1;
-    Mutex.unlock lk
+  end
 
 let iter_live m f =
   for n = 2 to m.capacity - 1 do
@@ -1273,16 +1071,19 @@ let visited_add m n = Bytes.set m.visited n '\001'
 
 (* -- Parallel-mode lifecycle -------------------------------------------- *)
 
-(* [enter_parallel] flips every hot path (mk, cache, refcounts,
-   checkpoint) onto its locked/per-domain variant; [exit_parallel]
-   returns chunk-held nodes, folds per-domain cache statistics into the
-   base counters and restores the plain sequential paths.  Calls nest;
-   both must run on a single domain at a moment the caller guarantees
-   quiescent (no other domain touching the manager), which matches their
-   use: the orchestrator flips the mode, then spawns workers / opens a
-   task-pool region, and flips back after joining them. *)
+(* [enter_parallel] flips [mk] and the operation cache onto their
+   locked/per-domain variants; [exit_parallel] returns chunk-held nodes,
+   folds per-domain cache statistics into the base counters and restores
+   the plain sequential paths.  Calls nest; both must run on a single
+   domain at a moment the caller guarantees quiescent (no other domain
+   touching the manager): the serve pool flips the mode, spawns its
+   workers, and flips back after joining them.  Only a frozen manager
+   may enter: everything that would need coordinating across domains
+   (refcounts, GC, reordering, new variables) is already off there. *)
 
 let enter_parallel m =
+  if not m.frozen then
+    invalid_arg "Manager.enter_parallel: the manager is not frozen";
   match m.par with
   | Some p -> p.depth <- p.depth + 1
   | None ->
@@ -1292,18 +1093,10 @@ let enter_parallel m =
         {
           p_epoch = m.par_epochs;
           stripe_locks = Array.init nstripes (fun _ -> Mutex.create ());
-          refc_locks = Array.init 64 (fun _ -> Mutex.create ());
           alloc_lock = Mutex.create ();
           slot_lock = Mutex.create ();
           slots = Array.make max_slots None;
           nslots = 0;
-          stw_lock = Mutex.create ();
-          stw_cond = Condition.create ();
-          stw_want = Atomic.make false;
-          stw_owner = -1;
-          parked = 0;
-          registered = 0;
-          active_regions = 0;
           depth = 1;
         }
 
@@ -1330,12 +1123,6 @@ let exit_parallel m =
       m.par <- None
     end
 
-let in_parallel m = m.par <> None
-
-let with_parallel m f =
-  enter_parallel m;
-  Fun.protect ~finally:(fun () -> exit_parallel m) f
-
 (* -- Frozen mode --------------------------------------------------------- *)
 
 (* [freeze] turns the manager into a read-only arena for serving: a
@@ -1350,8 +1137,6 @@ let with_parallel m f =
 
 let freeze m =
   if not m.frozen then begin
-    if m.par <> None then
-      invalid_arg "Manager.freeze: must be called outside parallel mode";
     gc_raw m;
     m.frozen <- true;
     m.frozen_live <- m.allocated
@@ -1374,20 +1159,14 @@ let frozen_sweep m =
 type par_stats = {
   par_active : bool;
   par_domains : int; (* distinct domains that claimed a slot, peak *)
-  par_stw_sections : int;
-  par_barrier_waits : int;
   par_chunk_refills : int;
-  par_registered : int;
 }
 
 let par_stats m =
   {
     par_active = m.par <> None;
     par_domains = m.par_domains_used;
-    par_stw_sections = m.stw_sections;
-    par_barrier_waits = m.barrier_waits;
     par_chunk_refills = m.chunk_refills;
-    par_registered = (match m.par with Some p -> p.registered | None -> 0);
   }
 
 (* Per-domain cache counters of the live parallel window: (slot, hits,

@@ -277,73 +277,33 @@ val visited_add : t -> node -> unit
 
 (** {2 Parallel mode (OCaml 5 domains)}
 
-    Between {!enter_parallel} and {!exit_parallel} the manager is safe to
-    use from several domains at once: [mk] hash-conses through lock-striped
-    unique-table buckets and per-domain allocation chunks, every domain
-    memoises through its own generation-stamped operation cache, and
-    refcount traffic is serialised through striped locks.  GC and
-    reordering become stop-the-world phases: run them through {!exclusive}
-    (or let {!checkpoint} trigger them), with every long-lived worker
-    domain either {!stw_register}ed — parking at its next {!checkpoint} —
-    or confining its table access to {!region_begin}/{!region_end}
-    windows, which the coordinator drains before proceeding.
+    Between {!enter_parallel} and {!exit_parallel} a {e frozen} manager
+    is safe to read from several domains at once: [mk] hash-conses
+    through lock-striped unique-table buckets and per-domain allocation
+    chunks, and every domain memoises through its own
+    generation-stamped operation cache.  Nothing else needs
+    coordinating, because a frozen manager never counts references,
+    collects, reorders or allocates variables.
 
     Sequential mode is the default and pays only an option match per
-    operation; results are bit-identical between modes because
-    hash-consing keeps BDDs canonical. *)
+    [mk] and cache probe; results are bit-identical between modes
+    because hash-consing keeps BDDs canonical. *)
 
 val enter_parallel : t -> unit
-(** Flip the manager into parallel mode.  Must be called at quiescence
-    (no other domain touching the manager).  Calls nest. *)
+(** Flip a frozen manager into parallel mode.  Must be called at
+    quiescence (no other domain touching the manager).  Calls nest.
+    [Invalid_argument] if the manager is not {!frozen}. *)
 
 val exit_parallel : t -> unit
 (** Leave parallel mode (at quiescence, after joining all workers):
     chunk-held nodes return to the free list, per-domain cache statistics
     fold into the base counters, and the plain sequential paths resume. *)
 
-val with_parallel : t -> (unit -> 'a) -> 'a
-(** [with_parallel m f] brackets [f] with {!enter_parallel} /
-    {!exit_parallel}. *)
-
-val in_parallel : t -> bool
-
-val exclusive : t -> (unit -> 'a) -> 'a
-(** [exclusive m f] runs [f] with the world stopped: registered domains
-    are parked at their checkpoints, apply regions have drained, and no
-    other domain touches the store until [f] returns.  Reentrant from
-    the coordinating domain; equivalent to [f ()] in sequential mode. *)
-
-val stw_register : t -> unit
-(** Declare the calling domain a long-lived worker on this manager: it
-    promises to call {!checkpoint} regularly and parks there while a
-    stop-the-world phase runs.  No-op in sequential mode. *)
-
-val stw_unregister : t -> unit
-(** Retract {!stw_register} (must be called before the domain stops
-    touching the manager, or coordinators would wait for it forever). *)
-
-val region_begin : t -> unit
-(** Open a bounded window of table access for a domain that is not
-    {!stw_register}ed (e.g. a task-pool worker inside one parallel
-    apply).  Blocks while a stop-the-world phase is pending. *)
-
-val region_join : t -> unit
-(** Open a region {e without} waiting out a pending stop-the-world
-    phase.  Sound only when the caller guarantees another region is
-    already open and outlives this one (pool workers joining the region
-    their run's caller holds). *)
-
-val region_end : t -> unit
-(** Close the window opened by {!region_begin} or {!region_join}. *)
-
 (** Cumulative parallel-execution counters (survive {!exit_parallel}). *)
 type par_stats = {
   par_active : bool;
   par_domains : int;  (** peak count of domains that claimed a slot *)
-  par_stw_sections : int;  (** stop-the-world phases run *)
-  par_barrier_waits : int;  (** times a domain parked at the barrier *)
   par_chunk_refills : int;  (** allocation-chunk refills served *)
-  par_registered : int;  (** currently registered worker domains *)
 }
 
 val par_stats : t -> par_stats
@@ -364,8 +324,8 @@ val slot_cache_stats : t -> (int * int * int * int * int) array
     between queries), and {!new_var} / {!swap_adjacent} raise
     {!Frozen}.  Queries may still hash-cons scratch nodes; a
     coordinator reclaims them at quiescence with {!frozen_sweep}.
-    Freezing is one-way and composes with parallel mode: the serve
-    pool freezes first, then {!enter_parallel} for multi-domain
+    Freezing is one-way and is the precondition of parallel mode: the
+    serve pool freezes first, then {!enter_parallel} for multi-domain
     reads. *)
 
 exception Frozen of string
@@ -374,8 +334,7 @@ exception Frozen of string
 
 val freeze : t -> unit
 (** Compact the live node set and flip the manager read-only.  Must be
-    called at sequential quiescence (outside parallel mode);
-    idempotent.  One-way: there is no thaw. *)
+    called at quiescence; idempotent.  One-way: there is no thaw. *)
 
 val frozen : t -> bool
 

@@ -34,18 +34,3 @@ val cube : man -> (int * bool) list -> node
 
 val restrict : man -> node -> (int * bool) list -> node
 (** Cofactor with respect to a partial assignment of variables. *)
-
-(** {2 Cache tags}
-
-    Exposed so {!Par}'s parallel recursions memoise under the same tags:
-    a sub-result computed by one side of a fork is then visible to the
-    sequential leaves of the other (after a cache merge or within one
-    domain), and per-tag statistics stay attributed to the logical
-    operation regardless of which engine ran it. *)
-
-val tag_not : int
-val tag_and : int
-val tag_or : int
-val tag_xor : int
-val tag_diff : int
-val tag_ite : int

@@ -29,12 +29,3 @@ val relprod : man -> node -> node -> node -> node
 
 val support : man -> node -> node
 (** The cube of all variables on which [f] depends. *)
-
-val cube_from : man -> node -> int -> node
-(** Advance a cube past variables above a level (identity on cubes whose
-    top level is at or below it).  Exposed for {!Par}. *)
-
-(** {2 Cache tags} — see the note in {!Ops}. *)
-
-val tag_exist : int
-val tag_relprod : int

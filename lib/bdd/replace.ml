@@ -18,8 +18,8 @@ type perm = {
 let intern_table : ((int * int) list, perm) Hashtbl.t = Hashtbl.create 32
 let next_perm_id = ref 1
 
-(* The intern table is global and may be hit from several domains when
-   analyses run in parallel; interning is rare (layout changes, not
+(* The intern table is global and may be hit from several query workers
+   sharing a frozen universe; interning is rare (layout changes, not
    per-operation), so one mutex is plenty. *)
 let intern_lock = Mutex.create ()
 
@@ -72,8 +72,6 @@ let make_perm _m pairs =
 
 let identity _m = identity_perm
 let is_identity p = p.ident
-let perm_id p = p.id
-let perm_map_len p = Array.length p.map
 
 let apply_level p lvl =
   if lvl < Array.length p.map then Array.unsafe_get p.map lvl else lvl
@@ -127,10 +125,10 @@ let fused_stats () = (Atomic.get fused_hits, Atomic.get fallback_hits)
 let ok_memo : (int * int * int, (int * int) * bool) Hashtbl.t =
   Hashtbl.create 256
 
-(* The verdict memo is global (keyed by manager uid); parallel analyses
-   probe it concurrently, so its accesses are serialised.  The traversal
-   itself runs outside the lock — it only touches the manager's (already
-   domain-safe) cache. *)
+(* The verdict memo is global (keyed by manager uid); query workers on a
+   frozen universe probe it concurrently, so its accesses are
+   serialised.  The traversal itself runs outside the lock — it only
+   touches the manager's (already domain-safe) cache. *)
 let ok_memo_lock = Mutex.create ()
 
 let order_preserving_on m p f =

@@ -69,21 +69,3 @@ val fused_stats : unit -> int * int
 (** [(fused, fallbacks)]: how many top-level fused-kernel calls ran the
     single-recursion path vs. fell back to the materialising pipeline.
     Global, monotone; for tests and benchmark reporting. *)
-
-(** {2 Internals exposed for the parallel engine}
-
-    {!Par} mirrors the fused recursions with fork/join parallelism and
-    falls into these sequential kernels below its cutoff; it needs the
-    permutation accessors and key packing to share the same cache
-    entries. *)
-
-val perm_id : perm -> int
-val perm_map_len : perm -> int
-val pack_key : int -> node -> int
-val cube_from : man -> node -> int -> node
-val order_preserving_on : man -> perm -> node -> bool
-val fused_relprod : man -> node -> node -> perm -> node -> node
-val fused_replace_exist : man -> node -> perm -> node -> node
-
-val tag_relprod_replace : int
-val tag_replace_exist : int

@@ -25,8 +25,9 @@ type summary = {
       (* high-water mark of distinct terminal values over the executions *)
 }
 
-(* One recorder may receive events from several domains at once (e.g.
-   [Suite.run_combined ~jobs]), so the event list is mutex-protected. *)
+(* One recorder may receive events from several domains at once (query
+   workers sharing a frozen universe), so the event list is
+   mutex-protected. *)
 type t = { lock : Mutex.t; mutable events : row list; mutable next_seq : int }
 
 let create () = { lock = Mutex.create (); events = []; next_seq = 0 }
@@ -141,53 +142,20 @@ let summaries t =
   Hashtbl.fold (fun _ s acc -> s :: acc) table []
   |> List.sort (fun a b -> compare b.total_millis a.total_millis)
 
-(* The [parallelism] counter section: pool width and fork/steal traffic
-   (zero when no pool is attached), plus the manager's multi-domain
-   bookkeeping — domains that have touched it in parallel mode,
-   stop-the-world phases, barrier waits, and allocation-chunk refills.
-   Per-domain operation-cache slots are reported individually while
-   parallel mode is active (they merge into the base counters on
-   [exit_parallel]). *)
-let parallelism_stats u =
-  let module U = Jedd_relation.Universe in
-  let module M = Jedd_bdd.Manager in
-  let m = U.manager u in
-  let s = M.par_stats m in
-  let forks, steals =
-    match Jedd_relation.Backend.pool (U.backend u) with
-    | None -> (0, 0)
-    | Some pool -> Jedd_bdd.Par.stats pool
-  in
-  [
-    ("parallel_active", if s.M.par_active then 1.0 else 0.0);
-    ("parallel_jobs", float_of_int (U.jobs u));
-    ("parallel_domains_used", float_of_int s.M.par_domains);
-    ("parallel_registered", float_of_int s.M.par_registered);
-    ("parallel_forks", float_of_int forks);
-    ("parallel_steals", float_of_int steals);
-    ("parallel_stw_sections", float_of_int s.M.par_stw_sections);
-    ("parallel_barrier_waits", float_of_int s.M.par_barrier_waits);
-    ("parallel_chunk_refills", float_of_int s.M.par_chunk_refills);
-  ]
-  @ (Array.to_list (M.slot_cache_stats m)
-    |> List.concat_map (fun (slot, h, ms, st, ev) ->
-           [
-             (Printf.sprintf "slot%d_cache_hits" slot, float_of_int h);
-             (Printf.sprintf "slot%d_cache_misses" slot, float_of_int ms);
-             (Printf.sprintf "slot%d_cache_stores" slot, float_of_int st);
-             (Printf.sprintf "slot%d_cache_evictions" slot, float_of_int ev);
-           ]))
-
 (* Lifetime counter snapshot of a universe's BDD layer, as flat
    (name, value) pairs: the cache/GC/growth/reorder counters of the
-   manager plus the spill/I-O counters of an extmem backend.  This is
-   the payload of the query server's [stats] verb and of the bench
+   manager, the spill/I-O counters of an extmem backend, and the
+   parallel-mode counters (domains that claimed a slot, allocation-chunk
+   refills, and the per-domain cache slots while parallel mode is
+   active; they merge into the base counters on [exit_parallel]).  This
+   is the payload of the query server's [stats] verb and of the bench
    JSON reports, so the numbers users see in both places are the same
    counters the profiler attributes per-operation above. *)
 let runtime_stats u =
   let module U = Jedd_relation.Universe in
   let module M = Jedd_bdd.Manager in
   let m = U.manager u in
+  let par = M.par_stats m in
   let hits, misses, evictions = M.cache_totals m in
   let spill_runs, spilled_bytes, pq_peak_bytes, io_millis =
     match Jedd_relation.Backend.store (U.backend u) with
@@ -236,5 +204,15 @@ let runtime_stats u =
     ("mt_distinct_terminals", float_of_int mt_terminals);
     ("mt_live_nodes", float_of_int mt_live);
     ("mt_peak_nodes", float_of_int mt_peak);
+    ("parallel_active", if par.M.par_active then 1.0 else 0.0);
+    ("parallel_domains_used", float_of_int par.M.par_domains);
+    ("parallel_chunk_refills", float_of_int par.M.par_chunk_refills);
   ]
-  @ parallelism_stats u
+  @ (Array.to_list (M.slot_cache_stats m)
+    |> List.concat_map (fun (slot, h, ms, st, ev) ->
+           [
+             (Printf.sprintf "slot%d_cache_hits" slot, float_of_int h);
+             (Printf.sprintf "slot%d_cache_misses" slot, float_of_int ms);
+             (Printf.sprintf "slot%d_cache_stores" slot, float_of_int st);
+             (Printf.sprintf "slot%d_cache_evictions" slot, float_of_int ev);
+           ]))

@@ -67,13 +67,10 @@ val runtime_stats : Jedd_relation.Universe.t -> (string * float) list
     pairs — cache hits/misses/evictions, GC and growth work, reorder
     passes/swaps, the extmem spill/I-O counters (zero on in-core), the
     mtbdd terminal-store counters ([mt_cache_*], [mt_distinct_terminals],
-    [mt_live_nodes]; zero on boolean backends), and the
-    [parallelism_stats] section.  Integer counters are widened to
-    floats; [backend] is 0 in-core, 1 extmem, 2 hybrid, 3 mtbdd.
+    [mt_live_nodes]; zero on boolean backends), and the parallel-mode
+    counters of frozen multi-reader serving ([parallel_active],
+    [parallel_domains_used], [parallel_chunk_refills], and — while
+    parallel mode is active — the per-domain operation-cache slot
+    counters [slot<i>_cache_hits], ...).  Integer counters are widened
+    to floats; [backend] is 0 in-core, 1 extmem, 2 hybrid, 3 mtbdd.
     Shared by the jeddd [stats] verb and the bench JSON reports. *)
-
-val parallelism_stats : Jedd_relation.Universe.t -> (string * float) list
-(** Just the parallelism section: pool width and fork/steal traffic,
-    domains used, stop-the-world sections, barrier waits, allocation
-    chunk refills, and — while parallel mode is active — the per-domain
-    operation-cache slot counters ([slot<i>_cache_hits], ...). *)

@@ -73,41 +73,13 @@ let order_html engine =
   end;
   Buffer.contents buf
 
-(* Parallelism section: the counters of [Recorder.parallelism_stats]
-   rendered as a name/value table — pool width, fork/steal traffic,
-   stop-the-world phases, barrier waits, chunk refills and any live
-   per-domain cache slots. *)
-let parallelism_html u =
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "<h2>Parallelism</h2><table><tr><th class=l>counter</th>\
-       <th>value</th></tr>";
-  List.iter
-    (fun (name, v) ->
-      let s =
-        if Float.is_integer v then Printf.sprintf "%.0f" v
-        else Printf.sprintf "%.3f" v
-      in
-      out "<tr><td class=l>%s</td><td>%s</td></tr>" (escape_html name) s)
-    (Recorder.parallelism_stats u);
-  out "</table>";
-  Buffer.contents buf
-
-let parallelism_csv u =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "counter,value\n";
-  List.iter
-    (fun (name, v) -> Buffer.add_string buf (Printf.sprintf "%s,%g\n" name v))
-    (Recorder.parallelism_stats u);
-  Buffer.contents buf
-
 let anchor op label =
   let clean s =
     String.map (fun c -> if c = ' ' || c = ':' || c = ',' then '_' else c) s
   in
   Printf.sprintf "op_%s_%s" (clean op) (clean label)
 
-let to_html ?engine ?universe rec_ =
+let to_html ?engine rec_ =
   let buf = Buffer.create 8192 in
   let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
   out
@@ -246,9 +218,6 @@ let to_html ?engine ?universe rec_ =
       out "</table>"
     end
   end;
-  (match universe with
-  | Some u -> Buffer.add_string buf (parallelism_html u)
-  | None -> ());
   (match engine with
   | Some e -> Buffer.add_string buf (order_html e)
   | None -> ());
@@ -335,7 +304,7 @@ let to_sql rec_ =
     (Recorder.rows rec_);
   Buffer.contents buf
 
-let write_files ?engine ?universe rec_ ~dir ~prefix =
+let write_files ?engine rec_ ~dir ~prefix =
   let write ext content =
     let path = Filename.concat dir (prefix ^ "." ^ ext) in
     let oc = open_out path in
@@ -343,9 +312,5 @@ let write_files ?engine ?universe rec_ ~dir ~prefix =
     close_out oc;
     path
   in
-  [ write "html" (to_html ?engine ?universe rec_); write "csv" (to_csv rec_);
+  [ write "html" (to_html ?engine rec_); write "csv" (to_csv rec_);
     write "sql" (to_sql rec_) ]
-  @
-  match universe with
-  | Some u -> [ write "parallelism.csv" (parallelism_csv u) ]
-  | None -> []

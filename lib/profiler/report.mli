@@ -3,21 +3,13 @@
     per-execution BDD shape charts), a CSV table, and the SQL dump that
     substitutes for the paper's SQLite database. *)
 
-val to_html :
-  ?engine:Jedd_reorder.Reorder.t ->
-  ?universe:Jedd_relation.Universe.t ->
-  Recorder.t ->
-  string
+val to_html : ?engine:Jedd_reorder.Reorder.t -> Recorder.t -> string
 (** A self-contained HTML page: overview table sorted by cost, one
     anchor-linked section per operation with a line per execution, and
     inline SVG bar charts of BDD shapes when shape profiling was on.
     With [?engine] (a universe's reorder engine) a "Variable order"
     section is appended: live-node histogram per level, node attribution
-    per physical-domain block, and the reorder-pass log.  With
-    [?universe], a "Parallelism" section is appended: pool width,
-    fork/steal traffic, stop-the-world phases, barrier waits, chunk
-    refills and per-domain cache-slot counters
-    ({!Recorder.parallelism_stats}). *)
+    per physical-domain block, and the reorder-pass log. *)
 
 val to_csv : Recorder.t -> string
 (** One row per recorded execution. *)
@@ -28,11 +20,9 @@ val to_sql : Recorder.t -> string
 
 val write_files :
   ?engine:Jedd_reorder.Reorder.t ->
-  ?universe:Jedd_relation.Universe.t ->
   Recorder.t ->
   dir:string ->
   prefix:string ->
   string list
-(** Write [prefix.html], [prefix.csv], [prefix.sql] — plus
-    [prefix.parallelism.csv] when [?universe] is given — under [dir];
+(** Write [prefix.html], [prefix.csv] and [prefix.sql] under [dir];
     returns the paths written. *)

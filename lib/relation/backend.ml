@@ -226,7 +226,6 @@ end
 
 (* dispatch layer *)
 
-module Par = Jedd_bdd.Par
 module Lv = Jedd_bdd.Levelized
 
 type kind = [ `Incore | `Extmem | `Hybrid | `Mtbdd ]
@@ -236,11 +235,6 @@ type t = {
   mgr : M.t;
   ext : extmem_state option;
   mt : mtbdd_state option;
-  (* when set (in-core only), conjunction/disjunction/quantification and
-     the fused compose kernel run on the work-stealing pool; the extmem
-     backend stays single-domain (its page cache and file store are not
-     thread-safe, and it trades CPU for I/O anyway — see DESIGN.md) *)
-  mutable pool : Par.pool option;
   (* hybrid only: number of upcoming operations for which optimistic
      in-core attempts are suppressed after a node-table exhaustion; see
      [hyb_prefer_incore] *)
@@ -252,11 +246,11 @@ type node = In of M.node | Ex of E.t | Mt of Mtb.node
 let make knd mgr =
   match knd with
   | `Incore ->
-    { knd; mgr; ext = None; mt = None; pool = None; hyb_backoff = 0 }
+    { knd; mgr; ext = None; mt = None; hyb_backoff = 0 }
   | `Mtbdd ->
     { knd; mgr; ext = None;
       mt = Some { mmgr = mgr; mstore = Mtb.create () };
-      pool = None; hyb_backoff = 0 }
+      hyb_backoff = 0 }
   | `Extmem | `Hybrid ->
     (* The hybrid fallback *resumes* the surrounding computation after
        catching [Out_of_nodes], so exhaustion must not collect: the
@@ -267,25 +261,12 @@ let make knd mgr =
     if knd = `Hybrid then M.set_gc_on_exhaustion mgr false;
     { knd; mgr;
       ext = Some { xmgr = mgr; xstore = Store.create () };
-      mt = None; pool = None; hyb_backoff = 0 }
+      mt = None; hyb_backoff = 0 }
 
 let kind b = b.knd
 let manager b = b.mgr
 let store b = Option.map (fun s -> s.xstore) b.ext
 let mt_store b = Option.map (fun s -> s.mstore) b.mt
-
-let set_pool b p =
-  (match (p, b.knd) with
-  | Some _, `Extmem ->
-    invalid_arg "Backend.set_pool: extmem backend is single-domain"
-  | Some _, `Hybrid ->
-    invalid_arg "Backend.set_pool: hybrid backend is single-domain"
-  | Some _, `Mtbdd ->
-    invalid_arg "Backend.set_pool: mtbdd backend is single-domain"
-  | _ -> ());
-  b.pool <- p
-
-let pool b = b.pool
 
 let cleanup b =
   match b.ext with None -> () | Some s -> Store.cleanup s.xstore
@@ -466,22 +447,17 @@ let delref b n =
 let lift2 b fin fex fmt x y =
   match b.knd with
   | `Incore -> In (fin b.mgr (in_node x) (in_node y))
-  | `Extmem | `Hybrid -> Ex (fex (ext b) (ex_node x) (ex_node y))
+  | `Extmem -> Ex (fex (ext b) (ex_node x) (ex_node y))
   | `Mtbdd -> Mt (fmt (mts b) (mt_node x) (mt_node y))
-
-let lift2_par b fpar fin fex fmt x y =
-  match (b.knd, b.pool) with
-  | `Incore, Some p -> In (fpar p b.mgr (in_node x) (in_node y))
-  | `Hybrid, _ ->
+  | `Hybrid ->
     let predicted =
       Predict.apply ~left:(hyb_nodecount b x) ~right:(hyb_nodecount b y)
     in
     hyb2 b ~predicted fin fex x y
-  | _ -> lift2 b fin fex fmt x y
 
-let band b = lift2_par b Par.band Incore.band Extmem.band Mtbdd_b.band
-let bor b = lift2_par b Par.bor Incore.bor Extmem.bor Mtbdd_b.bor
-let bdiff b = lift2_par b Par.bdiff Incore.bdiff Extmem.bdiff Mtbdd_b.bdiff
+let band b = lift2 b Incore.band Extmem.band Mtbdd_b.band
+let bor b = lift2 b Incore.bor Extmem.bor Mtbdd_b.bor
+let bdiff b = lift2 b Incore.bdiff Extmem.bdiff Mtbdd_b.bdiff
 
 let cube b assignment =
   match b.knd with
@@ -536,13 +512,11 @@ let restrict b n assignment =
       n
 
 let exist b n levels =
-  match (b.knd, b.pool) with
-  | `Incore, Some p when levels <> [] ->
-    In (Par.exist p b.mgr (in_node n) (Quant.varset b.mgr levels))
-  | `Incore, _ -> In (Incore.exist b.mgr (in_node n) levels)
-  | `Extmem, _ -> Ex (Extmem.exist (ext b) (ex_node n) levels)
-  | `Mtbdd, _ -> Mt (Mtbdd_b.exist (mts b) (mt_node n) levels)
-  | `Hybrid, _ ->
+  match b.knd with
+  | `Incore -> In (Incore.exist b.mgr (in_node n) levels)
+  | `Extmem -> Ex (Extmem.exist (ext b) (ex_node n) levels)
+  | `Mtbdd -> Mt (Mtbdd_b.exist (mts b) (mt_node n) levels)
+  | `Hybrid ->
     hyb1 b
       ~predicted:(Predict.replace ~nodes:(hyb_nodecount b n))
       (fun m x -> Incore.exist m x levels)
@@ -562,20 +536,14 @@ let replace b n pairs =
       n
 
 let relprod_replace b f g pairs qlevels =
-  match (b.knd, b.pool) with
-  | `Incore, Some p ->
-    let perm = Rep.make_perm b.mgr pairs in
-    let cube =
-      if qlevels = [] then M.one else Quant.varset b.mgr qlevels
-    in
-    In (Par.relprod_replace p b.mgr (in_node f) (in_node g) perm cube)
-  | `Incore, None ->
+  match b.knd with
+  | `Incore ->
     In (Incore.relprod_replace b.mgr (in_node f) (in_node g) pairs qlevels)
-  | `Extmem, _ ->
+  | `Extmem ->
     Ex (Extmem.relprod_replace (ext b) (ex_node f) (ex_node g) pairs qlevels)
-  | `Mtbdd, _ ->
+  | `Mtbdd ->
     Mt (Mtbdd_b.relprod_replace (mts b) (mt_node f) (mt_node g) pairs qlevels)
-  | `Hybrid, _ ->
+  | `Hybrid ->
     let predicted =
       Predict.product
         ~left:(hyb_nodecount b f)

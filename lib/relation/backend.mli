@@ -178,17 +178,6 @@ val mt_store : t -> Jedd_mtbdd.Mtbdd.t option
 val cleanup : t -> unit
 (** Release backend resources eagerly (removes the spill directory). *)
 
-val set_pool : t -> Jedd_bdd.Par.pool option -> unit
-(** Attach (or detach, with [None]) a work-stealing pool.  While a pool
-    is attached, {!band} / {!bor} / {!bdiff} / {!exist} /
-    {!relprod_replace} run on it via [Jedd_bdd.Par]; the manager must be
-    in parallel mode for the whole attachment.  [Invalid_argument] on an
-    [`Extmem] backend, which stays single-domain (its page cache and
-    spill store are not thread-safe).  Normally driven by
-    [Universe.enable_parallel] rather than called directly. *)
-
-val pool : t -> Jedd_bdd.Par.pool option
-
 val zero : t -> node
 val one : t -> node
 val addref : t -> node -> unit

@@ -18,8 +18,8 @@ let backend r = Universe.backend r.u
 
 (* -- live-root accounting (per universe) --------------------------------
 
-   The table lookup is mutex-protected (relations are created from any
-   domain once a universe runs analyses in parallel), but the counter
+   The table lookup is mutex-protected (query workers sharing a frozen
+   universe create relations from several domains), but the counter
    itself is atomic and captured in the relation: [release] runs from GC
    finalisers, which may fire while this very lock is held, so its path
    must be lock-free. *)

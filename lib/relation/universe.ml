@@ -227,52 +227,9 @@ let checkpoint u = Backend.checkpoint u.backend
 (* -- frozen (read-only serving) mode ------------------------------------ *)
 
 let freeze u =
-  if Backend.pool u.backend <> None then
-    invalid_arg "Universe.freeze: disable parallelism first";
   Jedd_reorder.Reorder.disable_auto u.engine;
   Backend.freeze u.backend
 
 let frozen u = Backend.frozen u.backend
 
-(* -- parallel execution ------------------------------------------------- *)
-
-let enable_parallel ?(jobs = Jedd_bdd.Par.default_jobs ()) u =
-  (match Backend.kind u.backend with
-  | `Extmem ->
-    invalid_arg "Universe.enable_parallel: extmem backend is single-domain"
-  | `Hybrid ->
-    invalid_arg "Universe.enable_parallel: hybrid backend is single-domain"
-  | `Mtbdd ->
-    invalid_arg "Universe.enable_parallel: mtbdd backend is single-domain"
-  | `Incore -> ());
-  if Backend.pool u.backend <> None then
-    invalid_arg "Universe.enable_parallel: already enabled";
-  Jedd_bdd.Manager.enter_parallel u.manager;
-  let pool =
-    try Jedd_bdd.Par.create ~jobs ()
-    with e ->
-      Jedd_bdd.Manager.exit_parallel u.manager;
-      raise e
-  in
-  Backend.set_pool u.backend (Some pool)
-
-let disable_parallel u =
-  match Backend.pool u.backend with
-  | None -> ()
-  | Some pool ->
-    Backend.set_pool u.backend None;
-    Jedd_bdd.Par.shutdown pool;
-    Jedd_bdd.Manager.exit_parallel u.manager
-
-let jobs u =
-  match Backend.pool u.backend with
-  | None -> 1
-  | Some pool -> Jedd_bdd.Par.jobs pool
-
-let with_parallel ?jobs u f =
-  enable_parallel ?jobs u;
-  Fun.protect ~finally:(fun () -> disable_parallel u) f
-
-let cleanup u =
-  disable_parallel u;
-  Backend.cleanup u.backend
+let cleanup u = Backend.cleanup u.backend

@@ -132,37 +132,11 @@ val freeze : t -> unit
     auto-reorder trigger and freezes the backend
     ([Jedd_bdd.Manager.freeze] — compaction, then no refcount traffic,
     GC or reordering; mutation raises [Jedd_bdd.Manager.Frozen]).
-    One-way; idempotent.  [Invalid_argument] while parallelism is
-    enabled or on an [`Extmem] universe. *)
+    One-way; idempotent.  [Invalid_argument] on an [`Extmem], [`Hybrid]
+    or [`Mtbdd] universe. *)
 
 val frozen : t -> bool
 
-(** {2 Parallel execution}
-
-    With parallelism enabled, relation joins, compositions, unions,
-    differences and projections run on a work-stealing pool of OCaml 5
-    domains ([Jedd_bdd.Par]) against the shared node store; results are
-    bit-identical to sequential runs.  The manager is switched into
-    parallel mode for the whole enablement window, so GC and dynamic
-    reordering become stop-the-world phases at safe points. *)
-
-val enable_parallel : ?jobs:int -> t -> unit
-(** Switch the universe's relational operations onto a pool of [jobs]
-    domains (default [Jedd_bdd.Par.default_jobs ()], i.e. the
-    recommended domain count).  [Invalid_argument] on an [`Extmem]
-    universe (that backend is single-domain) or if already enabled. *)
-
-val disable_parallel : t -> unit
-(** Shut the pool down and return to sequential mode.  Idempotent. *)
-
-val jobs : t -> int
-(** Current parallel width: [1] when parallelism is off. *)
-
-val with_parallel : ?jobs:int -> t -> (unit -> 'a) -> 'a
-(** [with_parallel u f] runs [f] with parallelism enabled, disabling it
-    afterwards even on exceptions. *)
-
 val cleanup : t -> unit
-(** Release backend resources eagerly — disables parallelism and removes
-    an [`Extmem] universe's spill directory (also done by finalisers and
-    at exit). *)
+(** Release backend resources eagerly — removes an [`Extmem] universe's
+    spill directory (also done by finalisers and at exit). *)

@@ -86,11 +86,6 @@ let block_attribution t =
    the pass on the manager's monotone counters. *)
 let with_reorder t ~trigger ~strategy f =
   let m = t.man in
-  (* In parallel mode a reorder is a stop-the-world phase: the exclusive
-     bracket parks every registered domain and drains apply regions
-     before the first swap ([swap_adjacent] itself stays sequential).
-     Sequential mode: [exclusive] is just [f ()]. *)
-  M.exclusive m @@ fun () ->
   M.reorder_begin m;
   Fun.protect
     ~finally:(fun () -> M.reorder_end m)

@@ -2,14 +2,14 @@
    against one shared (ideally frozen) universe.
 
    With [workers > 1] the universe must be frozen and in-core: the pool
-   flips the manager into parallel mode so hash-consing goes through
-   the lock-striped unique table and every domain memoises in its own
-   operation cache, while the frozen flag removes the whole
-   GC/refcount/reorder coordination problem — queries only ever
-   allocate scratch nodes, never reclaim.  Scratch is reclaimed by
-   [frozen_sweep] at pool-local quiescence: the last worker to go idle
-   sweeps while holding the pool lock, so no other domain can be
-   touching the node store.
+   flips the manager into parallel mode (which only a frozen manager
+   may enter) so hash-consing goes through the lock-striped unique
+   table and every domain memoises in its own operation cache, while
+   the frozen flag removes the whole GC/refcount/reorder coordination
+   problem — queries only ever allocate scratch nodes, never reclaim.
+   Scratch is reclaimed by [frozen_sweep] at pool-local quiescence: the
+   last worker to go idle sweeps while holding the pool lock, so no
+   other domain can be touching the node store.
 
    With [workers = 1] any universe works (frozen or not) and the pool
    degenerates to the classic single-worker queue. *)

@@ -48,41 +48,27 @@ let test_combined_compiles () =
 
 (* the five results of one pipeline run against the reference *)
 let check_results p (r : Suite.results) =
-  (* ground truth *)
-  let ref_hier = Reference.hierarchy p in
-  let ref_pt, _ref_fieldpt = Reference.points_to p in
-  let ref_targets = Reference.call_targets p ref_pt in
-  let ref_reach = Reference.reachable p ref_targets in
-  let ref_se = Reference.side_effects p ref_pt ref_targets in
-  (* hierarchy: our Jedd closure is strict (no reflexive pairs) *)
-  let ref_hier_strict =
-    Reference.IPS.elements ref_hier
-    |> List.filter (fun (a, b) -> a <> b)
-    |> List.map (fun (a, b) -> [ a; b ])
-  in
-  Alcotest.(check (list (list int))) "hierarchy closure" ref_hier_strict
-    r.Suite.subtypes;
-  Alcotest.(check (list (list int)))
-    "points-to"
-    (Reference.IPS.elements ref_pt |> List.map (fun (a, b) -> [ a; b ]))
-    r.Suite.pt;
-  Alcotest.(check (list (list int)))
-    "call edges"
-    (Reference.IPS.elements ref_targets |> List.map (fun (a, b) -> [ a; b ]))
-    r.Suite.call_edges;
-  Alcotest.(check (list (list int)))
-    "reachable methods"
-    (Reference.IS.elements ref_reach |> List.map (fun m -> [ m ]))
-    r.Suite.reachable;
-  Alcotest.(check (list (list int)))
-    "side effects"
-    (Reference.ITS.elements ref_se |> List.map (fun (a, b, c) -> [ a; b; c ]))
-    r.Suite.side_effects
+  Alcotest.(check (list (pair string int)))
+    "relations differing from the reference (symmetric difference)" []
+    (Suite.verify p r)
 
 let check_against_reference p = check_results p (Suite.run_all p)
 
 let test_suite_tiny () = check_against_reference (tiny ())
 let test_suite_small () = check_against_reference (small ())
+
+(* A wrong relation of the right size must not pass: swap one points-to
+   tuple for one the reference does not contain. *)
+let test_verify_compares_tuples () =
+  let p = tiny () in
+  let r = Suite.run_all p in
+  let bogus = [ -1; -1 ] in
+  let pt = bogus :: List.tl r.Suite.pt in
+  Alcotest.(check int) "same cardinality" (List.length r.Suite.pt)
+    (List.length pt);
+  Alcotest.(check (list (pair string int)))
+    "names pt" [ ("pt", 2) ]
+    (Suite.verify p { r with Suite.pt })
 
 let test_baseline_matches_reference () =
   let p = small () in
@@ -231,6 +217,8 @@ let suite =
     Alcotest.test_case "suite matches reference (tiny)" `Quick test_suite_tiny;
     Alcotest.test_case "suite matches reference (small)" `Quick
       test_suite_small;
+    Alcotest.test_case "verify compares tuples, not sizes" `Quick
+      test_verify_compares_tuples;
     Alcotest.test_case "baseline matches reference" `Quick
       test_baseline_matches_reference;
     Alcotest.test_case "baseline matches jedd" `Quick test_baseline_matches_jedd;

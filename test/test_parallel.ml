@@ -1,16 +1,17 @@
-(* Differential tests for the multi-core engine: the parallel kernels
-   must produce results identical to the sequential ones (same handles
-   within one manager — hash-consing keeps BDDs canonical — and the same
-   relations across managers), under every job count, and the manager
-   must stay structurally consistent through interleaved GC, reordering
-   and parallel apply. *)
+(* The parallel mode that remains: several reader domains sharing one
+   frozen manager, as Serve.Pool's workers do.  Each reader runs the
+   plain sequential kernels; hash-consing goes through the lock-striped
+   unique table and per-domain allocation chunks, memoisation through
+   per-domain operation caches.  The readers must rebuild exactly the
+   handles pinned before the freeze (hash-consing keeps BDDs
+   canonical), agree with a sequential recomputation on scratch they
+   create, and leave the manager structurally consistent. *)
 
 module M = Jedd_bdd.Manager
 module Ops = Jedd_bdd.Ops
 module Quant = Jedd_bdd.Quant
 module Replace = Jedd_bdd.Replace
 module Count = Jedd_bdd.Count
-module Par = Jedd_bdd.Par
 
 (* -- Random expression workload (cf. Test_bdd) -------------------------- *)
 
@@ -41,276 +42,232 @@ let rec build m = function
   | Xor (a, b) -> Ops.bxor m (build m a) (build m b)
   | Diff (a, b) -> Ops.bdiff m (build m a) (build m b)
 
-(* In parallel mode a GC may run whenever this domain parks (entering a
-   pool operation, or at [checkpoint]), so every intermediate held across
-   a top-level operation must carry an external reference — the same
-   discipline the relation layer follows.  [build_par] returns a node
-   with one reference owned by the caller. *)
-let rec build_par pool m e =
-  let bin op a b =
-    let ra = build_par pool m a in
-    let rb = build_par pool m b in
-    let r = M.addref m (op pool m ra rb) in
-    M.delref m ra;
-    M.delref m rb;
-    r
-  in
-  match e with
-  | Var i -> M.addref m (M.var m i)
-  | Not e ->
-    let ra = build_par pool m e in
-    let r = M.addref m (Ops.bnot m ra) in
-    M.delref m ra;
-    r
-  | And (a, b) -> bin Par.band a b
-  | Or (a, b) -> bin Par.bor a b
-  | Xor (a, b) -> bin Par.bxor a b
-  | Diff (a, b) -> bin Par.bdiff a b
+let fresh_manager ?(node_capacity = 4096) nvars =
+  let m = M.create ~node_capacity () in
+  for _ = 1 to nvars do
+    ignore (M.new_var m)
+  done;
+  m
 
 let no_violations what m =
   Alcotest.(check (list string)) what [] (M.check_invariants m)
 
-(* -- Same-manager differential: parallel result = sequential handle ----- *)
+(* Run [f i] for i = 0 .. n-1 on n fresh domains, released together so
+   their table traffic overlaps, and return the results in domain
+   order. *)
+let on_domains n f =
+  let ready = Atomic.make 0 in
+  let spawn i =
+    Domain.spawn (fun () ->
+        Atomic.incr ready;
+        while Atomic.get ready < n do
+          Domain.cpu_relax ()
+        done;
+        f i)
+  in
+  List.map Domain.join (List.init n spawn)
+
+(* [f] applied to every element of [xs], starting at a different offset
+   on each domain so the readers do not march in lockstep. *)
+let rotated i xs f =
+  let a = Array.of_list xs in
+  let n = Array.length a in
+  List.init n (fun k ->
+      let j = (k + (i * 7)) mod n in
+      (j, f a.(j)))
+
+(* Freeze [m], run [read] on [n] domains in parallel mode, and check
+   every result against [expect]. *)
+let check_readers what m n expect read =
+  M.freeze m;
+  M.enter_parallel m;
+  let got = on_domains n read in
+  M.exit_parallel m;
+  List.iteri
+    (fun d rs ->
+      List.iter
+        (fun (j, r) ->
+          Alcotest.(check int)
+            (Printf.sprintf "%s: domain %d of %d, item %d" what d n j)
+            expect.(j) r)
+        rs)
+    got;
+  no_violations (what ^ ": invariants") m
+
+(* -- (a) Rebuilt expressions hit the pinned handles --------------------- *)
 
 let test_binops_differential () =
   List.iter
-    (fun jobs ->
-      let m = M.create ~node_capacity:4096 () in
-      let nvars = 10 in
-      for _ = 1 to nvars do
-        ignore (M.new_var m)
-      done;
-      let st = Random.State.make [| 42; jobs |] in
-      let exprs = List.init 25 (fun _ -> gen_expr nvars 6 st) in
-      let seq = List.map (fun e -> M.addref m (build m e)) exprs in
-      M.enter_parallel m;
-      let pool = Par.create ~jobs () in
-      let par = List.map (fun e -> build_par pool m e) exprs in
-      List.iter2
-        (fun s p ->
-          Alcotest.(check int)
-            (Printf.sprintf "jobs=%d: canonical handle" jobs)
-            s p)
-        seq par;
-      Par.shutdown pool;
-      M.exit_parallel m;
-      no_violations (Printf.sprintf "invariants after jobs=%d" jobs) m)
-    [ 1; 2; 3; 4 ]
+    (fun n ->
+      let m = fresh_manager 10 in
+      let st = Random.State.make [| 42; n |] in
+      let exprs = List.init 25 (fun _ -> gen_expr 10 6 st) in
+      let pinned = List.map (fun e -> M.addref m (build m e)) exprs in
+      check_readers "binops" m n (Array.of_list pinned) (fun i ->
+          rotated i exprs (build m)))
+    [ 2; 3; 4 ]
 
 let test_quant_differential () =
-  let m = M.create ~node_capacity:4096 () in
-  let nvars = 12 in
-  for _ = 1 to nvars do
-    ignore (M.new_var m)
-  done;
+  let m = fresh_manager 12 in
   let st = Random.State.make [| 7 |] in
   let pairs =
-    List.init 15 (fun _ -> (gen_expr nvars 6 st, gen_expr nvars 6 st))
+    List.init 15 (fun _ ->
+        (M.addref m (build m (gen_expr 12 6 st)),
+         M.addref m (build m (gen_expr 12 6 st))))
   in
-  let cube = Quant.varset m [ 1; 4; 7; 10 ] in
-  let seq =
-    List.map
-      (fun (ea, eb) ->
-        let a = M.addref m (build m ea) and b = M.addref m (build m eb) in
-        let ex = M.addref m (Quant.exist m a cube) in
-        let rp = M.addref m (Quant.relprod m a b cube) in
-        (a, b, ex, rp))
+  let cube = M.addref m (Quant.varset m [ 1; 4; 7; 10 ]) in
+  let expect =
+    List.concat_map
+      (fun (a, b) ->
+        [ M.addref m (Quant.exist m a cube);
+          M.addref m (Quant.relprod m a b cube) ])
       pairs
   in
-  M.enter_parallel m;
-  let pool = Par.create ~jobs:4 () in
-  List.iter
-    (fun (a, b, ex, rp) ->
-      Alcotest.(check int) "exist" ex (Par.exist pool m a cube);
-      Alcotest.(check int) "relprod" rp (Par.relprod pool m a b cube))
-    seq;
-  Par.shutdown pool;
-  M.exit_parallel m;
-  no_violations "invariants after quant" m
+  let ops =
+    List.concat_map
+      (fun (a, b) ->
+        [ (fun () -> Quant.exist m a cube);
+          (fun () -> Quant.relprod m a b cube) ])
+      pairs
+  in
+  check_readers "exist/relprod" m 4 (Array.of_list expect) (fun i ->
+      rotated i ops (fun op -> op ()))
 
 let test_fused_differential () =
-  let m = M.create ~node_capacity:8192 () in
-  let nvars = 12 in
-  for _ = 1 to nvars do
-    ignore (M.new_var m)
-  done;
+  let m = fresh_manager ~node_capacity:8192 12 in
   let st = Random.State.make [| 19 |] in
   (* an order-preserving shift of the low half onto the high half *)
-  let perm = Replace.make_perm m [ (0, 6); (1, 7); (2, 8) ] in
-  let cube = Quant.varset m [ 6; 7; 8 ] in
+  let shift = [ (0, 6); (1, 7); (2, 8) ] in
+  let perm = Replace.make_perm m shift in
+  let cube = M.addref m (Quant.varset m [ 6; 7; 8 ]) in
   let pairs =
-    List.init 15 (fun _ -> (gen_expr 6 5 st, gen_expr 6 5 st))
+    List.init 15 (fun _ ->
+        (M.addref m (build m (gen_expr 6 5 st)),
+         M.addref m (build m (gen_expr 6 5 st))))
   in
-  let seq =
-    List.map
-      (fun (ea, eb) ->
-        let a = M.addref m (build m ea) and b = M.addref m (build m eb) in
-        let rr = M.addref m (Replace.relprod_replace m a b perm cube) in
-        let re = M.addref m (Replace.replace_exist m b perm M.one) in
-        (a, b, rr, re))
+  let expect =
+    List.concat_map
+      (fun (a, b) ->
+        [ M.addref m (Replace.relprod_replace m a b perm cube);
+          M.addref m (Replace.replace_exist m b perm M.one) ])
       pairs
   in
-  M.enter_parallel m;
-  let pool = Par.create ~jobs:4 () in
-  List.iter
-    (fun (a, b, rr, re) ->
-      Alcotest.(check int)
-        "relprod_replace" rr
-        (Par.relprod_replace pool m a b perm cube);
-      Alcotest.(check int)
-        "replace_exist" re
-        (Par.replace_exist pool m b perm M.one))
-    seq;
-  Par.shutdown pool;
-  M.exit_parallel m;
-  no_violations "invariants after fused" m
+  check_readers "fused" m 4 (Array.of_list expect) (fun i ->
+      (* readers intern the permutation themselves, concurrently *)
+      let p = Replace.make_perm m shift in
+      if p != perm then failwith "make_perm did not return the interned value";
+      let ops =
+        List.concat_map
+          (fun (a, b) ->
+            [ (fun () -> Replace.relprod_replace m a b p cube);
+              (fun () -> Replace.replace_exist m b p M.one) ])
+          pairs
+      in
+      rotated i ops (fun op -> op ()))
 
-(* -- Cross-manager differential: satcount and tuple enumeration --------- *)
+(* -- (b) Scratch under pressure equals a sequential recomputation ------- *)
 
 let test_cross_manager () =
-  let nvars = 10 in
-  let st_seed = [| 3; 14; 15 |] in
-  let run_engine jobs =
-    let m = M.create ~node_capacity:4096 () in
-    for _ = 1 to nvars do
-      ignore (M.new_var m)
-    done;
-    let st = Random.State.make st_seed in
-    let exprs = List.init 20 (fun _ -> gen_expr nvars 6 st) in
-    let roots =
-      if jobs = 0 then List.map (fun e -> M.addref m (build m e)) exprs
-      else begin
-        M.enter_parallel m;
-        let pool = Par.create ~jobs () in
-        let rs = List.map (fun e -> M.addref m (build_par pool m e)) exprs in
-        Par.shutdown pool;
-        M.exit_parallel m;
-        rs
-      end
-    in
-    let over = List.init nvars (fun i -> i) in
-    let counts = List.map (fun r -> Count.satcount m r ~over) roots in
-    let shapes = List.map (fun r -> Count.shape m r) roots in
-    (counts, shapes)
+  let nvars = 12 in
+  let st = Random.State.make [| 3; 14; 15 |] in
+  let exprs = List.init 30 (fun _ -> gen_expr nvars 7 st) in
+  let over = List.init nvars Fun.id in
+  let measure m r = (Count.satcount m r ~over, Count.shape m r) in
+  let seq =
+    let m = fresh_manager nvars in
+    List.map (fun e -> measure m (M.addref m (build m e))) exprs
   in
-  let seq_counts, seq_shapes = run_engine 0 in
-  List.iter
-    (fun jobs ->
-      let counts, shapes = run_engine jobs in
-      Alcotest.(check (list int))
-        (Printf.sprintf "satcounts at jobs=%d" jobs)
-        seq_counts counts;
-      List.iter2
-        (fun a b ->
-          Alcotest.(check (array int))
-            (Printf.sprintf "shape at jobs=%d" jobs)
-            a b)
-        seq_shapes shapes)
-    [ 1; 2; 4 ]
+  (* the smallest table: the readers' scratch must refill chunks and
+     grow the table while other domains hash-cons into it.  Every reader
+     builds the same expressions in the same order, so they race to
+     create the same nodes. *)
+  let m = fresh_manager ~node_capacity:1024 nvars in
+  ignore (M.addref m (build m (List.hd exprs)));
+  M.freeze m;
+  let grows = M.grow_count m in
+  M.enter_parallel m;
+  let got = on_domains 3 (fun _ -> rotated 0 exprs (build m)) in
+  M.exit_parallel m;
+  let stats = M.par_stats m in
+  Alcotest.(check bool) "chunk refills" true (stats.M.par_chunk_refills > 0);
+  Alcotest.(check bool) "table grew" true (M.grow_count m > grows);
+  Alcotest.(check bool) "three domains" true (stats.M.par_domains >= 3);
+  let first = List.hd got in
+  List.iteri
+    (fun d rs ->
+      List.iter
+        (fun (j, r) ->
+          Alcotest.(check int)
+            (Printf.sprintf "domain %d agrees with domain 0 on expr %d" d j)
+            (List.assoc j first) r;
+          let count, shape = measure m r in
+          let count', shape' = List.nth seq j in
+          Alcotest.(check int) (Printf.sprintf "satcount of expr %d" j)
+            count' count;
+          Alcotest.(check (array int)) (Printf.sprintf "shape of expr %d" j)
+            shape' shape)
+        rs)
+    got;
+  no_violations "invariants after growth" m
 
-(* -- Invariants with chunks outstanding --------------------------------- *)
+(* -- (c) Invariants at quiescence, across exit and sweeps --------------- *)
 
 let test_invariants_during_parallel () =
-  let m = M.create ~node_capacity:2048 () in
-  for _ = 1 to 8 do
-    ignore (M.new_var m)
-  done;
-  M.enter_parallel m;
-  let pool = Par.create ~jobs:2 () in
+  let nvars = 8 in
+  let m = fresh_manager ~node_capacity:1024 nvars in
   let st = Random.State.make [| 5 |] in
-  for _ = 1 to 10 do
-    ignore (build_par pool m (gen_expr 8 5 st))
-  done;
-  (* chunks are outstanding; the audit must still balance the books *)
-  Alcotest.(check (list string))
-    "invariants inside parallel mode" []
-    (M.exclusive m (fun () -> M.check_invariants m));
-  Alcotest.(check bool) "parallel mode active" true (M.in_parallel m);
-  let stats = M.par_stats m in
-  Alcotest.(check bool) "some chunk refills" true (stats.M.par_chunk_refills > 0);
-  Par.shutdown pool;
-  M.exit_parallel m;
-  no_violations "invariants after exit" m;
-  Alcotest.(check bool) "mode off" false (M.in_parallel m)
-
-(* -- Randomized stress: GC + auto-reorder + parallel apply -------------- *)
-
-let test_stress () =
-  let m = M.create ~node_capacity:2048 () in
-  let nvars = 12 in
-  for _ = 1 to nvars do
-    ignore (M.new_var m)
-  done;
-  let eng = Jedd_reorder.Reorder.create m in
-  Jedd_reorder.Reorder.install_auto eng ~threshold:4000;
+  let pinned =
+    List.init 8 (fun _ -> M.addref m (build m (gen_expr nvars 5 st)))
+  in
+  let over = List.init nvars Fun.id in
+  let counts () = List.map (fun r -> Count.satcount m r ~over) pinned in
+  let before = counts () in
+  M.freeze m;
+  let arena = M.frozen_live_nodes m in
+  let scratch seed =
+    ignore
+      (on_domains 2 (fun i ->
+           let st = Random.State.make [| seed; i |] in
+           for _ = 1 to 10 do
+             ignore (build m (gen_expr nvars 5 st))
+           done))
+  in
   M.enter_parallel m;
-  M.stw_register m;
-  let pool = Par.create ~jobs:3 () in
-  (* two registered domains grinding sequential op streams, parking at
-     checkpoints; the main domain mixes pool ops with explicit GCs *)
-  let worker seed =
-    Domain.spawn (fun () ->
-        M.stw_register m;
-        Fun.protect
-          ~finally:(fun () -> M.stw_unregister m)
-          (fun () ->
-            let st = Random.State.make [| seed |] in
-            for _ = 1 to 120 do
-              let r = M.addref m (build m (gen_expr nvars 5 st)) in
-              M.checkpoint m;
-              M.delref m r
-            done))
-  in
-  let d1 = worker 101 and d2 = worker 202 in
-  let st = Random.State.make [| 77 |] in
-  let kept = ref [] in
-  for i = 1 to 60 do
-    let e1 = gen_expr nvars 5 st and e2 = gen_expr nvars 5 st in
-    let a = build_par pool m e1 in
-    let b = build_par pool m e2 in
-    let r = Par.band pool m a b in
-    ignore (M.addref m r);
-    kept := (e1, e2, r) :: !kept;
-    if i mod 15 = 0 then M.gc m;
-    M.checkpoint m
-  done;
-  Domain.join d1;
-  Domain.join d2;
-  Par.shutdown pool;
-  M.stw_unregister m;
+  scratch 1;
+  no_violations "quiescent, chunks outstanding" m;
+  (* the serve pool's sweep: at quiescence, still in parallel mode *)
+  M.frozen_sweep m;
+  no_violations "after a sweep in parallel mode" m;
+  Alcotest.(check int) "sweep reclaims every scratch node" arena
+    (M.live_nodes m);
+  scratch 2;
+  let held = M.live_nodes m in
   M.exit_parallel m;
-  (* now single-domain again: re-verify every kept result against a
-     fresh sequential computation (reordering may have moved levels, so
-     compare through the canonical store, not against stale handles) *)
-  List.iter
-    (fun (e1, e2, r) ->
-      let expect = Ops.band m (build m e1) (build m e2) in
-      Alcotest.(check int) "stress result survives" expect r)
-    !kept;
-  no_violations "invariants after stress" m;
-  let stats = M.par_stats m in
-  Alcotest.(check bool) "domains participated" true (stats.M.par_domains >= 3)
+  Alcotest.(check bool) "exit returns chunk-held nodes" true
+    (M.live_nodes m < held);
+  no_violations "after exit_parallel" m;
+  M.frozen_sweep m;
+  no_violations "after frozen_sweep" m;
+  Alcotest.(check int) "arena size restored" arena (M.live_nodes m);
+  Alcotest.(check (list int)) "pinned satcounts unchanged" before (counts ())
 
-(* -- jobs parsing -------------------------------------------------------- *)
+(* -- (d) Only a frozen manager may enter -------------------------------- *)
 
-let test_jobs_of_string () =
-  Alcotest.(check int) "plain" 4 (Par.jobs_of_string "4");
-  Alcotest.(check int) "trimmed" 2 (Par.jobs_of_string " 2 ");
-  Alcotest.(check bool) "default sane" true (Par.default_jobs () >= 1);
-  let rejects s =
-    match Par.jobs_of_string s with
-    | _ -> Alcotest.failf "accepted %S" s
-    | exception Invalid_argument msg ->
-      Alcotest.(check bool)
-        (Printf.sprintf "message mentions input for %S" s)
-        true
-        (String.length msg > 0)
-  in
-  List.iter rejects [ "0"; "-3"; "65"; "many"; "" ]
+let test_rejects_mutable () =
+  let m = fresh_manager 4 in
+  Alcotest.check_raises "mutable manager"
+    (Invalid_argument "Manager.enter_parallel: the manager is not frozen")
+    (fun () -> M.enter_parallel m);
+  let active () = (M.par_stats m).M.par_active in
+  Alcotest.(check bool) "still sequential" false (active ());
+  M.freeze m;
+  M.enter_parallel m;
+  Alcotest.(check bool) "frozen manager enters" true (active ());
+  M.exit_parallel m
 
 let suite =
   [
-    Alcotest.test_case "binops differential (jobs 1-4)" `Quick
+    Alcotest.test_case "binops differential (2-4 readers)" `Quick
       test_binops_differential;
     Alcotest.test_case "exist/relprod differential" `Quick
       test_quant_differential;
@@ -320,7 +277,6 @@ let suite =
       test_cross_manager;
     Alcotest.test_case "invariants with live chunks" `Quick
       test_invariants_during_parallel;
-    Alcotest.test_case "stress: gc + reorder + parallel apply" `Slow
-      test_stress;
-    Alcotest.test_case "jobs_of_string" `Quick test_jobs_of_string;
+    Alcotest.test_case "enter_parallel needs a frozen manager" `Quick
+      test_rejects_mutable;
   ]
