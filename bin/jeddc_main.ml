@@ -4,7 +4,7 @@
      jeddc FILE.jedd...                 check + assign physical domains
      jeddc -o OUT.java FILE.jedd...    also write the generated Java
      jeddc --stats FILE.jedd...        print Table 1-style statistics
-     jeddc --dimacs OUT.cnf FILE...    dump the SAT instance *)
+     jeddc --dimacs OUT.cnf FILE...    also write the SAT instance (DIMACS) *)
 
 open Cmdliner
 
@@ -38,9 +38,9 @@ let domain_report_json (compiled : Jedd_lang.Driver.compiled) =
   add
     (Printf.sprintf
        "  \"sat\": { \"vars\": %d, \"clauses\": %d, \"literals\": %d, \
-        \"solve_seconds\": %.4f },\n"
+        \"encode_seconds\": %.4f, \"solve_seconds\": %.4f },\n"
        sat.E.sat_vars sat.E.sat_clauses sat.E.sat_literals
-       sat.E.solve_seconds);
+       sat.E.encode_seconds sat.E.solve_seconds);
   (match compiled.D.weighted_stats with
   | Some w ->
     add
@@ -87,34 +87,47 @@ let domain_report_json (compiled : Jedd_lang.Driver.compiled) =
   add "}";
   Buffer.contents buf
 
+(* --dimacs OUT: the instance is written before solving, so it is there
+   to inspect even when the assignment fails.  Front-end errors are left
+   to Driver.compile, which reports them. *)
+let write_dimacs path sources =
+  let module L = Jedd_lang in
+  match
+    let decls =
+      List.concat_map
+        (fun (file, src) -> L.Parser.parse_program ~file src)
+        sources
+    in
+    let tprog = L.Typecheck.check decls in
+    L.Encode.dimacs tprog (L.Constraints.build tprog)
+  with
+  | exception
+      ( L.Lexer.Lex_error _ | L.Parser.Parse_error _ | L.Typecheck.Error _
+      | L.Encode.Unreachable_attribute _ ) ->
+    ()
+  | problem -> (
+    let clauses = problem.Jedd_sat.Dimacs.clauses in
+    let literals = List.fold_left (fun n c -> n + List.length c) 0 clauses in
+    try
+      let oc = open_out_bin path in
+      Printf.fprintf oc "c jeddc physical-domain assignment instance\n";
+      Printf.fprintf oc "c vars=%d clauses=%d literals=%d\n"
+        problem.Jedd_sat.Dimacs.nvars (List.length clauses) literals;
+      output_string oc (Jedd_sat.Dimacs.to_string problem);
+      close_out oc;
+      Printf.printf "jeddc: SAT instance written to %s\n" path
+    with Sys_error msg ->
+      Printf.eprintf "jeddc: cannot write the SAT instance to %s: %s\n" path
+        msg;
+      exit 1)
+
 let run files output stats dimacs dump_ir lint optimize domain_report =
   if files = [] then begin
     prerr_endline "jeddc: no input files";
     exit 2
   end;
   let sources = List.map (fun f -> (f, read_file f)) files in
-  (* optionally dump the raw CNF before solving *)
-  (if dimacs <> "" then
-     try
-       let decls =
-         List.concat_map
-           (fun (file, src) -> Jedd_lang.Parser.parse_program ~file src)
-           sources
-       in
-       let tprog = Jedd_lang.Typecheck.check decls in
-       let graph = Jedd_lang.Constraints.build tprog in
-       let solver, st = Jedd_lang.Encode.build_cnf tprog graph in
-       ignore solver;
-       let oc = open_out dimacs in
-       Printf.fprintf oc "c jeddc physical-domain assignment instance\n";
-       Printf.fprintf oc "c vars=%d clauses=%d literals=%d\n"
-         st.Jedd_lang.Encode.sat_vars st.Jedd_lang.Encode.sat_clauses
-         st.Jedd_lang.Encode.sat_literals;
-       Printf.fprintf oc "p cnf %d %d\n" st.Jedd_lang.Encode.sat_vars
-         st.Jedd_lang.Encode.sat_clauses;
-       close_out oc;
-       Printf.printf "jeddc: SAT instance summary written to %s\n" dimacs
-     with _ -> ());
+  if dimacs <> "" then write_dimacs dimacs sources;
   let weight =
     if optimize then
       Some
@@ -150,8 +163,10 @@ let run files output stats dimacs dump_ir lint optimize domain_report =
     | None -> ());
     let st = compiled.Jedd_lang.Driver.constraint_stats in
     let sat = compiled.Jedd_lang.Driver.assignment.Jedd_lang.Encode.stats in
-    Printf.printf "jeddc: physical domain assignment complete (%.4f s)\n"
-      sat.Jedd_lang.Encode.solve_seconds;
+    Printf.printf
+      "jeddc: physical domain assignment complete (encode %.4f s, CDCL %.4f \
+       s)\n"
+      sat.Jedd_lang.Encode.encode_seconds sat.Jedd_lang.Encode.solve_seconds;
     (match compiled.Jedd_lang.Driver.weighted_stats with
     | Some w ->
       Printf.printf
@@ -209,7 +224,10 @@ let dimacs_arg =
   Arg.(
     value & opt string ""
     & info [ "dimacs" ] ~docv:"OUT"
-        ~doc:"Dump the physical-domain-assignment SAT instance summary")
+        ~doc:
+          "Write the physical-domain-assignment SAT instance (clause types \
+           1-7, in clause-id order) to $(docv) in DIMACS CNF format, before \
+           solving.  Exits 1 if $(docv) cannot be written.")
 
 let dump_ir_arg =
   Arg.(

@@ -7,6 +7,7 @@ type sat_stats = {
   sat_vars : int;
   sat_clauses : int;
   sat_literals : int;
+  encode_seconds : float;
   solve_seconds : float;
   paths_truncated : bool;
 }
@@ -27,18 +28,21 @@ type clause_kind =
   | K_flow of int  (* node *)
   | K_path of int * int  (* class, p0 *)
 
-type instance = {
-  solver : Solver.t;
+(* The instance before any clause is written.  Variable [var enc i p]
+   says node [i] lives in physical domain [p]; the path variables
+   follow, numbered per class in enumeration order. *)
+type encoding = {
   physdoms : Tast.phys_info array;
+  phys_index : (string, int) Hashtbl.t;
   g : Constraints.t;
   fp : Flowpath.t;
-  clause_kinds : clause_kind array;
-  clause_lits : int list array;  (* for rebuilds during core minimisation *)
+  path_vars : (int * Flowpath.path) list array;  (* per class *)
+  nvars : int;
   truncated : bool;
 }
 
-let build ?(max_paths_per_class = 8) (prog : Tast.tprogram) (g : Constraints.t)
-    : instance =
+let prepare ?(max_paths_per_class = 8) (prog : Tast.tprogram)
+    (g : Constraints.t) : encoding =
   let physdoms =
     Array.of_list
       (List.sort
@@ -55,7 +59,6 @@ let build ?(max_paths_per_class = 8) (prog : Tast.tprogram) (g : Constraints.t)
   Array.iteri
     (fun i (p : Tast.phys_info) -> Hashtbl.add phys_index p.p_name i)
     physdoms;
-  let var node p = (node * np) + p + 1 in
   let fp = Flowpath.analyze g in
   let paths, truncated = Flowpath.enumerate fp ~max_per_class:max_paths_per_class in
   (* unreachable attributes: the first §3.3.3 failure mode *)
@@ -74,112 +77,123 @@ let build ?(max_paths_per_class = 8) (prog : Tast.tprogram) (g : Constraints.t)
     in
     raise (Unreachable_attribute msgs)
   end;
-  let solver = Solver.create () in
-  for _ = 1 to n * np do
-    ignore (Solver.new_var solver)
-  done;
-  (* path variables, numbered per class in enumeration order *)
+  let next = ref (n * np) in
   let path_vars =
-    Array.map (List.map (fun (p : Flowpath.path) -> (Solver.new_var solver, p))) paths
+    Array.map
+      (List.map (fun (p : Flowpath.path) ->
+           incr next;
+           (!next, p)))
+      paths
   in
-  let kinds = ref [] in
-  let lits_acc = ref [] in
-  let add_clause kind lits =
-    let id = Solver.add_clause solver lits in
-    ignore id;
-    kinds := kind :: !kinds;
-    lits_acc := lits :: !lits_acc
-  in
+  { physdoms; phys_index; g; fp; path_vars; nvars = !next; truncated }
+
+let var enc node p = (node * Array.length enc.physdoms) + p + 1
+
+(* The generator of clause types 1-7: hands every clause, in clause-id
+   order, to [emit] together with its meaning.  Solving streams them
+   into a solver and keeps nothing per clause; diagnosis and DIMACS
+   output run it again with a recording sink, and since the order is
+   deterministic the recorded ids are the solver's. *)
+let generate enc (emit : clause_kind -> int list -> unit) =
+  let np = Array.length enc.physdoms in
+  let n = Constraints.node_count enc.g in
+  let var = var enc in
   (* 1: each attribute gets some physical domain *)
   for i = 0 to n - 1 do
-    add_clause (K_some i) (List.init np (fun p -> var i p))
+    emit (K_some i) (List.init np (fun p -> var i p))
   done;
   (* 2: ... and not two *)
   for i = 0 to n - 1 do
     for p = 0 to np - 1 do
       for p' = p + 1 to np - 1 do
-        add_clause (K_unique (i, p, p')) [ -var i p; -var i p' ]
+        emit (K_unique (i, p, p')) [ -var i p; -var i p' ]
       done
     done
   done;
   (* 3: specified attributes *)
   List.iter
     (fun (i, (phys : Tast.phys_info)) ->
-      let p = Hashtbl.find phys_index phys.p_name in
-      add_clause (K_spec (i, p)) [ var i p ])
-    g.Constraints.specified;
+      let p = Hashtbl.find enc.phys_index phys.p_name in
+      emit (K_spec (i, p)) [ var i p ])
+    enc.g.Constraints.specified;
   (* 4: conflict edges *)
   List.iter
     (fun (i, j) ->
       for p = 0 to np - 1 do
-        add_clause (K_conflict (i, j, p)) [ -var i p; -var j p ]
+        emit (K_conflict (i, j, p)) [ -var i p; -var j p ]
       done)
-    g.Constraints.conflict;
+    enc.g.Constraints.conflict;
   (* 5: equality edges *)
   List.iter
     (fun (i, j) ->
       for p = 0 to np - 1 do
-        add_clause (K_equal (i, j, p)) [ -var i p; var j p ];
-        add_clause (K_equal (j, i, p)) [ -var j p; var i p ]
+        emit (K_equal (i, j, p)) [ -var i p; var j p ];
+        emit (K_equal (j, i, p)) [ -var j p; var i p ]
       done)
-    g.Constraints.equality;
+    enc.g.Constraints.equality;
   (* 6: at least one flow path per attribute instance *)
   for i = 0 to n - 1 do
-    let c = fp.Flowpath.class_of.(i) in
-    add_clause (K_flow i)
-      (List.map (fun (pv, _) -> pv) path_vars.(c))
+    let c = enc.fp.Flowpath.class_of.(i) in
+    emit (K_flow i) (List.map fst enc.path_vars.(c))
   done;
   (* 7: an active path assigns its domain along its length *)
-  Array.iteri
-    (fun _c pvs ->
-      List.iter
-        (fun (pv, (path : Flowpath.path)) ->
-          let p0 = Hashtbl.find phys_index path.start_phys.p_name in
-          List.iter
-            (fun cls ->
-              List.iter
-                (fun node ->
-                  add_clause (K_path (cls, p0)) [ -pv; var node p0 ])
-                fp.Flowpath.members.(cls))
-            path.through)
-        pvs)
-    path_vars;
-  {
-    solver;
-    physdoms;
-    g;
-    fp;
-    clause_kinds = Array.of_list (List.rev !kinds);
-    clause_lits = Array.of_list (List.rev !lits_acc);
-    truncated;
-  }
+  Array.iter
+    (List.iter (fun (pv, (path : Flowpath.path)) ->
+         let p0 = Hashtbl.find enc.phys_index path.start_phys.p_name in
+         List.iter
+           (fun cls ->
+             List.iter
+               (fun node -> emit (K_path (cls, p0)) [ -pv; var node p0 ])
+               enc.fp.Flowpath.members.(cls))
+           path.through))
+    enc.path_vars
 
-let build_cnf ?max_paths_per_class prog g =
-  let inst = build ?max_paths_per_class prog g in
-  ( inst.solver,
-    {
-      sat_vars = Solver.num_vars inst.solver;
-      sat_clauses = Solver.num_clauses inst.solver;
-      sat_literals = Solver.num_literals inst.solver;
-      solve_seconds = 0.0;
-      paths_truncated = inst.truncated;
-    } )
+(* An empty solver with the instance's variables. *)
+let fresh enc =
+  let s = Solver.create () in
+  for _ = 1 to enc.nvars do
+    ignore (Solver.new_var s)
+  done;
+  s
+
+(* Streaming sink: a fresh solver holding the instance. *)
+let load enc =
+  let s = fresh enc in
+  generate enc (fun _ lits -> ignore (Solver.add_clause s lits));
+  s
+
+(* Recording sink: every clause's meaning and literals, by clause id. *)
+let record enc =
+  let kinds = ref [] and lits = ref [] in
+  generate enc (fun k l ->
+      kinds := k :: !kinds;
+      lits := l :: !lits);
+  (Array.of_list (List.rev !kinds), Array.of_list (List.rev !lits))
+
+let dimacs ?max_paths_per_class prog g =
+  let enc = prepare ?max_paths_per_class prog g in
+  let acc = ref [] in
+  generate enc (fun _ l -> acc := l :: !acc);
+  { Jedd_sat.Dimacs.nvars = enc.nvars; clauses = List.rev !acc }
 
 (* -- diagnosis (§3.3.3) ---------------------------------------------------- *)
 
-let diagnose inst core =
+(* A fresh solver holding the recorded clauses [ids] and then [extra]. *)
+let rebuild enc lits ids extra =
+  let s = fresh enc in
+  List.iter (fun id -> ignore (Solver.add_clause s lits.(id))) ids;
+  List.iter (fun l -> ignore (Solver.add_clause s l)) extra;
+  s
+
+let diagnose enc core =
   (* Shrink the core so the reported conflict is crisp, exactly as
      unsat-core extraction + manual inspection would give the paper's
      users.  Rebuilding is cheap: instances are a few hundred thousand
      binary clauses at worst and cores are small. *)
+  let kinds, lits = record enc in
   let rebuild ids =
-    let s = Solver.create () in
-    for _ = 1 to Solver.num_vars inst.solver do
-      ignore (Solver.new_var s)
-    done;
     let arr = Array.of_list ids in
-    List.iter (fun id -> ignore (Solver.add_clause s inst.clause_lits.(id))) ids;
-    (s, fun local -> arr.(local))
+    (rebuild enc lits ids [], fun local -> arr.(local))
   in
   let original_core = core in
   let core =
@@ -187,8 +201,7 @@ let diagnose inst core =
   in
   let conflicts_in c =
     List.filter
-      (fun id ->
-        match inst.clause_kinds.(id) with K_conflict _ -> true | _ -> false)
+      (fun id -> match kinds.(id) with K_conflict _ -> true | _ -> false)
       c
   in
   let conflict_clauses = conflicts_in core @ conflicts_in original_core in
@@ -196,10 +209,10 @@ let diagnose inst core =
      messages name e.g. the Compose_expression) over its variable or
      wrapper echoes. *)
   let on_expr id =
-    match inst.clause_kinds.(id) with
+    match kinds.(id) with
     | K_conflict (i, j, _) ->
       let is_expr n =
-        match inst.g.Constraints.nodes.(n).Constraints.site with
+        match enc.g.Constraints.nodes.(n).Constraints.site with
         | Constraints.S_expr _ -> true
         | _ -> false
       in
@@ -214,12 +227,12 @@ let diagnose inst core =
   in
   match conflict_clause with
   | Some id -> (
-    match inst.clause_kinds.(id) with
+    match kinds.(id) with
     | K_conflict (i, j, p) ->
       Printf.sprintf "Conflict between %s and %s over physical domain %s"
-        (Constraints.describe_node inst.g i)
-        (Constraints.describe_node inst.g j)
-        inst.physdoms.(p).p_name
+        (Constraints.describe_node enc.g i)
+        (Constraints.describe_node enc.g j)
+        enc.physdoms.(p).p_name
     | _ -> assert false)
   | None ->
     (* The §3.3.2 proposition says every core contains a conflict clause
@@ -228,17 +241,27 @@ let diagnose inst core =
     let specs =
       List.filter_map
         (fun id ->
-          match inst.clause_kinds.(id) with
+          match kinds.(id) with
           | K_spec (i, p) ->
             Some
               (Printf.sprintf "%s is pinned to %s"
-                 (Constraints.describe_node inst.g i)
-                 inst.physdoms.(p).p_name)
+                 (Constraints.describe_node enc.g i)
+                 enc.physdoms.(p).p_name)
           | _ -> None)
         core
     in
     "Contradictory physical domain specifications: "
     ^ String.concat "; " specs
+
+(* Hard equalities between the two nodes of each pair, in every domain. *)
+let equal_clauses enc pairs =
+  let np = Array.length enc.physdoms in
+  List.concat_map
+    (fun (i, j) ->
+      List.concat
+        (List.init np (fun p ->
+             [ [ -var enc i p; var enc j p ]; [ -var enc j p; var enc i p ] ])))
+    pairs
 
 (* -- replace-site audit probe (jeddlint JL007/JL008) ----------------------- *)
 
@@ -252,10 +275,7 @@ type replace_probe =
 
 let probe_wrap_equal ?max_paths_per_class (prog : Tast.tprogram)
     (g : Constraints.t) ~eid : replace_probe =
-  let inst = build ?max_paths_per_class prog g in
-  let np = Array.length inst.physdoms in
-  let var node p = (node * np) + p + 1 in
-  let n_original = Array.length inst.clause_lits in
+  let enc = prepare ?max_paths_per_class prog g in
   (* the assignment edges the partitioning was allowed to break: the
      (expression, wrapper) node pair of every attribute of [eid] *)
   let pairs =
@@ -265,44 +285,31 @@ let probe_wrap_equal ?max_paths_per_class (prog : Tast.tprogram)
         match node.Constraints.site with
         | Constraints.S_wrap e when e = eid -> (
           match
-            Hashtbl.find_opt inst.g.Constraints.node_index
+            Hashtbl.find_opt g.Constraints.node_index
               (Constraints.S_expr eid, node.Constraints.attr.Tast.a_name)
           with
           | Some i -> out := (i, j) :: !out
           | None -> ())
         | _ -> ())
-      inst.g.Constraints.nodes;
+      g.Constraints.nodes;
     !out
   in
   (* probe clauses asserting the wrapper keeps its input's domains *)
-  let probe_lits =
-    List.concat_map
-      (fun (i, j) ->
-        List.concat
-          (List.init np (fun p ->
-               [ [ -var i p; var j p ]; [ -var j p; var i p ] ])))
-      pairs
-  in
-  List.iter (fun lits -> ignore (Solver.add_clause inst.solver lits)) probe_lits;
-  match Solver.solve inst.solver with
+  let probe_lits = equal_clauses enc pairs in
+  let solver = load enc in
+  let n_original = Solver.num_clauses solver in
+  List.iter (fun lits -> ignore (Solver.add_clause solver lits)) probe_lits;
+  match Solver.solve solver with
   | Solver.Sat -> Avoidable
   | Solver.Unsat ->
     let core =
-      List.filter
-        (fun id -> id < n_original)
-        (Solver.unsat_core inst.solver)
+      List.filter (fun id -> id < n_original) (Solver.unsat_core solver)
     in
+    let kinds, lits = record enc in
     (* deletion-minimize the original-clause part of the core, keeping
        the probe clauses as fixed background on every candidate check *)
-    let num_vars = Solver.num_vars inst.solver in
     let unsat_without ids =
-      let s = Solver.create () in
-      for _ = 1 to num_vars do
-        ignore (Solver.new_var s)
-      done;
-      List.iter (fun id -> ignore (Solver.add_clause s inst.clause_lits.(id))) ids;
-      List.iter (fun lits -> ignore (Solver.add_clause s lits)) probe_lits;
-      Solver.solve s = Solver.Unsat
+      Solver.solve (rebuild enc lits ids probe_lits) = Solver.Unsat
     in
     let core =
       if List.length core > 60 then core
@@ -314,37 +321,37 @@ let probe_wrap_equal ?max_paths_per_class (prog : Tast.tprogram)
           core core
     in
     let describe id =
-      match inst.clause_kinds.(id) with
+      match kinds.(id) with
       | K_spec (i, p) ->
         Some
           (Printf.sprintf "%s is pinned to %s"
-             (Constraints.describe_node inst.g i)
-             inst.physdoms.(p).p_name)
+             (Constraints.describe_node g i)
+             enc.physdoms.(p).p_name)
       | K_equal (i, j, _) ->
         let i, j = if i <= j then (i, j) else (j, i) in
         Some
           (Printf.sprintf "%s must share a physical domain with %s"
-             (Constraints.describe_node inst.g i)
-             (Constraints.describe_node inst.g j))
+             (Constraints.describe_node g i)
+             (Constraints.describe_node g j))
       | K_conflict (i, j, _) ->
         let i, j = if i <= j then (i, j) else (j, i) in
         Some
           (Printf.sprintf "%s and %s must use distinct physical domains"
-             (Constraints.describe_node inst.g i)
-             (Constraints.describe_node inst.g j))
+             (Constraints.describe_node g i)
+             (Constraints.describe_node g j))
       | K_flow i ->
         Some
           (Printf.sprintf "%s must be reached by some specified domain"
-             (Constraints.describe_node inst.g i))
+             (Constraints.describe_node g i))
       | K_path (cls, p0) ->
         let who =
-          match inst.fp.Flowpath.members.(cls) with
-          | i :: _ -> Constraints.describe_node inst.g i
+          match enc.fp.Flowpath.members.(cls) with
+          | i :: _ -> Constraints.describe_node g i
           | [] -> "an attribute class"
         in
         Some
           (Printf.sprintf "the flow of %s constrains %s"
-             inst.physdoms.(p0).p_name who)
+             enc.physdoms.(p0).p_name who)
       | K_some _ | K_unique _ -> None
     in
     let msgs = List.sort_uniq compare (List.filter_map describe core) in
@@ -355,23 +362,25 @@ let probe_wrap_equal ?max_paths_per_class (prog : Tast.tprogram)
     in
     Forced msgs
 
-(* Decode a satisfied instance's model into an [assignment]. *)
-let decode inst ~solve_seconds : assignment =
-  let np = Array.length inst.physdoms in
-  let n = Constraints.node_count inst.g in
-  let node_phys = Array.make n inst.physdoms.(0) in
+(* Decode a satisfied solver's model into an [assignment].  [phys_of]
+   closes over the node index and the decoded domains only, so the
+   solver does not outlive this call. *)
+let decode enc solver ~encode_seconds ~solve_seconds : assignment =
+  let np = Array.length enc.physdoms in
+  let n = Constraints.node_count enc.g in
+  let node_phys = Array.make n enc.physdoms.(0) in
   for i = 0 to n - 1 do
     let rec pick p =
       if p >= np then
         invalid_arg "Encode.solve: model assigns no physical domain"
-      else if Solver.value inst.solver ((i * np) + p + 1) then
-        inst.physdoms.(p)
+      else if Solver.value solver (var enc i p) then enc.physdoms.(p)
       else pick (p + 1)
     in
     node_phys.(i) <- pick 0
   done;
+  let node_index = enc.g.Constraints.node_index in
   let phys_of site attr_name =
-    match Hashtbl.find_opt inst.g.Constraints.node_index (site, attr_name) with
+    match Hashtbl.find_opt node_index (site, attr_name) with
     | Some i -> node_phys.(i)
     | None ->
       invalid_arg
@@ -384,7 +393,7 @@ let decode inst ~solve_seconds : assignment =
     (fun (p : Tast.phys_info) ->
       Hashtbl.replace widths p.p_name
         (max 1 (Option.value p.p_min_bits ~default:1)))
-    inst.physdoms;
+    enc.physdoms;
   let domain_bits (d : Tast.domain_info) =
     let rec go n acc = if n >= d.d_size then acc else go (n * 2) (acc + 1) in
     max 1 (go 1 0)
@@ -395,30 +404,34 @@ let decode inst ~solve_seconds : assignment =
       let need = domain_bits node.attr.a_domain in
       if need > Hashtbl.find widths p.p_name then
         Hashtbl.replace widths p.p_name need)
-    inst.g.Constraints.nodes;
+    enc.g.Constraints.nodes;
   {
     phys_of;
     widths = Hashtbl.fold (fun name w acc -> (name, w) :: acc) widths [];
     stats =
       {
-        sat_vars = Solver.num_vars inst.solver;
-        sat_clauses = Solver.num_clauses inst.solver;
-        sat_literals = Solver.num_literals inst.solver;
+        sat_vars = Solver.num_vars solver;
+        sat_clauses = Solver.num_clauses solver;
+        sat_literals = Solver.num_literals solver;
+        encode_seconds;
         solve_seconds;
-        paths_truncated = inst.truncated;
+        paths_truncated = enc.truncated;
       };
   }
 
 let solve ?max_paths_per_class (prog : Tast.tprogram) (g : Constraints.t) :
     assignment =
-  let inst = build ?max_paths_per_class prog g in
   let t0 = Sys.time () in
-  let result = Solver.solve inst.solver in
-  let solve_seconds = Sys.time () -. t0 in
+  let enc = prepare ?max_paths_per_class prog g in
+  let solver = load enc in
+  let t1 = Sys.time () in
+  let result = Solver.solve solver in
+  let t2 = Sys.time () in
   match result with
   | Solver.Unsat ->
-    raise (Assignment_conflict (diagnose inst (Solver.unsat_core inst.solver)))
-  | Solver.Sat -> decode inst ~solve_seconds
+    raise (Assignment_conflict (diagnose enc (Solver.unsat_core solver)))
+  | Solver.Sat ->
+    decode enc solver ~encode_seconds:(t1 -. t0) ~solve_seconds:(t2 -. t1)
 
 (* -- weighted assignment (minimise the cost of broken edges) --------------- *)
 
@@ -433,7 +446,6 @@ type weighted_stats = {
 let solve_weighted ?max_paths_per_class ?(budget = 64) ~weight
     (prog : Tast.tprogram) (g : Constraints.t) : assignment * weighted_stats
     =
-  let t0 = Sys.time () in
   (* candidate groups: the assignment edges of one dummy replace
      wrapper stand or fall together (a single IReplace covers all of a
      wrap site's attributes), so they are kept or broken as a unit *)
@@ -458,27 +470,30 @@ let solve_weighted ?max_paths_per_class ?(budget = 64) ~weight
     |> Array.of_list
   in
   let ng = Array.length groups in
+  let t0 = Sys.time () in
+  let enc = prepare ?max_paths_per_class prog g in
+  let encode_seconds = ref (Sys.time () -. t0) in
+  let solve_seconds = ref 0.0 in
   let solves = ref 0 in
-  (* one probe = a fresh clause-1-7 instance plus hard equalities over
-     every kept group's edges, exactly the [probe_wrap_equal] shape but
-     for a set of wrappers at once *)
+  (* one probe = the clause-1-7 instance streamed into a fresh solver
+     plus hard equalities over every kept group's edges, exactly the
+     [probe_wrap_equal] shape but for a set of wrappers at once *)
   let probe kept_mask =
     incr solves;
-    let inst = build ?max_paths_per_class prog g in
-    let np = Array.length inst.physdoms in
-    let var node p = (node * np) + p + 1 in
+    let t0 = Sys.time () in
+    let solver = load enc in
     Array.iteri
       (fun gi (_, _, pairs) ->
         if kept_mask.(gi) then
           List.iter
-            (fun (i, j) ->
-              for p = 0 to np - 1 do
-                ignore (Solver.add_clause inst.solver [ -var i p; var j p ]);
-                ignore (Solver.add_clause inst.solver [ -var j p; var i p ])
-              done)
-            pairs)
+            (fun lits -> ignore (Solver.add_clause solver lits))
+            (equal_clauses enc pairs))
       groups;
-    if Solver.solve inst.solver = Solver.Sat then Some inst else None
+    let t1 = Sys.time () in
+    let result = Solver.solve solver in
+    encode_seconds := !encode_seconds +. (t1 -. t0);
+    solve_seconds := !solve_seconds +. (Sys.time () -. t1);
+    if result = Solver.Sat then Some solver else None
   in
   (* greedy: walk the groups by descending weight, keeping each one
      whose equalities remain satisfiable on top of what is already
@@ -534,17 +549,20 @@ let solve_weighted ?max_paths_per_class ?(budget = 64) ~weight
        probe and rebuilds are deterministic, so this is only reachable
        when the base instance itself is unsatisfiable (the greedy pass
        rejected everything); report it exactly as [solve] would *)
-    let inst = build ?max_paths_per_class prog g in
-    (match Solver.solve inst.solver with
+    let solver = load enc in
+    (match Solver.solve solver with
     | Solver.Unsat ->
       raise
-        (Assignment_conflict (diagnose inst (Solver.unsat_core inst.solver)))
+        (Assignment_conflict (diagnose enc (Solver.unsat_core solver)))
     | Solver.Sat ->
       raise
         (Assignment_conflict
            "Encode.solve_weighted: winning kept set became unsatisfiable"))
-  | Some inst ->
-    let asg = decode inst ~solve_seconds:(Sys.time () -. t0) in
+  | Some solver ->
+    let asg =
+      decode enc solver ~encode_seconds:!encode_seconds
+        ~solve_seconds:!solve_seconds
+    in
     let n_kept =
       Array.fold_left (fun a k -> if k then a + 1 else a) 0 !best_mask
     in

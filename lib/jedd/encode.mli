@@ -23,7 +23,9 @@ type sat_stats = {
   sat_vars : int;
   sat_clauses : int;
   sat_literals : int;
-  solve_seconds : float;
+  encode_seconds : float;
+      (** flow paths and clause types 1–7 streamed into the solver *)
+  solve_seconds : float;  (** the CDCL search alone *)
   paths_truncated : bool;
 }
 
@@ -66,7 +68,8 @@ val solve_weighted :
     constant [weight] this minimises the replace count, and with the
     result ignored it coincides with any {!solve} model.  Raises the
     same exceptions as {!solve} on infeasible programs, with the same
-    unsat-core diagnosis. *)
+    unsat-core diagnosis.  Its [encode_seconds] and [solve_seconds] sum
+    over every probe. *)
 
 (** Outcome of re-solving with a replace wrapper's assignment edges
     promoted to hard equalities, for the jeddlint replace audit. *)
@@ -91,10 +94,10 @@ val probe_wrap_equal :
     was avoidable; [Unsat] yields a deletion-minimized core naming the
     constraints that force it (§3.3.3 machinery, aimed at one site). *)
 
-val build_cnf :
+val dimacs :
   ?max_paths_per_class:int ->
   Tast.tprogram ->
   Constraints.t ->
-  Jedd_sat.Solver.t * sat_stats
-(** Encoding only (used by the Table 1 benchmark to report instance
-    sizes without decoding). *)
+  Jedd_sat.Dimacs.problem
+(** The clause-1–7 instance, clauses in id order, as [jeddc --dimacs]
+    writes it.  Raises {!Unreachable_attribute} like {!solve}. *)

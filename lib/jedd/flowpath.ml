@@ -61,24 +61,23 @@ let enumerate t ~max_per_class =
   let found = Array.make t.n_classes [] in
   let counts = Array.make t.n_classes 0 in
   let truncated = ref false in
+  (* queued paths are (start, classes last-first): extending one is a
+     cons, and only the paths kept are turned around *)
   let q = Queue.create () in
   (* A source class gets the trivial one-class path; if a class has two
      different specs, both become path starts (the SAT clauses will sort
      out consistency, or prove it impossible). *)
-  List.iter
-    (fun (c, phys) ->
-      Queue.add { start_phys = phys; through = [ c ] } q)
-    t.sources;
+  List.iter (fun (c, phys) -> Queue.add (phys, [ c ]) q) t.sources;
   while not (Queue.is_empty q) do
-    let p = Queue.pop q in
-    let last = List.hd (List.rev p.through) in
+    let start_phys, rev_through = Queue.pop q in
+    let last = List.hd rev_through in
     if counts.(last) < max_per_class then begin
-      found.(last) <- p :: found.(last);
+      found.(last) <- { start_phys; through = List.rev rev_through } :: found.(last);
       counts.(last) <- counts.(last) + 1;
       List.iter
         (fun next ->
-          if not (List.mem next p.through) then
-            Queue.add { p with through = p.through @ [ next ] } q)
+          if not (List.mem next rev_through) then
+            Queue.add (start_phys, next :: rev_through) q)
         neighbours.(last)
     end
     else truncated := true

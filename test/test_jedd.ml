@@ -330,6 +330,116 @@ let test_assignment_conflict_fixed () =
   | Ok _ -> ()
   | Error e -> Alcotest.failf "fix should compile: %s" (Driver.error_to_string e)
 
+(* ---------------- the five-analysis unit's assignment ---------------- *)
+
+let compile_ok name src =
+  match Driver.compile [ (name, src) ] with
+  | Ok c -> c
+  | Error e -> Alcotest.failf "compile: %s" (Driver.error_to_string e)
+
+let tiny_program = lazy Jedd_minijava.Workload.(generate tiny)
+
+let combined_tiny () =
+  compile_ok "combined.jedd"
+    (Jedd_analyses.Suite.combined_source (Lazy.force tiny_program))
+
+(* MD5 of every constraint node's physical domain, in node order. *)
+let assignment_digest (c : Driver.compiled) =
+  Array.to_list c.Driver.graph.C.nodes
+  |> List.map (fun (n : C.node) ->
+         (c.Driver.assignment.E.phys_of n.C.site n.C.attr.Jedd_lang.Tast.a_name)
+           .Jedd_lang.Tast.p_name)
+  |> String.concat "," |> Digest.string |> Digest.to_hex
+
+let test_assignment_pinned () =
+  (* Any model is a correct assignment, but the emitted code, the
+     replace sites and the benchmark figures all follow this one, so a
+     solver change that moves it must update these digests on purpose.
+     The Virtual Call Resolution unit is the one whose search learns
+     clauses (2 conflicts). *)
+  Alcotest.(check string)
+    "combined unit" "c93ec4f36146c2e01df15afe851cad0f"
+    (assignment_digest (combined_tiny ()));
+  Alcotest.(check string)
+    "Virtual Call Resolution unit" "f99040fd87a23757b7bdaa1ff52c98ce"
+    (assignment_digest
+       (compile_ok "vcr.jedd"
+          (Jedd_analyses.Suite.source_for (Lazy.force tiny_program)
+             "Virtual Call Resolution")))
+
+let test_assignment_retains_no_solver () =
+  (* a compiled program lives as long as its Interp instance, Live
+     session or server: its assignment must not keep the SAT instance
+     (about 3.4M words on this unit) reachable *)
+  let words =
+    Obj.reachable_words (Obj.repr (combined_tiny ()).Driver.assignment)
+  in
+  if words >= 100_000 then
+    Alcotest.failf "assignment reaches %d words (bound 100000)" words
+
+let read_file path =
+  let ic = open_in_bin path in
+  let s = really_input_string ic (in_channel_length ic) in
+  close_in ic;
+  s
+
+let jeddc args =
+  Sys.command ("../bin/jeddc_main.exe " ^ String.concat " " args)
+
+let test_jeddc_dimacs () =
+  let module Dimacs = Jedd_sat.Dimacs in
+  let cnf = Filename.temp_file "jeddc" ".cnf" in
+  let out = Filename.temp_file "jeddc" ".out" in
+  let err = Filename.temp_file "jeddc" ".err" in
+  Fun.protect
+    ~finally:(fun () -> List.iter Sys.remove [ cnf; out; err ])
+    (fun () ->
+      Alcotest.(check int) "exit status" 0
+        (jeddc
+           [ "--stats"; "--dimacs"; Filename.quote cnf;
+             "../examples/lint_clean.jedd"; ">"; Filename.quote out ]);
+      let text = read_file cnf in
+      let problem = Dimacs.of_string text in
+      let header =
+        List.find
+          (fun l -> String.length l > 0 && l.[0] = 'p')
+          (String.split_on_char '\n' text)
+      in
+      let hvars, hclauses = Scanf.sscanf header "p cnf %d %d" (fun v c -> (v, c)) in
+      let stat label =
+        let line =
+          List.find
+            (fun l -> Str.string_match (Str.regexp (" *" ^ label ^ " *:")) l 0)
+            (String.split_on_char '\n' (read_file out))
+        in
+        int_of_string (String.trim (List.nth (String.split_on_char ':' line) 1))
+      in
+      let body_vars =
+        List.fold_left
+          (fun m c -> List.fold_left (fun m l -> max m (abs l)) m c)
+          0 problem.Dimacs.clauses
+      in
+      Alcotest.(check int) "header clauses = body" hclauses
+        (List.length problem.Dimacs.clauses);
+      Alcotest.(check int) "header vars = body" hvars body_vars;
+      Alcotest.(check int) "vars = --stats" (stat "SAT variables") hvars;
+      Alcotest.(check int) "clauses = --stats" (stat "SAT clauses") hclauses;
+      Alcotest.(check int) "literals = --stats" (stat "SAT literals")
+        (List.fold_left (fun n c -> n + List.length c) 0 problem.Dimacs.clauses);
+      let s = Jedd_sat.Solver.create () in
+      ignore (Dimacs.load_into s problem);
+      Alcotest.(check bool) "satisfiable" true
+        (Jedd_sat.Solver.solve s = Jedd_sat.Solver.Sat);
+      (* a path under a regular file cannot be created *)
+      let bad = Filename.concat cnf "x.cnf" in
+      Alcotest.(check int) "unwritable OUT exits 1" 1
+        (jeddc
+           [ "--dimacs"; Filename.quote bad; "../examples/lint_clean.jedd";
+             "> /dev/null 2>"; Filename.quote err ]);
+      let msg = read_file err in
+      Alcotest.(check bool) ("message names the path: " ^ msg) true
+        (Str.string_match (Str.regexp (".*" ^ Str.quote bad)) msg 0))
+
 (* ---------------- end-to-end: Figure 4 execution ---------------- *)
 
 let test_figure4_execution () =
@@ -572,4 +682,8 @@ let suite =
     Alcotest.test_case "liveness loop safety" `Quick test_liveness_loop_safety;
     Alcotest.test_case "liveness analysis direct" `Quick
       test_liveness_analysis_direct;
+    Alcotest.test_case "assignment pinned" `Quick test_assignment_pinned;
+    Alcotest.test_case "assignment retains no solver" `Quick
+      test_assignment_retains_no_solver;
+    Alcotest.test_case "jeddc --dimacs" `Quick test_jeddc_dimacs;
   ]

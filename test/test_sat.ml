@@ -78,7 +78,18 @@ let test_duplicate_literals () =
   let s, _ = fresh_solver_with [ [ 1; 1; 1 ]; [ -1; 2; 2 ] ] in
   Alcotest.(check bool) "sat" true (Solver.solve s = Solver.Sat);
   Alcotest.(check bool) "x1" true (Solver.value s 1);
-  Alcotest.(check bool) "x2" true (Solver.value s 2)
+  Alcotest.(check bool) "x2" true (Solver.value s 2);
+  (* a long clause with every literal twice: -3..-12, with 3..11
+     asserted, leaves -12 *)
+  let long = List.init 20 (fun i -> -(3 + (i mod 10))) in
+  let units = List.init 9 (fun i -> [ 3 + i ]) in
+  let s, _ = fresh_solver_with (long :: units) in
+  Alcotest.(check bool) "long clause sat" true (Solver.solve s = Solver.Sat);
+  Alcotest.(check bool) "x12 forced false" false (Solver.value s 12);
+  let s, _ = fresh_solver_with ((long :: units) @ [ [ 12 ] ]) in
+  Alcotest.(check bool) "long clause unsat" true (Solver.solve s = Solver.Unsat);
+  Alcotest.(check (list int)) "core is every clause" (List.init 11 Fun.id)
+    (Solver.unsat_core s)
 
 let pigeonhole holes =
   (* PHP(holes+1, holes): unsat, classically hard for resolution at
@@ -272,9 +283,61 @@ let prop_proofs_validate =
         proof_ok
         && Checker.check_core ~nvars:(Solver.num_vars s) core_clauses)
 
+(* CNFs shaped like the §3.3.2 domain-assignment encoding: exactly-one
+   groups (clause types 1-2), binary conflict clauses and equality
+   implications (4-5), longer flow clauses (6), plus units, duplicated
+   literals and tautologies. *)
+let encoding_shaped_instance st =
+  let rand n = Random.State.int st n in
+  let nvars = 8 + rand 7 in
+  let var () = 1 + rand nvars in
+  let lit () = if rand 2 = 0 then var () else -var () in
+  let clauses = ref [] in
+  let add c = clauses := c :: !clauses in
+  let first = ref 1 in
+  while !first <= nvars do
+    let group = List.init (min (2 + rand 5) (nvars - !first + 1)) (( + ) !first) in
+    add group;
+    List.iter
+      (fun a -> List.iter (fun b -> if a < b then add [ -a; -b ]) group)
+      group;
+    first := !first + List.length group
+  done;
+  for _ = 1 to 2 + rand 10 do add [ -var (); -var () ] done;
+  for _ = 1 to 2 + rand 10 do add [ -var (); var () ] done;
+  for _ = 1 to rand 5 do add (List.init (3 + rand 4) (fun _ -> lit ())) done;
+  for _ = 1 to rand 3 do add [ lit () ] done;
+  for _ = 1 to rand 3 do
+    let a = lit () in
+    add [ a; lit (); a ]
+  done;
+  for _ = 1 to rand 2 do
+    let a = var () in
+    add [ a; lit (); -a ]
+  done;
+  (nvars, List.rev !clauses)
+
+let prop_encoding_shaped =
+  QCheck.Test.make ~count:300
+    ~name:"CDCL on encoding-shaped CNFs: verdict, model, core and proof"
+    QCheck.(int_bound 1_000_000)
+    (fun seed ->
+      let nvars, clauses =
+        encoding_shaped_instance (Random.State.make [| seed; 332 |])
+      in
+      let s, _ = fresh_solver_with clauses in
+      match (Solver.solve s, brute_force_sat nvars clauses) with
+      | Solver.Sat, true -> model_satisfies s clauses
+      | Solver.Unsat, false ->
+        let all = Array.of_list clauses in
+        let core = List.map (fun id -> all.(id)) (Solver.unsat_core s) in
+        Checker.check_core ~nvars core
+        && Checker.check_rup ~nvars clauses (Solver.proof s)
+      | _ -> false)
+
 let qcheck_cases =
   List.map (QCheck_alcotest.to_alcotest ~verbose:false)
-    [ prop_agrees_with_brute_force; prop_proofs_validate ]
+    [ prop_agrees_with_brute_force; prop_proofs_validate; prop_encoding_shaped ]
 
 let suite =
   [
