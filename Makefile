@@ -21,15 +21,19 @@ test:
 # jeddlint over the shipped sources: the clean example and the five
 # Figure 2 analyses must produce no warnings or errors (exit 0); the
 # seeded-defect example must trip the checkers (exit non-zero).  Then
-# the CLI pipeline once more with every executed IR instruction
-# shadow-checked against the refcount discipline (JEDD_CHECK_IR).
+# the CLI pipeline once more on every backend, with every executed IR
+# instruction shadow-checked against the refcount discipline
+# (JEDD_CHECK_IR) and the results verified tuple for tuple.
 lint:
 	dune build bin/jeddc_main.exe bin/analyze_main.exe
 	dune exec bin/jeddc_main.exe -- --lint=text examples/lint_clean.jedd
 	dune exec bin/analyze_main.exe -- -b tiny --lint
 	dune exec bin/analyze_main.exe -- -f examples/shapes.mjava --lint
 	! dune exec bin/jeddc_main.exe -- --lint=text examples/lint_defects.jedd
-	JEDD_CHECK_IR=1 dune exec bin/analyze_main.exe -- -b tiny --verify
+	for b in incore extmem hybrid mtbdd; do \
+	  JEDD_CHECK_IR=1 dune exec bin/analyze_main.exe -- -b tiny --verify \
+	    --backend=$$b || exit 1; \
+	done
 
 smoke:
 	dune build @bench-smoke

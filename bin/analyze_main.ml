@@ -6,8 +6,8 @@ module Workload = Jedd_minijava.Workload
 module Program = Jedd_minijava.Program
 module Suite = Jedd_analyses.Suite
 
-let backend_of_string s =
-  try Jedd_relation.Backend.kind_of_string s
+let resolve_backend flag =
+  try Jedd_relation.Universe.resolve_backend flag
   with Invalid_argument msg ->
     Printf.eprintf "jedd-analyze: %s\n" msg;
     exit 2
@@ -50,31 +50,26 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
       (profile.Workload.name, Workload.generate profile)
   in
   if lint then lint_suite p;
-  let backend =
-    match (backend, Sys.getenv_opt "JEDD_BACKEND") with
-    | Some b, _ -> Some (backend_of_string b)
-    | None, Some b -> Some (backend_of_string b)
-    | None, None -> None
-  in
-  (* snapshots are levelized node files, which terminal-valued BDDs
-     cannot be written as *)
-  if backend = Some `Mtbdd && save_snapshot <> None then begin
-    prerr_endline
-      "jedd-analyze: the mtbdd backend has no levelized snapshot format; \
-       drop --save-snapshot or use another backend";
+  let backend = resolve_backend backend in
+  if save_snapshot <> None && not (Jedd_relation.Backend.levelizes backend)
+  then begin
+    Printf.eprintf
+      "jedd-analyze: the %s backend has no levelized snapshot format; drop \
+       --save-snapshot or use another backend\n"
+      (Jedd_relation.Backend.kind_name backend);
     exit 2
   end;
   (match backend with
-  | Some `Extmem -> Format.printf "backend: extmem (out-of-core streaming)@."
-  | Some `Hybrid ->
+  | `Extmem -> Format.printf "backend: extmem (out-of-core streaming)@."
+  | `Hybrid ->
     Format.printf
       "backend: hybrid (per-operation incore/extmem dispatch from predicted \
        node counts)@."
-  | Some `Mtbdd ->
+  | `Mtbdd ->
     Format.printf
       "backend: mtbdd (terminal-valued BDDs; boolean analyses run as \
        0/1-weighted relations)@."
-  | _ -> ());
+  | `Incore -> ());
   Format.printf "workload %s: %a@." name Program.pp_stats p;
   let t0 = Unix.gettimeofday () in
   let needs_instance = save_snapshot <> None || serve <> None in
@@ -92,10 +87,10 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
     try
       if needs_instance then
         let inst, r =
-          Suite.run_combined ?backend ?node_limit ~reorder ~optimize p
+          Suite.run_combined ~backend ?node_limit ~reorder ~optimize p
         in
         (Some inst, r)
-      else (None, Suite.run_all ?backend ?node_limit ~reorder ~optimize p)
+      else (None, Suite.run_all ~backend ?node_limit ~reorder ~optimize p)
     with Jedd_bdd.Manager.Out_of_nodes -> oom ()
   in
   Printf.printf "pipeline completed in %.2f s\n" (Unix.gettimeofday () -. t0);

@@ -18,8 +18,8 @@ module Cas = Jedd_store.Cas
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
-let backend_of_string s =
-  try Jedd_relation.Backend.kind_of_string s
+let resolve_backend flag =
+  try Jedd_relation.Universe.resolve_backend flag
   with Invalid_argument msg -> fail "jeddd: %s" msg
 
 (* Returns the snapshot plus its universe hash (the MD5 of the snapshot
@@ -29,12 +29,11 @@ let backend_of_string s =
    (those re-serialize, which is cleaner before the final compaction). *)
 let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark ~backend
     ~node_limit ~save ~tag ~freeze_at_load =
-  let backend = Option.map backend_of_string backend in
   let t0 = Unix.gettimeofday () in
   let snap, origin, hash =
     match (snapshot_file, store_dir, store_name) with
     | Some file, _, _ ->
-      ( Snapshot.load_file ?backend ~freeze:freeze_at_load file,
+      ( Snapshot.load_file ~backend ~freeze:freeze_at_load file,
         Printf.sprintf "snapshot %s" file,
         Digest.to_hex (Digest.file file) )
     | None, Some dir, Some name ->
@@ -43,7 +42,7 @@ let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark ~backend
         fail "jeddd: %S does not name a snapshot in store %s" name dir;
       (* the ref may point at a differential snapshot: replay the chain *)
       let data = Jedd_store.Delta.load_chain cas name in
-      ( Snapshot.of_bytes ?backend ~freeze:freeze_at_load data,
+      ( Snapshot.of_bytes ~backend ~freeze:freeze_at_load data,
         Printf.sprintf "store %s/%s" dir name,
         Digest.to_hex (Digest.string data) )
     | None, Some _, None -> fail "jeddd: --store needs --name"
@@ -54,7 +53,7 @@ let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark ~backend
         else Workload.profile_named benchmark
       in
       let p = Workload.generate profile in
-      let inst, _ = Suite.run_combined ?backend ?node_limit p in
+      let inst, _ = Suite.run_combined ~backend ?node_limit p in
       let snap = Suite.snapshot ~meta:[ ("workload", benchmark) ] inst in
       ( snap,
         Printf.sprintf "cold run of %s" benchmark,
@@ -98,14 +97,14 @@ let parse_hostport ~what ~default_host s =
    incrementally on the shadow and swapped in as a new frozen
    generation; with --store/--tag, each generation is published under
    the ref as a differential snapshot. *)
-let make_live ~benchmark ~want_freeze ~save ~tag ~store_dir =
+let make_live ~benchmark ~backend ~want_freeze ~save ~tag ~store_dir =
   let profile =
     if benchmark = "tiny" then Workload.tiny
     else Workload.profile_named benchmark
   in
   let p = Workload.generate profile in
   let t0 = Unix.gettimeofday () in
-  let session = Jedd_analyses.Live.create p in
+  let session = Jedd_analyses.Live.create ~backend p in
   let snap_live =
     Suite.snapshot
       ~meta:[ ("workload", benchmark); ("jedd.generation", "0") ]
@@ -134,7 +133,7 @@ let make_live ~benchmark ~want_freeze ~save ~tag ~store_dir =
     | Some _, None -> fail "jeddd: --tag needs --store"
     | None, _ -> None
   in
-  let snap = Snapshot.of_bytes ~freeze:want_freeze bytes in
+  let snap = Snapshot.of_bytes ~backend ~freeze:want_freeze bytes in
   ( Some { Jedd_serve.Serve.session; initial_bytes = bytes; publish },
     (snap, hash) )
 
@@ -142,21 +141,16 @@ let run socket no_socket tcp http workers no_freeze sweep_threshold
     cache_capacity snapshot_file store_dir store_name benchmark backend
     node_limit save tag live =
   if workers < 1 then fail "jeddd: --workers must be >= 1";
-  let backend_name =
-    match backend with Some b -> Some b | None -> Sys.getenv_opt "JEDD_BACKEND"
-  in
-  (* serving revolves around levelized snapshots, which the
-     terminal-valued backend cannot export or import *)
-  if backend_name = Some "mtbdd" then
+  let backend = resolve_backend backend in
+  (* serving revolves around levelized snapshots *)
+  if not (Jedd_relation.Backend.levelizes backend) then
     fail
-      "jeddd: the mtbdd backend has no levelized snapshot format; use \
-       jedd-analyze --backend=mtbdd (or bench json10) for weighted runs";
-  (* only the in-core backend has an immutable arena to freeze into;
-     extmem, hybrid and mtbdd all raise on [Universe.freeze] *)
-  let is_incore =
-    match backend_name with None | Some "incore" -> true | Some _ -> false
-  in
-  let want_freeze = (not no_freeze) && is_incore in
+      "jeddd: the %s backend has no levelized snapshot format; use \
+       jedd-analyze --backend=%s for its runs"
+      (Jedd_relation.Backend.kind_name backend)
+      (Jedd_relation.Backend.kind_name backend);
+  let can_freeze = Jedd_relation.Backend.in_place backend in
+  let want_freeze = (not no_freeze) && can_freeze in
   let workers =
     if workers > 1 && not want_freeze then begin
       Printf.eprintf
@@ -171,11 +165,12 @@ let run socket no_socket tcp http workers no_freeze sweep_threshold
     fail
       "jeddd: --live re-solves edits, so it needs the program and always \
        runs a cold analysis; drop --snapshot/--name";
-  if live && not is_incore then
+  if live && not can_freeze then
     fail "jeddd: --live needs the in-core backend";
   let live_cfg, (snap, universe_hash) =
     try
-      if live then make_live ~benchmark ~want_freeze ~save ~tag ~store_dir
+      if live then
+        make_live ~benchmark ~backend ~want_freeze ~save ~tag ~store_dir
       else
         ( None,
           load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark

@@ -22,13 +22,15 @@ let node_count d =
 
 let support d = Array.to_list (Array.map (fun (l, _, _) -> l) d.blocks)
 
-let validate d =
+let validate ~num_vars d =
   let nblocks = Array.length d.blocks in
   (* level index: level -> node count, plus the ordering checks *)
   let counts = Hashtbl.create 16 in
   Array.iteri
     (fun bi (l, lo, hi) ->
       if l < 0 then malformed "negative level %d" l;
+      if l >= num_vars then
+        malformed "dump level %d outside manager order (%d vars)" l num_vars;
       if bi > 0 then begin
         let prev, _, _ = d.blocks.(bi - 1) in
         if l <= prev then malformed "levels not strictly ascending (%d after %d)" l prev
@@ -142,16 +144,10 @@ let of_manager m root =
   end
 
 let to_manager m d =
-  validate d;
+  validate ~num_vars:(Manager.num_vars m) d;
   if d.root = t_false then Manager.addref m Manager.zero
   else if d.root = t_true then Manager.addref m Manager.one
   else begin
-    let nvars = Manager.num_vars m in
-    Array.iter
-      (fun (l, _, _) ->
-        if l >= nvars then
-          malformed "dump level %d outside manager order (%d vars)" l nvars)
-      d.blocks;
     (* Bottom-up: deepest block first, so children always resolve.
        Every constructed node takes an external reference immediately —
        node allocation under a node budget may garbage-collect, and the

@@ -40,7 +40,10 @@ exception Malformed of string
     node, a child at or above its parent's level, or [lo = hi]
     (violating reducedness). *)
 
-val validate : t -> unit
+val validate : num_vars:int -> t -> unit
+(** Every level must also lie below [num_vars], the variable count of
+    the manager the dump is meant for. *)
+
 val node_count : t -> int
 
 val support : t -> int list

@@ -17,7 +17,12 @@ let size d = d.size
 let print_obj d i = d.printer i
 
 let bits d =
-  let rec go n acc = if n >= d.size then acc else go (n * 2) (acc + 1) in
+  (* [n * 2] would wrap past [max_int / 2]; every size fits 62 bits *)
+  let rec go n acc =
+    if n >= d.size then acc
+    else if n > max_int / 2 then acc + 1
+    else go (n * 2) (acc + 1)
+  in
   max 1 (go 1 0)
 
 let equal a b = a.uid = b.uid

@@ -5,16 +5,25 @@ exception Type_error of string
 
 let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
-type t = {
+(* A root has the node type of its universe's engine.  Operations on
+   one relation use that engine directly; a binary operation first
+   proves, in [same_universe], that both engines are one. *)
+type 'n rel = {
   u : Universe.t;
+  e : 'n B.engine;
   sch : Schema.t;
-  rt : B.node;
+  rt : 'n;
   lc : int Atomic.t;  (** the universe's live-root counter, captured so
                           [release] (a finaliser) never takes a lock *)
   mutable released : bool;
 }
 
-let backend r = Universe.backend r.u
+type t = R : 'n rel -> t [@@unboxed]
+
+let same_universe (type a b) name (e : a B.engine) (y : b rel) : a rel =
+  match Type.Id.provably_equal e.id y.e.id with
+  | Some Type.Equal -> y
+  | None -> type_error "%s: relations from different universes" name
 
 (* -- live-root accounting (per universe) --------------------------------
 
@@ -42,27 +51,27 @@ let live_counter u =
 
 let live_root_count u = Atomic.get (live_counter u)
 
-let release r =
+let release_rel (r : _ rel) =
   if not r.released then begin
     r.released <- true;
     Atomic.decr r.lc;
-    B.delref (backend r) r.rt
+    r.e.ops.delref r.rt
   end
 
-let make u sch rt =
-  B.addref (Universe.backend u) rt;
+let release (R r) = release_rel r
+
+let make u (e : 'n B.engine) sch (rt : 'n) =
+  e.ops.addref rt;
   let lc = live_counter u in
-  let r = { u; sch; rt; lc; released = false } in
+  let r = { u; e; sch; rt; lc; released = false } in
   Atomic.incr lc;
   (* The finaliser is the safety net of §4.2: eager releases come from
      [release], called by the interpreter's liveness analysis. *)
-  Gc.finalise release r;
+  Gc.finalise release_rel r;
   r
 
-let of_root u sch rt = make u sch rt
-
-let universe r = r.u
-let schema r = r.sch
+let universe (R r) = r.u
+let schema (R r) = r.sch
 
 let root r =
   if r.released then invalid_arg "Relation: use after release";
@@ -72,27 +81,26 @@ let root r =
 
 let now_ms () = Sys.time () *. 1000.0
 
-let profiled u ~op ~label ~operands f =
+let profiled u ~op ~label ~(operands : 'n rel list) (f : unit -> 'n rel) :
+    'n rel =
   match Universe.profile_level u with
   | Universe.Off -> f ()
   | lvl ->
-    let b = Universe.backend u in
     let snap = Universe.bdd_snapshot u in
     let t0 = now_ms () in
     let result = f () in
     let millis = now_ms () -. t0 in
     let bdd = Some (Universe.bdd_delta_since u snap) in
-    let operand_nodes = List.map (fun (r : t) -> B.nodecount b r.rt) operands in
-    let result_nodes = B.nodecount b result.rt in
+    let o = result.e.ops in
+    let operand_nodes = List.map (fun r -> o.nodecount r.rt) operands in
+    let result_nodes = o.nodecount result.rt in
     let result_tuples =
-      B.satcount b result.rt ~over:(Array.to_list (Schema.levels result.sch))
+      o.satcount result.rt ~over:(Array.to_list (Schema.levels result.sch))
     in
     let shapes =
       match lvl with
       | Universe.Shapes ->
-        Some
-          ( B.shape b result.rt,
-            List.map (fun (r : t) -> B.shape b r.rt) operands )
+        Some (o.shape result.rt, List.map (fun r -> o.shape r.rt) operands)
       | _ -> None
     in
     Universe.emit_op u
@@ -152,8 +160,7 @@ let scratch u ~bits ~avoid =
    only shrinks the operand, and only when a move narrows), the raw
    level-permutation pairs, and the levels of new high bits of wider
    targets that must be constrained to zero after the move. *)
-let layout_parts u rt moves =
-  let b = Universe.backend u in
+let layout_parts (o : 'n B.ops) (rt : 'n) moves =
   let moves = List.filter (fun (s, d) -> not (Physdom.equal s d)) moves in
   if moves = [] then (rt, [], [])
   else begin
@@ -165,7 +172,7 @@ let layout_parts u rt moves =
           if ws > wd then begin
             let lv = Physdom.levels src in
             let highs = Array.to_list (Array.sub lv 0 (ws - wd)) in
-            B.restrict b rt (List.map (fun l -> (l, false)) highs)
+            o.restrict rt (List.map (fun l -> (l, false)) highs)
           end
           else rt)
         rt moves
@@ -194,30 +201,34 @@ let layout_parts u rt moves =
     (rt, pairs, zero_levels)
   end
 
-let zero_cube b levels = B.cube b (List.map (fun l -> (l, false)) levels)
+(* The left operand of a join or compose absorbs the zero-constraint on
+   any new high bits of the (unmaterialised) aligned right operand:
+   [f /\ (perm(g) /\ Z)] = [(f /\ Z) /\ perm(g)], and conjoining a small
+   cube into [f] is linear in [f]. *)
+let absorb_zero_levels (o : 'n B.ops) (rt : 'n) zero_levels =
+  if zero_levels = [] then rt
+  else o.band rt (o.cube (List.map (fun l -> (l, false)) zero_levels))
 
-let change_layout u rt moves =
-  let b = Universe.backend u in
-  let rt, pairs, zero_levels = layout_parts u rt moves in
-  let rt = if pairs = [] then rt else B.replace b rt pairs in
-  if zero_levels = [] then rt else B.band b rt (zero_cube b zero_levels)
+let change_layout (o : 'n B.ops) (rt : 'n) moves =
+  let rt, pairs, zero_levels = layout_parts o rt moves in
+  let rt = if pairs = [] then rt else o.replace rt pairs in
+  absorb_zero_levels o rt zero_levels
 
 (* Equality constraint between two physical domains holding the same
    domain's values (used by attribute copy). *)
-let phys_equality u pa pb =
-  let b = Universe.backend u in
+let phys_equality (o : 'n B.ops) pa pb : 'n =
   let la = Physdom.levels pa and lb = Physdom.levels pb in
   let wa = Array.length la and wb = Array.length lb in
   let k = min wa wb in
-  let acc = ref (B.one b) in
+  let acc = ref (o.one ()) in
   for i = 0 to k - 1 do
-    let eq = B.biimp_vars b la.(wa - 1 - i) lb.(wb - 1 - i) in
-    acc := B.band b !acc eq
+    let eq = o.biimp_vars la.(wa - 1 - i) lb.(wb - 1 - i) in
+    acc := o.band !acc eq
   done;
   (* extra high bits of the wider side must be zero *)
   let force_zero levels extra =
     for i = 0 to extra - 1 do
-      acc := B.band b !acc (B.cube b [ (levels.(i), false) ])
+      acc := o.band !acc (o.cube [ (levels.(i), false) ])
     done
   in
   if wa > wb then force_zero la (wa - wb);
@@ -226,23 +237,25 @@ let phys_equality u pa pb =
 
 (* -- construction -------------------------------------------------------- *)
 
-let empty u sch = make u sch (B.zero (Universe.backend u))
+let empty u sch =
+  let (B.Engine e) = Universe.backend u in
+  R (make u e sch (e.ops.zero ()))
 
 let full u sch =
   Universe.checkpoint u;
-  let b = Universe.backend u in
+  let (B.Engine e) = Universe.backend u in
+  let o = e.ops in
   let rt =
     List.fold_left
-      (fun acc (e : Schema.entry) ->
-        B.band b acc
-          (B.less_than b (Physdom.block e.phys)
-             (Domain.size (Attribute.domain e.attr))))
-      (B.one b) (Schema.entries sch)
+      (fun acc (en : Schema.entry) ->
+        o.band acc
+          (o.less_than (Physdom.block en.phys)
+             (Domain.size (Attribute.domain en.attr))))
+      (o.one ()) (Schema.entries sch)
   in
-  make u sch rt
+  R (make u e sch rt)
 
-let tuple_root u sch objs =
-  let b = Universe.backend u in
+let tuple_root (o : 'n B.ops) sch objs : 'n =
   let entries = Schema.entries sch in
   if List.length objs <> List.length entries then
     type_error "tuple arity %d does not match schema %s" (List.length objs)
@@ -252,26 +265,28 @@ let tuple_root u sch objs =
       let d = Attribute.domain e.attr in
       if v < 0 || v >= Domain.size d then
         type_error "object %d out of range for domain %s" v (Domain.name d);
-      B.band b acc (B.ithval b (Physdom.block e.phys) v))
-    (B.one b) entries objs
+      o.band acc (o.ithval (Physdom.block e.phys) v))
+    (o.one ()) entries objs
 
 let tuple u sch objs =
   Universe.checkpoint u;
-  make u sch (tuple_root u sch objs)
+  let (B.Engine e) = Universe.backend u in
+  R (make u e sch (tuple_root e.ops sch objs))
 
 let of_tuples u sch tuples =
   Universe.checkpoint u;
-  let b = Universe.backend u in
+  let (B.Engine e) = Universe.backend u in
+  let o = e.ops in
   let rt =
     List.fold_left
-      (fun acc objs -> B.bor b acc (tuple_root u sch objs))
-      (B.zero b) tuples
+      (fun acc objs -> o.bor acc (tuple_root o sch objs))
+      (o.zero ()) tuples
   in
-  make u sch rt
+  R (make u e sch rt)
 
 (* -- layout coercion ------------------------------------------------------ *)
 
-let coerce ?(label = "") r target =
+let coerce_rel ?(label = "") (r : 'n rel) target : 'n rel =
   if not (Schema.same_attrs r.sch target) then
     type_error "coerce: schemas %s and %s differ in attributes"
       (Schema.to_string r.sch) (Schema.to_string target);
@@ -284,7 +299,7 @@ let coerce ?(label = "") r target =
           Attribute.equal a.attr b.attr)
         (Schema.entries r.sch) (Schema.entries target)
     in
-    if same_order then r else make r.u target (root r)
+    if same_order then r else make r.u r.e target (root r)
   end
   else begin
     Universe.checkpoint r.u;
@@ -297,10 +312,12 @@ let coerce ?(label = "") r target =
               else Some (e.phys, e'.phys))
             (Schema.entries r.sch)
         in
-        make r.u target (change_layout r.u (root r) moves))
+        make r.u r.e target (change_layout r.e.ops (root r) moves))
   end
 
-let replace ?(label = "") r assignment =
+let coerce ?label (R r) target = R (coerce_rel ?label r target)
+
+let replace ?(label = "") (R r) assignment =
   let target =
     Schema.make
       (List.map
@@ -318,38 +335,46 @@ let replace ?(label = "") r assignment =
         type_error "replace: attribute %s not in schema %s" (Attribute.name a)
           (Schema.to_string r.sch))
     assignment;
-  coerce ~label r target
+  R (coerce_rel ~label r target)
 
 (* -- set operations -------------------------------------------------------- *)
 
-let set_op name bdd_op ?(label = "") x y =
+let set_op name op ?(label = "") (R x) (R y) =
+  let y = same_universe name x.e y in
   if not (Schema.same_attrs x.sch y.sch) then
     type_error "%s: incompatible schemas %s and %s" name
       (Schema.to_string x.sch) (Schema.to_string y.sch);
   Universe.checkpoint x.u;
-  let y = coerce ~label y x.sch in
-  profiled x.u ~op:name ~label ~operands:[ x; y ] (fun () ->
-      make x.u x.sch (bdd_op (Universe.backend x.u) (root x) (root y)))
+  let y = coerce_rel ~label y x.sch in
+  let o = x.e.ops in
+  let bdd_op =
+    match op with `Union -> o.bor | `Inter -> o.band | `Diff -> o.bdiff
+  in
+  R
+    (profiled x.u ~op:name ~label ~operands:[ x; y ] (fun () ->
+         make x.u x.e x.sch (bdd_op (root x) (root y))))
 
-let union ?label x y = set_op "union" B.bor ?label x y
-let inter ?label x y = set_op "intersect" B.band ?label x y
-let diff ?label x y = set_op "difference" B.bdiff ?label x y
+let union ?label x y = set_op "union" `Union ?label x y
+let inter ?label x y = set_op "intersect" `Inter ?label x y
+let diff ?label x y = set_op "difference" `Diff ?label x y
 
-let equal x y =
+let equal (R x) (R y) =
+  let y = same_universe "equal" x.e y in
   if not (Schema.same_attrs x.sch y.sch) then
     type_error "equal: incompatible schemas %s and %s"
       (Schema.to_string x.sch) (Schema.to_string y.sch);
-  let y = coerce y x.sch in
-  B.equal (backend x) (root x) (root y)
+  let y = coerce_rel y x.sch in
+  x.e.ops.equal (root x) (root y)
 
-let is_empty r = B.is_zero (backend r) (root r)
+let is_empty (R r) =
+  r.e.ops.is_zero (root r)
 
-let size r =
-  B.satcount (backend r) (root r) ~over:(Array.to_list (Schema.levels r.sch))
+let size (R r) =
+  r.e.ops.satcount (root r) ~over:(Array.to_list (Schema.levels r.sch))
 
 (* -- projection and attribute operations ----------------------------------- *)
 
-let project_away ?(label = "") r attrs =
+let project_away ?(label = "") (R r) attrs =
   List.iter
     (fun a ->
       if not (Schema.mem r.sch a) then
@@ -357,22 +382,22 @@ let project_away ?(label = "") r attrs =
           (Schema.to_string r.sch))
     attrs;
   Universe.checkpoint r.u;
-  profiled r.u ~op:"project" ~label ~operands:[ r ] (fun () ->
-      let b = backend r in
-      let removed, kept =
-        List.partition
-          (fun (e : Schema.entry) ->
-            List.exists (Attribute.equal e.attr) attrs)
-          (Schema.entries r.sch)
-      in
-      let levels =
-        List.concat_map
-          (fun (e : Schema.entry) -> Array.to_list (Physdom.levels e.phys))
-          removed
-      in
-      make r.u (Schema.make kept) (B.exist b (root r) levels))
+  R
+    (profiled r.u ~op:"project" ~label ~operands:[ r ] (fun () ->
+         let removed, kept =
+           List.partition
+             (fun (e : Schema.entry) ->
+               List.exists (Attribute.equal e.attr) attrs)
+             (Schema.entries r.sch)
+         in
+         let levels =
+           List.concat_map
+             (fun (e : Schema.entry) -> Array.to_list (Physdom.levels e.phys))
+             removed
+         in
+         make r.u r.e (Schema.make kept) (r.e.ops.exist (root r) levels)))
 
-let rename ?(label = "") r renames =
+let rename ?(label = "") (R r) renames =
   ignore label;
   let entries =
     List.map
@@ -396,9 +421,9 @@ let rename ?(label = "") r renames =
           (Schema.to_string r.sch))
     renames;
   (* No BDD work: only the attribute -> physical domain map changes. *)
-  make r.u (Schema.make entries) (root r)
+  R (make r.u r.e (Schema.make entries) (root r))
 
-let copy ?(label = "") ?phys r a ~as_ =
+let copy ?(label = "") ?phys (R r) a ~as_ =
   if not (Schema.mem r.sch a) then
     type_error "copy: attribute %s not in schema %s" (Attribute.name a)
       (Schema.to_string r.sch);
@@ -409,29 +434,31 @@ let copy ?(label = "") ?phys r a ~as_ =
     type_error "copy: %s and %s have different domains" (Attribute.name a)
       (Attribute.name as_);
   Universe.checkpoint r.u;
-  profiled r.u ~op:"copy" ~label ~operands:[ r ] (fun () ->
-      let src = Schema.phys_of r.sch a in
-      let target =
-        match phys with
-        | Some p -> p
-        | None ->
-          scratch r.u
-            ~bits:(Domain.bits (Attribute.domain a))
-            ~avoid:(List.map (fun (e : Schema.entry) -> e.phys)
-                      (Schema.entries r.sch))
-      in
-      let entries =
-        Schema.entries r.sch @ [ { Schema.attr = as_; phys = target } ]
-      in
-      let rt = B.band (backend r) (root r) (phys_equality r.u src target) in
-      make r.u (Schema.make entries) rt)
+  R
+    (profiled r.u ~op:"copy" ~label ~operands:[ r ] (fun () ->
+         let src = Schema.phys_of r.sch a in
+         let target =
+           match phys with
+           | Some p -> p
+           | None ->
+             scratch r.u
+               ~bits:(Domain.bits (Attribute.domain a))
+               ~avoid:(List.map (fun (e : Schema.entry) -> e.phys)
+                         (Schema.entries r.sch))
+         in
+         let entries =
+           Schema.entries r.sch @ [ { Schema.attr = as_; phys = target } ]
+         in
+         let o = r.e.ops in
+         let rt = o.band (root r) (phys_equality o src target) in
+         make r.u r.e (Schema.make entries) rt))
 
 (* -- join and composition --------------------------------------------------- *)
 
 (* Shared front half of join and compose: dynamic type checks, then
    relayout of the right operand so compared attributes share physical
    domains with the left and everything else is collision-free. *)
-let align name x cmp_x y cmp_y =
+let align name (x : 'n rel) cmp_x (y : 'n rel) cmp_y =
   if List.length cmp_x <> List.length cmp_y then
     type_error "%s: attribute lists differ in length" name;
   let check_in sch a =
@@ -513,7 +540,7 @@ let align name x cmp_x y cmp_y =
      the backend's fused product (relprod_replace), which
      conjoins/quantifies against the permuted operand in one recursion
      (§2.2.3's one-pass argument, extended to the re-layout itself). *)
-  let y_pre, pairs, zero_levels = layout_parts x.u (root y) moves in
+  let y_pre, pairs, zero_levels = layout_parts x.e.ops (root y) moves in
   let y_entries' =
     List.map
       (fun ((e : Schema.entry), t) -> { e with Schema.phys = t })
@@ -533,66 +560,62 @@ let result_disjointness name left_entries right_entries =
           (Attribute.name e.attr))
     left_entries
 
-(* The left operand absorbs the zero-constraint on any new high bits of
-   the (unmaterialised) aligned right operand:
-   [f /\ (perm(g) /\ Z)] = [(f /\ Z) /\ perm(g)], and conjoining a small
-   cube into [f] is linear in [f]. *)
-let absorb_zero_levels b x_root zero_levels =
-  if zero_levels = [] then x_root
-  else B.band b x_root (zero_cube b zero_levels)
-
-let join ?(label = "") x cmp_x y cmp_y =
+let join ?(label = "") (R x) cmp_x (R y) cmp_y =
+  let y = same_universe "join" x.e y in
   Universe.checkpoint x.u;
-  profiled x.u ~op:"join" ~label ~operands:[ x; y ] (fun () ->
-      let y_pre, pairs, zero_levels, y_entries' =
-        align "join" x cmp_x y cmp_y
-      in
-      let kept_right =
-        List.filter
-          (fun (e : Schema.entry) ->
-            not (List.exists (Attribute.equal e.attr) cmp_y))
-          y_entries'
-      in
-      result_disjointness "join" (Schema.entries x.sch) kept_right;
-      let b = Universe.backend x.u in
-      let xr = absorb_zero_levels b (root x) zero_levels in
-      (* Fused conjunction-with-permutation: no aligned intermediate. *)
-      let rt = B.relprod_replace b xr y_pre pairs [] in
-      make x.u (Schema.make (Schema.entries x.sch @ kept_right)) rt)
+  R
+    (profiled x.u ~op:"join" ~label ~operands:[ x; y ] (fun () ->
+         let y_pre, pairs, zero_levels, y_entries' =
+           align "join" x cmp_x y cmp_y
+         in
+         let kept_right =
+           List.filter
+             (fun (e : Schema.entry) ->
+               not (List.exists (Attribute.equal e.attr) cmp_y))
+             y_entries'
+         in
+         result_disjointness "join" (Schema.entries x.sch) kept_right;
+         let o = x.e.ops in
+         let xr = absorb_zero_levels o (root x) zero_levels in
+         (* Fused conjunction-with-permutation: no aligned intermediate. *)
+         let rt = o.relprod_replace xr y_pre pairs [] in
+         make x.u x.e (Schema.make (Schema.entries x.sch @ kept_right)) rt))
 
-let compose ?(label = "") x cmp_x y cmp_y =
+let compose ?(label = "") (R x) cmp_x (R y) cmp_y =
+  let y = same_universe "compose" x.e y in
   Universe.checkpoint x.u;
-  profiled x.u ~op:"compose" ~label ~operands:[ x; y ] (fun () ->
-      let y_pre, pairs, zero_levels, y_entries' =
-        align "compose" x cmp_x y cmp_y
-      in
-      let b = Universe.backend x.u in
-      let kept_left =
-        List.filter
-          (fun (e : Schema.entry) ->
-            not (List.exists (Attribute.equal e.attr) cmp_x))
-          (Schema.entries x.sch)
-      in
-      let kept_right =
-        List.filter
-          (fun (e : Schema.entry) ->
-            not (List.exists (Attribute.equal e.attr) cmp_y))
-          y_entries'
-      in
-      result_disjointness "compose" kept_left kept_right;
-      let qlevels =
-        List.concat_map
-          (fun a -> Array.to_list (Physdom.levels (Schema.phys_of x.sch a)))
-          cmp_x
-      in
-      (* The one-pass relational product the paper says makes composition
-         cheaper than join-then-project (§2.2.3), further fused with the
-         right operand's re-layout so no aligned intermediate is built. *)
-      let xr = absorb_zero_levels b (root x) zero_levels in
-      let rt = B.relprod_replace b xr y_pre pairs qlevels in
-      make x.u (Schema.make (kept_left @ kept_right)) rt)
+  R
+    (profiled x.u ~op:"compose" ~label ~operands:[ x; y ] (fun () ->
+         let y_pre, pairs, zero_levels, y_entries' =
+           align "compose" x cmp_x y cmp_y
+         in
+         let kept_left =
+           List.filter
+             (fun (e : Schema.entry) ->
+               not (List.exists (Attribute.equal e.attr) cmp_x))
+             (Schema.entries x.sch)
+         in
+         let kept_right =
+           List.filter
+             (fun (e : Schema.entry) ->
+               not (List.exists (Attribute.equal e.attr) cmp_y))
+             y_entries'
+         in
+         result_disjointness "compose" kept_left kept_right;
+         let qlevels =
+           List.concat_map
+             (fun a -> Array.to_list (Physdom.levels (Schema.phys_of x.sch a)))
+             cmp_x
+         in
+         (* The one-pass relational product the paper says makes composition
+            cheaper than join-then-project (§2.2.3), further fused with the
+            right operand's re-layout so no aligned intermediate is built. *)
+         let o = x.e.ops in
+         let xr = absorb_zero_levels o (root x) zero_levels in
+         let rt = o.relprod_replace xr y_pre pairs qlevels in
+         make x.u x.e (Schema.make (kept_left @ kept_right)) rt))
 
-let select ?(label = "") r bindings =
+let select ?(label = "") (R r) bindings =
   List.iter
     (fun (a, _) ->
       if not (Schema.mem r.sch a) then
@@ -600,30 +623,30 @@ let select ?(label = "") r bindings =
           (Schema.to_string r.sch))
     bindings;
   Universe.checkpoint r.u;
-  profiled r.u ~op:"select" ~label ~operands:[ r ] (fun () ->
-      let b = backend r in
-      let constraint_bdd =
-        List.fold_left
-          (fun acc (a, v) ->
-            let e = Schema.find r.sch a in
-            let d = Attribute.domain a in
-            if v < 0 || v >= Domain.size d then
-              type_error "select: object %d out of range for domain %s" v
-                (Domain.name d);
-            B.band b acc (B.ithval b (Physdom.block e.phys) v))
-          (B.one b) bindings
-      in
-      make r.u r.sch (B.band b (root r) constraint_bdd))
+  R
+    (profiled r.u ~op:"select" ~label ~operands:[ r ] (fun () ->
+         let o = r.e.ops in
+         let constraint_bdd =
+           List.fold_left
+             (fun acc (a, v) ->
+               let e = Schema.find r.sch a in
+               let d = Attribute.domain a in
+               if v < 0 || v >= Domain.size d then
+                 type_error "select: object %d out of range for domain %s" v
+                   (Domain.name d);
+               o.band acc (o.ithval (Physdom.block e.phys) v))
+             (o.one ()) bindings
+         in
+         make r.u r.e r.sch (o.band (root r) constraint_bdd)))
 
 (* -- extraction -------------------------------------------------------------- *)
 
-let iter_tuples r k =
-  let b = backend r in
+let iter_tuples (R r) k =
   let m = Universe.manager r.u in
   let levels = Schema.levels r.sch in
   let entries = Array.of_list (Schema.entries r.sch) in
   let tuple = Array.make (Array.length entries) 0 in
-  B.iter_assignments b (root r) ~levels (fun values ->
+  r.e.ops.iter_assignments (root r) ~levels (fun values ->
       Array.iteri
         (fun i (e : Schema.entry) ->
           tuple.(i) <- Fdd.decode m (Physdom.block e.phys) ~levels values)
@@ -636,21 +659,21 @@ let tuples r =
   List.sort compare !acc
 
 let iter_objects r k =
-  match Schema.entries r.sch with
+  match Schema.entries (schema r) with
   | [ _ ] -> iter_tuples r (fun t -> k t.(0))
   | _ ->
     type_error "iter_objects: relation %s does not have exactly one attribute"
-      (Schema.to_string r.sch)
+      (Schema.to_string (schema r))
 
-let dup r = make r.u r.sch (root r)
+let dup (R r) = R (make r.u r.e r.sch (root r))
 
 (* Relations hold BDD roots through stable handles, and every operation
    derives levels/permutations from the current order at call time, so
    reordering between operations is always safe. *)
-let reorder r = Universe.reorder ~trigger:"relation" r.u
+let reorder r = Universe.reorder ~trigger:"relation" (universe r)
 
 let pp ppf r =
-  let entries = Schema.entries r.sch in
+  let entries = Schema.entries (schema r) in
   let header = List.map (fun (e : Schema.entry) -> Attribute.name e.attr) entries in
   let rows =
     List.map
@@ -682,47 +705,69 @@ let pp ppf r =
 
 let to_string r = Format.asprintf "%a" pp r
 
+(* -- levelized dumps (serialization) --------------------------------------- *)
+
+type levelized = {
+  export : t -> Jedd_bdd.Levelized.t;
+  import : Schema.t -> Jedd_bdd.Levelized.t -> t;
+}
+
+let levelized u =
+  let (B.Engine e) = Universe.backend u in
+  Option.map
+    (fun (lv : _ B.levelized) ->
+      {
+        export = (fun (R r) -> lv.export (root (same_universe "export" e r)));
+        import =
+          (fun sch d ->
+            let rt = lv.import d in
+            let r = make u e sch rt in
+            e.ops.delref rt;
+            R r);
+      })
+    e.levelized
+
 (* -- weighted relations (mtbdd backend) ---------------------------------- *)
 
 (* Per-tuple integer weights, carried as MTBDD terminal values.  Every
-   function below needs the terminal-valued engine; on the boolean
-   backends there is nowhere to keep a weight, so they are type errors
-   rather than silently-lossy approximations. *)
+   function below needs the engine's weights; on the boolean backends
+   there is nowhere to keep a weight, so they are type errors rather
+   than silently-lossy approximations. *)
 
-let require_mtbdd name u =
-  let k = Universe.backend_kind u in
-  if k <> `Mtbdd then
+let weights name (e : 'n B.engine) : 'n B.weights =
+  match e.weights with
+  | Some w -> w
+  | None ->
     type_error "%s: requires an mtbdd universe (this one is %s)" name
-      (B.kind_name k)
+      (B.kind_name e.kind)
 
 let of_weighted_tuples u sch wtuples =
-  require_mtbdd "Relation.of_weighted_tuples" u;
+  let (B.Engine e) = Universe.backend u in
+  let w = weights "Relation.of_weighted_tuples" e in
   Universe.checkpoint u;
-  let b = Universe.backend u in
+  let o = e.ops in
   let rt =
     (* accumulate with addition so duplicate tuples sum their weights *)
     List.fold_left
-      (fun acc (objs, w) ->
-        if w < 0 then
-          type_error "of_weighted_tuples: negative weight %d" w;
-        B.wadd b acc (B.wscale b (tuple_root u sch objs) w))
-      (B.zero b) wtuples
+      (fun acc (objs, k) ->
+        if k < 0 then type_error "of_weighted_tuples: negative weight %d" k;
+        w.add acc (w.scale (tuple_root o sch objs) k))
+      (o.zero ()) wtuples
   in
-  make u sch rt
+  R (make u e sch rt)
 
-let iter_weighted_tuples r k =
-  require_mtbdd "Relation.iter_weighted_tuples" r.u;
-  let b = backend r in
+let iter_weighted_tuples (R r) k =
+  let w = weights "Relation.iter_weighted_tuples" r.e in
   let m = Universe.manager r.u in
   let levels = Schema.levels r.sch in
   let entries = Array.of_list (Schema.entries r.sch) in
   let tuple = Array.make (Array.length entries) 0 in
-  B.iter_weighted b (root r) ~levels (fun values w ->
+  w.iter_weighted (root r) ~levels (fun values weight ->
       Array.iteri
         (fun i (e : Schema.entry) ->
           tuple.(i) <- Fdd.decode m (Physdom.block e.phys) ~levels values)
         entries;
-      k tuple w)
+      k tuple weight)
 
 let weight_of_tuples r =
   let acc = ref [] in
@@ -734,29 +779,25 @@ let fold_weighted r ~init ~f =
   iter_weighted_tuples r (fun t w -> acc := f !acc (Array.to_list t) w);
   !acc
 
-(* Read the value of a constant (terminal) diagram: enumerate over no
-   levels — the callback fires once with the terminal's weight, or not
-   at all for the zero terminal. *)
-let constant_weight b n =
-  let w = ref 0 in
-  B.iter_weighted b n ~levels:[||] (fun _ v -> w := v);
-  !w
+(* The weight summed over every assignment of [levels]: project them
+   away, then read the constant (terminal) diagram left — the callback
+   fires once with the terminal's weight, or not at all for zero. *)
+let summed_weight (w : _ B.weights) n levels =
+  let total = ref 0 in
+  w.iter_weighted (w.sum_exist n levels) ~levels:[||] (fun _ v -> total := v);
+  !total
 
-let total_weight r =
-  require_mtbdd "Relation.total_weight" r.u;
-  let b = backend r in
-  constant_weight b
-    (B.wsum_exist b (root r) (Array.to_list (Schema.levels r.sch)))
+let total_weight (R r) =
+  let w = weights "Relation.total_weight" r.e in
+  summed_weight w (root r) (Array.to_list (Schema.levels r.sch))
 
-let weight_of r objs =
-  require_mtbdd "Relation.weight_of" r.u;
-  let b = backend r in
-  let masked = B.wmul b (root r) (tuple_root r.u r.sch objs) in
-  constant_weight b
-    (B.wsum_exist b masked (Array.to_list (Schema.levels r.sch)))
+let weight_of (R r) objs =
+  let w = weights "Relation.weight_of" r.e in
+  let masked = w.mul (root r) (tuple_root r.e.ops r.sch objs) in
+  summed_weight w masked (Array.to_list (Schema.levels r.sch))
 
-let project_sum ?(label = "") r attrs =
-  require_mtbdd "Relation.project_sum" r.u;
+let project_sum ?(label = "") (R r) attrs =
+  let w = weights "Relation.project_sum" r.e in
   List.iter
     (fun a ->
       if not (Schema.mem r.sch a) then
@@ -764,30 +805,32 @@ let project_sum ?(label = "") r attrs =
           (Attribute.name a) (Schema.to_string r.sch))
     attrs;
   Universe.checkpoint r.u;
-  profiled r.u ~op:"project_sum" ~label ~operands:[ r ] (fun () ->
-      let b = backend r in
-      let removed, kept =
-        List.partition
-          (fun (e : Schema.entry) ->
-            List.exists (Attribute.equal e.attr) attrs)
-          (Schema.entries r.sch)
-      in
-      let levels =
-        List.concat_map
-          (fun (e : Schema.entry) -> Array.to_list (Physdom.levels e.phys))
-          removed
-      in
-      make r.u (Schema.make kept) (B.wsum_exist b (root r) levels))
+  R
+    (profiled r.u ~op:"project_sum" ~label ~operands:[ r ] (fun () ->
+         let removed, kept =
+           List.partition
+             (fun (e : Schema.entry) ->
+               List.exists (Attribute.equal e.attr) attrs)
+             (Schema.entries r.sch)
+         in
+         let levels =
+           List.concat_map
+             (fun (e : Schema.entry) -> Array.to_list (Physdom.levels e.phys))
+             removed
+         in
+         make r.u r.e (Schema.make kept) (w.sum_exist (root r) levels)))
 
-let scale ?(label = "") r k =
-  require_mtbdd "Relation.scale" r.u;
+let scale ?(label = "") (R r) k =
+  let w = weights "Relation.scale" r.e in
   if k < 0 then type_error "scale: negative factor %d" k;
   Universe.checkpoint r.u;
-  profiled r.u ~op:"scale" ~label ~operands:[ r ] (fun () ->
-      make r.u r.sch (B.wscale (backend r) (root r) k))
+  R
+    (profiled r.u ~op:"scale" ~label ~operands:[ r ] (fun () ->
+         make r.u r.e r.sch (w.scale (root r) k)))
 
-let threshold ?(label = "") r k =
-  require_mtbdd "Relation.threshold" r.u;
+let threshold ?(label = "") (R r) k =
+  let w = weights "Relation.threshold" r.e in
   Universe.checkpoint r.u;
-  profiled r.u ~op:"threshold" ~label ~operands:[ r ] (fun () ->
-      make r.u r.sch (B.wthreshold (backend r) (root r) k))
+  R
+    (profiled r.u ~op:"threshold" ~label ~operands:[ r ] (fun () ->
+         make r.u r.e r.sch (w.threshold (root r) k)))

@@ -19,6 +19,10 @@
     triggers this path except where the translator planned it. *)
 
 type t
+(** A schema plus a BDD root in the engine of its universe
+    ({!Backend.t}).  The root's type is that engine's node type, so
+    roots of two engines never mix: every binary operation below raises
+    {!Type_error} on operands from different universes. *)
 
 exception Type_error of string
 (** Raised by the dynamic checks mirroring the paper's type rules
@@ -27,9 +31,6 @@ exception Type_error of string
 
 val universe : t -> Universe.t
 val schema : t -> Schema.t
-val root : t -> Backend.node
-(** The underlying BDD, in whichever backend the relation's universe
-    runs on (for profilers, benchmarks, and tests). *)
 
 (** {2 Construction} *)
 
@@ -46,11 +47,6 @@ val of_tuples : Universe.t -> Schema.t -> int list list -> t
     order) — the [new { o=>attr, ... }] literal, repeated. *)
 
 val tuple : Universe.t -> Schema.t -> int list -> t
-
-val of_root : Universe.t -> Schema.t -> Backend.node -> t
-(** Wrap an existing backend root (taking a fresh reference on it) —
-    the import half of the serialization layer.  The root's support
-    must lie within the schema's levels; no check is performed here. *)
 
 (** {2 Set operations and comparison (§2.2.1)} *)
 
@@ -136,6 +132,25 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
+(** {2 Levelized dumps}
+
+    The serialization layer's view of roots ({!Backend.levelized}). *)
+
+type levelized = {
+  export : t -> Jedd_bdd.Levelized.t;
+      (** Dump a relation's root; {!Type_error} on a relation of
+          another universe. *)
+  import : Schema.t -> Jedd_bdd.Levelized.t -> t;
+      (** Rebuild a root and wrap it at the schema, whose levels must
+          hold the dump's support (not checked here).  Validates the
+          dump first ({!Jedd_bdd.Levelized.Malformed}). *)
+}
+
+val levelized : Universe.t -> levelized option
+(** [None] when the universe's engine has no levelized form
+    ([`Mtbdd]: terminal weights do not fit the boolean node-file
+    format); callers refuse that case themselves. *)
+
 (** {2 Weighted relations (mtbdd backend)}
 
     Per-tuple non-negative integer weights, carried as MTBDD terminal
@@ -144,8 +159,9 @@ val to_string : t -> string
     0/1-embedding semantics ({!inter} preserves weights, {!union} takes
     the pointwise max, {!size}/{!tuples} see the support), while the
     functions here read and transform the weights themselves.  All of
-    them raise {!Type_error} on a boolean-backend universe.  Weights
-    saturate at [Backend.wvalue_cap]. *)
+    them raise {!Type_error} on a universe without the weights
+    capability ({!Backend.weights}).  Weights saturate at
+    [Jedd_mtbdd.Mtbdd.value_cap]. *)
 
 val of_weighted_tuples : Universe.t -> Schema.t -> (int list * int) list -> t
 (** Build a weighted relation from (tuple, weight) pairs.  Duplicate

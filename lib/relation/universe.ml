@@ -47,17 +47,20 @@ type t = {
 
 let counter = ref 0
 
-let backend_of_env () =
-  match Sys.getenv_opt "JEDD_BACKEND" with
-  | None | Some "" -> `Incore
-  | Some s -> (
+let resolve_backend flag =
+  match (flag, Sys.getenv_opt "JEDD_BACKEND") with
+  | Some s, _ -> Backend.kind_of_string s
+  | None, (None | Some "") -> `Incore
+  | None, Some s -> (
     try Backend.kind_of_string s
     with Invalid_argument msg ->
       invalid_arg (Printf.sprintf "JEDD_BACKEND=%s: %s" s msg))
 
 let create ?(node_capacity = 1 lsl 16) ?node_limit ?backend () =
   incr counter;
-  let kind = match backend with Some k -> k | None -> backend_of_env () in
+  let kind =
+    match backend with Some k -> k | None -> resolve_backend None
+  in
   let manager = Jedd_bdd.Manager.create ~node_capacity ?node_limit () in
   {
     manager;
@@ -81,20 +84,21 @@ let set_node_limit u limit = Jedd_bdd.Manager.set_node_limit u.manager limit
 let register_block u ~name ~vars =
   Jedd_reorder.Reorder.register_block u.engine ~name ~vars
 
-(* Dynamic reordering rewires the in-core node store in place; an
-   external-memory universe bakes levels into its node files, so
-   reordering is disabled there and both entry points degrade to
-   no-ops. *)
+let frozen u = Jedd_bdd.Manager.frozen u.manager
+
+(* Dynamic reordering rewires the in-core node store in place; the other
+   engines bake levels into their node files or stores, so both entry
+   points degrade to no-ops there. *)
 let reorder ?(trigger = "explicit") u =
-  if Backend.frozen u.backend then
+  if frozen u then
     raise
       (Jedd_bdd.Manager.Frozen
          "Universe.reorder: the universe is frozen (read-only serving mode)");
-  if Backend.supports_reorder u.backend then
+  if Backend.in_place (backend_kind u) then
     Jedd_reorder.Reorder.sift ~trigger u.engine
 
 let set_auto_reorder u threshold =
-  if Backend.supports_reorder u.backend then
+  if Backend.in_place (backend_kind u) then
     match threshold with
     | Some n -> Jedd_reorder.Reorder.install_auto u.engine ~threshold:n
     | None -> Jedd_reorder.Reorder.disable_auto u.engine
@@ -222,14 +226,21 @@ let next_scratch_name u =
   u.scratch_counter <- u.scratch_counter + 1;
   Printf.sprintf "__scratch%d" u.scratch_counter
 
-let checkpoint u = Backend.checkpoint u.backend
+let checkpoint u =
+  let (Backend.Engine e) = u.backend in
+  e.ops.checkpoint ()
 
 (* -- frozen (read-only serving) mode ------------------------------------ *)
 
 let freeze u =
+  let kind = backend_kind u in
+  if not (Backend.in_place kind) then
+    invalid_arg
+      (Printf.sprintf
+         "Universe.freeze: the %s backend cannot be frozen (only the \
+          in-core node table has a read-only form)"
+         (Backend.kind_name kind));
   Jedd_reorder.Reorder.disable_auto u.engine;
-  Backend.freeze u.backend
-
-let frozen u = Backend.frozen u.backend
+  Jedd_bdd.Manager.freeze u.manager
 
 let cleanup u = Backend.cleanup u.backend

@@ -72,12 +72,18 @@ val bdd_delta_since : t -> bdd_snapshot -> bdd_delta
 
 type profile_level = Off | Counts | Shapes
 
+val resolve_backend : string option -> Backend.kind
+(** The backend a [--backend] flag names, or without one the backend
+    the [JEDD_BACKEND] environment variable names ([`Incore] when it is
+    unset or empty).  The one resolution of that choice: {!create} and
+    every command-line tool use it.  [Invalid_argument] on an unknown
+    name ({!Backend.kind_of_string}). *)
+
 val create :
   ?node_capacity:int -> ?node_limit:int -> ?backend:Backend.kind -> unit -> t
 (** [create ()] makes a universe over a fresh manager.  [backend]
-    selects the relation engine; when omitted it is read from the
-    [JEDD_BACKEND] environment variable (["incore"] or ["extmem"],
-    default in-core).  [node_limit] caps the manager's node table —
+    selects the relation engine; when omitted it is
+    [resolve_backend None].  [node_limit] caps the manager's node table —
     exceeding it raises [Jedd_bdd.Manager.Out_of_nodes]
     ({!set_node_limit} adjusts it later). *)
 
@@ -101,14 +107,15 @@ val register_block : t -> name:string -> vars:int array -> unit
 val reorder : ?trigger:string -> t -> unit
 (** Run one sifting pass over the registered blocks now (e.g. between
     fixpoint phases).  [trigger] defaults to ["explicit"] and is
-    recorded in the pass event.  A no-op on an [`Extmem] universe:
-    levels are baked into its node files, so the order is fixed. *)
+    recorded in the pass event.  A no-op on every backend but [`Incore]
+    ({!Backend.in_place}): the others bake levels into their node files
+    or stores, so the order is fixed. *)
 
 val set_auto_reorder : t -> int option -> unit
 (** [set_auto_reorder u (Some n)] arms the safe-point trigger: a sifting
     pass fires at the next {!checkpoint} once [n] allocated nodes are
     reached, re-arming itself above the surviving population.  [None]
-    disarms it.  A no-op on an [`Extmem] universe. *)
+    disarms it.  A no-op on every backend but [`Incore]. *)
 
 val uid : t -> int
 (** A unique id per universe, used to key per-universe side tables. *)
@@ -132,8 +139,8 @@ val freeze : t -> unit
     auto-reorder trigger and freezes the backend
     ([Jedd_bdd.Manager.freeze] — compaction, then no refcount traffic,
     GC or reordering; mutation raises [Jedd_bdd.Manager.Frozen]).
-    One-way; idempotent.  [Invalid_argument] on an [`Extmem], [`Hybrid]
-    or [`Mtbdd] universe. *)
+    One-way; idempotent.  [Invalid_argument] on every backend but
+    [`Incore] ({!Backend.in_place}). *)
 
 val frozen : t -> bool
 

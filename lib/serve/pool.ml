@@ -16,7 +16,6 @@
 
 module M = Jedd_bdd.Manager
 module U = Jedd_relation.Universe
-module B = Jedd_relation.Backend
 module Json = Jedd_server.Json
 module Protocol = Jedd_server.Protocol
 module Qeval = Jedd_server.Qeval
@@ -103,12 +102,10 @@ let create ?(workers = 1) ?(sweep_threshold = 1 lsl 20) qeval =
   if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
   let u = (Qeval.world qeval).Protocol.snap.Snapshot.u in
   let manager = U.manager u in
-  if workers > 1 then begin
-    if B.kind (U.backend u) <> `Incore then
-      invalid_arg "Pool.create: multi-worker serving needs the incore backend";
-    if not (U.frozen u) then
-      invalid_arg "Pool.create: multi-worker serving needs a frozen universe"
-  end;
+  (* only an in-core universe can be frozen ([Universe.freeze]) *)
+  if workers > 1 && not (U.frozen u) then
+    invalid_arg
+      "Pool.create: multi-worker serving needs a frozen (in-core) universe";
   let parallel = workers > 1 in
   if parallel then M.enter_parallel manager;
   let t =

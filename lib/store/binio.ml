@@ -77,8 +77,8 @@ let read_string r =
 let read_int_array r =
   let n = read_i64 r in
   (* each element takes 8 bytes; checking first prevents huge
-     allocations driven by a corrupt length *)
-  need r (n * 8);
+     allocations driven by a corrupt length (and [n * 8] could wrap) *)
+  if n < 0 || n > remaining r / 8 then raise Truncated;
   Array.init n (fun _ -> read_i64 r)
 
 let read_list r f =

@@ -80,10 +80,16 @@ let write_dump w (d : Lv.t) =
       Binio.int_array w hi)
     d.Lv.blocks
 
+(* a block is at least its level and two array lengths *)
+let min_block_bytes = 24
+
 let read_dump r : Lv.t =
   let root = Binio.read_int r in
   let nblocks = Binio.read_int r in
   if nblocks < 0 then corrupt "negative block count";
+  if nblocks > Binio.remaining r / min_block_bytes then
+    corrupt "block count %d exceeds the %d bytes left" nblocks
+      (Binio.remaining r);
   let blocks =
     Array.init nblocks (fun _ ->
         let l = Binio.read_int r in
@@ -93,8 +99,19 @@ let read_dump r : Lv.t =
   in
   { Lv.blocks; root }
 
+(* The one refusal of a universe without levelized roots, made before
+   any relation is read or written. *)
+let levelized_of what u =
+  match R.levelized u with
+  | Some lv -> lv
+  | None ->
+    invalid_arg
+      (Printf.sprintf "Snapshot.%s: the %s backend has no levelized form"
+         what
+         (B.kind_name (U.backend_kind u)))
+
 let write_payload w s =
-  let backend = U.backend s.u in
+  let lv = levelized_of "to_bytes" s.u in
   let remap = dense_remap s.physdoms in
   let remap_level name l =
     match Hashtbl.find_opt remap l with
@@ -153,8 +170,7 @@ let write_payload w s =
           Binio.string_ w pname)
         (Schema.entries (R.schema rel));
       Binio.int_ w (R.size rel);
-      let dump = B.export_levelized backend (R.root rel) in
-      write_dump w (Lv.map_levels (remap_level name) dump))
+      write_dump w (Lv.map_levels (remap_level name) (lv.R.export rel)))
     s.relations
 
 let bytes_of_payload payload =
@@ -259,6 +275,7 @@ let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?(freeze = false)
           (name, width, levels))
     in
     let u = U.create ~node_capacity ?node_limit ?backend () in
+    let lv = levelized_of "of_bytes" u in
     let mgr = U.manager u in
     let physdoms =
       List.map
@@ -284,7 +301,6 @@ let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?(freeze = false)
     if nvars > 0 && Array.exists (fun v -> v < 0) vars_by_target then
       corrupt "recorded variable order does not cover every level";
     impose_order mgr ~nvars ~vars_by_target;
-    let backend_t = U.backend u in
     let find_attr name =
       match List.assoc_opt name attrs with
       | Some a -> a
@@ -312,13 +328,18 @@ let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?(freeze = false)
           in
           let count = Binio.read_int r in
           let dump = read_dump r in
-          let root =
-            try B.import_levelized backend_t dump
+          let levels = Schema.levels schema in
+          List.iter
+            (fun l ->
+              if not (Array.mem l levels) then
+                corrupt "relation %s has BDD level %d outside its schema" name
+                  l)
+            (Lv.support dump);
+          let rel =
+            try lv.R.import schema dump
             with Lv.Malformed msg ->
               corrupt "relation %s has a malformed BDD dump: %s" name msg
           in
-          let rel = R.of_root u schema root in
-          B.delref backend_t root;
           let actual = R.size rel in
           if actual <> count then
             corrupt

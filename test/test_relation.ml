@@ -114,9 +114,15 @@ let test_type_errors () =
   let sch_b = Schema.make [ { Schema.attr = b; phys = f.s1 } ] in
   let x = R.full f.u sch_a in
   let y = R.full f.u sch_b in
-  let raises name f =
+  (* [?op]: the message must name the operation *)
+  let raises ?op name f =
     match f () with
-    | exception R.Type_error _ -> ()
+    | exception R.Type_error msg ->
+      Option.iter
+        (fun op ->
+          if not (String.starts_with ~prefix:(op ^ ":") msg) then
+            Alcotest.failf "%s: message %S does not name %s" name msg op)
+        op
     | _ -> Alcotest.failf "%s: expected Type_error" name
   in
   raises "union schema mismatch" (fun () -> R.union x y);
@@ -124,7 +130,36 @@ let test_type_errors () =
   raises "rename missing attr" (fun () -> R.rename x [ (b, a) ]);
   raises "join missing attr" (fun () -> R.join x [ b ] y [ b ]);
   raises "tuple arity" (fun () -> R.tuple f.u sch_a [ 1; 2 ]);
-  raises "tuple range" (fun () -> R.tuple f.u sch_a [ 99 ])
+  raises "tuple range" (fun () -> R.tuple f.u sch_a [ 99 ]);
+  (* operands from three universes over the same attributes *)
+  let in_universe u pa pb tuples =
+    R.of_tuples u
+      (Schema.make
+         [ { Schema.attr = a; phys = pa }; { Schema.attr = b; phys = pb } ])
+      tuples
+  in
+  let elsewhere kind tuples =
+    let u = U.create ~backend:kind () in
+    in_universe u
+      (Phys.declare u ~name:"T1" ~bits:3)
+      (Phys.declare u ~name:"S1" ~bits:3)
+      tuples
+  in
+  let x = in_universe f.u f.t1 f.s1 [ [ 1; 2 ] ] in
+  let other = elsewhere `Incore [ [ 3; 4 ]; [ 5; 6 ] ] in
+  let ext = elsewhere `Extmem [ [ 3; 4 ] ] in
+  raises ~op:"union" "union across universes" (fun () -> R.union x other);
+  raises ~op:"intersect" "inter across universes" (fun () ->
+      R.inter x other);
+  raises ~op:"difference" "diff across universes" (fun () -> R.diff x other);
+  raises ~op:"equal" "equal across universes" (fun () -> R.equal x other);
+  raises ~op:"join" "join across universes" (fun () ->
+      R.join x [ a; b ] other [ a; b ]);
+  raises ~op:"compose" "compose across universes" (fun () ->
+      R.compose x [ a; b ] other [ a; b ]);
+  raises ~op:"union" "union across engines" (fun () -> R.union x ext);
+  raises ~op:"join" "join across engines" (fun () ->
+      R.join ext [ a; b ] x [ a; b ])
 
 let test_schema_invariants () =
   let f = fixture () in
@@ -169,8 +204,12 @@ let test_rename () =
   Alcotest.(check bool) "renamed attr present" true (Schema.mem (R.schema r') b);
   Alcotest.(check bool) "old attr gone" false (Schema.mem (R.schema r') a);
   Alcotest.(check (list (list int))) "tuples unchanged" [ [ 3 ] ] (R.tuples r');
-  (* Rename does not touch the BDD. *)
-  Alcotest.(check bool) "same BDD root" true (R.root r = R.root r')
+  (* Rename does not touch the BDD: the attribute keeps its physical
+     domain, and the root dumps identically, levels included. *)
+  Alcotest.(check bool) "same physical domain" true
+    (Phys.equal (Schema.phys_of (R.schema r') b) f.t1);
+  let lv = Option.get (R.levelized f.u) in
+  Alcotest.(check bool) "same BDD root" true (lv.R.export r = lv.R.export r')
 
 let test_copy () =
   let f = fixture () in

@@ -14,6 +14,7 @@ module Attr = Jedd_relation.Attribute
 module Phys = Jedd_relation.Physdom
 module Schema = Jedd_relation.Schema
 module Snapshot = Jedd_store.Snapshot
+module Binio = Jedd_store.Binio
 module Cas = Jedd_store.Cas
 module Delta = Jedd_store.Delta
 module Suite = Jedd_analyses.Suite
@@ -71,18 +72,17 @@ let test_levelized_roundtrip () =
   List.iter
     (fun (kname, kind) ->
       let world = build_world kind in
-      let backend = U.backend world.Snapshot.u in
+      let lv = Option.get (R.levelized world.Snapshot.u) in
       List.iter
         (fun (name, r) ->
-          let dump = B.export_levelized backend (R.root r) in
-          Lv.validate dump;
-          let root = B.import_levelized backend dump in
-          let r' = R.of_root world.Snapshot.u (R.schema r) root in
-          B.delref backend root;
+          let dump = lv.R.export r in
+          Lv.validate ~num_vars:(M.num_vars (U.manager world.Snapshot.u)) dump;
+          let r' = lv.R.import (R.schema r) dump in
+          (* a dump holds each node of the root's BDD once *)
           Alcotest.(check int)
             (Printf.sprintf "%s/%s nodecount" kname name)
-            (B.nodecount backend (R.root r))
-            (B.nodecount backend (R.root r'));
+            (Lv.node_count dump)
+            (Lv.node_count (lv.R.export r'));
           Alcotest.(check (list (list int)))
             (Printf.sprintf "%s/%s tuples" kname name)
             (R.tuples r) (R.tuples r'))
@@ -126,11 +126,13 @@ let test_levelized_malformed () =
           |];
         root = Lv.pack 2 0;
       };
+      (* well-formed, but at a level a 3-variable manager does not have *)
+      { Lv.blocks = [| (3, [| Lv.t_false |], [| Lv.t_true |]) |]; root = Lv.pack 3 0 };
     ]
   in
   List.iter
     (fun d ->
-      match Lv.validate d with
+      match Lv.validate ~num_vars:3 d with
       | () -> Alcotest.fail "malformed dump accepted"
       | exception Lv.Malformed _ -> ())
     bad
@@ -232,6 +234,185 @@ let test_corrupt_rejection () =
   expect_corrupt "bit flip" (Bytes.to_string flip);
   (* trailing garbage changes the length/digest relation *)
   expect_corrupt "trailing bytes" (good ^ "garbage")
+
+(* Re-sealing a mutated payload gets it past the checksum, so the
+   parser itself must reject it. *)
+let test_resealed_mutations =
+  let payload =
+    lazy (Snapshot.payload_of_bytes (Snapshot.to_bytes (build_world `Incore)))
+  in
+  QCheck.Test.make ~count:500
+    ~name:"re-sealed payload mutations raise Corrupt or load"
+    QCheck.(triple (int_bound 2) pos_int int)
+    (fun (op, pos, v) ->
+      let p = Lazy.force payload in
+      let len = String.length p in
+      let mutated =
+        match op with
+        | 0 ->
+          (* flip one bit *)
+          let b = Bytes.of_string p in
+          let i = pos mod len in
+          Bytes.set b i (Char.chr (Char.code p.[i] lxor (1 lsl (v land 7))));
+          Bytes.to_string b
+        | 1 ->
+          (* overwrite 8 bytes with a little-endian int *)
+          let b = Bytes.of_string p in
+          Bytes.set_int64_le b (pos mod (len - 7)) (Int64.of_int v);
+          Bytes.to_string b
+        | _ -> String.sub p 0 (pos mod len)
+      in
+      let bytes = Snapshot.bytes_of_payload mutated in
+      List.for_all
+        (fun (_, backend) ->
+          match Snapshot.of_bytes ~backend bytes with
+          | _ | (exception Snapshot.Corrupt _) -> true)
+        kinds)
+
+(* Two payloads whose counts, unbounded, drive an allocation: a dump's
+   block count past [Sys.max_array_length] (with one real block behind
+   it) and an int array of length [min_int]. *)
+let test_hostile_counts () =
+  let payload ~levels ~relations =
+    let w = Binio.writer () in
+    Binio.list_ w (fun _ () -> ()) [];
+    Binio.list_ w
+      (fun w () ->
+        Binio.string_ w "D";
+        Binio.int_ w 4)
+      [ () ];
+    Binio.list_ w
+      (fun w () ->
+        Binio.string_ w "a";
+        Binio.string_ w "D")
+      [ () ];
+    Binio.list_ w
+      (fun w () ->
+        Binio.string_ w "P";
+        Binio.int_ w 2;
+        levels w)
+      [ () ];
+    relations w;
+    Snapshot.bytes_of_payload (Binio.contents w)
+  in
+  let huge_block_count w =
+    Binio.list_ w
+      (fun w () ->
+        Binio.string_ w "r";
+        Binio.list_ w
+          (fun w () ->
+            Binio.string_ w "a";
+            Binio.string_ w "P")
+          [ () ];
+        Binio.int_ w 0;
+        Binio.int_ w (Lv.pack 0 0);
+        Binio.int_ w (Sys.max_array_length + 1);
+        Binio.int_ w 0;
+        Binio.int_array w [| Lv.t_false |];
+        Binio.int_array w [| Lv.t_true |])
+      [ () ]
+  in
+  List.iter
+    (fun (what, bytes) ->
+      match Snapshot.of_bytes bytes with
+      | _ -> Alcotest.failf "%s: loaded" what
+      | exception Snapshot.Corrupt _ -> ())
+    [
+      ( "block count past Sys.max_array_length",
+        payload
+          ~levels:(fun w -> Binio.int_array w [| 0; 1 |])
+          ~relations:huge_block_count );
+      ( "int array of length min_int",
+        payload
+          ~levels:(fun w -> Binio.int_ w min_int)
+          ~relations:(fun _ -> ()) );
+    ]
+
+(* What each kind can do, and where the others are refused: freezing
+   and reordering need the in-core node table, snapshots a levelized
+   form, weights the terminal-valued store. *)
+let test_capability_refusals () =
+  let checkb = Alcotest.(check bool) in
+  List.iter
+    (fun kind ->
+      let name = B.kind_name kind in
+      let world = build_world kind in
+      let u = world.Snapshot.u in
+      let in_place = kind = `Incore in
+      let levelizes = kind <> `Mtbdd in
+      checkb (name ^ ": levelizes") levelizes (B.levelizes kind);
+      checkb (name ^ ": levelized capability") levelizes
+        (R.levelized u <> None);
+      checkb (name ^ ": in place") in_place (B.in_place kind);
+      (* a snapshot with no relations: a refusal here comes before any
+         relation is written or read *)
+      let empty = { world with Snapshot.relations = [] } in
+      (match Snapshot.to_bytes empty with
+      | _ -> checkb (name ^ ": to_bytes") true levelizes
+      | exception Invalid_argument _ ->
+        checkb (name ^ ": to_bytes refused") false levelizes);
+      (match
+         Snapshot.of_bytes ~backend:kind
+           (Snapshot.to_bytes (build_world `Incore))
+       with
+      | _ -> checkb (name ^ ": of_bytes") true levelizes
+      | exception Invalid_argument _ ->
+        checkb (name ^ ": of_bytes refused") false levelizes);
+      (* weights *)
+      let sch = R.schema (List.assoc "W.ab" world.Snapshot.relations) in
+      (match R.of_weighted_tuples u sch [ ([ 1; 2 ], 3) ] with
+      | r -> Alcotest.(check int) (name ^ ": weight") 3 (R.weight_of r [ 1; 2 ])
+      | exception R.Type_error msg ->
+        checkb (name ^ ": weights refused") true (kind <> `Mtbdd);
+        Alcotest.(check string) (name ^ ": weights message")
+          (Printf.sprintf
+             "Relation.of_weighted_tuples: requires an mtbdd universe (this \
+              one is %s)"
+             name)
+          msg);
+      (* reorder runs a sifting pass in place only *)
+      let before = List.map (fun (n, r) -> (n, R.tuples r)) world.Snapshot.relations in
+      let passes = M.reorder_count (U.manager u) in
+      U.reorder u;
+      Alcotest.(check int) (name ^ ": reorder passes")
+        (passes + if in_place then 1 else 0)
+        (M.reorder_count (U.manager u));
+      List.iter
+        (fun (n, r) ->
+          Alcotest.(check (list (list int))) (name ^ ": " ^ n ^ " after reorder")
+            (List.assoc n before) (R.tuples r))
+        world.Snapshot.relations;
+      (* freezing *)
+      (match U.freeze u with
+      | () -> checkb (name ^ ": freeze") true in_place
+      | exception Invalid_argument _ ->
+        checkb (name ^ ": freeze refused") false in_place);
+      checkb (name ^ ": frozen") in_place (U.frozen u);
+      U.cleanup u)
+    [ `Incore; `Extmem; `Hybrid; `Mtbdd ]
+
+(* One resolution of the backend choice: a flag, else JEDD_BACKEND, else
+   in-core (an empty variable counts as unset). *)
+let test_resolve_backend () =
+  let prev = Option.value (Sys.getenv_opt "JEDD_BACKEND") ~default:"" in
+  let resolves what env flag =
+    Unix.putenv "JEDD_BACKEND" env;
+    let k = U.resolve_backend flag in
+    Alcotest.(check string) what what (B.kind_name k)
+  in
+  Fun.protect
+    ~finally:(fun () -> Unix.putenv "JEDD_BACKEND" prev)
+    (fun () ->
+      resolves "incore" "" None;
+      resolves "extmem" "extmem" None;
+      resolves "hybrid" "extmem" (Some "hybrid");
+      resolves "mtbdd" "" (Some "mtbdd");
+      Unix.putenv "JEDD_BACKEND" "bogus";
+      match U.resolve_backend None with
+      | k -> Alcotest.failf "JEDD_BACKEND=bogus resolved to %s" (B.kind_name k)
+      | exception Invalid_argument msg ->
+        Alcotest.(check bool) "message names the variable" true
+          (String.starts_with ~prefix:"JEDD_BACKEND=bogus: " msg))
 
 let test_save_load_file () =
   let world = build_world `Incore in
@@ -404,6 +585,11 @@ let suite =
     QCheck_alcotest.to_alcotest test_snapshot_qcheck;
     Alcotest.test_case "corrupt and truncated files rejected" `Quick
       test_corrupt_rejection;
+    QCheck_alcotest.to_alcotest test_resealed_mutations;
+    Alcotest.test_case "hostile counts rejected" `Quick test_hostile_counts;
+    Alcotest.test_case "capability refusals by kind" `Quick
+      test_capability_refusals;
+    Alcotest.test_case "backend resolution" `Quick test_resolve_backend;
     Alcotest.test_case "save_file/load_file" `Quick test_save_load_file;
     Alcotest.test_case "content-addressed store" `Quick test_cas;
     Alcotest.test_case "delta diff/apply round-trip" `Quick
