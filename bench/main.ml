@@ -1,44 +1,35 @@
-(* Benchmark harness: regenerates every table and figure of the paper's
-   evaluation, plus the ablations listed in DESIGN.md.
+(* Benchmark harness: regenerates the tables and figures of the paper's
+   evaluation and the ablations listed in DESIGN.md.  End-to-end timing
+   of the system (compile, solve, query, edit) is jbench's job.
 
-     dune exec bench/main.exe                 -- everything (default)
-     dune exec bench/main.exe -- table1       -- Table 1 only
-     dune exec bench/main.exe -- table2       -- Table 2 only
-     dune exec bench/main.exe -- fig7         -- Figure 7 constraint graph
-     dune exec bench/main.exe -- compactness  -- the §5 LoC comparison
-     dune exec bench/main.exe -- ablation-compose | ablation-replace
-                                | ablation-order | ablation-memory
-     dune exec bench/main.exe -- bechamel     -- Bechamel micro-benchmarks
-     dune exec bench/main.exe -- reorder      -- order optimizer off vs on
-     dune exec bench/main.exe -- backend      -- in-core vs extmem points-to
-     dune exec bench/main.exe -- json         -- write BENCH_pr1.json
-     dune exec bench/main.exe -- json2        -- write BENCH_pr2.json
-     dune exec bench/main.exe -- json3        -- write BENCH_pr3.json
-     dune exec bench/main.exe -- json5        -- write BENCH_pr5.json
-                                                 (cold vs warm-start jeddd)
-     dune exec bench/main.exe -- json8        -- write BENCH_pr8.json
-                                                 (incremental cost per edit)
-     dune exec bench/main.exe -- json9        -- write BENCH_pr9.json
-                                                 (weighted assignment +
-                                                 hybrid backend, PR 9)
-     dune exec bench/main.exe -- json10       -- write BENCH_pr10.json
-                                                 (mtbdd weighted analyses
-                                                 vs boolean recount, PR 10)
-     dune exec bench/main.exe -- smoke        -- seconds-scale sanity run
-                                                 (also: dune build @bench-smoke)
+     dune exec --profile release bench/main.exe -- COMMAND...
 
-   --backend=incore|extmem|hybrid|mtbdd (any command) selects the
-   relation backend for every universe the benchmarks create, via
-   JEDD_BACKEND. *)
+     table1            Table 1: size of the domain assignment problem
+     table2            Table 2: hand-coded vs Jedd points-to running time
+     fig7              Figure 7: constraint graph of the Figure 4 join
+     compactness       the §5 lines-of-code comparison
+     ablation-compose  §2.2.3: relational product vs join-then-project
+     ablation-replace  §3.3.2: replaces kept vs the naive translation
+     ablation-order    §3.3.1: interleaved vs consecutive bit blocks
+     ablation-memory   §4.2: eager releases vs leaking handles
+     reorder           order optimizer off vs on, good vs bad order
+     backend           in-core vs extmem vs hybrid under a node cap
+
+   Commands run in the order given; with none, every command but
+   [backend] runs.  An unknown command exits 2.  [table2], [reorder] and
+   [backend] exit 1 when their correctness checks fail.  The relation
+   backend of the universes the commands create follows JEDD_BACKEND,
+   as everywhere else ([Universe.resolve_backend]). *)
 
 module Workload = Jedd_minijava.Workload
-module Program = Jedd_minijava.Program
 module Suite = Jedd_analyses.Suite
 module Baseline = Jedd_analyses.Pointsto_baseline
+module Pointsto = Jedd_analyses.Pointsto
 module Driver = Jedd_lang.Driver
 module Interp = Jedd_lang.Interp
 module C = Jedd_lang.Constraints
 module E = Jedd_lang.Encode
+module M = Jedd_bdd.Manager
 
 let line () = print_endline (String.make 100 '-')
 
@@ -86,59 +77,89 @@ let table1 () =
      every column, and solving time stays negligible next to building the\n\
      system — the paper's 'very acceptable' conclusion.\n"
 
+
 (* ----------------------------------------------------------------- *)
 (* Table 2: hand-coded vs Jedd points-to analysis                     *)
 (* ----------------------------------------------------------------- *)
 
+(* Median, minimum and maximum of a few timings. *)
+let median_range ts =
+  let a = Array.of_list ts in
+  Array.sort compare a;
+  (a.(Array.length a / 2), a.(0), a.(Array.length a - 1))
+
 let table2 () =
+  let reps = 3 in
   line ();
   print_endline "Table 2: Running time, hand-coded BDD vs Jedd points-to";
   print_endline
     "(paper: javac 3.4/3.5 s, compress 22.2/22.4 s, javac-1.3.1 26.2/26.3 s,\n\
      sablecc 25.8/26.1 s, jedit 39.7/41.3 s — overhead 0.5%..4%)";
+  Printf.printf
+    "Both sides run the paper's naive fixed point; Jedd's semi-naive solve\n\
+     is an algorithmic gain, shown apart.  Seconds of execution (compile\n\
+     and fact loading excluded): median [min-max] of %d interleaved runs.\n"
+    reps;
   line ();
-  Printf.printf "%-12s %14s %14s %10s %12s\n" "Benchmark" "Hand-coded (s)"
-    "Jedd (s)" "Overhead" "pt tuples";
+  Printf.printf "%-9s %22s %22s %9s | %22s %6s %8s\n" "Benchmark"
+    "Hand-coded naive" "Jedd naive" "Overhead" "Jedd semi-naive" "Gain"
+    "pt";
   line ();
+  let mismatches = ref 0 in
   List.iter
     (fun (prof : Workload.profile) ->
       let p = Workload.generate prof in
-      (* sub-second workloads are noise-prone: take the best of a few
-         repetitions (setup excluded from the timed region) *)
-      let best run_once =
-        let t1 = run_once () in
-        if t1 > 2.0 then t1
-        else List.fold_left min t1 (List.init 2 (fun _ -> run_once ()))
-      in
-      let hand_tuples = ref 0 in
-      let hand_t =
-        best (fun () ->
-            let b = Baseline.create p in
-            let (), t = wall (fun () -> Baseline.solve b) in
-            hand_tuples := List.length (Baseline.pt_tuples b);
-            Baseline.destroy b;
-            t)
-      in
       (* jeddc runs at build time; the timed region is execution only *)
       let compiled = Suite.compile_one p "Points-to Analysis" in
-      let jedd_tuples = ref 0 in
-      let jedd_t =
-        best (fun () ->
-            let inst = Driver.instantiate ~node_capacity:(1 lsl 18) compiled in
-            Jedd_analyses.Pointsto.load_facts inst p;
-            let (), t = wall (fun () -> Jedd_analyses.Pointsto.run inst) in
-            jedd_tuples := List.length (Jedd_analyses.Pointsto.results inst);
-            t)
+      let timed f =
+        Gc.full_major ();
+        snd (wall f)
       in
-      let overhead = (jedd_t -. hand_t) /. hand_t *. 100.0 in
-      Printf.printf "%-12s %14.3f %14.3f %9.1f%% %12d%s\n" prof.Workload.name
-        hand_t jedd_t overhead !jedd_tuples
-        (if !hand_tuples <> !jedd_tuples then "  (MISMATCH!)" else ""))
+      let hand () =
+        let b = Baseline.create p in
+        let t = timed (fun () -> Baseline.solve b) in
+        let n = List.length (Baseline.pt_tuples b) in
+        Baseline.destroy b;
+        (t, n)
+      in
+      let jedd solve =
+        let inst = Driver.instantiate ~node_capacity:(1 lsl 18) compiled in
+        Pointsto.load_facts inst p;
+        let t = timed (fun () -> solve inst) in
+        (t, List.length (Pointsto.results inst))
+      in
+      let runs =
+        List.init reps (fun _ ->
+            let h = hand () in
+            let n = jedd (fun i -> Pointsto.run_naive i) in
+            let s = jedd (fun i -> Pointsto.run i) in
+            (h, n, s))
+      in
+      let cell pick = median_range (List.map (fun r -> fst (pick r)) runs) in
+      let tuples = List.concat_map (fun (h, n, s) -> [ snd h; snd n; snd s ]) runs in
+      let pt = List.hd tuples in
+      let agree = List.for_all (( = ) pt) tuples in
+      if not agree then incr mismatches;
+      let ((h, _, _) as hc) = cell (fun (h, _, _) -> h) in
+      let ((n, _, _) as nc) = cell (fun (_, n, _) -> n) in
+      let ((s, _, _) as sc) = cell (fun (_, _, s) -> s) in
+      let show (m, lo, hi) = Printf.sprintf "%.3f [%.3f-%.3f]" m lo hi in
+      Printf.printf "%-9s %22s %22s %+8.1f%% | %22s %5.2fx %8d%s\n%!"
+        prof.Workload.name (show hc) (show nc)
+        ((n -. h) /. h *. 100.0)
+        (show sc) (n /. s) pt
+        (if agree then "" else "  (MISMATCH!)"))
     Workload.profiles;
   line ();
   print_endline
-    "Shape check: both versions compute identical relations; Jedd pays a\n\
-     small constant factor for the conveniences the paper lists.\n"
+    "Overhead compares like with like (naive against naive); Gain is the\n\
+     Jedd naive median over the semi-naive one.  All runs of a row must\n\
+     compute the same number of points-to tuples.\n";
+  if !mismatches > 0 then begin
+    Printf.printf "FAIL: %d benchmark(s) disagree on the points-to relation\n"
+      !mismatches;
+    exit 1
+  end
 
 (* ----------------------------------------------------------------- *)
 (* Figure 7: the constraint graph of the Figure 4 join                *)
@@ -243,7 +264,6 @@ let compactness () =
 (* Ablations                                                          *)
 (* ----------------------------------------------------------------- *)
 
-module M = Jedd_bdd.Manager
 module Ops = Jedd_bdd.Ops
 module Quant = Jedd_bdd.Quant
 module Fdd = Jedd_bdd.Fdd
@@ -330,8 +350,8 @@ let ablation_replace () =
   let recorder = Jedd_profiler.Recorder.create () in
   Jedd_profiler.Recorder.attach recorder (Interp.universe inst)
     ~level:Jedd_relation.Universe.Counts;
-  Jedd_analyses.Pointsto.load_facts inst p;
-  Jedd_analyses.Pointsto.run inst;
+  Pointsto.load_facts inst p;
+  Pointsto.run inst;
   Jedd_profiler.Recorder.detach (Interp.universe inst);
   let rows = Jedd_profiler.Recorder.rows recorder in
   let total = List.length rows in
@@ -417,282 +437,6 @@ let ablation_memory () =
      intermediate relations; holding handles pins every intermediate,\n\
      exactly the §4.2 failure mode Jedd's containers avoid)\n"
 
-(* §4.1: "several researchers have suggested using ZDDs for our
-   points-to analysis algorithms" — compare representation sizes of the
-   converged points-to relation. *)
-let ablation_zdd () =
-  line ();
-  print_endline
-    "Ablation (§4.1): BDD vs ZDD node counts for the points-to relation";
-  line ();
-  Printf.printf "%-12s %10s %10s %10s %8s\n" "Benchmark" "pt tuples"
-    "BDD nodes" "ZDD nodes" "ratio";
-  List.iter
-    (fun name ->
-      let p = Workload.generate (Workload.profile_named name) in
-      let b = Baseline.create p in
-      Baseline.solve b;
-      let m = Baseline.manager b in
-      let pt = Baseline.pt_rel b in
-      let bdd_nodes = Jedd_bdd.Count.nodecount m pt in
-      let z = Jedd_bdd.Zdd.create () in
-      let support = Jedd_bdd.Count.support_levels m pt in
-      let znode = Jedd_bdd.Zdd.of_bdd ~over:support m pt z in
-      let zdd_nodes = Jedd_bdd.Zdd.nodecount z znode in
-      let tuples = List.length (Baseline.pt_tuples b) in
-      Printf.printf "%-12s %10d %10d %10d %8.2f\n" name tuples bdd_nodes
-        zdd_nodes
-        (float_of_int bdd_nodes /. float_of_int zdd_nodes);
-      Baseline.destroy b)
-    [ "compress"; "javac"; "sablecc" ];
-  print_endline
-    "  (sparse relations favour zero-suppression; the ratio quantifies\n\
-     what the paper's planned ZDD backend stood to gain)\n"
-
-(* ----------------------------------------------------------------- *)
-(* Bechamel micro-benchmarks (one per table)                          *)
-(* ----------------------------------------------------------------- *)
-
-let bechamel () =
-  let open Bechamel in
-  let open Toolkit in
-  let p = Workload.generate Workload.tiny in
-  let test_table1 =
-    Test.make ~name:"table1-compile-assign-pointsto"
-      (Staged.stage (fun () ->
-           ignore (Suite.compile_one p "Points-to Analysis")))
-  in
-  let test_table2 =
-    Test.make ~name:"table2-handcoded-pointsto-tiny"
-      (Staged.stage (fun () ->
-           let b = Baseline.create p in
-           Baseline.solve b;
-           Baseline.destroy b))
-  in
-  let tests = Test.make_grouped ~name:"jedd" [ test_table1; test_table2 ] in
-  let instances = Instance.[ monotonic_clock ] in
-  let cfg = Benchmark.cfg ~limit:50 ~quota:(Time.second 0.5) () in
-  let raw = Benchmark.all cfg instances tests in
-  let results =
-    Analyze.all
-      (Analyze.ols ~bootstrap:0 ~r_square:false
-         ~predictors:[| Measure.run |])
-      Instance.monotonic_clock raw
-  in
-  print_endline "Bechamel micro-benchmarks (monotonic clock):";
-  Hashtbl.iter
-    (fun name result ->
-      match Analyze.OLS.estimates result with
-      | Some [ est ] -> Printf.printf "  %-40s %14.1f ns/run\n" name est
-      | _ -> Printf.printf "  %-40s (no estimate)\n" name)
-    results;
-  print_newline ()
-
-(* ----------------------------------------------------------------- *)
-(* Machine-readable benchmark summary (BENCH_pr1.json) and the        *)
-(* seconds-scale smoke run behind the @bench-smoke alias              *)
-(* ----------------------------------------------------------------- *)
-
-module Rep = Jedd_bdd.Replace
-
-let ops_per_sec f =
-  ignore (f ());
-  (* double the repetition count until the timed region is long enough
-     to trust the clock *)
-  let rec go n =
-    let t0 = Unix.gettimeofday () in
-    for _ = 1 to n do
-      ignore (f ())
-    done;
-    let dt = Unix.gettimeofday () -. t0 in
-    if dt < 0.25 then go (n * 2) else float_of_int n /. dt
-  in
-  go 4
-
-(* Microbenchmark fixture mirroring the runtime's join/compose pattern:
-   consecutive physical-domain blocks, with the shared attribute moved
-   by an order-preserving block permutation — the fused kernels' fast
-   path, exactly the layout the SAT assignment produces. *)
-let kernel_fixture () =
-  let m = M.create ~node_capacity:(1 lsl 18) () in
-  let bits = 10 in
-  let bx = Fdd.extdomain_bits m bits in
-  let by = Fdd.extdomain_bits m bits in
-  let by' = Fdd.extdomain_bits m bits in
-  let bz = Fdd.extdomain_bits m bits in
-  let bw = Fdd.extdomain_bits m bits in
-  let st = Random.State.make [| 987654321 |] in
-  let random_tuple blocks =
-    List.fold_left
-      (fun acc b ->
-        Ops.band m acc (Fdd.ithvar m b (Random.State.int st (1 lsl bits))))
-      M.one blocks
-  in
-  let random_rel blocks n =
-    let acc = ref M.zero in
-    for _ = 1 to n do
-      acc := Ops.bor m !acc (random_tuple blocks)
-    done;
-    M.addref m !acc
-  in
-  let f = random_rel [ bx; by ] 3000 in
-  let f2 = random_rel [ bx; by ] 3000 in
-  let g = random_rel [ by'; bz ] 3000 in
-  (* ternary relation for the project+coerce benchmark: quantifying the
-     trailing attribute leaves a large survivor to re-lay out *)
-  let g3 = random_rel [ by'; bz; bw ] 3000 in
-  (* move g's copy of the shared attribute onto f's block, and back *)
-  let p_in = Rep.make_perm m (Fdd.perm_pairs m by' by) in
-  let p_out = Rep.make_perm m (Fdd.perm_pairs m by by') in
-  let cube_shared = M.addref m (Fdd.domain_cube m by) in
-  let cube_w = M.addref m (Fdd.domain_cube m bw) in
-  (m, f, f2, g, g3, by', bz, p_in, p_out, cube_shared, cube_w)
-
-type micro = { name : string; ops : float }
-
-let kernel_microbench () =
-  let m, f, f2, g, g3, _, _, p_in, p_out, cube_shared, cube_w =
-    kernel_fixture ()
-  in
-  ignore p_out;
-  (* correctness gate: never report timings for wrong answers *)
-  let gate a b = if a <> b then failwith "microbench equivalence violated" in
-  gate
-    (Rep.relprod_replace m f g p_in M.one)
-    (Ops.band m f (Rep.replace m g p_in));
-  gate
-    (Rep.relprod_replace m f g p_in cube_shared)
-    (Quant.relprod m f (Rep.replace m g p_in) cube_shared);
-  gate
-    (Rep.replace_exist m g3 p_in cube_w)
-    (Rep.replace m (Quant.exist m g3 cube_w) p_in);
-  let bench name op =
-    {
-      name;
-      ops =
-        ops_per_sec (fun () ->
-            M.clear_caches m;
-            op ());
-    }
-  in
-  [
-    bench "band" (fun () -> Ops.band m f f2);
-    bench "relprod" (fun () -> Quant.relprod m f f2 cube_shared);
-    bench "replace" (fun () -> Rep.replace m g p_in);
-    bench "join_fused" (fun () -> Rep.relprod_replace m f g p_in M.one);
-    bench "join_unfused" (fun () -> Ops.band m f (Rep.replace m g p_in));
-    bench "compose_fused" (fun () ->
-        Rep.relprod_replace m f g p_in cube_shared);
-    bench "compose_unfused" (fun () ->
-        Quant.relprod m f (Rep.replace m g p_in) cube_shared);
-    (* project-then-relayout, the runtime's project + coerce pattern:
-       quantify the trailing attribute and re-lay out the survivor *)
-    bench "replace_exist_fused" (fun () ->
-        Rep.replace_exist m g3 p_in cube_w);
-    bench "replace_exist_unfused" (fun () ->
-        Rep.replace m (Quant.exist m g3 cube_w) p_in);
-  ]
-
-type pt_result = {
-  pt_name : string;
-  hand_seconds : float;
-  jedd_seconds : float;
-  pt_tuples : int;
-  pt_peak_nodes : int;
-  pt_hits : int;
-  pt_misses : int;
-  pt_tags : M.cache_stat list;
-}
-
-let pointsto_bench name =
-  let p = Workload.generate (Workload.profile_named name) in
-  let b = Baseline.create p in
-  let (), hand_t = wall (fun () -> Baseline.solve b) in
-  let hand_tuples = List.length (Baseline.pt_tuples b) in
-  Baseline.destroy b;
-  let compiled = Suite.compile_one p "Points-to Analysis" in
-  let inst = Driver.instantiate ~node_capacity:(1 lsl 18) compiled in
-  Jedd_analyses.Pointsto.load_facts inst p;
-  let (), jedd_t = wall (fun () -> Jedd_analyses.Pointsto.run inst) in
-  let tuples = List.length (Jedd_analyses.Pointsto.results inst) in
-  if tuples <> hand_tuples then begin
-    Printf.eprintf "points-to mismatch on %s: hand %d vs jedd %d tuples\n" name
-      hand_tuples tuples;
-    exit 1
-  end;
-  let m = Jedd_relation.Universe.manager (Interp.universe inst) in
-  let hits, misses, _ = M.cache_totals m in
-  {
-    pt_name = name;
-    hand_seconds = hand_t;
-    jedd_seconds = jedd_t;
-    pt_tuples = tuples;
-    pt_peak_nodes = M.peak_nodes m;
-    pt_hits = hits;
-    pt_misses = misses;
-    pt_tags = M.cache_stats m;
-  }
-
-let hit_rate hits misses =
-  if hits + misses = 0 then 0.0
-  else float_of_int hits /. float_of_int (hits + misses)
-
-let bench_json ?(path = "BENCH_pr1.json") () =
-  let micro = kernel_microbench () in
-  let pts = List.map pointsto_bench [ "javac"; "compress" ] in
-  let fused, fallback = Rep.fused_stats () in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v1\",\n";
-  out "  \"microbench_ops_per_sec\": {\n";
-  List.iteri
-    (fun i { name; ops } ->
-      out "    %S: %.2f%s\n" name ops
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  out "  },\n";
-  out "  \"pointsto\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "    {\"benchmark\": %S, \"hand_seconds\": %.4f, \"jedd_seconds\": \
-         %.4f, \"tuples\": %d, \"peak_nodes\": %d, \"cache_hits\": %d, \
-         \"cache_misses\": %d, \"cache_hit_rate\": %.4f}%s\n"
-        r.pt_name r.hand_seconds r.jedd_seconds r.pt_tuples r.pt_peak_nodes
-        r.pt_hits r.pt_misses
-        (hit_rate r.pt_hits r.pt_misses)
-        (if i = List.length pts - 1 then "" else ","))
-    pts;
-  out "  ],\n";
-  (match pts with
-  | last :: _ ->
-    out "  \"cache_tags_jedd_pointsto_%s\": [\n" last.pt_name;
-    let active =
-      List.filter
-        (fun (s : M.cache_stat) -> s.hits + s.misses + s.stores > 0)
-        last.pt_tags
-    in
-    List.iteri
-      (fun i (s : M.cache_stat) ->
-        out
-          "    {\"tag\": %S, \"hits\": %d, \"misses\": %d, \"stores\": %d, \
-           \"evictions\": %d, \"hit_rate\": %.4f}%s\n"
-          s.name s.hits s.misses s.stores s.evictions
-          (hit_rate s.hits s.misses)
-          (if i = List.length active - 1 then "" else ","))
-      active;
-    out "  ],\n"
-  | [] -> ());
-  out "  \"fused_kernel_calls\": %d,\n" fused;
-  out "  \"fallback_kernel_calls\": %d\n" fallback;
-  out "}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
 (* ----------------------------------------------------------------- *)
 (* Reorder: points-to under a deliberately bad declaration order,     *)
 (* variable-order optimizer off vs on, with the good order as control *)
@@ -720,7 +464,7 @@ let reorder_run ~label ?physdom_order ~reorder name =
   let p = Workload.generate (Workload.profile_named name) in
   let source =
     Jedd_analyses.Common.preamble ?physdom_order p
-    ^ Jedd_analyses.Pointsto.source
+    ^ Pointsto.source
   in
   let compiled =
     match Driver.compile [ ("PointsTo.jedd", source) ] with
@@ -728,10 +472,10 @@ let reorder_run ~label ?physdom_order ~reorder name =
     | Error e -> failwith (Driver.error_to_string e)
   in
   let inst = Driver.instantiate ~node_capacity:(1 lsl 18) compiled in
-  Jedd_analyses.Pointsto.load_facts inst p;
-  let (), secs = wall (fun () -> Jedd_analyses.Pointsto.run ~reorder inst) in
+  Pointsto.load_facts inst p;
+  let (), secs = wall (fun () -> Pointsto.run ~reorder inst) in
   Printf.eprintf "[reorder]   ... %.2fs\n%!" secs;
-  let tuples = List.length (Jedd_analyses.Pointsto.results inst) in
+  let tuples = List.length (Pointsto.results inst) in
   let u = Interp.universe inst in
   let m = Jedd_relation.Universe.manager u in
   (match M.check_invariants m with
@@ -762,7 +506,12 @@ let reorder_run ~label ?physdom_order ~reorder name =
 
 (* Sequenced with lets: OCaml evaluates list elements right-to-left,
    which would run the configurations in a confusing order. *)
-let reorder_runs name =
+let reorder_bench () =
+  let name = "javac" in
+  line ();
+  Printf.printf
+    "Reorder: points-to (%s) under good vs bad declaration order\n" name;
+  line ();
   let good_off = reorder_run ~label:"good-order/reorder-off" ~reorder:false name in
   let good_on = reorder_run ~label:"good-order/reorder-on" ~reorder:true name in
   let bad_off =
@@ -773,61 +522,22 @@ let reorder_runs name =
     reorder_run ~label:"bad-order/reorder-on"
       ~physdom_order:bad_physdom_order ~reorder:true name
   in
-  [ good_off; good_on; bad_off; bad_on ]
-
-(* Workload selectable for experimentation; javac is the headline. *)
-let reorder_benchmark_name () =
-  match Sys.getenv_opt "JEDD_REORDER_BENCH" with
-  | Some s -> s
-  | None -> "javac"
-
-let reorder_bench () =
-  let name = reorder_benchmark_name () in
-  line ();
-  Printf.printf
-    "Reorder: points-to (%s) under good vs bad declaration order\n" name;
-  line ();
-  let runs = reorder_runs name in
-  Printf.printf "%-26s %9s %10s %10s %9s %7s %7s\n" "configuration" "seconds"
-    "peak" "live" "reorders" "swaps" "aborts";
+  let runs = [ good_off; good_on; bad_off; bad_on ] in
+  Printf.printf "%-26s %9s %9s %10s %10s %9s %7s %7s\n" "configuration"
+    "seconds" "tuples" "peak" "live" "reorders" "swaps" "aborts";
   List.iter
     (fun r ->
-      Printf.printf "%-26s %9.3f %10d %10d %9d %7d %7d\n" r.rr_label
-        r.rr_seconds r.rr_peak r.rr_live r.rr_reorders r.rr_swaps r.rr_aborts)
+      Printf.printf "%-26s %9.3f %9d %10d %10d %9d %7d %7d\n" r.rr_label
+        r.rr_seconds r.rr_tuples r.rr_peak r.rr_live r.rr_reorders r.rr_swaps
+        r.rr_aborts)
     runs;
-  match runs with
-  | [ _; _; off; on ] ->
-    Printf.printf "bad-order peak nodes %d -> %d (%.2fx)\n" off.rr_peak
-      on.rr_peak
-      (float_of_int off.rr_peak /. float_of_int (max 1 on.rr_peak))
-  | _ -> ()
-
-let bench_json2 ?(path = "BENCH_pr2.json") () =
-  let name = reorder_benchmark_name () in
-  let runs = reorder_runs name in
-  let buf = Buffer.create 2048 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v2\",\n";
-  out "  \"benchmark\": %S,\n" name;
-  out "  \"reorder_pointsto\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "    {\"config\": %S, \"seconds\": %.4f, \"tuples\": %d, \
-         \"peak_nodes\": %d, \"live_nodes\": %d, \"reorders\": %d, \
-         \"swaps\": %d, \"aborts\": %d}%s\n"
-        r.rr_label r.rr_seconds r.rr_tuples r.rr_peak r.rr_live r.rr_reorders
-        r.rr_swaps r.rr_aborts
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  out "  ]\n";
-  out "}\n";
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
+  Printf.printf "bad-order peak nodes %d -> %d (%.2fx)\n" bad_off.rr_peak
+    bad_on.rr_peak
+    (float_of_int bad_off.rr_peak /. float_of_int (max 1 bad_on.rr_peak));
+  if List.exists (fun r -> r.rr_tuples <> good_off.rr_tuples) runs then begin
+    Printf.printf "FAIL: the four configurations disagree on the fixed point\n";
+    exit 1
+  end
 
 (* ----------------------------------------------------------------- *)
 (* Backend comparison: in-core shared node table vs the out-of-core   *)
@@ -904,24 +614,22 @@ let backend_pointsto ~config ~backend ?node_limit ?pq_bytes ?mem_nodes profile =
       in
       let t0 = Unix.gettimeofday () in
       match
-        Jedd_analyses.Pointsto.load_facts inst p;
-        Jedd_analyses.Pointsto.run inst
+        Pointsto.load_facts inst p;
+        Pointsto.run inst
       with
       | () ->
         let secs = Unix.gettimeofday () -. t0 in
-        let tuples = List.length (Jedd_analyses.Pointsto.results inst) in
+        let tuples = List.length (Pointsto.results inst) in
         finish true secs tuples
       | exception M.Out_of_nodes ->
         finish false (Unix.gettimeofday () -. t0) 0)
 
-(* Default workload: a mid-size profile between compress and javac-13.
-   The extmem engine trades time for bounded memory (every operation is
-   a file-backed sweep with no cross-operation cache, typically 1-2
-   orders of magnitude slower), so the paper-sized javac/javac-13
-   profiles take tens of minutes out of core — selectable via
-   JEDD_BACKEND_BENCH for patient runs, but not a sane default for a
-   regeneratable benchmark. *)
-let backend_mid_profile =
+(* A mid-size profile between compress and javac-13.  The extmem engine
+   trades time for bounded memory (every operation is a file-backed
+   sweep with no cross-operation cache, typically 1-2 orders of
+   magnitude slower), so the paper-sized profiles take tens of minutes
+   out of core. *)
+let backend_profile =
   {
     Workload.name = "pointsto-mid";
     classes = 60;
@@ -936,39 +644,34 @@ let backend_mid_profile =
     seed = 77;
   }
 
-let backend_benchmark_profile () =
-  match Sys.getenv_opt "JEDD_BACKEND_BENCH" with
-  | Some "tiny" -> Workload.tiny
-  | Some s -> Workload.profile_named s
-  | None -> backend_mid_profile
-
-let backend_runs () =
-  let profile = backend_benchmark_profile () in
-  let name = profile.Workload.name in
+let backend_bench () =
+  let profile = backend_profile in
   let incore =
     backend_pointsto ~config:"incore/unlimited" ~backend:`Incore profile
   in
   (* Cap the node table well below the in-core peak: the in-core run
-     must abort cleanly, the extmem run under the same cap must finish
-     with the identical relation. *)
-  let node_limit = max 4096 (incore.bk_peak_nodes / 4) in
+     must abort cleanly, while extmem and hybrid under the same cap must
+     finish with the identical relation, hybrid ahead of extmem.  At a
+     quarter of the unlimited peak, checkpoint GC keeps the in-core run
+     under the cap (and hybrid never falls back); an eighth is below
+     what it can live within. *)
+  let node_limit = max 4096 (incore.bk_peak_nodes / 8) in
   let capped =
     backend_pointsto ~config:"incore/capped" ~backend:`Incore ~node_limit
       profile
   in
   (* Budgets low enough to force priority-queue spills to disk. *)
-  let extmem =
-    backend_pointsto ~config:"extmem/capped" ~backend:`Extmem ~node_limit
-      ~pq_bytes:16384 ~mem_nodes:2048 profile
+  let spilling config backend =
+    backend_pointsto ~config ~backend ~node_limit ~pq_bytes:16384
+      ~mem_nodes:2048 profile
   in
-  (name, node_limit, [ incore; capped; extmem ], incore, capped, extmem)
-
-let backend_bench () =
-  let name, node_limit, runs, incore, capped, extmem = backend_runs () in
+  let extmem = spilling "extmem/capped" `Extmem in
+  let hybrid = spilling "hybrid/capped" `Hybrid in
   line ();
   Printf.printf
-    "Backend: points-to (%s), in-core vs out-of-core streaming (extmem)\n"
-    name;
+    "Backend: points-to (%s), in-core vs out-of-core streaming (extmem)\n\
+     vs per-operation dispatch (hybrid)\n"
+    profile.Workload.name;
   line ();
   Printf.printf "%-18s %9s %9s %10s %7s %12s %10s %9s\n" "configuration"
     "seconds" "tuples" "peak" "runs" "spilled(B)" "pq-peak(B)" "io(ms)";
@@ -979,1229 +682,53 @@ let backend_bench () =
          else "aborted")
         r.bk_tuples r.bk_peak_nodes r.bk_spill_runs r.bk_spilled_bytes
         r.bk_pq_peak_bytes r.bk_io_millis)
-    runs;
+    [ incore; capped; extmem; hybrid ];
   Printf.printf "node limit for the capped runs: %d nodes\n" node_limit;
-  if capped.bk_completed then begin
-    Printf.printf "FAIL: capped in-core run should have hit Out_of_nodes\n";
-    exit 1
-  end;
-  if (not extmem.bk_completed) || extmem.bk_tuples <> incore.bk_tuples
-  then begin
-    Printf.printf "FAIL: extmem run did not reproduce the in-core result\n";
-    exit 1
-  end;
-  Printf.printf
-    "extmem completed under the cap with the identical %d-tuple relation\n"
-    extmem.bk_tuples
-
-let bench_json3 ?(path = "BENCH_pr3.json") () =
-  let name, node_limit, runs, incore, capped, extmem = backend_runs () in
-  let buf = Buffer.create 2048 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v3\",\n";
-  out "  \"benchmark\": %S,\n" name;
-  out "  \"node_limit\": %d,\n" node_limit;
-  out "  \"backend_pointsto\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "    {\"config\": %S, \"completed\": %b, \"seconds\": %.4f, \
-         \"tuples\": %d, \"peak_nodes\": %d, \"spill_runs\": %d, \
-         \"spilled_bytes\": %d, \"pq_peak_bytes\": %d, \"io_millis\": \
-         %.1f}%s\n"
-        r.bk_config r.bk_completed r.bk_seconds r.bk_tuples r.bk_peak_nodes
-        r.bk_spill_runs r.bk_spilled_bytes r.bk_pq_peak_bytes r.bk_io_millis
-        (if i = List.length runs - 1 then "" else ","))
-    runs;
-  out "  ],\n";
-  out "  \"capped_incore_aborted\": %b,\n" (not capped.bk_completed);
-  out "  \"extmem_matches_incore\": %b\n"
-    (extmem.bk_completed && extmem.bk_tuples = incore.bk_tuples);
-  out "}\n";
-  if capped.bk_completed then begin
-    Printf.eprintf "json3: capped in-core run should have hit Out_of_nodes\n";
-    exit 1
-  end;
-  if (not extmem.bk_completed) || extmem.bk_tuples <> incore.bk_tuples
-  then begin
-    Printf.eprintf "json3: extmem run did not reproduce the in-core result\n";
-    exit 1
-  end;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
-(* ----------------------------------------------------------------- *)
-(* BENCH_pr5.json: the jeddd warm-start story.  Cold = run the full   *)
-(* combined pipeline and answer one points-to query; warm = load the  *)
-(* snapshot the cold run saved and answer the same query; server =    *)
-(* per-query round-trip latency against a live jeddd socket.  The     *)
-(* acceptance bar is cold/warm >= 5x.                                 *)
-(* ----------------------------------------------------------------- *)
-
-let bench_json5 ?(path = "BENCH_pr5.json") () =
-  let bench_name =
-    match Sys.getenv_opt "JEDD_BENCH_WORKLOAD" with
-    | Some n -> n
-    | None -> "javac"
-  in
-  let p = Workload.generate (Workload.profile_named bench_name) in
-  let snap_path = Filename.temp_file "jedd-bench" ".snap" in
-  (* cold: compute the fixed point, persist it, answer pointsto(var) *)
-  let module Snapshot = Jedd_store.Snapshot in
-  let module R = Jedd_relation.Relation in
-  let query_rel snap var =
-    match Snapshot.find_relation snap "PointsTo.pt" with
-    | None -> failwith "snapshot lacks PointsTo.pt"
-    | Some pt ->
-      let var_attr, heap_attr =
-        match Jedd_relation.Schema.attrs (R.schema pt) with
-        | [ a; b ] ->
-          if Jedd_relation.Attribute.name a = "var" then (a, b) else (b, a)
-        | _ -> failwith "PointsTo.pt is not binary"
-      in
-      let sel = R.select pt [ (var_attr, var) ] in
-      let heaps = R.project_away sel [ var_attr ] in
-      ignore heap_attr;
-      let n = R.size heaps in
-      R.release sel;
-      R.release heaps;
-      n
-  in
-  let (snap_cold, query_var, cold_heaps), cold_s =
-    wall (fun () ->
-        let inst, r = Suite.run_combined p in
-        let snap = Suite.snapshot ~meta:[ ("workload", bench_name) ] inst in
-        Snapshot.save_file snap_path snap;
-        (* a var that actually points somewhere, so the query is real *)
-        let query_var =
-          match r.Suite.pt with (v :: _) :: _ -> v | _ -> 0
-        in
-        (snap, query_var, query_rel snap query_var))
-  in
-  let pt_tuples =
-    match Snapshot.find_relation snap_cold "PointsTo.pt" with
-    | Some pt -> R.size pt
-    | None -> 0
-  in
-  (* warm: load the snapshot, answer the same query; no fixed point *)
-  let (warm_heaps, warm_relations), warm_s =
-    wall (fun () ->
-        let snap = Snapshot.load_file snap_path in
-        (query_rel snap query_var, List.length snap.Snapshot.relations))
-  in
-  (* server: round-trip latency for the same query over the socket *)
-  let module Server = Jedd_server.Server in
-  let module Client = Jedd_server.Client in
-  let socket_path = Filename.temp_file "jedd-bench" ".sock" in
-  Sys.remove socket_path;
-  let server = Server.create ~socket_path snap_cold in
-  let server_thread = Thread.create Server.serve server in
-  let c = Client.connect socket_path in
-  let n_queries = 200 in
-  let lat = Array.make n_queries 0.0 in
-  for i = 0 to n_queries - 1 do
-    let (_ : int list), dt = wall (fun () -> Client.pointsto c query_var) in
-    lat.(i) <- dt
-  done;
-  Client.shutdown c;
-  Client.close c;
-  Thread.join server_thread;
-  Array.sort compare lat;
-  let mean = Array.fold_left ( +. ) 0.0 lat /. float_of_int n_queries in
-  let p95 = lat.(n_queries * 95 / 100) in
-  let speedup = cold_s /. warm_s in
-  let snap_bytes = (Unix.stat snap_path).Unix.st_size in
-  Sys.remove snap_path;
-  let buf = Buffer.create 1024 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v5\",\n";
-  out "  \"benchmark\": %S,\n" bench_name;
-  out "  \"query_var\": %d,\n" query_var;
-  out "  \"pt_tuples\": %d,\n" pt_tuples;
-  out "  \"snapshot_bytes\": %d,\n" snap_bytes;
-  out "  \"snapshot_relations\": %d,\n" warm_relations;
-  out "  \"cold_seconds\": %.4f,\n" cold_s;
-  out "  \"warm_seconds\": %.4f,\n" warm_s;
-  out "  \"warm_speedup\": %.1f,\n" speedup;
-  out "  \"results_match\": %b,\n" (cold_heaps = warm_heaps);
-  out "  \"server_query_mean_ms\": %.3f,\n" (mean *. 1000.);
-  out "  \"server_query_p95_ms\": %.3f,\n" (p95 *. 1000.);
-  out "  \"server_queries\": %d\n" n_queries;
-  out "}\n";
-  if cold_heaps <> warm_heaps then begin
-    Printf.eprintf "json5: warm-start query disagrees with cold (%d vs %d)\n"
-      cold_heaps warm_heaps;
-    exit 1
-  end;
-  if speedup < 5.0 then begin
-    Printf.eprintf "json5: warm-start speedup %.1fx is below the 5x bar\n"
-      speedup;
-    exit 1
-  end;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
-(* ----------------------------------------------------------------- *)
-(* BENCH_pr7.json: the serving story.  One snapshot on disk behind    *)
-(* the jeddd-serve front end; a frozen worker sweep at 1/2/4/8        *)
-(* domains under closed-loop multi-client load; a frozen-vs-          *)
-(* refcounted single-worker comparison on the same load; and a        *)
-(* three-transport differential gate (bit-identical responses over    *)
-(* Unix, TCP and HTTP, at every worker count, against workers=1).     *)
-(* ----------------------------------------------------------------- *)
-
-module Serve = Jedd_serve.Serve
-module SJson = Jedd_server.Json
-
-let worker_curve = [ 1; 2; 4; 8 ]
-let host_cpus () = Domain.recommended_domain_count ()
-
-let serve_fixture () =
-  let bench_name =
-    match Sys.getenv_opt "JEDD_BENCH_WORKLOAD" with
-    | Some n -> n
-    | None -> "javac"
-  in
-  let p = Workload.generate (Workload.profile_named bench_name) in
-  let inst, r = Suite.run_combined p in
-  let snap = Suite.snapshot ~meta:[ ("workload", bench_name) ] inst in
-  let snap_path = Filename.temp_file "jedd-serve" ".snap" in
-  Jedd_store.Snapshot.save_file snap_path snap;
-  let hash = Digest.to_hex (Digest.file snap_path) in
-  (* distinct vars that actually point somewhere, so queries are real *)
-  let seen = Hashtbl.create 16 in
-  let vars =
+  let reproduces r = r.bk_completed && r.bk_tuples = incore.bk_tuples in
+  let failures =
     List.filter_map
-      (function
-        | v :: _ when not (Hashtbl.mem seen v) ->
-          Hashtbl.add seen v ();
-          Some v
-        | _ -> None)
-      r.Suite.pt
+      (fun (ok, msg) -> if ok then None else Some msg)
+      [
+        (not capped.bk_completed, "capped in-core run should have hit Out_of_nodes");
+        (reproduces extmem, "extmem run did not reproduce the in-core result");
+        (reproduces hybrid, "hybrid run did not reproduce the in-core result");
+        ( hybrid.bk_seconds < extmem.bk_seconds,
+          "hybrid did not beat pure extmem on the capped workload" );
+      ]
   in
-  let vars = if vars = [] then [ 0 ] else vars in
-  (bench_name, snap_path, hash, Array.of_list vars)
+  List.iter (Printf.printf "FAIL: %s\n") failures;
+  if failures <> [] then exit 1;
+  Printf.printf
+    "extmem and hybrid completed under the cap with the identical %d-tuple\n\
+     relation; hybrid ran %.1fx faster than extmem\n"
+    incore.bk_tuples
+    (extmem.bk_seconds /. hybrid.bk_seconds)
 
-(* Start a serve front end on all three transports, run [f], always
-   stop the server.  Each call loads its own universe from the
-   snapshot file, so freeze (which is one-way) never leaks between
-   runs. *)
-let with_server ~workers ~frozen snap_path hash f =
-  let snap = Jedd_store.Snapshot.load_file ~freeze:frozen snap_path in
-  let sock = Filename.temp_file "jedd-serve" ".sock" in
-  Sys.remove sock;
-  let config =
-    {
-      Serve.default_config with
-      unix_path = Some sock;
-      tcp = Some ("127.0.0.1", 0);
-      http = Some ("127.0.0.1", 0);
-      workers;
-    }
-  in
-  let server = Serve.create ~config ~universe_hash:hash snap in
-  let th = Thread.create Serve.run server in
-  let tcp_port =
-    match Serve.tcp_port server with Some p -> p | None -> 0
-  in
-  let http_port =
-    match Serve.http_port server with Some p -> p | None -> 0
-  in
-  let finally () =
-    Serve.stop server;
-    Thread.join th;
-    if Sys.file_exists sock then Sys.remove sock
-  in
-  match f ~sock ~tcp_port ~http_port with
-  | v ->
-    finally ();
-    v
-  | exception e ->
-    finally ();
-    raise e
+(* ----------------------------------------------------------------- *)
 
-(* Deterministic read-only queries for the differential gate; stats is
-   deliberately excluded (uptime and counters vary). *)
-let differential_queries vars =
-  let q verb fields = SJson.Obj (("verb", SJson.String verb) :: fields) in
-  [ q "ping" []; q "version" []; q "relations" [] ]
-  @ (Array.to_list (Array.sub vars 0 (min 4 (Array.length vars)))
-    |> List.map (fun v -> q "pointsto" [ ("var", SJson.Int v) ]))
-  @ [ q "count" [ ("rel", SJson.String "PointsTo.pt") ] ]
-
-let transport_responses ~sock ~tcp_port ~http_port queries =
-  let module C = Jedd_server.Client in
-  let module H = Jedd_serve.Http in
-  let over connect is_http =
-    let c = connect () in
-    let rs =
-      List.map
-        (fun query ->
-          let r =
-            if is_http then
-              H.client_request ~ic:c.C.ic ~oc:c.C.oc query
-            else C.request c query
-          in
-          SJson.to_string r)
-        queries
-    in
-    C.close c;
-    rs
-  in
+let commands =
   [
-    ("unix", over (fun () -> C.connect ~retries:10 sock) false);
-    ( "tcp",
-      over (fun () -> C.connect_tcp ~retries:10 "127.0.0.1" tcp_port) false );
-    ( "http",
-      over (fun () -> C.connect_tcp ~retries:10 "127.0.0.1" http_port) true );
+    ("table1", table1);
+    ("table2", table2);
+    ("fig7", fig7);
+    ("compactness", compactness);
+    ("ablation-compose", ablation_compose);
+    ("ablation-replace", ablation_replace);
+    ("ablation-order", ablation_order);
+    ("ablation-memory", ablation_memory);
+    ("reorder", reorder_bench);
+    ("backend", backend_bench);
   ]
 
-let serve_cache_stats ~sock =
-  let module C = Jedd_server.Client in
-  let c = C.connect ~retries:10 sock in
-  let resp = C.request c (SJson.Obj [ ("verb", SJson.String "stats") ]) in
-  C.close c;
-  let field name =
-    match SJson.member "result_cache" resp with
-    | Some rc -> (
-      match SJson.member name rc with Some (SJson.Int n) -> n | _ -> 0)
-    | None -> 0
-  in
-  (field "hits", field "misses")
-
-(* The standing load: mostly pointsto over a rotating var set (so the
-   result cache sees repeats), one count in four. *)
-let serve_load ~transport ~clients ~requests vars =
-  let mk _i j =
-    if j mod 4 = 3 then
-      SJson.Obj
-        [
-          ("verb", SJson.String "count");
-          ("rel", SJson.String "PointsTo.pt");
-        ]
-    else
-      SJson.Obj
-        [
-          ("verb", SJson.String "pointsto");
-          ("var", SJson.Int vars.(j mod Array.length vars));
-        ]
-  in
-  Loadgen.run
-    {
-      Loadgen.transport;
-      clients;
-      requests_per_client = requests;
-      rate_per_client = None;
-      make_request = mk;
-    }
-
-let lat_ms r q = float_of_int (Loadgen.percentile_us r q) /. 1000.0
-
-let require_clean what (r : Loadgen.result) =
-  if r.Loadgen.transport_errors > 0 || r.Loadgen.app_errors > 0 then begin
-    Printf.eprintf
-      "%s: load run had errors (transport %d, application %d, ok %d/%d)\n"
-      what r.Loadgen.transport_errors r.Loadgen.app_errors r.Loadgen.ok
-      r.Loadgen.sent;
-    exit 1
-  end
-
-(* Small-scale CI smoke: a warm frozen snapshot, 2 workers, 50
-   concurrent TCP clients.  Zero errors and a warm result cache or the
-   job fails. *)
-let bench_load () =
-  let bench_name, snap_path, hash, vars = serve_fixture () in
-  let clients = 50 and requests = 20 in
-  let result, hits, misses =
-    with_server ~workers:2 ~frozen:true snap_path hash
-      (fun ~sock ~tcp_port ~http_port ->
-        ignore http_port;
-        let r =
-          serve_load
-            ~transport:(Loadgen.Tcp ("127.0.0.1", tcp_port))
-            ~clients ~requests vars
-        in
-        let hits, misses = serve_cache_stats ~sock in
-        (r, hits, misses))
-  in
-  Sys.remove snap_path;
-  require_clean "load-smoke" result;
-  if hits = 0 then begin
-    Printf.eprintf
-      "load-smoke: result cache never hit (misses %d) under a repeating \
-       workload\n"
-      misses;
-    exit 1
-  end;
-  Printf.printf
-    "load smoke: OK (%s, %d clients x %d reqs, %d ok, %.0f req/s, p50 \
-     %.2fms p99 %.2fms, cache %d/%d hits)\n"
-    bench_name clients requests result.Loadgen.ok
-    (Loadgen.throughput_rps result)
-    (lat_ms result 0.50) (lat_ms result 0.99) hits (hits + misses)
-
-let bench_json7 ?(path = "BENCH_pr7.json") () =
-  let bench_name, snap_path, hash, vars = serve_fixture () in
-  let cpus = host_cpus () in
-  let clients = 32 and requests = 50 in
-  let queries = differential_queries vars in
-  let reference = ref None in
-  let differential_ok = ref true in
-  let sweep =
-    List.map
-      (fun workers ->
-        with_server ~workers ~frozen:true snap_path hash
-          (fun ~sock ~tcp_port ~http_port ->
-            (* differential first, on an idle server *)
-            let by_transport =
-              transport_responses ~sock ~tcp_port ~http_port queries
-            in
-            (match !reference with
-            | None ->
-              reference := Some (List.assoc "unix" by_transport)
-            | Some _ -> ());
-            let expect = Option.get !reference in
-            List.iter
-              (fun (tname, rs) ->
-                if rs <> expect then begin
-                  Printf.eprintf
-                    "json7: %s responses at %d workers differ from the \
-                     single-worker reference\n"
-                    tname workers;
-                  differential_ok := false
-                end)
-              by_transport;
-            let r =
-              serve_load
-                ~transport:(Loadgen.Tcp ("127.0.0.1", tcp_port))
-                ~clients ~requests vars
-            in
-            require_clean (Printf.sprintf "json7 (workers=%d)" workers) r;
-            let hits, misses = serve_cache_stats ~sock in
-            (workers, r, hits, misses)))
-      worker_curve
-  in
-  if not !differential_ok then exit 1;
-  (* frozen vs refcounted, single worker, same load over TCP *)
-  let mode_run frozen =
-    with_server ~workers:1 ~frozen snap_path hash
-      (fun ~sock ~tcp_port ~http_port ->
-        ignore sock;
-        ignore http_port;
-        let r =
-          serve_load
-            ~transport:(Loadgen.Tcp ("127.0.0.1", tcp_port))
-            ~clients ~requests vars
-        in
-        require_clean
-          (Printf.sprintf "json7 (%s)"
-             (if frozen then "frozen" else "refcounted"))
-          r;
-        r)
-  in
-  let frozen_r = mode_run true in
-  let refc_r = mode_run false in
-  (* one HTTP datapoint so BENCH_pr7 covers that front end too *)
-  let http_r =
-    with_server ~workers:2 ~frozen:true snap_path hash
-      (fun ~sock ~tcp_port ~http_port ->
-        ignore sock;
-        ignore tcp_port;
-        let r =
-          serve_load
-            ~transport:(Loadgen.Http_t ("127.0.0.1", http_port))
-            ~clients:16 ~requests:25 vars
-        in
-        require_clean "json7 (http)" r;
-        r)
-  in
-  Sys.remove snap_path;
-  let tput (r : Loadgen.result) = Loadgen.throughput_rps r in
-  let run_json (r : Loadgen.result) =
-    Printf.sprintf
-      "\"ok\": %d, \"sent\": %d, \"wall_s\": %.3f, \"throughput_rps\": \
-       %.1f, \"p50_ms\": %.3f, \"p95_ms\": %.3f, \"p99_ms\": %.3f"
-      r.Loadgen.ok r.Loadgen.sent r.Loadgen.wall_s (tput r)
-      (lat_ms r 0.50) (lat_ms r 0.95) (lat_ms r 0.99)
-  in
-  let base_tput =
-    match sweep with (1, r, _, _) :: _ -> tput r | _ -> 0.0
-  in
-  let tput_at w =
-    match List.find_opt (fun (w', _, _, _) -> w' = w) sweep with
-    | Some (_, r, _, _) -> tput r
-    | None -> 0.0
-  in
-  let scale4 = if base_tput > 0.0 then tput_at 4 /. base_tput else 0.0 in
-  let gate_asserted = cpus >= 4 in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v7\",\n";
-  out "  \"benchmark\": %S,\n" bench_name;
-  out "  \"host_cpus\": %d,\n" cpus;
-  out "  \"snapshot_hash\": %S,\n" hash;
-  out "  \"clients\": %d,\n" clients;
-  out "  \"requests_per_client\": %d,\n" requests;
-  out "  \"worker_sweep\": [\n";
-  List.iteri
-    (fun i (workers, r, hits, misses) ->
-      let total = hits + misses in
-      out
-        "    {\"workers\": %d, %s, \"cache_hits\": %d, \"cache_misses\": \
-         %d, \"cache_hit_rate\": %.3f}%s\n"
-        workers (run_json r) hits misses
-        (if total = 0 then 0.0 else float_of_int hits /. float_of_int total)
-        (if i = List.length sweep - 1 then "" else ","))
-    sweep;
-  out "  ],\n";
-  out "  \"frozen_single_worker\": {%s},\n" (run_json frozen_r);
-  out "  \"refcounted_single_worker\": {%s},\n" (run_json refc_r);
-  out "  \"frozen_vs_refcounted_speedup\": %.3f,\n"
-    (if tput refc_r > 0.0 then tput frozen_r /. tput refc_r else 0.0);
-  out "  \"http_two_workers\": {%s},\n" (run_json http_r);
-  out "  \"differential_identical\": true,\n";
-  out
-    "  \"scaling_gate\": {\"required_at_4_workers\": 1.2, \"asserted\": \
-     %b, \"throughput_ratio_at_4\": %.3f}\n"
-    gate_asserted scale4;
-  out "}\n";
-  (* more workers only help with real cores under them *)
-  if gate_asserted && scale4 < 1.2 then begin
-    Printf.eprintf
-      "json7: throughput at 4 workers is %.2fx of 1 worker on a %d-cpu \
-       host (bar: 1.2x)\n"
-      scale4 cpus;
-    exit 1
-  end;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
-(* ----------------------------------------------------------------- *)
-(* BENCH_pr8.json: incremental re-solve cost per edit (PR 8)          *)
-(* ----------------------------------------------------------------- *)
-
-(* A live session absorbs a stream of program edits; after every edit
-   the incremental fixed point must be tuple-for-tuple the one a
-   from-scratch solve of the edited program reaches.  The bench
-   measures the cost per edit against that from-scratch solve at 1, 5
-   and 25 accumulated edits, and the size of the differential snapshot
-   (Delta.diff against the previous generation) after each edit.
-
-   Gate (javac workload): a single added call site must re-solve at
-   least 10x faster than from scratch, with identical relations. *)
-
-let bench_json8 ?(path = "BENCH_pr8.json") () =
-  let module Live = Jedd_analyses.Live in
-  let module Edit = Jedd_incr.Edit in
-  let module Snapshot = Jedd_store.Snapshot in
-  let module Delta = Jedd_store.Delta in
-  let bench_name =
-    match Sys.getenv_opt "JEDD_BENCH_WORKLOAD" with
-    | Some n -> n
-    | None -> "javac"
-  in
-  let p0 = Workload.generate (Workload.profile_named bench_name) in
-  (* the live session: compile with headroom, load, cold solve *)
-  let session, cold_s = wall (fun () -> Live.create p0) in
-  let scratch_solve p =
-    let (inst, r), secs =
-      wall (fun () -> Suite.run_combined ~headroom:true p)
-    in
-    ignore inst;
-    (r, secs)
-  in
-  let snap_bytes () =
-    Snapshot.to_bytes (Suite.snapshot (Live.inst session))
-  in
-  let prev_bytes = ref (snap_bytes ()) in
-  let rng = Random.State.make [| 0x8edd; 8 |] in
-  (* edit #1 is the gate's single new call site; the rest of the
-     stream is deterministic random additions *)
-  let next_edit i =
-    if i = 1 then Edit.Add_callsite { recv = 0; signature = 0; in_method = 0 }
-    else Edit.random ~removals:false rng (Live.program session)
-  in
-  let batch_points = [ 1; 5; 25 ] in
-  let max_edits = List.fold_left max 0 batch_points in
-  let per_edit = ref [] in
-  let batches = ref [] in
-  let cum_incr_s = ref 0.0 in
-  let all_identical = ref true in
-  for i = 1 to max_edits do
-    let e = next_edit i in
-    let stats, secs = wall (fun () -> Live.update session e) in
-    cum_incr_s := !cum_incr_s +. secs;
-    (* differential snapshot against the previous generation *)
-    let bytes = snap_bytes () in
-    let d =
-      Delta.diff
-        ~meta:[ ("edit", Edit.describe e) ]
-        ~base:!prev_bytes ~next:bytes ()
-    in
-    let delta_bytes = String.length (Delta.to_bytes d) in
-    prev_bytes := bytes;
-    per_edit :=
-      ( i,
-        Edit.describe e,
-        Live.mode_to_string stats.Live.mode,
-        secs,
-        List.length d.Delta.changed,
-        delta_bytes,
-        String.length bytes )
-      :: !per_edit;
-    if List.mem i batch_points then begin
-      let r_scratch, scratch_s = scratch_solve (Live.program session) in
-      let identical = Live.results session = r_scratch in
-      if not identical then all_identical := false;
-      batches := (i, !cum_incr_s, scratch_s, identical) :: !batches
-    end
-  done;
-  let per_edit = List.rev !per_edit in
-  let batches = List.rev !batches in
-  let ms s = s *. 1000.0 in
-  (* gate: the single-callsite batch point *)
-  let gate_edits, gate_incr_s, gate_scratch_s, gate_identical =
-    match batches with b :: _ -> b | [] -> (0, 1.0, 0.0, false)
-  in
-  ignore gate_edits;
-  let gate_speedup =
-    if gate_incr_s > 0.0 then gate_scratch_s /. gate_incr_s else 0.0
-  in
-  let gate_asserted = bench_name = "javac" in
-  let buf = Buffer.create 4096 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v8\",\n";
-  out "  \"benchmark\": %S,\n" bench_name;
-  out "  \"host_cpus\": %d,\n" (host_cpus ());
-  out "  \"cold_solve_ms\": %.1f,\n" (ms cold_s);
-  out "  \"edits\": [\n";
-  List.iteri
-    (fun k (i, desc, mode, secs, changed, dbytes, fbytes) ->
-      out
-        "    {\"edit\": %d, \"op\": %S, \"mode\": %S, \"incr_ms\": %.2f, \
-         \"delta_changed_relations\": %d, \"delta_bytes\": %d, \
-         \"full_snapshot_bytes\": %d, \"delta_fraction\": %.4f}%s\n"
-        i desc mode (ms secs) changed dbytes fbytes
-        (float_of_int dbytes /. float_of_int fbytes)
-        (if k = List.length per_edit - 1 then "" else ","))
-    per_edit;
-  out "  ],\n";
-  out "  \"batches\": [\n";
-  List.iteri
-    (fun k (n, incr_s, scratch_s, identical) ->
-      let per = ms incr_s /. float_of_int n in
-      out
-        "    {\"edits\": %d, \"incr_total_ms\": %.1f, \
-         \"incr_per_edit_ms\": %.1f, \"scratch_ms\": %.1f, \
-         \"speedup_per_edit\": %.2f, \"identical\": %b}%s\n"
-        n (ms incr_s) per (ms scratch_s)
-        (if per > 0.0 then ms scratch_s /. per else 0.0)
-        identical
-        (if k = List.length batches - 1 then "" else ","))
-    batches;
-  out "  ],\n";
-  out
-    "  \"single_edit_gate\": {\"required_speedup\": 10.0, \"asserted\": \
-     %b, \"speedup\": %.2f, \"identical\": %b}\n"
-    gate_asserted gate_speedup gate_identical;
-  out "}\n";
-  if not !all_identical then begin
-    Printf.eprintf
-      "json8: incremental relations diverged from a from-scratch solve\n";
-    exit 1
-  end;
-  if gate_asserted && gate_speedup < 10.0 then begin
-    Printf.eprintf
-      "json8: single-callsite re-solve is %.2fx from-scratch on %s (bar: \
-       10x)\n"
-      gate_speedup bench_name;
-    exit 1
-  end;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
-(* ----------------------------------------------------------------- *)
-(* BENCH_pr9.json: the static cost model (PR 9).  Half 1: the        *)
-(* weighted domain assignment must leave the five analyses' results  *)
-(* bit-identical on javac while the generated programs execute       *)
-(* strictly fewer dynamic replaces than the unweighted solve.        *)
-(* Half 2: the hybrid backend on the capped points-to workload of    *)
-(* json3 — must complete via its per-operation extmem fallback,      *)
-(* reproduce the in-core relation, and beat pure extmem wall-clock.  *)
-(* ----------------------------------------------------------------- *)
-
-type cost_run = {
-  cr_config : string;
-  cr_seconds : float;  (* the five analyses, excluding compilation *)
-  cr_solve_seconds : float;  (* the domain assignment(s): encode + CDCL *)
-  cr_static_replaces : int;  (* IReplace instructions emitted *)
-  cr_static_weight : int;  (* emitted sites weighted by Freq — the
-                              objective the weighted solve minimises *)
-  cr_dyn_replaces : int;  (* replace executions during the pipeline *)
-  cr_replace_millis : float;  (* wall time inside those replaces *)
-  cr_results : Suite.results;
-  cr_weighted : E.weighted_stats option;
-}
-
-(* The five analyses exactly as [Suite.run_all] compiles them — one
-   Jedd program per analysis, the form the paper benchmarks — with a
-   profiler hook on every universe counting executed replaces. *)
-let cost_suite_run ~config ~optimize profile =
-  let module U = Jedd_relation.Universe in
-  let p = Workload.generate profile in
-  Printf.eprintf "[cost] %s: compiling + running the five analyses...\n%!"
-    config;
-  let dyn = ref 0 and rep_ms = ref 0.0 in
-  let static_replaces = ref 0 in
-  let static_weight = ref 0 in
-  let solve_seconds = ref 0.0 in
-  let weighted = ref None in
-  let stage name run =
-    let compiled = Suite.compile_one ~optimize p name in
-    let _, prov = Jedd_lang.Lower.lower_program_ex compiled in
-    let freq = Jedd_cost.Freq.analyze compiled.Driver.tprog in
-    let sites = prov.Jedd_lang.Lower.pp_replaces in
-    static_replaces := !static_replaces + List.length sites;
-    static_weight :=
-      !static_weight
-      + List.fold_left
-          (fun a (s : Jedd_lang.Lower.replace_site) ->
-            a + Jedd_cost.Freq.weight freq s.Jedd_lang.Lower.rs_eid)
-          0 sites;
-    (let st = compiled.Driver.assignment.E.stats in
-     solve_seconds := !solve_seconds +. st.E.encode_seconds +. st.E.solve_seconds);
-    (match (compiled.Driver.weighted_stats, !weighted) with
-    | Some w, None -> weighted := Some w
-    | Some w, Some acc ->
-      weighted :=
-        Some
-          {
-            E.w_sites = acc.E.w_sites + w.E.w_sites;
-            w_kept = acc.E.w_kept + w.E.w_kept;
-            w_broken = acc.E.w_broken + w.E.w_broken;
-            w_cost = acc.E.w_cost + w.E.w_cost;
-            w_solves = acc.E.w_solves + w.E.w_solves;
-          }
-    | None, _ -> ());
-    let inst = Driver.instantiate ~node_capacity:(1 lsl 18) compiled in
-    let u = Interp.universe inst in
-    U.set_profile_level u U.Counts;
-    U.set_on_op u
-      (Some
-         (fun (e : U.op_event) ->
-           if e.U.op = "replace" then begin
-             incr dyn;
-             rep_ms := !rep_ms +. e.U.millis
-           end));
-    let r = run inst in
-    U.set_on_op u None;
-    U.set_profile_level u U.Off;
-    U.cleanup u;
-    r
-  in
-  let t0 = Unix.gettimeofday () in
-  let subtypes =
-    stage "Hierarchy" (fun inst ->
-        Jedd_analyses.Hierarchy.load_facts inst p;
-        Jedd_analyses.Hierarchy.run inst;
-        Jedd_analyses.Hierarchy.results inst)
-  in
-  let pt =
-    stage "Points-to Analysis" (fun inst ->
-        Jedd_analyses.Pointsto.load_facts inst p;
-        Jedd_analyses.Pointsto.run inst;
-        Jedd_analyses.Pointsto.results inst)
-  in
-  let resolved, call_edges =
-    stage "Virtual Call Resolution" (fun inst ->
-        Jedd_analyses.Vcall.load_facts inst p;
-        Jedd_analyses.Vcall.run inst (Suite.receiver_types p pt);
-        (Jedd_analyses.Vcall.results inst, Jedd_analyses.Vcall.call_edges inst))
-  in
-  let reachable =
-    stage "Call Graph" (fun inst ->
-        Jedd_analyses.Callgraph.load_facts inst p ~call_edges;
-        Jedd_analyses.Callgraph.run inst;
-        Jedd_analyses.Callgraph.results inst)
-  in
-  let side_effects =
-    stage "Side-effect Analysis" (fun inst ->
-        Jedd_analyses.Sideeffect.load_facts inst p ~pt ~call_edges;
-        Jedd_analyses.Sideeffect.run inst;
-        Jedd_analyses.Sideeffect.results inst)
-  in
-  let secs = Unix.gettimeofday () -. t0 in
-  (match !weighted with
-  | Some w ->
-    Printf.eprintf
-      "[cost]   weighted objective: kept %d of %d sites (broken cost %d, %d \
-       solves)\n%!"
-      w.E.w_kept w.E.w_sites w.E.w_cost w.E.w_solves
-  | None -> ());
-  Printf.eprintf
-    "[cost]   ... %d static sites (weight %d), %d dynamic replaces (%.1f \
-     ms) in %.2fs\n%!"
-    !static_replaces !static_weight !dyn !rep_ms secs;
-  {
-    cr_config = config;
-    cr_seconds = secs;
-    cr_solve_seconds = !solve_seconds;
-    cr_static_replaces = !static_replaces;
-    cr_static_weight = !static_weight;
-    cr_dyn_replaces = !dyn;
-    cr_replace_millis = !rep_ms;
-    cr_results =
-      { Suite.subtypes; pt; resolved; call_edges; reachable; side_effects };
-    cr_weighted = !weighted;
-  }
-
-let cost_benchmark_profile () =
-  match Sys.getenv_opt "JEDD_COST_BENCH" with
-  | Some "tiny" -> Workload.tiny
-  | Some s -> Workload.profile_named s
-  | None -> Workload.profile_named "javac"
-
-(* The loop-hoist microbenchmark: 'x' flows from a P1-pinned field and
-   is consumed three times inside a fixed-point loop at P2.  Both
-   placements of the unavoidable copy satisfy the constraints — the
-   unweighted solver's tie-break lands it inside the loop (one replace
-   per use per iteration), the weighted objective hoists it to the
-   initializer (one replace, ever).  This is the §3.3.2 "minimize the
-   number of attributes represented in different physical domains"
-   refinement made loop-aware. *)
-let hoist_src =
-  "domain D 8;\n\
-   physdom P1;\n\
-   physdom P2;\n\
-   attribute a : D;\n\
-   class Hoist {\n\
-  \  <a:P1> src;\n\
-  \  <a:P2> acc;\n\
-  \  public void run() {\n\
-  \    src = 1B;\n\
-  \    <a> x = src;\n\
-  \    <a> old;\n\
-  \    do {\n\
-  \      old = acc;\n\
-  \      acc = acc | x;\n\
-  \      acc = acc | x;\n\
-  \      acc = acc | x;\n\
-  \    } while (old != acc);\n\
-  \    print acc;\n\
-  \  }\n\
-   }\n"
-
-(* Compile and execute the microbenchmark, counting replace executions. *)
-let hoist_run ~optimize =
-  let module U = Jedd_relation.Universe in
-  let weight =
-    if optimize then
-      Some
-        (fun tprog ->
-          let f = Jedd_cost.Freq.analyze tprog in
-          Jedd_cost.Freq.weight f)
-    else None
-  in
-  let compiled =
-    match Driver.compile ?weight [ ("hoist.jedd", hoist_src) ] with
-    | Ok c -> c
-    | Error e -> failwith (Driver.error_to_string e)
-  in
-  let _, prov = Jedd_lang.Lower.lower_program_ex compiled in
-  let static_sites = List.length prov.Jedd_lang.Lower.pp_replaces in
-  let inst = Driver.instantiate compiled in
-  let u = Interp.universe inst in
-  let dyn = ref 0 in
-  U.set_profile_level u U.Counts;
-  U.set_on_op u
-    (Some (fun (e : U.op_event) -> if e.U.op = "replace" then incr dyn));
-  Interp.set_print_hook inst (fun _ -> ());
-  ignore (Interp.call inst "Hoist.run" []);
-  U.set_on_op u None;
-  U.cleanup u;
-  (static_sites, !dyn)
-
-let bench_json9 ?(path = "BENCH_pr9.json") () =
-  let profile = cost_benchmark_profile () in
-  let base = cost_suite_run ~config:"unweighted" ~optimize:false profile in
-  let opt = cost_suite_run ~config:"weighted" ~optimize:true profile in
-  let identical =
-    base.cr_results.Suite.subtypes = opt.cr_results.Suite.subtypes
-    && base.cr_results.Suite.pt = opt.cr_results.Suite.pt
-    && base.cr_results.Suite.resolved = opt.cr_results.Suite.resolved
-    && base.cr_results.Suite.call_edges = opt.cr_results.Suite.call_edges
-    && base.cr_results.Suite.reachable = opt.cr_results.Suite.reachable
-    && base.cr_results.Suite.side_effects = opt.cr_results.Suite.side_effects
-  in
-  (* the loop-hoist microbenchmark, executed on both assignments *)
-  let hoist_base_sites, hoist_base_dyn = hoist_run ~optimize:false in
-  let hoist_opt_sites, hoist_opt_dyn = hoist_run ~optimize:true in
-  Printf.eprintf
-    "[cost] hoist microbenchmark: %d -> %d dynamic replaces (%d/%d static \
-     sites)\n%!"
-    hoist_base_dyn hoist_opt_dyn hoist_base_sites hoist_opt_sites;
-  (* half 2: the json3 capped workload, plus a hybrid run under the
-     same node cap and extmem budgets *)
-  let bk_profile = backend_benchmark_profile () in
-  let bk_name, node_limit, _, incore, capped, extmem = backend_runs () in
-  let hybrid =
-    backend_pointsto ~config:"hybrid/capped" ~backend:`Hybrid ~node_limit
-      ~pq_bytes:16384 ~mem_nodes:2048 bk_profile
-  in
-  let bk_runs = [ incore; capped; extmem; hybrid ] in
-  let buf = Buffer.create 2048 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v9\",\n";
-  out "  \"benchmark\": %S,\n" profile.Workload.name;
-  out "  \"weighted_assignment\": {\n";
-  out "    \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "      {\"config\": %S, \"seconds\": %.4f, \"solve_seconds\": %.4f, \
-         \"static_replace_sites\": %d, \"static_replace_weight\": %d, \
-         \"dynamic_replaces\": %d, \"replace_millis\": %.1f}%s\n"
-        r.cr_config r.cr_seconds r.cr_solve_seconds r.cr_static_replaces
-        r.cr_static_weight r.cr_dyn_replaces r.cr_replace_millis
-        (if i = 1 then "" else ","))
-    [ base; opt ];
-  out "    ],\n";
-  (match opt.cr_weighted with
-  | Some w ->
-    out
-      "    \"weighted\": {\"sites\": %d, \"kept\": %d, \"broken\": %d, \
-       \"cost\": %d, \"solves\": %d},\n"
-      w.E.w_sites w.E.w_kept w.E.w_broken w.E.w_cost w.E.w_solves
-  | None -> out "    \"weighted\": null,\n");
-  out "    \"identical_results\": %b,\n" identical;
-  out "    \"dynamic_replaces_removed\": %d,\n"
-    (base.cr_dyn_replaces - opt.cr_dyn_replaces);
-  out
-    "    \"hoist_microbenchmark\": {\"unweighted_dynamic_replaces\": %d, \
-     \"weighted_dynamic_replaces\": %d, \"unweighted_static_sites\": %d, \
-     \"weighted_static_sites\": %d}\n"
-    hoist_base_dyn hoist_opt_dyn hoist_base_sites hoist_opt_sites;
-  out "  },\n";
-  out "  \"hybrid_backend\": {\n";
-  out "    \"benchmark\": %S,\n" bk_name;
-  out "    \"node_limit\": %d,\n" node_limit;
-  out "    \"runs\": [\n";
-  List.iteri
-    (fun i r ->
-      out
-        "      {\"config\": %S, \"completed\": %b, \"seconds\": %.4f, \
-         \"tuples\": %d, \"peak_nodes\": %d, \"spill_runs\": %d, \
-         \"spilled_bytes\": %d, \"io_millis\": %.1f}%s\n"
-        r.bk_config r.bk_completed r.bk_seconds r.bk_tuples r.bk_peak_nodes
-        r.bk_spill_runs r.bk_spilled_bytes r.bk_io_millis
-        (if i = List.length bk_runs - 1 then "" else ","))
-    bk_runs;
-  out "    ],\n";
-  out "    \"capped_incore_aborted\": %b,\n" (not capped.bk_completed);
-  out "    \"hybrid_completed\": %b,\n" hybrid.bk_completed;
-  out "    \"hybrid_matches_incore\": %b,\n"
-    (hybrid.bk_completed && hybrid.bk_tuples = incore.bk_tuples);
-  out "    \"hybrid_speedup_vs_extmem\": %.2f\n"
-    (if hybrid.bk_seconds > 0.0 then extmem.bk_seconds /. hybrid.bk_seconds
-     else 0.0);
-  out "  }\n";
-  out "}\n";
-  (* gates *)
-  if not identical then begin
-    Printf.eprintf
-      "json9: weighted assignment changed the analysis results\n";
-    exit 1
-  end;
-  if opt.cr_dyn_replaces > base.cr_dyn_replaces then begin
-    Printf.eprintf
-      "json9: weighted assignment increased dynamic replaces (%d -> %d)\n"
-      base.cr_dyn_replaces opt.cr_dyn_replaces;
-    exit 1
-  end;
-  if opt.cr_static_weight > base.cr_static_weight then begin
-    Printf.eprintf
-      "json9: weighted assignment worsened the replace-weight objective \
-       (%d -> %d)\n"
-      base.cr_static_weight opt.cr_static_weight;
-    exit 1
-  end;
-  if hoist_opt_dyn >= hoist_base_dyn then begin
-    Printf.eprintf
-      "json9: weighted assignment failed to hoist the loop copy (%d -> %d \
-       dynamic replaces)\n"
-      hoist_base_dyn hoist_opt_dyn;
-    exit 1
-  end;
-  if not hybrid.bk_completed then begin
-    Printf.eprintf
-      "json9: hybrid backend aborted on the capped workload that extmem \
-       completes\n";
-    exit 1
-  end;
-  if hybrid.bk_tuples <> incore.bk_tuples then begin
-    Printf.eprintf "json9: hybrid run did not reproduce the in-core result\n";
-    exit 1
-  end;
-  if extmem.bk_completed && hybrid.bk_seconds >= extmem.bk_seconds then begin
-    Printf.eprintf
-      "json9: hybrid (%.2fs) did not beat pure extmem (%.2fs) on the capped \
-       workload\n"
-      hybrid.bk_seconds extmem.bk_seconds;
-    exit 1
-  end;
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
-(* ----------------------------------------------------------------- *)
-(* PR 10: terminal-valued (mtbdd) backend and weighted analyses       *)
-(* ----------------------------------------------------------------- *)
-
-(* Weighted points-to on the mtbdd backend against the boolean in-core
-   suite plus an explicit recount of its tuples.  Two gates make this a
-   correctness benchmark as much as a timing one: the 0/1 support of
-   the mtbdd fixed point must be tuple-identical to the in-core result,
-   and the counting projection must equal the recount. *)
-let bench_json10 ?(path = "BENCH_pr10.json") () =
-  let module W = Jedd_analyses.Weighted in
-  let module R = Jedd_relation.Relation in
-  let module U = Jedd_relation.Universe in
-  let profile =
-    match Sys.getenv_opt "JEDD_MTBDD_BENCH" with
-    | Some "tiny" -> Workload.tiny
-    | Some s -> Workload.profile_named s
-    | None -> Workload.profile_named "javac"
-  in
-  let p = Workload.generate profile in
-  (* boolean baseline: in-core suite, then recount its tuples by var *)
-  let ri, bool_secs = wall (fun () -> Suite.run_all ~backend:`Incore p) in
-  let recount, recount_secs =
-    wall (fun () -> W.recount_by_first ri.Suite.pt)
-  in
-  (* weighted run: same points-to class, terminal-valued universe *)
-  let ac, weighted_secs = wall (fun () -> W.run_alloc_counts p) in
-  let pt_tuples = R.tuples ac.W.ac_pt in
-  let projection_identical = pt_tuples = ri.Suite.pt in
-  let counts = W.alloc_counts_list ac in
-  let counts_match = counts = recount in
-  let max_count = List.fold_left (fun m (_, c) -> max m c) 0 counts in
-  let mu = Interp.universe ac.W.ac_inst in
-  let mt_hits, mt_misses, mt_terminals, mt_live, mt_peak =
-    match Jedd_relation.Backend.mt_store (U.backend mu) with
-    | None -> (0, 0, 0, 0, 0)
-    | Some st ->
-      let module Mt = Jedd_mtbdd.Mtbdd in
-      let h, ms, _ = Mt.cache_totals st in
-      (h, ms, Mt.distinct_terminals st, Mt.live_nodes st, Mt.peak_nodes st)
-  in
-  (* call-frequency weighted call graph on the resolved edges *)
-  let cf, freq_secs =
-    wall (fun () -> W.run_call_freqs p ~call_edges:ri.Suite.call_edges)
-  in
-  let edges = W.edge_freqs_list cf in
-  let hot = W.method_hotness_list cf in
-  let max_hot = List.fold_left (fun m (_, h) -> max m h) 0 hot in
-  let buf = Buffer.create 2048 in
-  let out fmt = Printf.ksprintf (Buffer.add_string buf) fmt in
-  out "{\n";
-  out "  \"schema\": \"jedd-bench-v10\",\n";
-  out "  \"benchmark\": %S,\n" profile.Workload.name;
-  out "  \"weighted_pointsto\": {\n";
-  (* the boolean baseline runs the full five-analysis suite (the
-     frequency half needs its call edges); the mtbdd timing is the
-     points-to class alone, so the two are context, not a ratio *)
-  out "    \"boolean_suite_seconds\": %.4f,\n" bool_secs;
-  out "    \"recount_seconds\": %.4f,\n" recount_secs;
-  out "    \"mtbdd_seconds\": %.4f,\n" weighted_secs;
-  out "    \"pt_tuples\": %d,\n" (List.length pt_tuples);
-  out "    \"vars_counted\": %d,\n" (List.length counts);
-  out "    \"max_alloc_count\": %d,\n" max_count;
-  out "    \"projection_identical\": %b,\n" projection_identical;
-  out "    \"counts_match_recount\": %b\n" counts_match;
-  out "  },\n";
-  out "  \"call_frequencies\": {\n";
-  out "    \"seconds\": %.4f,\n" freq_secs;
-  out "    \"reachable_edges\": %d,\n" (List.length edges);
-  out "    \"methods_ranked\": %d,\n" (List.length hot);
-  out "    \"max_hotness\": %d\n" max_hot;
-  out "  },\n";
-  out "  \"mtbdd\": {\n";
-  out "    \"live_nodes\": %d,\n" mt_live;
-  out "    \"peak_nodes\": %d,\n" mt_peak;
-  out "    \"distinct_terminals\": %d,\n" mt_terminals;
-  out "    \"cache_hits\": %d,\n" mt_hits;
-  out "    \"cache_misses\": %d\n" mt_misses;
-  out "  }\n";
-  out "}\n";
-  (* gates *)
-  if not projection_identical then begin
-    Printf.eprintf
-      "json10: mtbdd points-to support differs from the in-core result\n";
-    exit 1
-  end;
-  if not counts_match then begin
-    Printf.eprintf
-      "json10: counting projection disagrees with the boolean recount\n";
-    exit 1
-  end;
-  if edges = [] || hot = [] then begin
-    Printf.eprintf "json10: call-frequency analysis produced no edges\n";
-    exit 1
-  end;
-  U.cleanup mu;
-  U.cleanup (Interp.universe cf.W.cf_inst);
-  let oc = open_out path in
-  Buffer.output_buffer oc buf;
-  close_out oc;
-  print_string (Buffer.contents buf);
-  Printf.printf "wrote %s\n" path
-
-let smoke () =
-  let failures = ref 0 in
-  let check name ok =
-    if not ok then begin
-      Printf.printf "SMOKE FAIL: %s\n" name;
-      incr failures
-    end
-  in
-  let m, f, f2, g, g3, by', bz, p_in, p_out, cube_shared, cube_w =
-    kernel_fixture ()
-  in
-  ignore f2;
-  let fused0, fb0 = Rep.fused_stats () in
-  check "join: fused = band after replace"
-    (Rep.relprod_replace m f g p_in M.one
-    = Ops.band m f (Rep.replace m g p_in));
-  check "compose: fused = relprod after replace"
-    (Rep.relprod_replace m f g p_in cube_shared
-    = Quant.relprod m f (Rep.replace m g p_in) cube_shared);
-  check "replace_exist (project+coerce): fused = replace after exist"
-    (Rep.replace_exist m g3 p_in cube_w
-    = Rep.replace m (Quant.exist m g3 cube_w) p_in);
-  check "replace_exist (up-moving perm): fused = replace after exist"
-    (Rep.replace_exist m f p_out cube_shared
-    = Rep.replace m (Quant.exist m f cube_shared) p_out);
-  let fused1, _ = Rep.fused_stats () in
-  check "block moves take the single-recursion path" (fused1 > fused0);
-  (* a distant swap is not order-preserving: must fall back, same answer *)
-  let l1 = (Fdd.levels m by').(0) and l2 = (Fdd.levels m bz).(0) in
-  let p_swap = Rep.make_perm m [ (l1, l2); (l2, l1) ] in
-  check "non-monotone perm: fallback agrees with pipeline"
-    (Rep.relprod_replace m f g p_swap M.one
-    = Ops.band m f (Rep.replace m g p_swap));
-  let _, fb1 = Rep.fused_stats () in
-  check "non-monotone perm takes the fallback path" (fb1 > fb0);
-  (* end-to-end: tiny points-to, hand-coded vs the Jedd runtime (whose
-     join/compose now run on the fused kernels) *)
-  let p = Workload.generate Workload.tiny in
-  let b = Baseline.create p in
-  Baseline.solve b;
-  let hand_tuples = List.length (Baseline.pt_tuples b) in
-  Baseline.destroy b;
-  let compiled = Suite.compile_one p "Points-to Analysis" in
-  let inst = Driver.instantiate compiled in
-  Jedd_analyses.Pointsto.load_facts inst p;
-  Jedd_analyses.Pointsto.run inst;
-  check "tiny points-to: jedd = hand-coded"
-    (List.length (Jedd_analyses.Pointsto.results inst) = hand_tuples);
-  (* reorder: same fixed point from a deliberately bad declaration order
-     with the optimizer on, and the manager survives a structural audit *)
-  let src_bad =
-    Jedd_analyses.Common.preamble ~physdom_order:bad_physdom_order p
-    ^ Jedd_analyses.Pointsto.source
-  in
-  let compiled_bad =
-    match Driver.compile [ ("PointsTo.jedd", src_bad) ] with
-    | Ok c -> c
-    | Error e -> failwith (Driver.error_to_string e)
-  in
-  let inst_off = Driver.instantiate compiled_bad in
-  Jedd_analyses.Pointsto.load_facts inst_off p;
-  Jedd_analyses.Pointsto.run inst_off;
-  let inst_on = Driver.instantiate compiled_bad in
-  Jedd_analyses.Pointsto.load_facts inst_on p;
-  Jedd_analyses.Pointsto.run ~reorder:true inst_on;
-  check "bad order, reorder on: same fixed point"
-    (Jedd_analyses.Pointsto.results inst_on
-    = Jedd_analyses.Pointsto.results inst_off);
-  let m_on = Jedd_relation.Universe.manager (Interp.universe inst_on) in
-  check "reorder ran at least one pass" (M.reorder_count m_on > 0);
-  (match M.check_invariants m_on with
-  | [] -> ()
-  | errs ->
-    List.iter (fun e -> Printf.printf "SMOKE FAIL: invariant: %s\n" e) errs;
-    incr failures);
-  if !failures > 0 then exit 1 else print_endline "bench smoke: OK"
-
-(* ----------------------------------------------------------------- *)
-
 let () =
-  let args = Array.to_list Sys.argv |> List.tl in
-  (* --backend=incore|extmem routes every scenario through the chosen
-     relation backend (via JEDD_BACKEND, which Universe.create reads
-     when no explicit backend is passed). *)
-  let cmds =
-    List.filter
-      (fun a ->
-        match String.index_opt a '=' with
-        | Some i when String.sub a 0 i = "--backend" ->
-          let v = String.sub a (i + 1) (String.length a - i - 1) in
-          (if List.mem v Jedd_relation.Backend.known_backends then
-             Unix.putenv "JEDD_BACKEND" v
-           else begin
-             Printf.eprintf "unknown backend %S (%s)\n" v
-               (String.concat "|" Jedd_relation.Backend.known_backends);
-             exit 2
-           end);
-          false
-        | _ -> true)
-      args
-  in
-  let run name f = if cmds = [] || List.mem name cmds then f () in
-  run "table1" table1;
-  run "table2" table2;
-  run "fig7" fig7;
-  run "compactness" compactness;
-  run "ablation-compose" ablation_compose;
-  run "ablation-replace" ablation_replace;
-  run "ablation-order" ablation_order;
-  run "ablation-memory" ablation_memory;
-  run "ablation-zdd" ablation_zdd;
-  run "reorder" reorder_bench;
-  if List.mem "backend" cmds then backend_bench ();
-  if List.mem "bechamel" cmds then bechamel ();
-  if List.mem "json" cmds then bench_json ();
-  if List.mem "json2" cmds then bench_json2 ();
-  if List.mem "json3" cmds then bench_json3 ();
-  if List.mem "json5" cmds then bench_json5 ();
-  if List.mem "json7" cmds then bench_json7 ();
-  if List.mem "json8" cmds then bench_json8 ();
-  (* cost-smoke runs json9 on the tiny profiles; JEDD_BENCH_JSON9_PATH
-     keeps those numbers out of the committed default-profile JSON *)
-  if List.mem "json9" cmds then
-    bench_json9 ?path:(Sys.getenv_opt "JEDD_BENCH_JSON9_PATH") ();
-  (* mtbdd-smoke runs json10 on the tiny profile via JEDD_MTBDD_BENCH;
-     JEDD_BENCH_JSON10_PATH keeps its numbers out of the committed JSON *)
-  if List.mem "json10" cmds then
-    bench_json10 ?path:(Sys.getenv_opt "JEDD_BENCH_JSON10_PATH") ();
-  if List.mem "load" cmds then bench_load ();
-  if List.mem "smoke" cmds then smoke ()
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> List.iter (fun (name, f) -> if name <> "backend" then f ()) commands
+  | args ->
+    (match List.filter (fun a -> not (List.mem_assoc a commands)) args with
+    | [] -> ()
+    | unknown ->
+      Printf.eprintf "bench: unknown command %s\nvalid commands: %s\n"
+        (String.concat ", " unknown)
+        (String.concat " " (List.map fst commands));
+      exit 2);
+    List.iter (fun a -> (List.assoc a commands) ()) args

@@ -108,10 +108,16 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
   | _ -> ());
   (match (serve, snap) with
   | Some socket_path, Some snap ->
-    let server = Jedd_server.Server.create ~socket_path snap in
+    (* jeddd's front end with one Unix listener and one worker over the
+       live (unfrozen) universe; one generation, so no hash is needed
+       to key the result cache *)
+    let config =
+      { Jedd_serve.Serve.default_config with unix_path = Some socket_path }
+    in
+    let server = Jedd_serve.Serve.create ~config ~universe_hash:"" snap in
     Printf.printf "jeddd: serving %s on %s (send {\"verb\":\"shutdown\"} to stop)\n%!"
       name socket_path;
-    Jedd_server.Server.serve server
+    Jedd_serve.Serve.run server
   | _ -> ());
   if verify then begin
     let mismatches = Suite.verify p r in

@@ -1,6 +1,6 @@
 (* Synchronous client for the jeddd socket protocol: one request line
    out, one response line back, over a Unix or TCP socket.  Used by
-   jeddq, the server tests, and the query-latency benchmarks. *)
+   jeddq, the server tests, and jbench's query workload. *)
 
 type t = { fd : Unix.file_descr; ic : in_channel; oc : out_channel }
 

@@ -1,7 +1,6 @@
 (* Lock-free log2-bucketed latency histograms.  One histogram per verb:
    workers on several domains record concurrently (plain atomic
-   increments, no locks), the stats verb and the load generator read
-   percentile estimates.  Bucket [i] counts samples whose latency in
+   increments, no locks), the stats verb reads percentile estimates.  Bucket [i] counts samples whose latency in
    microseconds has its highest set bit at position [i], so percentiles
    are exact to within a factor of two — plenty for p50/p95/p99 lines. *)
 

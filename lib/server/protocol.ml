@@ -26,7 +26,7 @@
    Relation names are snapshot names ("PointsTo.pt"); an unambiguous
    "pt" works too (Snapshot.find_relation).  This module is the pure
    evaluator over a loaded snapshot; sockets, queueing, and timeouts
-   live in Server. *)
+   live in Jedd_serve. *)
 
 module R = Jedd_relation.Relation
 module Schema = Jedd_relation.Schema

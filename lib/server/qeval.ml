@@ -1,6 +1,5 @@
-(* The instrumented query evaluator shared by the single-worker daemon
-   (Server) and the multi-domain pool (Jedd_serve): Protocol.eval
-   wrapped with a bounded result cache and per-verb latency histograms.
+(* The instrumented query evaluator of the serving worker pool
+   (Jedd_serve): Protocol.eval wrapped with a bounded result cache and per-verb latency histograms.
 
    Cache keys are the canonical form of the request — object fields
    sorted recursively, the non-semantic "id" and "timeout_ms" fields

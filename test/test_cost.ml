@@ -282,9 +282,118 @@ let results_equal tag (a : Suite.results) (b : Suite.results) =
   check "/reachable" (fun r -> r.Suite.reachable);
   check "/side_effects" (fun r -> r.Suite.side_effects)
 
+(* The five analyses as [Suite.run_all] runs them, one universe each,
+   returning what the weighted objective is about: the emitted replace
+   sites weighted by [Freq] (the sum the weighted solve minimises) and
+   the replaces actually executed. *)
+let replace_counts ~optimize p =
+  let module A = Jedd_analyses in
+  let module U = Jedd_relation.Universe in
+  let static_weight = ref 0 and dynamic = ref 0 in
+  let stage name run =
+    let c = Suite.compile_one ~optimize p name in
+    let _, prov = Jedd_lang.Lower.lower_program_ex c in
+    let freq = Freq.analyze c.Driver.tprog in
+    List.iter
+      (fun (s : Jedd_lang.Lower.replace_site) ->
+        static_weight := !static_weight + Freq.weight freq s.rs_eid)
+      prov.Jedd_lang.Lower.pp_replaces;
+    let inst = Driver.instantiate c in
+    let u = Jedd_lang.Interp.universe inst in
+    U.set_profile_level u U.Counts;
+    U.set_on_op u (Some (fun e -> if e.U.op = "replace" then incr dynamic));
+    let r = run inst in
+    U.cleanup u;
+    r
+  in
+  stage "Hierarchy" (fun i -> A.Hierarchy.load_facts i p; A.Hierarchy.run i);
+  let pt =
+    stage "Points-to Analysis" (fun i ->
+        A.Pointsto.load_facts i p;
+        A.Pointsto.run i;
+        A.Pointsto.results i)
+  in
+  let call_edges =
+    stage "Virtual Call Resolution" (fun i ->
+        A.Vcall.load_facts i p;
+        A.Vcall.run i (Suite.receiver_types p pt);
+        A.Vcall.call_edges i)
+  in
+  stage "Call Graph" (fun i ->
+      A.Callgraph.load_facts i p ~call_edges;
+      A.Callgraph.run i);
+  stage "Side-effect Analysis" (fun i ->
+      A.Sideeffect.load_facts i p ~pt ~call_edges;
+      A.Sideeffect.run i);
+  (!static_weight, !dynamic)
+
 let test_weighted_assignment_differential () =
   let p = Workload.generate Workload.tiny in
-  results_equal "weighted" (Suite.run_all p) (Suite.run_all ~optimize:true p)
+  results_equal "weighted" (Suite.run_all p) (Suite.run_all ~optimize:true p);
+  (* weighting may only remove copies, never add them *)
+  let w0, d0 = replace_counts ~optimize:false p in
+  let w1, d1 = replace_counts ~optimize:true p in
+  if w1 > w0 then
+    Alcotest.failf "static replace weight rose under weighting: %d -> %d" w0 w1;
+  if d1 > d0 then
+    Alcotest.failf "dynamic replaces rose under weighting: %d -> %d" d0 d1
+
+(* The loop-hoist microbenchmark: [x] flows from a P1-pinned field and
+   is consumed three times inside a fixed-point loop at P2.  Both
+   placements of the unavoidable copy satisfy the constraints; the
+   unweighted tie-break lands it inside the loop (one replace per use
+   per iteration), the weighted objective hoists it to the initializer
+   (one replace, ever). *)
+let hoist_src =
+  "domain D 8;\n\
+   physdom P1;\n\
+   physdom P2;\n\
+   attribute a : D;\n\
+   class Hoist {\n\
+  \  <a:P1> src;\n\
+  \  <a:P2> acc;\n\
+  \  public void run() {\n\
+  \    src = 1B;\n\
+  \    <a> x = src;\n\
+  \    <a> old;\n\
+  \    do {\n\
+  \      old = acc;\n\
+  \      acc = acc | x;\n\
+  \      acc = acc | x;\n\
+  \      acc = acc | x;\n\
+  \    } while (old != acc);\n\
+  \    print acc;\n\
+  \  }\n\
+   }\n"
+
+(* Replaces executed by one run of [Hoist.run]. *)
+let hoist_replaces ?weight () =
+  let module U = Jedd_relation.Universe in
+  let c =
+    match Driver.compile ?weight [ ("hoist.jedd", hoist_src) ] with
+    | Ok c -> c
+    | Error e -> Alcotest.failf "compile: %s" (Driver.error_to_string e)
+  in
+  let inst = Driver.instantiate c in
+  let u = Jedd_lang.Interp.universe inst in
+  let n = ref 0 in
+  U.set_profile_level u U.Counts;
+  U.set_on_op u (Some (fun e -> if e.U.op = "replace" then incr n));
+  Jedd_lang.Interp.set_print_hook inst (fun _ -> ());
+  ignore (Jedd_lang.Interp.call inst "Hoist.run" []);
+  U.cleanup u;
+  !n
+
+let test_weighted_hoists_loop_copy () =
+  let plain = hoist_replaces () in
+  let weighted =
+    hoist_replaces ~weight:(fun tprog -> Freq.weight (Freq.analyze tprog)) ()
+  in
+  if weighted >= plain then
+    Alcotest.failf
+      "weighted assignment did not hoist the loop copy: %d -> %d dynamic \
+       replaces"
+      plain weighted
 
 let test_weighted_stats_reported () =
   let p = Workload.generate Workload.tiny in
@@ -372,6 +481,8 @@ let suite =
       test_weighted_assignment_differential;
     Alcotest.test_case "weighted stats reported" `Quick
       test_weighted_stats_reported;
+    Alcotest.test_case "weighted assignment hoists a loop copy" `Quick
+      test_weighted_hoists_loop_copy;
     Alcotest.test_case "hybrid backend differential" `Quick
       test_hybrid_backend_differential;
     Alcotest.test_case "hybrid capped differential (fallback resume)" `Quick

@@ -2,7 +2,7 @@ let () =
   Alcotest.run "jedd"
     [ ("bdd", Test_bdd.suite); ("parallel", Test_parallel.suite);
       ("sat", Test_sat.suite);
-      ("relation", Test_relation.suite); ("jedd", Test_jedd.suite); ("analyses", Test_analyses.suite); ("zdd", Test_zdd.suite); ("tools", Test_tools.suite); ("ir", Test_ir.suite);
+      ("relation", Test_relation.suite); ("jedd", Test_jedd.suite); ("analyses", Test_analyses.suite); ("tools", Test_tools.suite); ("ir", Test_ir.suite);
       ("reorder", Test_reorder.suite); ("extmem", Test_extmem.suite);
       ("mtbdd", Test_mtbdd.suite);
       ("lint", Test_lint.suite); ("cost", Test_cost.suite);

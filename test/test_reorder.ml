@@ -253,6 +253,12 @@ let test_observability () =
     (List.mem_assoc "P1" attribution && List.mem_assoc "P2" attribution);
   ignore r
 
+(* V1/V2 and H1/H2 pushed to opposite ends of the order: every copy
+   rule's replace and every join over the pair pays for the spread,
+   the worst case §3.3.1 warns about. *)
+let bad_physdom_order =
+  [ "V1"; "T1"; "T2"; "T3"; "S1"; "M1"; "H1"; "M2"; "V2"; "C1"; "F1"; "H2" ]
+
 let test_suite_fixed_point_stable () =
   let p = Workload.generate Workload.tiny in
   let plain = Suite.run_all p in
@@ -263,7 +269,38 @@ let test_suite_fixed_point_stable () =
     "reachable methods equal" plain.Suite.reachable reordered.Suite.reachable;
   Alcotest.(check (list (list int)))
     "side effects equal" plain.Suite.side_effects
-    reordered.Suite.side_effects
+    reordered.Suite.side_effects;
+  (* the same points-to solve from a deliberately bad declaration order:
+     the optimizer must run, reach the same fixed point and leave the
+     manager structurally sound *)
+  let module Pt = Jedd_analyses.Pointsto in
+  let compiled =
+    match
+      Jedd_lang.Driver.compile
+        [
+          ( "PointsTo.jedd",
+            Jedd_analyses.Common.preamble ~physdom_order:bad_physdom_order p
+            ^ Pt.source );
+        ]
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.fail (Jedd_lang.Driver.error_to_string e)
+  in
+  let solve ~reorder =
+    let inst = Jedd_lang.Driver.instantiate compiled in
+    Pt.load_facts inst p;
+    Pt.run ~reorder inst;
+    (Pt.results inst, U.manager (Jedd_lang.Interp.universe inst))
+  in
+  let bad_off, _ = solve ~reorder:false in
+  let bad_on, m = solve ~reorder:true in
+  Alcotest.(check (list (list int)))
+    "bad order: points-to equal to the good order" plain.Suite.pt bad_off;
+  Alcotest.(check (list (list int)))
+    "bad order: reordering keeps the fixed point" bad_off bad_on;
+  Alcotest.(check bool) "bad order: at least one reorder pass" true
+    (M.reorder_count m > 0);
+  check_clean "bad order after reordering" m
 
 let suite =
   [

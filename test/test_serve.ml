@@ -259,6 +259,60 @@ let test_cache_and_stats () =
       | Json.Bool b -> checkb "frozen reported" true b
       | _ -> Alcotest.fail "frozen is not a bool")
 
+(* Serving under load: 50 concurrent TCP clients, 20 requests each,
+   against two frozen workers — mostly pointsto over a rotating set of
+   variables (so the result cache sees repeats), one count in four.
+   Every request must come back ok, and the cache must hit. *)
+let test_tcp_load () =
+  with_serve ~workers:2 (fun ~sock ~tcp_port ~http_port:_ ->
+      let vars =
+        let c = Client.connect ~retries:10 sock in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        match
+          Json.member "tuples"
+            (Client.request_ok c
+               (q "tuples" [ ("rel", Json.String "PointsTo.pt") ]))
+        with
+        | Some (Json.List ts) ->
+          List.sort_uniq compare
+            (List.filter_map
+               (function Json.List (Json.Int v :: _) -> Some v | _ -> None)
+               ts)
+          |> Array.of_list
+        | _ -> Alcotest.fail "tuples reply lacks a tuple list"
+      in
+      checkb "points-to has variables" true (Array.length vars > 0);
+      let clients = 50 and requests = 20 in
+      let ok = Atomic.make 0 and errors = Atomic.make 0 in
+      let client () =
+        match Client.connect_tcp ~retries:10 "127.0.0.1" tcp_port with
+        | exception _ -> ignore (Atomic.fetch_and_add errors requests)
+        | c ->
+          Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+          for j = 0 to requests - 1 do
+            let request =
+              if j mod 4 = 3 then
+                q "count" [ ("rel", Json.String "PointsTo.pt") ]
+              else
+                q "pointsto" [ ("var", Json.Int vars.(j mod Array.length vars)) ]
+            in
+            match Client.request c request with
+            | resp when Json.member "ok" resp = Some (Json.Bool true) ->
+              Atomic.incr ok
+            | _ | (exception _) -> Atomic.incr errors
+          done
+      in
+      List.iter Thread.join (List.init clients (fun _ -> Thread.create client ()));
+      checki "no failed requests" 0 (Atomic.get errors);
+      checki "every request answered ok" (clients * requests) (Atomic.get ok);
+      let c = Client.connect ~retries:10 sock in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      match Json.member "result_cache" (Client.request c (q "stats" [])) with
+      | Some rc ->
+        checkb "result cache hit under a repeating workload" true
+          (match Json.member "hits" rc with Some (Json.Int h) -> h > 0 | _ -> false)
+      | None -> Alcotest.fail "stats lacks result_cache")
+
 (* Two POSTs written back-to-back before reading anything: the server
    must answer both, in order, on the one connection. *)
 let test_http_pipelining_live () =
@@ -340,8 +394,7 @@ let with_live_serve ?(workers = 2) f =
   let bytes = Snapshot.to_bytes (Suite.snapshot (Live.inst session)) in
   let hash = Digest.to_hex (Digest.string bytes) in
   let snap = Snapshot.of_bytes ~freeze:true bytes in
-  let root = Filename.temp_file "jedd_cas" "" in
-  Sys.remove root;
+  Test_store.with_cas_root @@ fun root ->
   let cas = Cas.open_ root in
   Cas.tag cas "live" (Cas.put cas bytes);
   incr fixture_counter;
@@ -491,6 +544,8 @@ let suite =
       test_frozen_rejects_mutation;
     Alcotest.test_case "result cache and stats shape" `Quick
       test_cache_and_stats;
+    Alcotest.test_case "50 tcp clients against two frozen workers" `Quick
+      test_tcp_load;
     Alcotest.test_case "live http pipelining" `Quick
       test_http_pipelining_live;
     Alcotest.test_case "live http oversized header -> 431" `Quick

@@ -1,11 +1,12 @@
-(* End-to-end tests for the jeddd query server: a real Unix-socket
-   server over a real analysis snapshot, exercised through the client
-   library — queries, batching, per-request timeouts, error replies,
-   and graceful shutdown. *)
+(* End-to-end tests for the query protocol over a Unix socket, served
+   the way [jedd-analyze --serve] serves it: the Serve front end with
+   one Unix listener and one worker over the live, unfrozen analysis
+   universe — queries, batching, per-request timeouts, error replies,
+   concurrent clients and graceful shutdown. *)
 
 module Json = Jedd_server.Json
 module Client = Jedd_server.Client
-module Server = Jedd_server.Server
+module Serve = Jedd_serve.Serve
 module Suite = Jedd_analyses.Suite
 module Workload = Jedd_minijava.Workload
 
@@ -42,21 +43,22 @@ let test_json_roundtrip () =
 
 (* -- socket fixture ------------------------------------------------------ *)
 
-let with_server f =
+let with_server ?backend f =
   let p = Workload.generate Workload.tiny in
-  let inst, _ = Suite.run_combined p in
+  let inst, _ = Suite.run_combined ?backend p in
   let snap = Suite.snapshot inst in
   let socket_path =
     Filename.concat
       (Filename.get_temp_dir_name ())
       (Printf.sprintf "jeddd-test-%d.sock" (Unix.getpid ()))
   in
-  let server = Server.create ~socket_path snap in
-  let th = Thread.create Server.serve server in
+  let config = { Serve.default_config with unix_path = Some socket_path } in
+  let server = Serve.create ~config ~universe_hash:"" snap in
+  let th = Thread.create Serve.run server in
   (* the listener is bound before create returns; connects just work *)
   Fun.protect
     ~finally:(fun () ->
-      Server.stop server;
+      Serve.stop server;
       Thread.join th;
       if Sys.file_exists socket_path then Sys.remove socket_path)
     (fun () -> f socket_path)
@@ -237,6 +239,23 @@ let test_shutdown () =
       in
       checkb "server is down after shutdown" true (gone 40))
 
+(* One worker serves an unfrozen universe of any backend. *)
+let test_every_backend () =
+  let count backend =
+    with_server ~backend (fun sock ->
+        let c = Client.connect sock in
+        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+        Client.ping c;
+        Client.count c "pt")
+  in
+  let expected = count `Incore in
+  List.iter
+    (fun b ->
+      checki
+        (Jedd_relation.Backend.kind_name b ^ " serves the in-core count")
+        expected (count b))
+    [ `Extmem; `Hybrid; `Mtbdd ]
+
 (* -- result-cache eviction (no socket) ----------------------------------- *)
 
 let test_rescache_evict_suffix () =
@@ -267,4 +286,5 @@ let suite =
     Alcotest.test_case "per-request timeout" `Quick test_timeout;
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown;
+    Alcotest.test_case "one worker on every backend" `Quick test_every_backend;
   ]

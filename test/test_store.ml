@@ -424,9 +424,24 @@ let test_save_load_file () =
 
 (* -- content-addressed store --------------------------------------------- *)
 
-let test_cas () =
+(* A fresh store root in the temp directory, removed with everything in
+   it once [f] returns or raises. *)
+let with_cas_root f =
   let root = Filename.temp_file "jedd_cas" "" in
   Sys.remove root;
+  let rec remove path =
+    if Sys.is_directory path then begin
+      Array.iter (fun n -> remove (Filename.concat path n)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect
+    ~finally:(fun () -> if Sys.file_exists root then remove root)
+    (fun () -> f root)
+
+let test_cas () =
+  with_cas_root @@ fun root ->
   let cas = Cas.open_ root in
   let world = build_world `Incore in
   let bytes = Snapshot.to_bytes world in
@@ -497,8 +512,7 @@ let test_delta_diff_apply () =
     checkb "found digest in message" true (contains msg (hex_of next))
 
 let test_delta_chain () =
-  let root = Filename.temp_file "jedd_cas" "" in
-  Sys.remove root;
+  with_cas_root @@ fun root ->
   let cas = Cas.open_ root in
   let mk seed = Snapshot.to_bytes (build_world ~seed `Incore) in
   let a = mk 1 and b = mk 2 and c = mk 3 in
@@ -551,8 +565,7 @@ let test_corruption_messages () =
   | exception Snapshot.Corrupt msg ->
     checkb "path in open error" true (contains msg path));
   (* a damaged CAS object names its path and both digests *)
-  let root = Filename.temp_file "jedd_cas" "" in
-  Sys.remove root;
+  with_cas_root @@ fun root ->
   let cas = Cas.open_ root in
   let hex = Cas.put cas good in
   let obj_path =
