@@ -16,27 +16,26 @@ test:
 # jeddlint over the shipped sources: the clean example and the five
 # Figure 2 analyses must produce no warnings or errors (exit 0); the
 # seeded-defect examples must trip the checkers (exit non-zero).  Then
-# the CLI pipeline once more on every backend, with every executed IR
-# instruction shadow-checked against the refcount discipline
-# (JEDD_CHECK_IR) and the results verified tuple for tuple; a plain
-# mtbdd run; and the up-front usage error (exit 2) for a snapshot
-# request on mtbdd, by flag and by environment.
+# the CLI pipeline once more, with every executed IR instruction
+# shadow-checked against the refcount discipline (JEDD_CHECK_IR) and
+# the results verified tuple for tuple; and bad command-line input (an
+# unknown benchmark, a missing program or snapshot file, a program that
+# does not parse) must be a one-line usage error (exit 2), not a crash.
 lint:
-	dune build bin/jeddc_main.exe bin/analyze_main.exe
+	dune build bin/jeddc_main.exe bin/analyze_main.exe bin/jeddd_main.exe
 	dune exec bin/jeddc_main.exe -- --lint=text examples/lint_clean.jedd
 	dune exec bin/analyze_main.exe -- -b tiny --lint
 	dune exec bin/analyze_main.exe -- -f examples/shapes.mjava --lint
 	! dune exec bin/jeddc_main.exe -- --lint=text examples/lint_defects.jedd
 	! dune exec bin/jeddc_main.exe -- --lint=text examples/cost_defects.jedd
-	for b in incore extmem hybrid mtbdd; do \
-	  JEDD_CHECK_IR=1 dune exec bin/analyze_main.exe -- -b tiny --verify \
-	    --backend=$$b || exit 1; \
-	done
-	dune exec bin/analyze_main.exe -- -b tiny --backend=mtbdd
-	dune exec bin/analyze_main.exe -- -b tiny --backend=mtbdd \
-	  --save-snapshot _build/mtbdd-lint.snap; test $$? -eq 2
-	JEDD_BACKEND=mtbdd dune exec bin/analyze_main.exe -- -b tiny \
-	  --save-snapshot _build/mtbdd-lint.snap; test $$? -eq 2
+	JEDD_CHECK_IR=1 dune exec bin/analyze_main.exe -- -b tiny --verify
+	dune exec bin/analyze_main.exe -- -b nosuch; test $$? -eq 2
+	dune exec bin/jeddd_main.exe -- -b nosuch --no-socket; test $$? -eq 2
+	dune exec bin/analyze_main.exe -- -f /nonexistent.mjava; test $$? -eq 2
+	dune exec bin/jeddd_main.exe -- --snapshot /nonexistent --no-socket; \
+	  test $$? -eq 2
+	printf 'garbage {{{\n' > _build/lint-bad.mjava
+	dune exec bin/analyze_main.exe -- -f _build/lint-bad.mjava; test $$? -eq 2
 
 # Optimised binaries (-O3 -unsafe -noassert); see the root `dune` file.
 release:

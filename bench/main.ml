@@ -13,13 +13,10 @@
      ablation-order    §3.3.1: interleaved vs consecutive bit blocks
      ablation-memory   §4.2: eager releases vs leaking handles
      reorder           order optimizer off vs on, good vs bad order
-     backend           in-core vs extmem vs hybrid under a node cap
 
-   Commands run in the order given; with none, every command but
-   [backend] runs.  An unknown command exits 2.  [table2], [reorder] and
-   [backend] exit 1 when their correctness checks fail.  The relation
-   backend of the universes the commands create follows JEDD_BACKEND,
-   as everywhere else ([Universe.resolve_backend]). *)
+   Commands run in the order given; with none, every command runs.  An
+   unknown command exits 2.  [table2] and [reorder] exit 1 when their
+   correctness checks fail. *)
 
 module Workload = Jedd_minijava.Workload
 module Suite = Jedd_analyses.Suite
@@ -540,171 +537,6 @@ let reorder_bench () =
   end
 
 (* ----------------------------------------------------------------- *)
-(* Backend comparison: in-core shared node table vs the out-of-core   *)
-(* streaming (extmem) engine, plus the capped-memory scenario the     *)
-(* extmem backend exists for.                                         *)
-(* ----------------------------------------------------------------- *)
-
-type backend_run = {
-  bk_config : string;
-  bk_completed : bool;  (* false: aborted with Manager.Out_of_nodes *)
-  bk_seconds : float;
-  bk_tuples : int;
-  bk_peak_nodes : int;  (* in-core node-table peak; tiny under extmem *)
-  bk_spill_runs : int;
-  bk_spilled_bytes : int;
-  bk_pq_peak_bytes : int;
-  bk_io_millis : float;
-}
-
-(* One points-to solve on the named workload under the given backend.
-   Extmem byte budgets are set through the environment so Store.create
-   picks them up; restored afterwards so other bench commands are
-   unaffected. *)
-let backend_pointsto ~config ~backend ?node_limit ?pq_bytes ?mem_nodes profile =
-  Printf.eprintf "[backend] %s (%s)...\n%!" config profile.Workload.name;
-  let set_env k = function
-    | Some v ->
-      let old = Sys.getenv_opt k in
-      Unix.putenv k (string_of_int v);
-      fun () -> Unix.putenv k (match old with Some s -> s | None -> "")
-    | None -> fun () -> ()
-  in
-  let restore_pq = set_env "JEDD_EXTMEM_PQ_BYTES" pq_bytes in
-  let restore_mem = set_env "JEDD_EXTMEM_MEM_NODES" mem_nodes in
-  Fun.protect
-    ~finally:(fun () ->
-      restore_pq ();
-      restore_mem ())
-    (fun () ->
-      let p = Workload.generate profile in
-      let compiled = Suite.compile_one p "Points-to Analysis" in
-      let inst =
-        Driver.instantiate ~node_capacity:(1 lsl 18) ?node_limit ~backend
-          compiled
-      in
-      let u = Interp.universe inst in
-      let finish completed secs tuples =
-        let m = Jedd_relation.Universe.manager u in
-        let runs, bytes, pq_peak, io =
-          match Jedd_relation.Backend.store (Jedd_relation.Universe.backend u) with
-          | Some st ->
-            Jedd_extmem.Store.
-              (spill_runs st, spilled_bytes st, pq_peak_bytes st, io_millis st)
-          | None -> (0, 0, 0, 0.0)
-        in
-        let r =
-          {
-            bk_config = config;
-            bk_completed = completed;
-            bk_seconds = secs;
-            bk_tuples = tuples;
-            bk_peak_nodes = M.peak_nodes m;
-            bk_spill_runs = runs;
-            bk_spilled_bytes = bytes;
-            bk_pq_peak_bytes = pq_peak;
-            bk_io_millis = io;
-          }
-        in
-        Jedd_relation.Universe.cleanup u;
-        Printf.eprintf "[backend]   ... %s in %.2fs\n%!"
-          (if completed then "completed" else "out of nodes")
-          secs;
-        r
-      in
-      let t0 = Unix.gettimeofday () in
-      match
-        Pointsto.load_facts inst p;
-        Pointsto.run inst
-      with
-      | () ->
-        let secs = Unix.gettimeofday () -. t0 in
-        let tuples = List.length (Pointsto.results inst) in
-        finish true secs tuples
-      | exception M.Out_of_nodes ->
-        finish false (Unix.gettimeofday () -. t0) 0)
-
-(* A mid-size profile between compress and javac-13.  The extmem engine
-   trades time for bounded memory (every operation is a file-backed
-   sweep with no cross-operation cache, typically 1-2 orders of
-   magnitude slower), so the paper-sized profiles take tens of minutes
-   out of core. *)
-let backend_profile =
-  {
-    Workload.name = "pointsto-mid";
-    classes = 60;
-    sigs_per_class = 3;
-    methods_scale = 2;
-    vars_per_method = 5;
-    heap_per_method = 2;
-    fields = 24;
-    assign_factor = 7;
-    field_ops_per_method = 2;
-    calls_per_method = 2;
-    seed = 77;
-  }
-
-let backend_bench () =
-  let profile = backend_profile in
-  let incore =
-    backend_pointsto ~config:"incore/unlimited" ~backend:`Incore profile
-  in
-  (* Cap the node table well below the in-core peak: the in-core run
-     must abort cleanly, while extmem and hybrid under the same cap must
-     finish with the identical relation, hybrid ahead of extmem.  At a
-     quarter of the unlimited peak, checkpoint GC keeps the in-core run
-     under the cap (and hybrid never falls back); an eighth is below
-     what it can live within. *)
-  let node_limit = max 4096 (incore.bk_peak_nodes / 8) in
-  let capped =
-    backend_pointsto ~config:"incore/capped" ~backend:`Incore ~node_limit
-      profile
-  in
-  (* Budgets low enough to force priority-queue spills to disk. *)
-  let spilling config backend =
-    backend_pointsto ~config ~backend ~node_limit ~pq_bytes:16384
-      ~mem_nodes:2048 profile
-  in
-  let extmem = spilling "extmem/capped" `Extmem in
-  let hybrid = spilling "hybrid/capped" `Hybrid in
-  line ();
-  Printf.printf
-    "Backend: points-to (%s), in-core vs out-of-core streaming (extmem)\n\
-     vs per-operation dispatch (hybrid)\n"
-    profile.Workload.name;
-  line ();
-  Printf.printf "%-18s %9s %9s %10s %7s %12s %10s %9s\n" "configuration"
-    "seconds" "tuples" "peak" "runs" "spilled(B)" "pq-peak(B)" "io(ms)";
-  List.iter
-    (fun r ->
-      Printf.printf "%-18s %9s %9d %10d %7d %12d %10d %9.1f\n" r.bk_config
-        (if r.bk_completed then Printf.sprintf "%.3f" r.bk_seconds
-         else "aborted")
-        r.bk_tuples r.bk_peak_nodes r.bk_spill_runs r.bk_spilled_bytes
-        r.bk_pq_peak_bytes r.bk_io_millis)
-    [ incore; capped; extmem; hybrid ];
-  Printf.printf "node limit for the capped runs: %d nodes\n" node_limit;
-  let reproduces r = r.bk_completed && r.bk_tuples = incore.bk_tuples in
-  let failures =
-    List.filter_map
-      (fun (ok, msg) -> if ok then None else Some msg)
-      [
-        (not capped.bk_completed, "capped in-core run should have hit Out_of_nodes");
-        (reproduces extmem, "extmem run did not reproduce the in-core result");
-        (reproduces hybrid, "hybrid run did not reproduce the in-core result");
-        ( hybrid.bk_seconds < extmem.bk_seconds,
-          "hybrid did not beat pure extmem on the capped workload" );
-      ]
-  in
-  List.iter (Printf.printf "FAIL: %s\n") failures;
-  if failures <> [] then exit 1;
-  Printf.printf
-    "extmem and hybrid completed under the cap with the identical %d-tuple\n\
-     relation; hybrid ran %.1fx faster than extmem\n"
-    incore.bk_tuples
-    (extmem.bk_seconds /. hybrid.bk_seconds)
-
-(* ----------------------------------------------------------------- *)
 
 let commands =
   [
@@ -717,12 +549,11 @@ let commands =
     ("ablation-order", ablation_order);
     ("ablation-memory", ablation_memory);
     ("reorder", reorder_bench);
-    ("backend", backend_bench);
   ]
 
 let () =
   match List.tl (Array.to_list Sys.argv) with
-  | [] -> List.iter (fun (name, f) -> if name <> "backend" then f ()) commands
+  | [] -> List.iter (fun (_, f) -> f ()) commands
   | args ->
     (match List.filter (fun a -> not (List.mem_assoc a commands)) args with
     | [] -> ()

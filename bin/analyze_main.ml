@@ -5,12 +5,31 @@ open Cmdliner
 module Workload = Jedd_minijava.Workload
 module Program = Jedd_minijava.Program
 module Suite = Jedd_analyses.Suite
+module Frontend = Jedd_minijava.Frontend
 
-let resolve_backend flag =
-  try Jedd_relation.Universe.resolve_backend flag
-  with Invalid_argument msg ->
-    Printf.eprintf "jedd-analyze: %s\n" msg;
-    exit 2
+(* Bad input from the command line: one line naming it, exit 2. *)
+let fail fmt =
+  Printf.ksprintf
+    (fun s ->
+      prerr_endline ("jedd-analyze: " ^ s);
+      exit 2)
+    fmt
+
+let load_program benchmark file =
+  if file <> "" then
+    match Frontend.load_file file with
+    | p -> (file, p)
+    | exception Sys_error msg ->
+      (* an open error names the path, a read error (a directory) not *)
+      if String.starts_with ~prefix:file msg then fail "%s" msg
+      else fail "%s: %s" file msg
+    | exception Frontend.Parse_error (msg, line) ->
+      if line > 0 then fail "%s:%d: %s" file line msg
+      else fail "%s: %s" file msg
+  else
+    match Workload.find_profile benchmark with
+    | Ok profile -> (profile.Workload.name, Workload.generate profile)
+    | Error msg -> fail "%s" msg
 
 let lint_suite p =
   (* lint each of the Figure 2 analyses as jeddc --lint would *)
@@ -38,46 +57,17 @@ let print_results (r : Suite.results) =
   Printf.printf "  Side-effect Analysis : %d (method, heap, field) triples\n"
     (List.length r.Suite.side_effects)
 
-let run benchmark file verify reorder backend node_limit lint save_snapshot
-    serve optimize =
-  let name, p =
-    if file <> "" then (file, Jedd_minijava.Frontend.load_file file)
-    else
-      let profile =
-        if benchmark = "tiny" then Workload.tiny
-        else Workload.profile_named benchmark
-      in
-      (profile.Workload.name, Workload.generate profile)
-  in
+let run benchmark file verify reorder node_limit lint save_snapshot serve
+    optimize =
+  let name, p = load_program benchmark file in
   if lint then lint_suite p;
-  let backend = resolve_backend backend in
-  if save_snapshot <> None && not (Jedd_relation.Backend.levelizes backend)
-  then begin
-    Printf.eprintf
-      "jedd-analyze: the %s backend has no levelized snapshot format; drop \
-       --save-snapshot or use another backend\n"
-      (Jedd_relation.Backend.kind_name backend);
-    exit 2
-  end;
-  (match backend with
-  | `Extmem -> Format.printf "backend: extmem (out-of-core streaming)@."
-  | `Hybrid ->
-    Format.printf
-      "backend: hybrid (per-operation incore/extmem dispatch from predicted \
-       node counts)@."
-  | `Mtbdd ->
-    Format.printf
-      "backend: mtbdd (terminal-valued BDDs; boolean analyses run as \
-       0/1-weighted relations)@."
-  | `Incore -> ());
   Format.printf "workload %s: %a@." name Program.pp_stats p;
   let t0 = Unix.gettimeofday () in
   let needs_instance = save_snapshot <> None || serve <> None in
   let oom () =
     Printf.eprintf
       "jedd-analyze: analysis exceeded the in-core memory budget (%s \
-       nodes); retry with --backend=extmem to stream BDDs through \
-       bounded memory, or raise --node-limit.\n"
+       nodes); raise --node-limit.\n"
       (match node_limit with Some n -> string_of_int n | None -> "?");
     exit 3
   in
@@ -86,11 +76,9 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
        plain report path keeps the historical per-analysis universes *)
     try
       if needs_instance then
-        let inst, r =
-          Suite.run_combined ~backend ?node_limit ~reorder ~optimize p
-        in
+        let inst, r = Suite.run_combined ?node_limit ~reorder ~optimize p in
         (Some inst, r)
-      else (None, Suite.run_all ~backend ?node_limit ~reorder ~optimize p)
+      else (None, Suite.run_all ?node_limit ~reorder ~optimize p)
     with Jedd_bdd.Manager.Out_of_nodes -> oom ()
   in
   Printf.printf "pipeline completed in %.2f s\n" (Unix.gettimeofday () -. t0);
@@ -102,7 +90,8 @@ let run benchmark file verify reorder backend node_limit lint save_snapshot
   in
   (match (save_snapshot, snap) with
   | Some path, Some snap ->
-    Jedd_store.Snapshot.save_file path snap;
+    (try Jedd_store.Snapshot.save_file path snap
+     with Sys_error msg -> fail "%s" msg);
     Printf.printf "snapshot saved to %s (%d relations)\n" path
       (List.length snap.Jedd_store.Snapshot.relations)
   | _ -> ());
@@ -155,22 +144,6 @@ let reorder_arg =
            the loaded facts plus an auto trigger at BDD safe points during \
            the points-to and call-graph solves")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "backend" ] ~docv:"NAME"
-        ~doc:
-          "Relation backend: $(b,incore) (default; hash-consed shared node \
-           table), $(b,extmem) (out-of-core streaming BDDs: levelized \
-           node files + priority-queue sweeps under the \
-           JEDD_EXTMEM_PQ_BYTES / JEDD_EXTMEM_MEM_NODES byte budgets), \
-           $(b,hybrid) (per-operation incore/extmem dispatch from \
-           predicted node counts), or $(b,mtbdd) (terminal-valued BDDs: \
-           boolean analyses run unchanged as 0/1-weighted relations and \
-           support counting projections).  Falls back to the JEDD_BACKEND \
-           environment variable.")
-
 let node_limit_arg =
   Arg.(
     value
@@ -178,8 +151,7 @@ let node_limit_arg =
     & info [ "node-limit" ] ~docv:"N"
         ~doc:
           "Cap each in-core BDD node table at N nodes; exceeding the cap \
-           aborts the pipeline with a clean message suggesting \
-           --backend=extmem")
+           aborts the pipeline with a one-line message (exit 3)")
 
 let lint_arg =
   Arg.(
@@ -196,9 +168,8 @@ let save_snapshot_arg =
     & info [ "save-snapshot" ] ~docv:"FILE"
         ~doc:
           "After the pipeline completes, persist the combined analysis \
-           universe (checksummed binary snapshot; every backend but \
-           mtbdd) to FILE; jeddd can warm-start from it without \
-           recomputing")
+           universe (checksummed binary snapshot) to FILE; jeddd can \
+           warm-start from it without recomputing")
 
 let serve_arg =
   Arg.(
@@ -226,7 +197,7 @@ let cmd =
        ~doc:"Run the five BDD-based whole-program analyses of Figure 2")
     Term.(
       const run $ benchmark_arg $ file_arg $ verify_arg $ reorder_arg
-      $ backend_arg $ node_limit_arg $ lint_arg $ save_snapshot_arg
-      $ serve_arg $ optimize_arg)
+      $ node_limit_arg $ lint_arg $ save_snapshot_arg $ serve_arg
+      $ optimize_arg)
 
 let () = exit (Cmd.eval cmd)

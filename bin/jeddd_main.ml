@@ -18,42 +18,46 @@ module Cas = Jedd_store.Cas
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
-let resolve_backend flag =
-  try Jedd_relation.Universe.resolve_backend flag
-  with Invalid_argument msg -> fail "jeddd: %s" msg
+let program_of benchmark =
+  match Workload.find_profile benchmark with
+  | Ok profile -> Workload.generate profile
+  | Error msg -> fail "jeddd: %s" msg
 
 (* Returns the snapshot plus its universe hash (the MD5 of the snapshot
    bytes) — the cache key component that makes result-cache entries
    snapshot-specific.  [freeze_at_load] lands a warm load directly in
    frozen mode; it is requested only when no --save/--tag follows
    (those re-serialize, which is cleaner before the final compaction). *)
-let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark ~backend
+let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark
     ~node_limit ~save ~tag ~freeze_at_load =
   let t0 = Unix.gettimeofday () in
   let snap, origin, hash =
     match (snapshot_file, store_dir, store_name) with
     | Some file, _, _ ->
-      ( Snapshot.load_file ~backend ~freeze:freeze_at_load file,
+      (* digest first, so an unreadable file is reported as such, not as
+         a corrupt snapshot; an open error names the path, a read error
+         (a directory) not *)
+      let hash =
+        try Digest.to_hex (Digest.file file)
+        with Sys_error msg when not (String.starts_with ~prefix:file msg) ->
+          fail "jeddd: %s: %s" file msg
+      in
+      ( Snapshot.load_file ~freeze:freeze_at_load file,
         Printf.sprintf "snapshot %s" file,
-        Digest.to_hex (Digest.file file) )
+        hash )
     | None, Some dir, Some name ->
       let cas = Cas.open_ dir in
       if Cas.resolve cas name = None then
         fail "jeddd: %S does not name a snapshot in store %s" name dir;
       (* the ref may point at a differential snapshot: replay the chain *)
       let data = Jedd_store.Delta.load_chain cas name in
-      ( Snapshot.of_bytes ~backend ~freeze:freeze_at_load data,
+      ( Snapshot.of_bytes ~freeze:freeze_at_load data,
         Printf.sprintf "store %s/%s" dir name,
         Digest.to_hex (Digest.string data) )
     | None, Some _, None -> fail "jeddd: --store needs --name"
     | None, None, Some _ -> fail "jeddd: --name needs --store"
     | None, None, None ->
-      let profile =
-        if benchmark = "tiny" then Workload.tiny
-        else Workload.profile_named benchmark
-      in
-      let p = Workload.generate profile in
-      let inst, _ = Suite.run_combined ~backend ?node_limit p in
+      let inst, _ = Suite.run_combined ?node_limit (program_of benchmark) in
       let snap = Suite.snapshot ~meta:[ ("workload", benchmark) ] inst in
       ( snap,
         Printf.sprintf "cold run of %s" benchmark,
@@ -97,14 +101,10 @@ let parse_hostport ~what ~default_host s =
    incrementally on the shadow and swapped in as a new frozen
    generation; with --store/--tag, each generation is published under
    the ref as a differential snapshot. *)
-let make_live ~benchmark ~backend ~want_freeze ~save ~tag ~store_dir =
-  let profile =
-    if benchmark = "tiny" then Workload.tiny
-    else Workload.profile_named benchmark
-  in
-  let p = Workload.generate profile in
+let make_live ~benchmark ~want_freeze ~save ~tag ~store_dir =
+  let p = program_of benchmark in
   let t0 = Unix.gettimeofday () in
-  let session = Jedd_analyses.Live.create ~backend p in
+  let session = Jedd_analyses.Live.create p in
   let snap_live =
     Suite.snapshot
       ~meta:[ ("workload", benchmark); ("jedd.generation", "0") ]
@@ -133,29 +133,20 @@ let make_live ~benchmark ~backend ~want_freeze ~save ~tag ~store_dir =
     | Some _, None -> fail "jeddd: --tag needs --store"
     | None, _ -> None
   in
-  let snap = Snapshot.of_bytes ~backend ~freeze:want_freeze bytes in
+  let snap = Snapshot.of_bytes ~freeze:want_freeze bytes in
   ( Some { Jedd_serve.Serve.session; initial_bytes = bytes; publish },
     (snap, hash) )
 
 let run socket no_socket tcp http workers no_freeze sweep_threshold
-    cache_capacity snapshot_file store_dir store_name benchmark backend
-    node_limit save tag live =
+    cache_capacity snapshot_file store_dir store_name benchmark node_limit save
+    tag live =
   if workers < 1 then fail "jeddd: --workers must be >= 1";
-  let backend = resolve_backend backend in
-  (* serving revolves around levelized snapshots *)
-  if not (Jedd_relation.Backend.levelizes backend) then
-    fail
-      "jeddd: the %s backend has no levelized snapshot format; use \
-       jedd-analyze --backend=%s for its runs"
-      (Jedd_relation.Backend.kind_name backend)
-      (Jedd_relation.Backend.kind_name backend);
-  let can_freeze = Jedd_relation.Backend.in_place backend in
-  let want_freeze = (not no_freeze) && can_freeze in
+  let want_freeze = not no_freeze in
   let workers =
     if workers > 1 && not want_freeze then begin
       Printf.eprintf
-        "jeddd: multi-worker serving needs a frozen in-core universe; \
-         falling back to --workers 1\n%!";
+        "jeddd: multi-worker serving needs a frozen universe; falling back \
+         to --workers 1\n%!";
       1
     end
     else workers
@@ -165,19 +156,17 @@ let run socket no_socket tcp http workers no_freeze sweep_threshold
     fail
       "jeddd: --live re-solves edits, so it needs the program and always \
        runs a cold analysis; drop --snapshot/--name";
-  if live && not can_freeze then
-    fail "jeddd: --live needs the in-core backend";
   let live_cfg, (snap, universe_hash) =
     try
-      if live then
-        make_live ~benchmark ~backend ~want_freeze ~save ~tag ~store_dir
+      if live then make_live ~benchmark ~want_freeze ~save ~tag ~store_dir
       else
         ( None,
           load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark
-            ~backend ~node_limit ~save ~tag ~freeze_at_load )
+            ~node_limit ~save ~tag ~freeze_at_load )
     with
     | Snapshot.Corrupt msg -> fail "jeddd: corrupt snapshot: %s" msg
     | Cas.Corrupt_object msg -> fail "jeddd: %s" msg
+    | Sys_error msg -> fail "jeddd: %s" msg
   in
   if want_freeze && not (Jedd_relation.Universe.frozen snap.Snapshot.u) then
     Jedd_relation.Universe.freeze snap.Snapshot.u;
@@ -261,8 +250,8 @@ let workers_arg =
     value & opt int 1
     & info [ "workers" ] ~docv:"N"
         ~doc:
-          "Query worker domains sharing the frozen universe (requires the \
-           in-core backend and freezing)")
+          "Query worker domains sharing the frozen universe (ignored with \
+           --no-freeze)")
 
 let no_freeze_arg =
   Arg.(
@@ -316,15 +305,6 @@ let benchmark_arg =
     & info [ "b"; "benchmark" ] ~docv:"NAME"
         ~doc:"Workload for a cold run when no snapshot source is given")
 
-let backend_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "backend" ] ~docv:"NAME"
-        ~doc:"Relation backend: $(b,incore), $(b,extmem), $(b,hybrid) or \
-              $(b,mtbdd); falls back to JEDD_BACKEND.  Only $(b,incore) \
-              supports frozen multi-worker serving")
-
 let node_limit_arg =
   Arg.(
     value
@@ -353,8 +333,7 @@ let live_arg =
           "Keep a mutable shadow of the analysis and accept the \
            $(b,update) verb: program edits are re-solved incrementally \
            and swapped in as new frozen generations without restarting. \
-           Implies a cold analysis run of --benchmark (in-core only); \
-           with --store and --tag, every generation is published under \
+           Implies a cold analysis run of --benchmark; with --store and --tag, every generation is published under \
            the ref, as a differential snapshot when smaller.")
 
 let cmd =
@@ -367,7 +346,7 @@ let cmd =
     Term.(
       const run $ socket_arg $ no_socket_arg $ tcp_arg $ http_arg
       $ workers_arg $ no_freeze_arg $ sweep_threshold_arg $ cache_capacity_arg
-      $ snapshot_arg $ store_arg $ name_arg $ benchmark_arg $ backend_arg
-      $ node_limit_arg $ save_arg $ tag_arg $ live_arg)
+      $ snapshot_arg $ store_arg $ name_arg $ benchmark_arg $ node_limit_arg
+      $ save_arg $ tag_arg $ live_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -270,10 +270,6 @@ let update t edit : update_stats =
     (* an id space outgrew the compiled bit widths: fresh universe *)
     let inst = instantiate ~node_capacity:t.node_capacity ?backend:t.backend p' in
     let pt, rts, ce, stages = solve_all inst p' ~action:"recompile" in
-    (* reclaim the abandoned universe eagerly rather than waiting for
-       its finaliser: parallel domains stop and an extmem spill
-       directory is deleted the moment the swap happens *)
-    Jedd_relation.Universe.cleanup (Interp.universe t.inst);
     t.inst <- inst;
     t.caps <- caps_of p';
     commit t p' (facts_of p') pt rts ce;

@@ -63,7 +63,7 @@ val run_all :
     variable-order optimizer for the points-to and call-graph solves
     (explicit pre-run pass + safe-point auto trigger).  [backend]
     selects the relation engine for every universe the pipeline creates
-    (default: [JEDD_BACKEND] or in-core); [node_limit] caps each
+    (default in-core); [node_limit] caps each
     in-core node table, turning runaway solves into a catchable
     [Jedd_bdd.Manager.Out_of_nodes]. *)
 

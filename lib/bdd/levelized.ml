@@ -1,6 +1,6 @@
-(* Levelized BDD dumps (see levelized.mli).  The uid encoding mirrors
-   Jedd_extmem.Ebdd: 24 high bits of level, 40 low bits of within-level
-   index, terminals negative. *)
+(* Levelized BDD dumps (see levelized.mli).  A uid packs 24 high bits of
+   level and 40 low bits of within-level index; terminals are
+   negative. *)
 
 type t = { blocks : (int * int array * int array) array; root : int }
 

@@ -1,15 +1,11 @@
-(** Levelized BDD dumps: the portable on-disk shape of a BDD shared by
-    the serialization layer and both relation backends.
+(** Levelized BDD dumps: the portable on-disk shape of an in-core BDD,
+    written and read by the serialization layer.
 
     A dump stores the nodes of one rooted, reduced BDD grouped by level,
-    levels ascending, exactly like the node files of the out-of-core
-    backend (Adiar's levelized representation): within a level, nodes
-    are addressed by their index in the level's arrays, and a child
-    reference is a {e uid} packing [(level, index)] — or one of the two
-    negative terminal uids.  The encoding constants match
-    [Jedd_extmem.Ebdd], so extmem node files convert to dumps by an
-    array copy and the in-core conversions here are the only nontrivial
-    ones.
+    levels ascending (Adiar's levelized representation): within a level,
+    nodes are addressed by their index in the level's arrays, and a
+    child reference is a {e uid} packing [(level, index)] — or one of
+    the two negative terminal uids.
 
     Dumps are plain data (int arrays): they carry no manager or store
     handles and can be written to disk, hashed, and read back in a

@@ -116,16 +116,6 @@ type t = {
   mutable grows : int;
   mutable grow_millis : float;
   mutable node_limit : int; (* capacity ceiling; 0 = unlimited *)
-  (* Whether hitting the budget wall may collect before raising.  The
-     default suits callers that abandon the whole computation on
-     [Out_of_nodes]: reclaim eagerly so the handler sees a clean table.
-     Engines that *resume* after catching it (the hybrid backend falls
-     back to out-of-core mid-expression) must clear this: a collection
-     here would recycle the caller's in-flight unreferenced
-     intermediates, and the resumed computation would read stale
-     handles.  With the flag off, garbage waits for the next checkpoint
-     — the designated safe point where everything live holds a ref. *)
-  mutable gc_on_exhaustion : bool;
   (* N-way set-associative operation cache.  Each entry is
      [entry_ints] consecutive ints: tag, a, b, c, result, generation.
      A set is [ways] consecutive entries; lookups scan the set and
@@ -230,7 +220,6 @@ let create ?(node_capacity = 1 lsl 15) ?(cache_bits = 14) ?(cache_ways = 4)
       grows = 0;
       grow_millis = 0.0;
       node_limit;
-      gc_on_exhaustion = true;
       cache = Array.make (sets * cache_ways * entry_ints) (-1);
       ways = cache_ways;
       set_mask = sets - 1;
@@ -379,8 +368,6 @@ let grow_millis m = m.grow_millis
 let set_node_limit m limit =
   m.node_limit <- (match limit with Some n when n > 0 -> n | _ -> 0)
 
-let node_limit m = if m.node_limit > 0 then Some m.node_limit else None
-let set_gc_on_exhaustion m b = m.gc_on_exhaustion <- b
 let refcount m n = m.refc.(n)
 let order_gen m = m.order_gen
 let swap_count m = m.swaps
@@ -693,14 +680,10 @@ let checkpoint m =
    and abandon the current operation: a collection here recycles node
    handles, so in-flight unreferenced intermediates must not be resumed.
    The manager itself stays consistent (caches were retired by [gc]) —
-   the handler can release roots and retry, e.g. on the out-of-core
-   backend.  Callers that instead *continue* after catching
-   [Out_of_nodes] (the hybrid backend) clear [gc_on_exhaustion], making
-   this the sequential analogue of [chunk_refill]'s no-GC raise:
-   reclaim is deferred to the next checkpoint. *)
+   the handler can release roots and retry. *)
 let grow_limited m =
   if m.node_limit > 0 && m.capacity * 2 > m.node_limit then begin
-    if m.gc_on_exhaustion then gc m;
+    gc m;
     raise Out_of_nodes
   end
   else grow m

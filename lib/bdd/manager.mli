@@ -32,8 +32,8 @@ exception Out_of_nodes
     growing.  The manager itself remains consistent — external roots and
     their refcounts are untouched and the operation caches have been
     retired — but the operation in flight is abandoned; catch it at an
-    operation boundary, release what you can, and retry (typically on
-    the out-of-core backend). *)
+    operation boundary, release what you can, and retry under a larger
+    budget. *)
 
 val create :
   ?node_capacity:int ->
@@ -52,18 +52,6 @@ val create :
 
 val set_node_limit : t -> int option -> unit
 (** Install, change or remove ([None]) the node budget at runtime. *)
-
-val node_limit : t -> int option
-
-val set_gc_on_exhaustion : t -> bool -> unit
-(** Whether hitting the node budget may garbage-collect before raising
-    {!Out_of_nodes} (default [true]).  Clear it when the handler
-    {e resumes} the surrounding computation instead of abandoning it
-    (the hybrid backend's per-operation out-of-core fallback): a
-    collection at the point of exhaustion recycles the caller's
-    unreferenced in-flight intermediates, so a resumed computation
-    would read stale handles.  With the flag off, garbage is reclaimed
-    only at the next checkpoint. *)
 
 val uid : t -> int
 (** A process-unique id for this manager, for keying external memo

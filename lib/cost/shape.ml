@@ -2,9 +2,33 @@ open Jedd_lang.Tast
 module Ast = Jedd_lang.Ast
 module C = Jedd_lang.Constraints
 module E = Jedd_lang.Encode
-module Predict = Jedd_relation.Predict
 
 type estimate = { bits : int; nodes : int }
+
+(* Node-count formulas: saturating upper-bound heuristics in the style of
+   Adiar's levelized cost predictors (arXiv:2104.12101).  An apply is
+   bounded by the product of its operand sizes, any relation by [2^bits]
+   over its layout's total bit width, and quantification never grows
+   past its input.  Everything saturates at [cap], so arithmetic never
+   wraps and "huge" compares stably against a lint threshold. *)
+let cap = 1 lsl 52
+let clamp n = if n < 0 then cap else min n cap
+let pow2 n = if n >= 52 then cap else clamp (1 lsl n)
+
+let mul a b =
+  let a = clamp a and b = clamp b in
+  if a = 0 || b = 0 then 0 else if a > cap / b then cap else a * b
+
+let add a b = clamp (clamp a + clamp b)
+
+(* a relation about which nothing is known beyond its layout width *)
+let unknown ~bits = pow2 bits
+
+(* join/compose: the apply bound capped by the result layout's capacity *)
+let product ~left ~right ~result_bits = min (mul left right) (pow2 result_bits)
+
+(* projection and renaming: never above the input or the result layout *)
+let project ~nodes ~result_bits = min (clamp nodes) (pow2 result_bits)
 
 type t = { tbl : (int, estimate) Hashtbl.t }
 
@@ -31,14 +55,14 @@ let analyze ?(hints = fun _ -> None) (p : tprogram) (asg : E.assignment) : t
       let formula =
         match e.edesc with
         | TEmpty | TFull -> 1 (* a terminal *)
-        | TVar _ | TCall _ -> Predict.unknown ~bits
+        | TVar _ | TCall _ -> unknown ~bits
         | TLiteral tuple -> (* one path: a node per bound bit *)
           ignore tuple;
-          Predict.add bits 2
+          add bits 2
         | TBinop (op, a, b) -> (
           let na = (est a).nodes and nb = (est b).nodes in
           match op with
-          | Ast.Union -> Predict.add na nb
+          | Ast.Union -> add na nb
           | Ast.Inter -> min na nb
           | Ast.Diff -> na)
         | TReplace (reps, a) ->
@@ -48,10 +72,10 @@ let analyze ?(hints = fun _ -> None) (p : tprogram) (asg : E.assignment) : t
           let copied =
             List.exists (function TCopy _ -> true | _ -> false) reps
           in
-          let base = if copied then Predict.mul na 2 else na in
-          Predict.project ~nodes:base ~result_bits:bits
+          let base = if copied then mul na 2 else na in
+          project ~nodes:base ~result_bits:bits
         | TJoin (_, a, _, b, _) ->
-          Predict.product ~left:(est a).nodes ~right:(est b).nodes
+          product ~left:(est a).nodes ~right:(est b).nodes
             ~result_bits:bits
       in
       let nodes =

@@ -4,8 +4,8 @@
 
     Widths come straight from the assignment (each attribute instance's
     physical domain and the computed domain bit widths); node counts
-    use the saturating upper-bound formulas of
-    [Jedd_relation.Predict].  Estimates can be sharpened with observed
+    use saturating upper-bound formulas (an apply is bounded by the
+    product of its operands, a relation by [2^bits]).  Estimates can be sharpened with observed
     sizes replayed from a profiler CSV ({!hints_of_csv}): a hint for an
     expression's source position overrides the formula at that node and
     flows into every enclosing estimate.

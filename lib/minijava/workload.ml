@@ -93,11 +93,6 @@ let profiles =
     };
   ]
 
-let profile_named name =
-  match List.find_opt (fun p -> p.name = name) profiles with
-  | Some p -> p
-  | None -> invalid_arg (Printf.sprintf "Workload.profile_named: %s" name)
-
 let tiny =
   {
     name = "tiny";
@@ -112,6 +107,20 @@ let tiny =
     calls_per_method = 1;
     seed = 7;
   }
+
+let find_profile name =
+  let all = tiny :: profiles in
+  match List.find_opt (fun p -> p.name = name) all with
+  | Some p -> Ok p
+  | None ->
+    Error
+      (Printf.sprintf "unknown benchmark %s (known: %s)" name
+         (String.concat ", " (List.map (fun p -> p.name) all)))
+
+let profile_named name =
+  match find_profile name with
+  | Ok p -> p
+  | Error msg -> invalid_arg ("Workload.profile_named: " ^ msg)
 
 let generate (p : profile) : Program.t =
   let st = Random.State.make [| p.seed; p.classes; 0x6a65 |] in

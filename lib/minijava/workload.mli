@@ -25,10 +25,14 @@ val profiles : profile list
 (** The five Table 2 benchmarks: javac, compress, javac-13, sablecc,
     jedit (ordered as in the paper). *)
 
-val profile_named : string -> profile
-(** Raises [Invalid_argument] for unknown names. *)
-
 val tiny : profile
 (** A few-classes profile for fast tests. *)
+
+val find_profile : string -> (profile, string) result
+(** {!tiny} or one of {!profiles}, by name; the error names the known
+    profiles. *)
+
+val profile_named : string -> profile
+(** {!find_profile}, raising [Invalid_argument] for unknown names. *)
 
 val generate : profile -> Program.t

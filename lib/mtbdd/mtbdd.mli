@@ -12,9 +12,8 @@
 
     The store is sequential-only and keeps a fixed variable order: node
     levels are the current levels of the owning universe's in-core
-    manager at construction time, baked in exactly like the extmem
-    backend's node files (so an [`Mtbdd] universe disables dynamic
-    reordering).  Terminal values must be non-negative; arithmetic
+    manager at construction time, baked into the store's nodes (so an
+    [`Mtbdd] universe disables dynamic reordering).  Terminal values must be non-negative; arithmetic
     saturates at {!value_cap} instead of overflowing. *)
 
 type t

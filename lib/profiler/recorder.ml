@@ -16,9 +16,6 @@ type summary = {
   reorders : int;
   reorder_swaps : int;
   reorder_millis : float;
-  spill_runs : int;
-  spilled_bytes : int;
-  io_millis : float;
   mt_cache_hits : int;
   mt_cache_misses : int;
   mt_terminals : int;
@@ -86,9 +83,6 @@ let summaries t =
             reorders = 0;
             reorder_swaps = 0;
             reorder_millis = 0.0;
-            spill_runs = 0;
-            spilled_bytes = 0;
-            io_millis = 0.0;
             mt_cache_hits = 0;
             mt_cache_misses = 0;
             mt_terminals = 0;
@@ -105,11 +99,6 @@ let summaries t =
             d.U.reorder_swaps,
             d.U.reorder_millis )
         | None -> (0, 0, 0, 0.0, 0, 0, 0.0)
-      in
-      let sruns, sbytes, io_ms =
-        match e.U.bdd with
-        | Some d -> (d.U.spill_runs, d.U.spilled_bytes, d.U.io_millis)
-        | None -> (0, 0, 0.0)
       in
       let mt_hits, mt_misses, mt_terms =
         match e.U.bdd with
@@ -131,9 +120,6 @@ let summaries t =
           reorders = current.reorders + reorders;
           reorder_swaps = current.reorder_swaps + rswaps;
           reorder_millis = current.reorder_millis +. rmillis;
-          spill_runs = current.spill_runs + sruns;
-          spilled_bytes = current.spilled_bytes + sbytes;
-          io_millis = current.io_millis +. io_ms;
           mt_cache_hits = current.mt_cache_hits + mt_hits;
           mt_cache_misses = current.mt_cache_misses + mt_misses;
           mt_terminals = max current.mt_terminals mt_terms;
@@ -144,7 +130,7 @@ let summaries t =
 
 (* Lifetime counter snapshot of a universe's BDD layer, as flat
    (name, value) pairs: the cache/GC/growth/reorder counters of the
-   manager, the spill/I-O counters of an extmem backend, and the
+   manager, the terminal-store counters of an mtbdd backend, and the
    parallel-mode counters (domains that claimed a slot, allocation-chunk
    refills, and the per-domain cache slots while parallel mode is
    active; they merge into the base counters on [exit_parallel]).  This
@@ -157,15 +143,6 @@ let runtime_stats u =
   let m = U.manager u in
   let par = M.par_stats m in
   let hits, misses, evictions = M.cache_totals m in
-  let spill_runs, spilled_bytes, pq_peak_bytes, io_millis =
-    match Jedd_relation.Backend.store (U.backend u) with
-    | None -> (0, 0, 0, 0.0)
-    | Some st ->
-      ( Jedd_extmem.Store.spill_runs st,
-        Jedd_extmem.Store.spilled_bytes st,
-        Jedd_extmem.Store.pq_peak_bytes st,
-        Jedd_extmem.Store.io_millis st )
-  in
   let mt_hits, mt_misses, mt_terminals, mt_live, mt_peak =
     match Jedd_relation.Backend.mt_store (U.backend u) with
     | None -> (0, 0, 0, 0, 0)
@@ -176,12 +153,8 @@ let runtime_stats u =
   in
   [
     ( "backend",
-      float_of_int
-        (match U.backend_kind u with
-        | `Incore -> 0
-        | `Extmem -> 1
-        | `Hybrid -> 2
-        | `Mtbdd -> 3) );
+      float_of_int (match U.backend_kind u with `Incore -> 0 | `Mtbdd -> 3)
+    );
     ("live_nodes", float_of_int (M.live_nodes m));
     ("peak_nodes", float_of_int (M.peak_nodes m));
     ("num_vars", float_of_int (M.num_vars m));
@@ -195,10 +168,6 @@ let runtime_stats u =
     ("reorders", float_of_int (M.reorder_count m));
     ("reorder_swaps", float_of_int (M.swap_count m));
     ("reorder_millis", M.reorder_millis m);
-    ("spill_runs", float_of_int spill_runs);
-    ("spilled_bytes", float_of_int spilled_bytes);
-    ("pq_peak_bytes", float_of_int pq_peak_bytes);
-    ("io_millis", io_millis);
     ("mt_cache_hits", float_of_int mt_hits);
     ("mt_cache_misses", float_of_int mt_misses);
     ("mt_distinct_terminals", float_of_int mt_terminals);

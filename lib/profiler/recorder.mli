@@ -31,9 +31,6 @@ type summary = {
   reorders : int;  (** variable-reorder passes during the operation *)
   reorder_swaps : int;  (** adjacent level swaps performed *)
   reorder_millis : float;
-  spill_runs : int;  (** extmem backend: sorted runs written to disk *)
-  spilled_bytes : int;  (** extmem backend: bytes spilled *)
-  io_millis : float;  (** extmem backend: time inside spill-file I/O *)
   mt_cache_hits : int;  (** mtbdd backend: terminal-apply cache hits *)
   mt_cache_misses : int;
   mt_terminals : int;
@@ -65,12 +62,12 @@ val clear : t -> unit
 val runtime_stats : Jedd_relation.Universe.t -> (string * float) list
 (** Lifetime BDD-layer counters of a universe as flat (name, value)
     pairs — cache hits/misses/evictions, GC and growth work, reorder
-    passes/swaps, the extmem spill/I-O counters (zero on in-core), the
-    mtbdd terminal-store counters ([mt_cache_*], [mt_distinct_terminals],
-    [mt_live_nodes]; zero on boolean backends), and the parallel-mode
-    counters of frozen multi-reader serving ([parallel_active],
+    passes/swaps, the mtbdd terminal-store counters ([mt_cache_*],
+    [mt_distinct_terminals], [mt_live_nodes]; zero in-core), and the
+    parallel-mode counters of frozen multi-reader serving ([parallel_active],
     [parallel_domains_used], [parallel_chunk_refills], and — while
     parallel mode is active — the per-domain operation-cache slot
     counters [slot<i>_cache_hits], ...).  Integer counters are widened
-    to floats; [backend] is 0 in-core, 1 extmem, 2 hybrid, 3 mtbdd.
+    to floats; [backend] is 0 in-core, 3 mtbdd (1 and 2 named the
+    retired out-of-core and hybrid engines and are not reused).
     Shared by the jeddd [stats] verb and the bench JSON reports. *)

@@ -178,46 +178,6 @@ let to_html ?engine rec_ =
         (Recorder.rows rec_);
       out "</table>")
     summaries;
-  (* External memory: spill traffic of the out-of-core backend, one row
-     per (operation, label) with any disk activity.  Absent entirely for
-     pure in-core runs. *)
-  let pq_peak =
-    List.fold_left
-      (fun acc (r : Recorder.row) ->
-        match r.event.U.bdd with
-        | Some d -> max acc d.U.pq_peak_bytes
-        | None -> acc)
-      0 (Recorder.rows rec_)
-  in
-  let spilling =
-    List.filter
-      (fun (s : Recorder.summary) ->
-        s.spill_runs > 0 || s.spilled_bytes > 0 || s.io_millis > 0.0)
-      summaries
-  in
-  if spilling <> [] || pq_peak > 0 then begin
-    out "<h2>External memory</h2>";
-    out
-      "<p>Priority-queue peak: %d bytes in memory.  Totals: %d sorted runs,        %d bytes spilled, %.3f ms in spill-file I/O.</p>"
-      pq_peak
-      (List.fold_left (fun a (s : Recorder.summary) -> a + s.spill_runs) 0 spilling)
-      (List.fold_left (fun a (s : Recorder.summary) -> a + s.spilled_bytes) 0 spilling)
-      (List.fold_left (fun a (s : Recorder.summary) -> a +. s.io_millis) 0.0 spilling);
-    if spilling <> [] then begin
-      out
-        "<table><tr><th class=l>operation</th><th class=l>label</th>\
-         <th>spill runs</th><th>spilled bytes</th><th>I/O ms</th></tr>";
-      List.iter
-        (fun (s : Recorder.summary) ->
-          out
-            "<tr><td class=l>%s</td><td class=l>%s</td><td>%d</td>\
-             <td>%d</td><td>%.3f</td></tr>"
-            (escape_html s.op) (escape_html s.label) s.spill_runs
-            s.spilled_bytes s.io_millis)
-        spilling;
-      out "</table>"
-    end
-  end;
   (match engine with
   | Some e -> Buffer.add_string buf (order_html e)
   | None -> ());
@@ -229,8 +189,7 @@ let to_csv rec_ =
   Buffer.add_string buf
     "seq,op,label,millis,operand_nodes,result_nodes,result_tuples,\
      cache_hits,cache_misses,gcs,gc_millis,reorders,reorder_swaps,\
-     reorder_millis,spill_runs,spilled_bytes,pq_peak_bytes,io_millis,\
-     mt_cache_hits,mt_cache_misses,mt_distinct_terminals\n";
+     reorder_millis,mt_cache_hits,mt_cache_misses,mt_distinct_terminals\n";
   List.iter
     (fun (r : Recorder.row) ->
       let e = r.event in
@@ -246,12 +205,6 @@ let to_csv rec_ =
             d.U.reorder_millis )
         | None -> (0, 0, 0, 0.0, 0, 0, 0.0)
       in
-      let sruns, sbytes, pq_peak, io_ms =
-        match e.U.bdd with
-        | Some d ->
-          (d.U.spill_runs, d.U.spilled_bytes, d.U.pq_peak_bytes, d.U.io_millis)
-        | None -> (0, 0, 0, 0.0)
-      in
       let mt_hits, mt_misses, mt_terms =
         match e.U.bdd with
         | Some d -> (d.U.mt_cache_hits, d.U.mt_cache_misses, d.U.mt_terminals)
@@ -259,11 +212,11 @@ let to_csv rec_ =
       in
       Buffer.add_string buf
         (Printf.sprintf
-           "%d,%s,\"%s\",%.4f,\"%s\",%d,%d,%d,%d,%d,%.4f,%d,%d,%.4f,%d,%d,%d,%.4f,%d,%d,%d\n"
+           "%d,%s,\"%s\",%.4f,\"%s\",%d,%d,%d,%d,%d,%.4f,%d,%d,%.4f,%d,%d,%d\n"
            r.seq e.U.op e.U.label e.U.millis
            (String.concat ";" (List.map string_of_int e.U.operand_nodes))
            e.U.result_nodes e.U.result_tuples hits misses gcs gc_ms reorders
-           rswaps r_ms sruns sbytes pq_peak io_ms mt_hits mt_misses mt_terms))
+           rswaps r_ms mt_hits mt_misses mt_terms))
     (Recorder.rows rec_);
   Buffer.contents buf
 

@@ -6,8 +6,6 @@ module Count = Jedd_bdd.Count
 module Enum = Jedd_bdd.Enum
 module Fdd = Jedd_bdd.Fdd
 module Lv = Jedd_bdd.Levelized
-module Store = Jedd_extmem.Store
-module E = Jedd_extmem.Ebdd
 module Mtb = Jedd_mtbdd.Mtbdd
 
 type 'n ops = {
@@ -47,7 +45,7 @@ type 'n weights = {
     'n -> levels:int array -> (bool array -> int -> unit) -> unit;
 }
 
-type kind = [ `Incore | `Extmem | `Hybrid | `Mtbdd ]
+type kind = [ `Incore | `Mtbdd ]
 
 type 'n engine = {
   kind : kind;
@@ -55,7 +53,6 @@ type 'n engine = {
   ops : 'n ops;
   levelized : 'n levelized option;
   weights : 'n weights option;
-  store : Store.t option;
   mt_store : Mtb.t option;
 }
 
@@ -104,245 +101,6 @@ let incore m : M.node ops =
   }
 
 let incore_levelized m = { export = Lv.of_manager m; import = Lv.to_manager m }
-
-(* -- extmem: levelized node files swept through bounded memory ---------- *)
-
-let extmem m st : E.t ops =
-  {
-    zero = (fun () -> E.tfalse);
-    one = (fun () -> E.ttrue);
-    (* external nodes are ordinary GC'd values; files are reclaimed by
-       finalisers *)
-    addref = ignore;
-    delref = ignore;
-    band = (fun a b -> E.band st a b);
-    bor = (fun a b -> E.bor st a b);
-    bdiff = (fun a b -> E.bdiff st a b);
-    cube = E.cube;
-    biimp_vars = E.biimp_levels;
-    ithval = (fun block v -> E.cube (value_literals m block v));
-    less_than =
-      (fun block k -> E.less_than_const (Array.to_list (Fdd.levels m block)) k);
-    restrict = (fun n assignment -> E.restrict st assignment n);
-    exist = (fun n levels -> E.exist st levels n);
-    replace = (fun n pairs -> E.replace st pairs n);
-    relprod_replace =
-      (fun f g pairs qlevels -> E.relprod_replace st f g pairs qlevels);
-    nodecount = E.nodecount;
-    satcount = (fun n ~over -> E.satcount st ~over n);
-    shape = (fun n -> E.shape ~num_vars:(M.num_vars m) n);
-    iter_assignments = (fun n ~levels k -> E.iter_assignments st ~levels n k);
-    equal = E.equal;
-    is_zero = (fun n -> E.equal n E.tfalse);
-    checkpoint = ignore;
-  }
-
-let extmem_levelized m st =
-  {
-    export =
-      (fun n ->
-        let blocks, root = E.export_blocks st n in
-        { Lv.blocks = Array.of_list blocks; root });
-    import =
-      (fun d ->
-        Lv.validate ~num_vars:(M.num_vars m) d;
-        E.import_blocks (Array.to_list d.Lv.blocks) d.Lv.root);
-  }
-
-(* -- hybrid: per-operation choice between the two engines above ---------
-
-   A hybrid root lives in either engine.  The costs are asymmetric: a
-   wrong in-core attempt wastes at most one table fill before
-   [Manager.Out_of_nodes] aborts it (the operation then re-runs on the
-   external engine, so a hybrid universe never aborts where pure extmem
-   would complete), while a wrong extmem dispatch pays the full
-   file-backed sweep — typically 1-2 orders of magnitude slower.  And
-   the [Predict] bounds are saturating worst cases (operand products,
-   bit-width caps) that real apply results undercut by orders of
-   magnitude.  So dispatch is optimistic first: attempt in-core whenever
-   the guaranteed allocation — importing external operands — fits in
-   half the remaining headroom.  Only after an attempt has actually
-   exhausted the table does the prediction gate engage: for the next
-   [backoff_len] operations only sure fits (prediction plus import
-   within half the headroom) run in-core, everything else streams.  A
-   success costs nothing; repeated failures degrade to the conservative
-   prediction-gated regime instead of thrashing the table.
-
-   Resuming after a failed attempt is sound only because the hybrid
-   manager raises [Out_of_nodes] without collecting
-   ([set_gc_on_exhaustion false] in [make]): the caller's unreferenced
-   in-flight operands survive the failure intact, so the fallback
-   exports live nodes. *)
-
-type hybrid_node = In of M.node | Ex of E.t
-
-let backoff_len = 16
-
-let hybrid m st : hybrid_node ops =
-  let i = incore m and x = extmem m st in
-  (* operations left during which optimistic in-core attempts are
-     suppressed after a node-table exhaustion *)
-  let backoff = ref 0 in
-  let headroom () =
-    match M.node_limit m with
-    | None -> max_int
-    | Some limit -> max 0 (limit - M.live_nodes m)
-  in
-  (* keep half the headroom in reserve for the operation's
-     intermediates *)
-  let prefer_incore ~predicted ~import_nodes =
-    let h = headroom () in
-    h = max_int
-    || Predict.add predicted import_nodes <= h / 2
-    ||
-    if !backoff > 0 then begin
-      decr backoff;
-      false
-    end
-    else import_nodes <= h / 2
-  in
-  (* move a root across engines; the in-core root returned by [to_in]
-     carries one external reference the caller must drop after the op *)
-  let to_ex = function
-    | Ex n -> n
-    | In n ->
-      let d = Lv.of_manager m n in
-      E.import_blocks (Array.to_list d.Lv.blocks) d.Lv.root
-  in
-  let to_in = function
-    | In n ->
-      ignore (M.addref m n);
-      n
-    | Ex n ->
-      let blocks, root = E.export_blocks st n in
-      Lv.to_manager m { Lv.blocks = Array.of_list blocks; root }
-  in
-  let import_cost = function In _ -> 0 | Ex n -> E.nodecount n in
-  (* Run [fin] in-core over operands it imports through [load], falling
-     back to [fex] on node-table exhaustion.  The temporary refs balance
-     [to_in]'s addref/import after the op; the result itself is safe
-     unreferenced — no safe point runs before the caller's addref. *)
-  let run ~prefer_incore fin fex =
-    if prefer_incore then begin
-      let temps = ref [] in
-      let load v =
-        let n = to_in v in
-        temps := n :: !temps;
-        n
-      in
-      let attempt = try Some (fin load) with M.Out_of_nodes -> None in
-      List.iter (M.delref m) !temps;
-      match attempt with
-      | Some r -> In r
-      | None ->
-        backoff := backoff_len;
-        Ex (fex to_ex)
-    end
-    else Ex (fex to_ex)
-  in
-  let op2 ~predicted fin fex x y =
-    let prefer_incore =
-      prefer_incore ~predicted ~import_nodes:(import_cost x + import_cost y)
-    in
-    run ~prefer_incore
-      (fun load ->
-        let a = load x in
-        fin a (load y))
-      (fun ex ->
-        let a = ex x in
-        fex a (ex y))
-  in
-  (* constructors build tiny BDDs: prefer the in-core engine unless the
-     table is nearly full, in which case the pure-data external form is
-     free of allocation pressure *)
-  let constructor fin fex =
-    if headroom () > 1024 then
-      try In (fin ()) with M.Out_of_nodes -> Ex (fex ())
-    else Ex (fex ())
-  in
-  let nodecount = function In n -> i.nodecount n | Ex n -> x.nodecount n in
-  let apply fin fex a b =
-    op2
-      ~predicted:(Predict.apply ~left:(nodecount a) ~right:(nodecount b))
-      fin fex a b
-  in
-  (* restrict, exist and replace: results no larger than a replace *)
-  let op1 fin fex a =
-    let prefer_incore =
-      prefer_incore
-        ~predicted:(Predict.replace ~nodes:(nodecount a))
-        ~import_nodes:(import_cost a)
-    in
-    run ~prefer_incore (fun load -> fin (load a)) (fun ex -> fex (ex a))
-  in
-  let zero_node = In M.zero and one_node = In M.one in
-  {
-    zero = (fun () -> zero_node);
-    one = (fun () -> one_node);
-    addref = (function In n -> i.addref n | Ex n -> x.addref n);
-    delref = (function In n -> i.delref n | Ex n -> x.delref n);
-    band = apply i.band x.band;
-    bor = apply i.bor x.bor;
-    bdiff = apply i.bdiff x.bdiff;
-    cube = (fun a -> constructor (fun () -> i.cube a) (fun () -> x.cube a));
-    biimp_vars =
-      (fun l1 l2 ->
-        constructor
-          (fun () -> i.biimp_vars l1 l2)
-          (fun () -> x.biimp_vars l1 l2));
-    ithval =
-      (fun block v ->
-        constructor (fun () -> i.ithval block v) (fun () -> x.ithval block v));
-    less_than =
-      (fun block k ->
-        constructor
-          (fun () -> i.less_than block k)
-          (fun () -> x.less_than block k));
-    restrict =
-      (fun n a -> op1 (fun r -> i.restrict r a) (fun r -> x.restrict r a) n);
-    exist = (fun n ls -> op1 (fun r -> i.exist r ls) (fun r -> x.exist r ls) n);
-    replace =
-      (fun n ps -> op1 (fun r -> i.replace r ps) (fun r -> x.replace r ps) n);
-    relprod_replace =
-      (fun f g pairs qlevels ->
-        op2
-          ~predicted:
-            (Predict.product ~left:(nodecount f) ~right:(nodecount g)
-               ~result_bits:(M.num_vars m))
-          (fun a b -> i.relprod_replace a b pairs qlevels)
-          (fun a b -> x.relprod_replace a b pairs qlevels)
-          f g);
-    nodecount;
-    satcount =
-      (fun n ~over ->
-        match n with
-        | In n -> i.satcount n ~over
-        | Ex n -> x.satcount n ~over);
-    shape = (function In n -> i.shape n | Ex n -> x.shape n);
-    iter_assignments =
-      (fun n ~levels k ->
-        match n with
-        | In n -> i.iter_assignments n ~levels k
-        | Ex n -> x.iter_assignments n ~levels k);
-    (* mixed-engine comparison: export the in-core side (pure, no
-       allocation) and compare levelized forms structurally *)
-    equal =
-      (fun a b ->
-        match (a, b) with
-        | In a, In b -> i.equal a b
-        | _ -> E.equal (to_ex a) (to_ex b));
-    is_zero = (function In n -> i.is_zero n | Ex n -> x.is_zero n);
-    checkpoint = i.checkpoint;
-  }
-
-(* hybrid imports to the allocation-free external form; ops pull roots
-   in-core later if the headroom allows *)
-let hybrid_levelized m st =
-  let il = incore_levelized m and xl = extmem_levelized m st in
-  {
-    export = (function In n -> il.export n | Ex n -> xl.export n);
-    import = (fun d -> Ex (xl.import d));
-  }
 
 (* -- mtbdd: terminal-valued diagrams -------------------------------------
 
@@ -418,55 +176,18 @@ let mtbdd_weights s =
 
 (* -- construction --------------------------------------------------------- *)
 
-let pack kind ops ?levelized ?weights ?store ?mt_store () =
-  Engine
-    { kind; id = Type.Id.make (); ops; levelized; weights; store; mt_store }
+let pack kind ops ?levelized ?weights ?mt_store () =
+  Engine { kind; id = Type.Id.make (); ops; levelized; weights; mt_store }
 
 let make kind m =
   match kind with
   | `Incore -> pack kind (incore m) ~levelized:(incore_levelized m) ()
-  | `Extmem ->
-    let st = Store.create () in
-    pack kind (extmem m st) ~levelized:(extmem_levelized m st) ~store:st ()
-  | `Hybrid ->
-    (* The fallback *resumes* the surrounding computation after catching
-       [Out_of_nodes], so exhaustion must not collect: the caller's
-       unreferenced intermediates (e.g. a fold accumulator in
-       [Relation.of_tuples]) would be recycled under it and the resumed
-       operation would export stale handles.  Garbage then waits for the
-       next checkpoint, the designated safe point. *)
-    M.set_gc_on_exhaustion m false;
-    let st = Store.create () in
-    pack kind (hybrid m st) ~levelized:(hybrid_levelized m st) ~store:st ()
   | `Mtbdd ->
     let s = Mtb.create () in
     pack kind (mtbdd m s) ~weights:(mtbdd_weights s) ~mt_store:s ()
 
 let kind (Engine e) = e.kind
-let store (Engine e) = e.store
 let mt_store (Engine e) = e.mt_store
-let cleanup (Engine e) = Option.iter Store.cleanup e.store
-
-let levelizes = function `Incore | `Extmem | `Hybrid -> true | `Mtbdd -> false
-let in_place = function `Incore -> true | `Extmem | `Hybrid | `Mtbdd -> false
-
-(* -- backend names ------------------------------------------------------ *)
-
-let known_backends = [ "incore"; "extmem"; "hybrid"; "mtbdd" ]
-
-let kind_name = function
-  | `Incore -> "incore"
-  | `Extmem -> "extmem"
-  | `Hybrid -> "hybrid"
-  | `Mtbdd -> "mtbdd"
-
-let kind_of_string s =
-  match s with
-  | "incore" -> `Incore
-  | "extmem" -> `Extmem
-  | "hybrid" -> `Hybrid
-  | "mtbdd" -> `Mtbdd
-  | _ ->
-    invalid_arg
-      (Printf.sprintf "unknown backend %S (known backends: %s)" s
-         (String.concat ", " known_backends))
+let in_place = function `Incore -> true | `Mtbdd -> false
+let kind_name = function `Incore -> "incore" | `Mtbdd -> "mtbdd"
+let known_backends = List.map kind_name [ `Incore; `Mtbdd ]

@@ -730,7 +730,7 @@ let levelized u =
 (* -- weighted relations (mtbdd backend) ---------------------------------- *)
 
 (* Per-tuple integer weights, carried as MTBDD terminal values.  Every
-   function below needs the engine's weights; on the boolean backends
+   function below needs the engine's weights; on the in-core engine
    there is nowhere to keep a weight, so they are type errors rather
    than silently-lossy approximations. *)
 

@@ -12,10 +12,6 @@ type bdd_delta = {
   reorders : int;
   reorder_swaps : int;
   reorder_millis : float;
-  spill_runs : int;
-  spilled_bytes : int;
-  pq_peak_bytes : int;
-  io_millis : float;
   mt_cache_hits : int;
   mt_cache_misses : int;
   mt_per_tag : tag_delta list;
@@ -47,24 +43,12 @@ type t = {
 
 let counter = ref 0
 
-let resolve_backend flag =
-  match (flag, Sys.getenv_opt "JEDD_BACKEND") with
-  | Some s, _ -> Backend.kind_of_string s
-  | None, (None | Some "") -> `Incore
-  | None, Some s -> (
-    try Backend.kind_of_string s
-    with Invalid_argument msg ->
-      invalid_arg (Printf.sprintf "JEDD_BACKEND=%s: %s" s msg))
-
-let create ?(node_capacity = 1 lsl 16) ?node_limit ?backend () =
+let create ?(node_capacity = 1 lsl 16) ?node_limit ?(backend = `Incore) () =
   incr counter;
-  let kind =
-    match backend with Some k -> k | None -> resolve_backend None
-  in
   let manager = Jedd_bdd.Manager.create ~node_capacity ?node_limit () in
   {
     manager;
-    backend = Backend.make kind manager;
+    backend = Backend.make backend manager;
     engine = Jedd_reorder.Reorder.create manager;
     uid = !counter;
     level = Off;
@@ -86,9 +70,9 @@ let register_block u ~name ~vars =
 
 let frozen u = Jedd_bdd.Manager.frozen u.manager
 
-(* Dynamic reordering rewires the in-core node store in place; the other
-   engines bake levels into their node files or stores, so both entry
-   points degrade to no-ops there. *)
+(* Dynamic reordering rewires the in-core node store in place; the mtbdd
+   store bakes levels into its nodes, so both entry points degrade to
+   no-ops there. *)
 let reorder ?(trigger = "explicit") u =
   if frozen u then
     raise
@@ -104,7 +88,7 @@ let set_auto_reorder u threshold =
     | None -> Jedd_reorder.Reorder.disable_auto u.engine
 
 (* Snapshot the monotone counters of the manager and (when present) the
-   spill store; [bdd_delta_since] turns two snapshots into the
+   mtbdd store; [bdd_delta_since] turns two snapshots into the
    per-operation delta the profiler records. *)
 type bdd_snapshot = {
   snap_stats : Jedd_bdd.Manager.cache_stat list;
@@ -115,25 +99,12 @@ type bdd_snapshot = {
   snap_reorders : int;
   snap_swaps : int;
   snap_reorder_millis : float;
-  snap_spill_runs : int;
-  snap_spilled_bytes : int;
-  snap_pq_peak_bytes : int;
-  snap_io_millis : float;
   snap_mt_stats : Jedd_mtbdd.Mtbdd.cache_stat list;
   snap_mt_terminals : int;
 }
 
 let bdd_snapshot u =
   let m = u.manager in
-  let spill_runs, spilled_bytes, pq_peak, io_millis =
-    match Backend.store u.backend with
-    | None -> (0, 0, 0, 0.0)
-    | Some st ->
-      ( Jedd_extmem.Store.spill_runs st,
-        Jedd_extmem.Store.spilled_bytes st,
-        Jedd_extmem.Store.pq_peak_bytes st,
-        Jedd_extmem.Store.io_millis st )
-  in
   let mt_stats, mt_terminals =
     match Backend.mt_store u.backend with
     | None -> ([], 0)
@@ -149,10 +120,6 @@ let bdd_snapshot u =
     snap_reorders = Jedd_bdd.Manager.reorder_count m;
     snap_swaps = Jedd_bdd.Manager.swap_count m;
     snap_reorder_millis = Jedd_bdd.Manager.reorder_millis m;
-    snap_spill_runs = spill_runs;
-    snap_spilled_bytes = spilled_bytes;
-    snap_pq_peak_bytes = pq_peak;
-    snap_io_millis = io_millis;
     snap_mt_stats = mt_stats;
     snap_mt_terminals = mt_terminals;
   }
@@ -201,10 +168,6 @@ let bdd_delta_since u before =
     reorder_swaps = after.snap_swaps - before.snap_swaps;
     reorder_millis =
       after.snap_reorder_millis -. before.snap_reorder_millis;
-    spill_runs = after.snap_spill_runs - before.snap_spill_runs;
-    spilled_bytes = after.snap_spilled_bytes - before.snap_spilled_bytes;
-    pq_peak_bytes = after.snap_pq_peak_bytes;
-    io_millis = after.snap_io_millis -. before.snap_io_millis;
     mt_cache_hits = mt_sum (fun (s : Jedd_mtbdd.Mtbdd.cache_stat) -> s.hits);
     mt_cache_misses =
       mt_sum (fun (s : Jedd_mtbdd.Mtbdd.cache_stat) -> s.misses);
@@ -242,5 +205,3 @@ let freeze u =
          (Backend.kind_name kind));
   Jedd_reorder.Reorder.disable_auto u.engine;
   Jedd_bdd.Manager.freeze u.manager
-
-let cleanup u = Backend.cleanup u.backend

@@ -7,11 +7,10 @@
     profiler hook.
 
     Every universe carries an in-core [Jedd_bdd.Manager] — the variable
-    order and finite-domain blocks always live there — but the engine
-    that stores and combines relation BDDs is pluggable ({!Backend}):
-    the default [`Incore] backend computes on the manager itself, while
-    [`Extmem] streams levelized node files through bounded-memory sweeps
-    and can run analyses whose BDDs exceed main memory. *)
+    order and finite-domain blocks always live there — and one engine
+    that stores and combines relation BDDs ({!Backend}): the default
+    [`Incore] engine computes on the manager itself, while [`Mtbdd]
+    keeps weighted relations in a terminal-valued store. *)
 
 type t
 
@@ -20,8 +19,8 @@ type tag_delta = { tag : string; hits : int; misses : int }
 
 (** What one relational operation cost at the BDD layer: operation-cache
     activity (total and per tag, only tags with activity listed), GC /
-    node-table-resize work, and — on the external-memory backend — the
-    spill traffic of the operation's sweeps. *)
+    node-table-resize and reorder work, and — on the mtbdd backend —
+    the terminal store's cache activity. *)
 type bdd_delta = {
   cache_hits : int;
   cache_misses : int;
@@ -34,12 +33,6 @@ type bdd_delta = {
   reorders : int;  (** reorder passes completed during the operation *)
   reorder_swaps : int;  (** adjacent level swaps performed *)
   reorder_millis : float;
-  spill_runs : int;  (** sorted priority-queue runs written to disk *)
-  spilled_bytes : int;  (** bytes of runs, arc files and node files *)
-  pq_peak_bytes : int;
-      (** high-water mark of in-memory priority-queue bytes so far
-          (a watermark, not a per-operation difference) *)
-  io_millis : float;  (** wall milliseconds inside spill-file I/O *)
   mt_cache_hits : int;
       (** terminal-valued apply-cache activity, on the mtbdd backend *)
   mt_cache_misses : int;
@@ -65,30 +58,22 @@ type op_event = {
 }
 
 type bdd_snapshot
-(** Opaque snapshot of the monotone cache/GC/spill counters. *)
+(** Opaque snapshot of the monotone cache/GC/reorder counters. *)
 
 val bdd_snapshot : t -> bdd_snapshot
 val bdd_delta_since : t -> bdd_snapshot -> bdd_delta
 
 type profile_level = Off | Counts | Shapes
 
-val resolve_backend : string option -> Backend.kind
-(** The backend a [--backend] flag names, or without one the backend
-    the [JEDD_BACKEND] environment variable names ([`Incore] when it is
-    unset or empty).  The one resolution of that choice: {!create} and
-    every command-line tool use it.  [Invalid_argument] on an unknown
-    name ({!Backend.kind_of_string}). *)
-
 val create :
   ?node_capacity:int -> ?node_limit:int -> ?backend:Backend.kind -> unit -> t
 (** [create ()] makes a universe over a fresh manager.  [backend]
-    selects the relation engine; when omitted it is
-    [resolve_backend None].  [node_limit] caps the manager's node table —
+    selects the relation engine (default [`Incore]).  [node_limit] caps the manager's node table —
     exceeding it raises [Jedd_bdd.Manager.Out_of_nodes]
     ({!set_node_limit} adjusts it later). *)
 
 val manager : t -> Jedd_bdd.Manager.t
-(** The in-core manager: variable-order authority for both backends. *)
+(** The in-core manager: variable-order authority for both engines. *)
 
 val backend : t -> Backend.t
 val backend_kind : t -> Backend.kind
@@ -107,15 +92,15 @@ val register_block : t -> name:string -> vars:int array -> unit
 val reorder : ?trigger:string -> t -> unit
 (** Run one sifting pass over the registered blocks now (e.g. between
     fixpoint phases).  [trigger] defaults to ["explicit"] and is
-    recorded in the pass event.  A no-op on every backend but [`Incore]
-    ({!Backend.in_place}): the others bake levels into their node files
-    or stores, so the order is fixed. *)
+    recorded in the pass event.  A no-op on [`Mtbdd]
+    ({!Backend.in_place}): its store bakes levels into its nodes, so
+    the order is fixed. *)
 
 val set_auto_reorder : t -> int option -> unit
 (** [set_auto_reorder u (Some n)] arms the safe-point trigger: a sifting
     pass fires at the next {!checkpoint} once [n] allocated nodes are
     reached, re-arming itself above the surviving population.  [None]
-    disarms it.  A no-op on every backend but [`Incore]. *)
+    disarms it.  A no-op on [`Mtbdd]. *)
 
 val uid : t -> int
 (** A unique id per universe, used to key per-universe side tables. *)
@@ -139,11 +124,8 @@ val freeze : t -> unit
     auto-reorder trigger and freezes the backend
     ([Jedd_bdd.Manager.freeze] — compaction, then no refcount traffic,
     GC or reordering; mutation raises [Jedd_bdd.Manager.Frozen]).
-    One-way; idempotent.  [Invalid_argument] on every backend but
-    [`Incore] ({!Backend.in_place}). *)
+    One-way; idempotent.  [Invalid_argument] on [`Mtbdd]
+    ({!Backend.in_place}). *)
 
 val frozen : t -> bool
 
-val cleanup : t -> unit
-(** Release backend resources eagerly — removes an [`Extmem] universe's
-    spill directory (also done by finalisers and at exit). *)

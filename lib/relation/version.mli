@@ -3,4 +3,4 @@
 val version : string
 
 val banner : string
-(** ["jedd VERSION (backends: incore, extmem)"]. *)
+(** ["jedd VERSION (backends: incore, mtbdd)"]. *)

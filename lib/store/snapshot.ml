@@ -15,7 +15,7 @@
      16 bytes    MD5 of the payload
      payload     Binio-encoded body (see [write_payload])
 
-   Loading rebuilds a fresh universe on any backend: physical domains
+   Loading rebuilds a fresh in-core universe: physical domains
    are declared in their recorded order, the recorded level permutation
    is imposed with adjacent swaps on the still-empty manager (cheap),
    and each relation is imported bottom-up.  Every recorded tuple count

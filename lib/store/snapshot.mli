@@ -1,5 +1,5 @@
-(** Whole-universe snapshots: persistent, backend-portable captures of
-    an analysis run — declarations, variable order, and every named
+(** Whole-universe snapshots: persistent captures of an in-core
+    analysis run — declarations, variable order, and every named
     relation as a shared-structure levelized BDD dump — with format
     versioning, an MD5 checksum over the body, and hard rejection of
     anything that fails to round-trip.  See [snapshot.ml] for the file
@@ -49,12 +49,13 @@ val of_bytes :
   ?freeze:bool ->
   string ->
   t
-(** Rebuild a fresh universe (any backend — snapshots are
-    backend-portable) and every relation.  Each relation's tuple count
-    is re-verified against the recorded one.  [~freeze:true] lands the
-    rebuilt universe directly in read-only serving mode
-    ([Jedd_relation.Universe.freeze], in-core backend only): the final
-    act of loading compacts the node store and fences off mutation. *)
+(** Rebuild a fresh universe and every relation.  Each relation's tuple
+    count is re-verified against the recorded one.  [backend] defaults
+    to [`Incore]; [`Mtbdd] has no levelized form and is refused with
+    [Invalid_argument].  [~freeze:true] lands the rebuilt universe
+    directly in read-only serving mode
+    ([Jedd_relation.Universe.freeze]): the final act of loading compacts
+    the node store and fences off mutation. *)
 
 val save_file : string -> t -> unit
 (** Atomic (temp file + rename). *)

@@ -325,6 +325,38 @@ let total_activity stats =
     (fun acc (s : M.cache_stat) -> acc + s.hits + s.misses + s.stores)
     0 stats
 
+let test_out_of_nodes () =
+  let m = M.create ~node_capacity:1024 ~node_limit:1024 () in
+  for _ = 1 to 24 do
+    ignore (M.new_var m)
+  done;
+  let rand = Random.State.make [| 11 |] in
+  let random_cube () =
+    let levels = Array.init 24 Fun.id in
+    for i = 23 downto 1 do
+      let j = Random.State.int rand (i + 1) in
+      let t = levels.(i) in
+      levels.(i) <- levels.(j);
+      levels.(j) <- t
+    done;
+    Ops.cube m
+      (List.init 8 (fun i -> (levels.(i), Random.State.bool rand)))
+  in
+  let raised = ref false in
+  (try
+     let acc = ref (M.addref m M.zero) in
+     for _ = 1 to 5000 do
+       let acc' = M.addref m (Ops.bor m !acc (random_cube ())) in
+       M.delref m !acc;
+       acc := acc'
+     done
+   with M.Out_of_nodes -> raised := true);
+  Alcotest.(check bool) "budget exceeded raises" true !raised;
+  (* the manager survives: roots, refcounts and fresh work are fine *)
+  let x = Ops.band m (M.var m 0) (M.var m 1) in
+  Alcotest.(check int) "manager usable after Out_of_nodes" 1
+    (Count.satcount m x ~over:[ 0; 1 ])
+
 let test_cache_stats_api () =
   let m = M.create ~node_capacity:1024 () in
   let v = Array.init 4 (fun _ -> M.new_var m) in
@@ -669,6 +701,8 @@ let suite =
     Alcotest.test_case "gc keeps referenced" `Quick test_gc_keeps_referenced;
     Alcotest.test_case "gc collects garbage" `Quick test_gc_collects_garbage;
     Alcotest.test_case "table growth" `Quick test_growth;
+    Alcotest.test_case "node limit raises Out_of_nodes" `Quick
+      test_out_of_nodes;
     Alcotest.test_case "cache stats api" `Quick test_cache_stats_api;
     Alcotest.test_case "cache stats monotone across gc" `Quick
       test_cache_stats_monotone_across_gc;

@@ -5,8 +5,8 @@
    unreachable blocks after a return).  Part 2 checks the frequency
    analysis (fixed-point recognition, loop factors, call-graph
    propagation) and the shape estimates.  Part 3 is the acceptance
-   differential: the weighted domain assignment and the hybrid backend
-   must both leave analysis results bit-identical.  Part 4 snapshots the
+   differential: the weighted domain assignment must leave analysis
+   results bit-identical.  Part 4 snapshots the
    JL201/JL202 lints over the seeded-defect example. *)
 
 module Driver = Jedd_lang.Driver
@@ -302,9 +302,7 @@ let replace_counts ~optimize p =
     let u = Jedd_lang.Interp.universe inst in
     U.set_profile_level u U.Counts;
     U.set_on_op u (Some (fun e -> if e.U.op = "replace" then incr dynamic));
-    let r = run inst in
-    U.cleanup u;
-    r
+    run inst
   in
   stage "Hierarchy" (fun i -> A.Hierarchy.load_facts i p; A.Hierarchy.run i);
   let pt =
@@ -381,7 +379,6 @@ let hoist_replaces ?weight () =
   U.set_on_op u (Some (fun e -> if e.U.op = "replace" then incr n));
   Jedd_lang.Interp.set_print_hook inst (fun _ -> ());
   ignore (Jedd_lang.Interp.call inst "Hoist.run" []);
-  U.cleanup u;
   !n
 
 let test_weighted_hoists_loop_copy () =
@@ -408,27 +405,6 @@ let test_weighted_stats_reported () =
     (* the unweighted path stays the unweighted path *)
     Alcotest.(check bool) "unweighted has no stats" true
       ((Suite.compile_one p "Points-to Analysis").Driver.weighted_stats = None)
-
-let test_hybrid_backend_differential () =
-  let p = Workload.generate Workload.tiny in
-  results_equal "hybrid"
-    (Suite.run_all ~backend:`Incore p)
-    (Suite.run_all ~backend:`Hybrid p)
-
-(* Regression: under a cap tight enough that optimistic in-core
-   attempts actually exhaust the table (compress at 3000 nodes — the
-   pure in-core run aborts here), the fallback resumes the surrounding
-   computation — the manager must raise [Out_of_nodes] without
-   collecting (gc_on_exhaustion off) or the caller's unreferenced
-   intermediates are recycled under it, which showed up as silently
-   wrong relations (side-effect 7 vs 187 triples) before the contract
-   existed.  The tiny profile never exhausts (checkpoint GC keeps it
-   under any >= 1024 cap), so it cannot cover this path. *)
-let test_hybrid_capped_differential () =
-  let p = Workload.generate (Workload.profile_named "compress") in
-  results_equal "hybrid-capped"
-    (Suite.run_all p)
-    (Suite.run_all ~backend:`Hybrid ~node_limit:3000 p)
 
 (* ---------------- part 4: JL201/JL202 goldens ---------------- *)
 
@@ -483,10 +459,6 @@ let suite =
       test_weighted_stats_reported;
     Alcotest.test_case "weighted assignment hoists a loop copy" `Quick
       test_weighted_hoists_loop_copy;
-    Alcotest.test_case "hybrid backend differential" `Quick
-      test_hybrid_backend_differential;
-    Alcotest.test_case "hybrid capped differential (fallback resume)" `Quick
-      test_hybrid_capped_differential;
     Alcotest.test_case "cost defects golden json" `Quick
       test_cost_defects_golden_json;
     Alcotest.test_case "cost defects categories" `Quick

@@ -49,12 +49,6 @@ let test_semi_naive_matches_naive_incore () =
   let _, naive = Suite.run_combined ~naive:true p in
   check_results "incore" naive semi
 
-let test_semi_naive_matches_naive_extmem () =
-  let p = tiny () in
-  let _, semi = Suite.run_combined ~backend:`Extmem p in
-  let _, naive = Suite.run_combined ~backend:`Extmem ~naive:true p in
-  check_results "extmem" naive semi
-
 let test_fixpoint_stats_shape () =
   let p = tiny () in
   let _, _ = Suite.run_combined p in
@@ -210,8 +204,6 @@ let suite =
   [
     Alcotest.test_case "semi-naive = naive (incore)" `Quick
       test_semi_naive_matches_naive_incore;
-    Alcotest.test_case "semi-naive = naive (extmem)" `Slow
-      test_semi_naive_matches_naive_extmem;
     Alcotest.test_case "no-op resume does no work" `Quick
       test_fixpoint_stats_shape;
     Alcotest.test_case "edit validation" `Quick test_edit_validation;

@@ -3,7 +3,7 @@ let () =
     [ ("bdd", Test_bdd.suite); ("parallel", Test_parallel.suite);
       ("sat", Test_sat.suite);
       ("relation", Test_relation.suite); ("jedd", Test_jedd.suite); ("analyses", Test_analyses.suite); ("tools", Test_tools.suite); ("ir", Test_ir.suite);
-      ("reorder", Test_reorder.suite); ("extmem", Test_extmem.suite);
+      ("reorder", Test_reorder.suite);
       ("mtbdd", Test_mtbdd.suite);
       ("lint", Test_lint.suite); ("cost", Test_cost.suite);
       ("store", Test_store.suite);

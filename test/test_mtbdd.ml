@@ -9,7 +9,9 @@
    Part 2 drives the weighted Relation API, and part 3 runs the two
    weighted analyses end to end on a generated program, differencing
    every count against a recount of the boolean in-core results — the
-   projection bit-identity that anchors the whole backend. *)
+   projection bit-identity that anchors the whole backend.  Part 4
+   checks that identity on boolean relations: a randomized relational
+   storm and the five analyses, in lockstep with the in-core engine. *)
 
 module Mt = Jedd_mtbdd.Mtbdd
 module M = Jedd_bdd.Manager
@@ -361,7 +363,7 @@ let test_weighted_relations () =
     "union takes pointwise max"
     [ ([ 1; 2 ], 7); ([ 1; 4 ], 2); ([ 5; 2 ], 1); ([ 6; 6 ], 5) ]
     (R.weight_of_tuples (R.union r r2));
-  (* the weighted surface rejects boolean backends *)
+  (* the weighted surface rejects the in-core engine *)
   let ub = U.create ~backend:`Incore () in
   let pb0 = Phys.declare ub ~name:"P0" ~bits:3 in
   let pb1 = Phys.declare ub ~name:"P1" ~bits:3 in
@@ -440,6 +442,128 @@ let test_weighted_analyses () =
     "method hotness = summed edge frequencies" expect_hot_l
     (Weighted.method_hotness_list cf)
 
+(* -- part 4: boolean relations, in lockstep with in-core --------------- *)
+
+(* One side of the lockstep harness: a universe on the given backend
+   with four 3-bit physical domains and the two schema families the
+   storm shuffles relations between. *)
+type side = {
+  u : U.t;
+  p : Phys.t array;
+  xsch : Schema.t;  (* {a@P0, b@P1} *)
+  ysch : Schema.t;  (* {b@P2, c@P3} *)
+}
+
+let side ~a ~b ~c backend =
+  let u = U.create ~backend () in
+  let p =
+    Array.init 4 (fun i -> Phys.declare u ~name:(Printf.sprintf "P%d" i) ~bits:3)
+  in
+  let xsch =
+    Schema.make [ { Schema.attr = a; phys = p.(0) }; { Schema.attr = b; phys = p.(1) } ]
+  in
+  let ysch =
+    Schema.make [ { Schema.attr = b; phys = p.(2) }; { Schema.attr = c; phys = p.(3) } ]
+  in
+  { u; p; xsch; ysch }
+
+let random_tuples rand ~size_a ~size_b =
+  List.init
+    (Random.State.int rand 12)
+    (fun _ -> [ Random.State.int rand size_a; Random.State.int rand size_b ])
+
+(* Run the same randomized relational program on the in-core and the
+   mtbdd engine, comparing tuple sets and sizes after every operation:
+   the terminal-valued engine's boolean projection must track the
+   in-core tuple sets operation for operation. *)
+let relational_storm ~rounds ~seed =
+  let rand = Random.State.make [| seed |] in
+  let dom_a = Dom.declare ~name:"DA" ~size:8 () in
+  let dom_b = Dom.declare ~name:"DB" ~size:5 () in
+  (* non-power-of-two *)
+  let a = Attr.declare ~name:"a" ~domain:dom_a in
+  let b = Attr.declare ~name:"b" ~domain:dom_a in
+  let c = Attr.declare ~name:"c" ~domain:dom_b in
+  let si = side ~a ~b ~c `Incore in
+  let sm = side ~a ~b ~c `Mtbdd in
+  let fresh_x tuples = (R.of_tuples si.u si.xsch tuples, R.of_tuples sm.u sm.xsch tuples) in
+  let fresh_y tuples = (R.of_tuples si.u si.ysch tuples, R.of_tuples sm.u sm.ysch tuples) in
+  let xs = ref [ fresh_x (random_tuples rand ~size_a:8 ~size_b:8) ] in
+  let ys = ref [ fresh_y (random_tuples rand ~size_a:8 ~size_b:5) ] in
+  let pick l = List.nth l (Random.State.int rand (List.length l)) in
+  let check what (ri, rm) =
+    Alcotest.(check (list (list int)))
+      (what ^ ": tuples") (R.tuples ri) (R.tuples rm);
+    Alcotest.(check int) (what ^ ": size") (R.size ri) (R.size rm);
+    Alcotest.(check bool) (what ^ ": emptiness") (R.is_empty ri) (R.is_empty rm)
+  in
+  for round = 1 to rounds do
+    let what = Printf.sprintf "round %d" round in
+    let result =
+      match Random.State.int rand 9 with
+      | 0 ->
+        let x1i, x1m = pick !xs and x2i, x2m = pick !xs in
+        (R.union x1i x2i, R.union x1m x2m)
+      | 1 ->
+        let x1i, x1m = pick !xs and x2i, x2m = pick !xs in
+        (R.inter x1i x2i, R.inter x1m x2m)
+      | 2 ->
+        let x1i, x1m = pick !xs and x2i, x2m = pick !xs in
+        (R.diff x1i x2i, R.diff x1m x2m)
+      | 3 ->
+        (* join on b, then drop c and restore the canonical layout *)
+        let xi, xm = pick !xs and yi, ym = pick !ys in
+        let ji = R.join xi [ b ] yi [ b ] and jm = R.join xm [ b ] ym [ b ] in
+        ( R.coerce (R.project_away ji [ c ]) si.xsch,
+          R.coerce (R.project_away jm [ c ]) sm.xsch )
+      | 4 ->
+        (* compose over b: {a,c}; checked, then an x relation stands in *)
+        let xi, xm = pick !xs and yi, ym = pick !ys in
+        check (what ^ " compose")
+          (R.compose xi [ a ] yi [ b ], R.compose xm [ a ] ym [ b ]);
+        pick !xs
+      | 5 ->
+        let xi, xm = pick !xs in
+        let v = Random.State.int rand 8 in
+        (R.select xi [ (a, v) ], R.select xm [ (a, v) ])
+      | 6 ->
+        (* copy a into a scratch column, then forget it again *)
+        let xi, xm = pick !xs in
+        let d = Attr.declare ~name:(Printf.sprintf "d%d" round) ~domain:dom_a in
+        ( R.project_away (R.copy ~phys:si.p.(2) xi a ~as_:d) [ d ],
+          R.project_away (R.copy ~phys:sm.p.(2) xm a ~as_:d) [ d ] )
+      | 7 ->
+        (* move a to another physical domain and back: replace both ways *)
+        let xi, xm = pick !xs in
+        ( R.coerce (R.replace xi [ (a, si.p.(3)) ]) si.xsch,
+          R.coerce (R.replace xm [ (a, sm.p.(3)) ]) sm.xsch )
+      | _ -> fresh_x (random_tuples rand ~size_a:8 ~size_b:8)
+    in
+    check what result;
+    xs := result :: (if List.length !xs > 6 then List.tl !xs else !xs);
+    if Random.State.int rand 3 = 0 then
+      ys := fresh_y (random_tuples rand ~size_a:8 ~size_b:5) :: List.tl !ys
+  done
+
+let test_relational_storm () = relational_storm ~rounds:150 ~seed:7
+
+(* The five analyses on both engines, every executed IR instruction
+   shadow-checked (JEDD_CHECK_IR): the mtbdd run's 0/1-weighted results
+   project to the in-core tuple sets. *)
+let test_pipeline_differential () =
+  let p = Workload.generate Workload.tiny in
+  let ri, rm =
+    Test_lint.with_check_ir (fun () ->
+        (Suite.run_all ~backend:`Incore p, Suite.run_all ~backend:`Mtbdd p))
+  in
+  let check name f = Alcotest.(check (list (list int))) name (f ri) (f rm) in
+  check "subtypes" (fun r -> r.Suite.subtypes);
+  check "pt" (fun r -> r.Suite.pt);
+  check "resolved" (fun r -> r.Suite.resolved);
+  check "call_edges" (fun r -> r.Suite.call_edges);
+  check "reachable" (fun r -> r.Suite.reachable);
+  check "side_effects" (fun r -> r.Suite.side_effects)
+
 let suite =
   [
     Alcotest.test_case "apply: commutativity, identities, pointwise" `Quick
@@ -455,4 +579,8 @@ let suite =
       test_weighted_relations;
     Alcotest.test_case "weighted analyses vs in-core recount" `Quick
       test_weighted_analyses;
+    Alcotest.test_case "cross-backend relational storm" `Quick
+      test_relational_storm;
+    Alcotest.test_case "full pipeline differential" `Quick
+      test_pipeline_differential;
   ]

@@ -147,7 +147,7 @@ let test_type_errors () =
   in
   let x = in_universe f.u f.t1 f.s1 [ [ 1; 2 ] ] in
   let other = elsewhere `Incore [ [ 3; 4 ]; [ 5; 6 ] ] in
-  let ext = elsewhere `Extmem [ [ 3; 4 ] ] in
+  let mt = elsewhere `Mtbdd [ [ 3; 4 ] ] in
   raises ~op:"union" "union across universes" (fun () -> R.union x other);
   raises ~op:"intersect" "inter across universes" (fun () ->
       R.inter x other);
@@ -157,9 +157,9 @@ let test_type_errors () =
       R.join x [ a; b ] other [ a; b ]);
   raises ~op:"compose" "compose across universes" (fun () ->
       R.compose x [ a; b ] other [ a; b ]);
-  raises ~op:"union" "union across engines" (fun () -> R.union x ext);
+  raises ~op:"union" "union across engines" (fun () -> R.union x mt);
   raises ~op:"join" "join across engines" (fun () ->
-      R.join ext [ a; b ] x [ a; b ])
+      R.join mt [ a; b ] x [ a; b ])
 
 let test_schema_invariants () =
   let f = fixture () in

@@ -1,8 +1,8 @@
 (* Tests for the persistent relation store: levelized dumps, the binary
    snapshot format, the content-addressed store, and corrupt-file
-   rejection.  Round-trips are checked on BOTH backends and across
-   backends (a snapshot saved in-core must load on extmem and vice
-   versa), on random relations and on a real analysis fixed point. *)
+   rejection.  Round-trips are checked on random relations and on a real
+   analysis fixed point; the mtbdd engine, which has no levelized form,
+   is refused up front. *)
 
 module M = Jedd_bdd.Manager
 module Lv = Jedd_bdd.Levelized
@@ -20,12 +20,10 @@ module Delta = Jedd_store.Delta
 module Suite = Jedd_analyses.Suite
 module Workload = Jedd_minijava.Workload
 
-let kinds = [ ("incore", `Incore); ("extmem", `Extmem) ]
-
 (* A small two-relation world over three domains, with tuples drawn
    from a seeded PRNG so failures reproduce. *)
-let build_world ?(seed = 42) ?(n = 40) kind =
-  let u = U.create ~backend:kind () in
+let build_world ?(seed = 42) ?(n = 40) ?(backend = `Incore) () =
+  let u = U.create ~backend () in
   let d1 = Dom.declare ~name:"D1" ~size:13 () in
   let d2 = Dom.declare ~name:"D2" ~size:7 () in
   let a = Attr.declare ~name:"a" ~domain:d1 in
@@ -69,25 +67,19 @@ let check_same_relations snap snap' =
 (* -- levelized dumps ---------------------------------------------------- *)
 
 let test_levelized_roundtrip () =
+  let world = build_world () in
+  let lv = Option.get (R.levelized world.Snapshot.u) in
   List.iter
-    (fun (kname, kind) ->
-      let world = build_world kind in
-      let lv = Option.get (R.levelized world.Snapshot.u) in
-      List.iter
-        (fun (name, r) ->
-          let dump = lv.R.export r in
-          Lv.validate ~num_vars:(M.num_vars (U.manager world.Snapshot.u)) dump;
-          let r' = lv.R.import (R.schema r) dump in
-          (* a dump holds each node of the root's BDD once *)
-          Alcotest.(check int)
-            (Printf.sprintf "%s/%s nodecount" kname name)
-            (Lv.node_count dump)
-            (Lv.node_count (lv.R.export r'));
-          Alcotest.(check (list (list int)))
-            (Printf.sprintf "%s/%s tuples" kname name)
-            (R.tuples r) (R.tuples r'))
-        world.Snapshot.relations)
-    kinds
+    (fun (name, r) ->
+      let dump = lv.R.export r in
+      Lv.validate ~num_vars:(M.num_vars (U.manager world.Snapshot.u)) dump;
+      let r' = lv.R.import (R.schema r) dump in
+      (* a dump holds each node of the root's BDD once *)
+      Alcotest.(check int) (name ^ " nodecount") (Lv.node_count dump)
+        (Lv.node_count (lv.R.export r'));
+      Alcotest.(check (list (list int))) (name ^ " tuples") (R.tuples r)
+        (R.tuples r'))
+    world.Snapshot.relations
 
 let test_levelized_terminal () =
   let m = M.create () in
@@ -140,24 +132,15 @@ let test_levelized_malformed () =
 (* -- snapshot round-trips ------------------------------------------------ *)
 
 let test_snapshot_roundtrip () =
-  List.iter
-    (fun (save_name, save_kind) ->
-      List.iter
-        (fun (load_name, load_kind) ->
-          let world = build_world save_kind in
-          let bytes = Snapshot.to_bytes world in
-          let snap = Snapshot.of_bytes ~backend:load_kind bytes in
-          Alcotest.(check (option string))
-            (Printf.sprintf "%s->%s meta" save_name load_name)
-            (Some "test-world")
-            (Snapshot.meta_value snap "kind");
-          check_same_relations world snap)
-        kinds)
-    kinds
+  let world = build_world () in
+  let snap = Snapshot.of_bytes (Snapshot.to_bytes world) in
+  Alcotest.(check (option string)) "meta" (Some "test-world")
+    (Snapshot.meta_value snap "kind");
+  check_same_relations world snap
 
 let test_snapshot_reordered () =
   (* a snapshot taken after heavy reordering must still round-trip *)
-  let world = build_world `Incore in
+  let world = build_world () in
   let u = world.Snapshot.u in
   Jedd_reorder.Reorder.random_swaps ~seed:7 (U.reorder_engine u) 50;
   let before = List.map (fun (n, r) -> (n, R.tuples r)) world.Snapshot.relations in
@@ -173,32 +156,28 @@ let test_snapshot_analysis_fixed_point () =
   let p = Workload.generate Workload.tiny in
   let inst, res = Suite.run_combined p in
   let world = Suite.snapshot ~meta:[ ("workload", "tiny") ] inst in
-  List.iter
-    (fun (_, kind) ->
-      let snap = Snapshot.of_bytes ~backend:kind (Snapshot.to_bytes world) in
-      let get name =
-        match Snapshot.find_relation snap name with
-        | Some r -> R.tuples r
-        | None -> Alcotest.fail ("missing relation " ^ name)
-      in
-      Alcotest.(check (list (list int))) "pt" res.Suite.pt (get "PointsTo.pt");
-      Alcotest.(check (list (list int)))
-        "subtypes" res.Suite.subtypes (get "Hierarchy.subtypes");
-      Alcotest.(check (list (list int)))
-        "resolved" res.Suite.resolved (get "VirtualCalls.resolved");
-      Alcotest.(check (list (list int)))
-        "reachable" res.Suite.reachable (get "CallGraph.reachable");
-      (* suffix lookup *)
-      Alcotest.(check bool) "suffix alias" true
-        (Snapshot.find_relation snap "pt" <> None))
-    kinds
+  let snap = Snapshot.of_bytes (Snapshot.to_bytes world) in
+  let get name =
+    match Snapshot.find_relation snap name with
+    | Some r -> R.tuples r
+    | None -> Alcotest.fail ("missing relation " ^ name)
+  in
+  Alcotest.(check (list (list int))) "pt" res.Suite.pt (get "PointsTo.pt");
+  Alcotest.(check (list (list int)))
+    "subtypes" res.Suite.subtypes (get "Hierarchy.subtypes");
+  Alcotest.(check (list (list int)))
+    "resolved" res.Suite.resolved (get "VirtualCalls.resolved");
+  Alcotest.(check (list (list int)))
+    "reachable" res.Suite.reachable (get "CallGraph.reachable");
+  (* suffix lookup *)
+  Alcotest.(check bool) "suffix alias" true
+    (Snapshot.find_relation snap "pt" <> None)
 
 let test_snapshot_qcheck =
   QCheck.Test.make ~count:25 ~name:"random tuple sets round-trip"
-    QCheck.(pair small_nat (pair small_nat bool))
-    (fun (seed, (n, extmem)) ->
-      let kind = if extmem then `Extmem else `Incore in
-      let world = build_world ~seed ~n:(1 + n) kind in
+    QCheck.(pair small_nat small_nat)
+    (fun (seed, n) ->
+      let world = build_world ~seed ~n:(1 + n) () in
       let snap = Snapshot.of_bytes (Snapshot.to_bytes world) in
       List.for_all2
         (fun (_, r) (_, r') ->
@@ -213,7 +192,7 @@ let expect_corrupt what bytes =
   | exception Snapshot.Corrupt _ -> ()
 
 let test_corrupt_rejection () =
-  let world = build_world `Incore in
+  let world = build_world () in
   let good = Snapshot.to_bytes world in
   (* sanity: the pristine bytes load *)
   ignore (Snapshot.of_bytes good);
@@ -239,7 +218,7 @@ let test_corrupt_rejection () =
    parser itself must reject it. *)
 let test_resealed_mutations =
   let payload =
-    lazy (Snapshot.payload_of_bytes (Snapshot.to_bytes (build_world `Incore)))
+    lazy (Snapshot.payload_of_bytes (Snapshot.to_bytes (build_world ())))
   in
   QCheck.Test.make ~count:500
     ~name:"re-sealed payload mutations raise Corrupt or load"
@@ -262,12 +241,8 @@ let test_resealed_mutations =
           Bytes.to_string b
         | _ -> String.sub p 0 (pos mod len)
       in
-      let bytes = Snapshot.bytes_of_payload mutated in
-      List.for_all
-        (fun (_, backend) ->
-          match Snapshot.of_bytes ~backend bytes with
-          | _ | (exception Snapshot.Corrupt _) -> true)
-        kinds)
+      match Snapshot.of_bytes (Snapshot.bytes_of_payload mutated) with
+      | _ | (exception Snapshot.Corrupt _) -> true)
 
 (* Two payloads whose counts, unbounded, drive an allocation: a dump's
    block count past [Sys.max_array_length] (with one real block behind
@@ -328,42 +303,40 @@ let test_hostile_counts () =
           ~relations:(fun _ -> ()) );
     ]
 
-(* What each kind can do, and where the others are refused: freezing
-   and reordering need the in-core node table, snapshots a levelized
-   form, weights the terminal-valued store. *)
+(* What each kind can do, and where the other is refused: freezing,
+   reordering and snapshots need the in-core node table, weights the
+   terminal-valued store. *)
 let test_capability_refusals () =
   let checkb = Alcotest.(check bool) in
   List.iter
-    (fun kind ->
-      let name = B.kind_name kind in
-      let world = build_world kind in
+    (fun backend ->
+      let name = B.kind_name backend in
+      let world = build_world ~backend () in
       let u = world.Snapshot.u in
-      let in_place = kind = `Incore in
-      let levelizes = kind <> `Mtbdd in
-      checkb (name ^ ": levelizes") levelizes (B.levelizes kind);
-      checkb (name ^ ": levelized capability") levelizes
+      let in_place = backend = `Incore in
+      checkb (name ^ ": in place") in_place (B.in_place backend);
+      checkb (name ^ ": levelized capability") in_place
         (R.levelized u <> None);
-      checkb (name ^ ": in place") in_place (B.in_place kind);
       (* a snapshot with no relations: a refusal here comes before any
          relation is written or read *)
       let empty = { world with Snapshot.relations = [] } in
       (match Snapshot.to_bytes empty with
-      | _ -> checkb (name ^ ": to_bytes") true levelizes
+      | _ -> checkb (name ^ ": to_bytes") true in_place
       | exception Invalid_argument _ ->
-        checkb (name ^ ": to_bytes refused") false levelizes);
+        checkb (name ^ ": to_bytes refused") false in_place);
       (match
-         Snapshot.of_bytes ~backend:kind
-           (Snapshot.to_bytes (build_world `Incore))
+         Snapshot.of_bytes ~backend
+           (Snapshot.to_bytes (build_world ()))
        with
-      | _ -> checkb (name ^ ": of_bytes") true levelizes
+      | _ -> checkb (name ^ ": of_bytes") true in_place
       | exception Invalid_argument _ ->
-        checkb (name ^ ": of_bytes refused") false levelizes);
+        checkb (name ^ ": of_bytes refused") false in_place);
       (* weights *)
       let sch = R.schema (List.assoc "W.ab" world.Snapshot.relations) in
       (match R.of_weighted_tuples u sch [ ([ 1; 2 ], 3) ] with
       | r -> Alcotest.(check int) (name ^ ": weight") 3 (R.weight_of r [ 1; 2 ])
       | exception R.Type_error msg ->
-        checkb (name ^ ": weights refused") true (kind <> `Mtbdd);
+        checkb (name ^ ": weights refused") true (backend <> `Mtbdd);
         Alcotest.(check string) (name ^ ": weights message")
           (Printf.sprintf
              "Relation.of_weighted_tuples: requires an mtbdd universe (this \
@@ -387,35 +360,11 @@ let test_capability_refusals () =
       | () -> checkb (name ^ ": freeze") true in_place
       | exception Invalid_argument _ ->
         checkb (name ^ ": freeze refused") false in_place);
-      checkb (name ^ ": frozen") in_place (U.frozen u);
-      U.cleanup u)
-    [ `Incore; `Extmem; `Hybrid; `Mtbdd ]
-
-(* One resolution of the backend choice: a flag, else JEDD_BACKEND, else
-   in-core (an empty variable counts as unset). *)
-let test_resolve_backend () =
-  let prev = Option.value (Sys.getenv_opt "JEDD_BACKEND") ~default:"" in
-  let resolves what env flag =
-    Unix.putenv "JEDD_BACKEND" env;
-    let k = U.resolve_backend flag in
-    Alcotest.(check string) what what (B.kind_name k)
-  in
-  Fun.protect
-    ~finally:(fun () -> Unix.putenv "JEDD_BACKEND" prev)
-    (fun () ->
-      resolves "incore" "" None;
-      resolves "extmem" "extmem" None;
-      resolves "hybrid" "extmem" (Some "hybrid");
-      resolves "mtbdd" "" (Some "mtbdd");
-      Unix.putenv "JEDD_BACKEND" "bogus";
-      match U.resolve_backend None with
-      | k -> Alcotest.failf "JEDD_BACKEND=bogus resolved to %s" (B.kind_name k)
-      | exception Invalid_argument msg ->
-        Alcotest.(check bool) "message names the variable" true
-          (String.starts_with ~prefix:"JEDD_BACKEND=bogus: " msg))
+      checkb (name ^ ": frozen") in_place (U.frozen u))
+    [ `Incore; `Mtbdd ]
 
 let test_save_load_file () =
-  let world = build_world `Incore in
+  let world = build_world () in
   let path = Filename.temp_file "jedd_snap" ".snap" in
   Snapshot.save_file path world;
   let snap = Snapshot.load_file path in
@@ -443,7 +392,7 @@ let with_cas_root f =
 let test_cas () =
   with_cas_root @@ fun root ->
   let cas = Cas.open_ root in
-  let world = build_world `Incore in
+  let world = build_world () in
   let bytes = Snapshot.to_bytes world in
   let hex = Cas.put cas bytes in
   Alcotest.(check string) "idempotent put" hex (Cas.put cas bytes);
@@ -470,9 +419,9 @@ let hex_of s = Digest.to_hex (Digest.string s)
 let checkb = Alcotest.(check bool)
 
 let test_delta_diff_apply () =
-  let base = Snapshot.to_bytes (build_world ~seed:5 `Incore) in
+  let base = Snapshot.to_bytes (build_world ~seed:5 ()) in
   (* serialization is deterministic, so identical worlds diff empty *)
-  let same = Snapshot.to_bytes (build_world ~seed:5 `Incore) in
+  let same = Snapshot.to_bytes (build_world ~seed:5 ()) in
   Alcotest.(check string) "deterministic serialization" (hex_of base)
     (hex_of same);
   let d0 = Delta.diff ~base ~next:same () in
@@ -481,7 +430,7 @@ let test_delta_diff_apply () =
   Alcotest.(check string) "empty delta applies to identity" (hex_of base)
     (hex_of (Delta.apply ~base d0));
   (* drop one relation's tuples: exactly that entry is recorded *)
-  let w2 = build_world ~seed:5 `Incore in
+  let w2 = build_world ~seed:5 () in
   let rc = List.assoc "W.c" w2.Snapshot.relations in
   let rc' = R.empty w2.Snapshot.u (R.schema rc) in
   let w2 =
@@ -514,7 +463,7 @@ let test_delta_diff_apply () =
 let test_delta_chain () =
   with_cas_root @@ fun root ->
   let cas = Cas.open_ root in
-  let mk seed = Snapshot.to_bytes (build_world ~seed `Incore) in
+  let mk seed = Snapshot.to_bytes (build_world ~seed ()) in
   let a = mk 1 and b = mk 2 and c = mk 3 in
   ignore (Cas.put cas a);
   Cas.tag cas "main" (Cas.put cas (Delta.to_bytes (Delta.diff ~base:a ~next:b ())));
@@ -539,7 +488,7 @@ let test_delta_chain () =
   | exception Snapshot.Corrupt _ -> ()
 
 let test_corruption_messages () =
-  let good = Snapshot.to_bytes (build_world `Incore) in
+  let good = Snapshot.to_bytes (build_world ()) in
   (* checksum failure reports expected vs found digests *)
   let flip = Bytes.of_string good in
   let pos = 40 + ((String.length good - 40) / 2) in
@@ -584,13 +533,11 @@ let test_corruption_messages () =
 
 let suite =
   [
-    Alcotest.test_case "levelized round-trip (both backends)" `Quick
-      test_levelized_roundtrip;
+    Alcotest.test_case "levelized round-trip" `Quick test_levelized_roundtrip;
     Alcotest.test_case "levelized terminals" `Quick test_levelized_terminal;
     Alcotest.test_case "levelized malformed dumps rejected" `Quick
       test_levelized_malformed;
-    Alcotest.test_case "snapshot round-trip (backend matrix)" `Quick
-      test_snapshot_roundtrip;
+    Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
     Alcotest.test_case "snapshot after dynamic reordering" `Quick
       test_snapshot_reordered;
     Alcotest.test_case "analysis fixed point survives the store" `Quick
@@ -602,7 +549,6 @@ let suite =
     Alcotest.test_case "hostile counts rejected" `Quick test_hostile_counts;
     Alcotest.test_case "capability refusals by kind" `Quick
       test_capability_refusals;
-    Alcotest.test_case "backend resolution" `Quick test_resolve_backend;
     Alcotest.test_case "save_file/load_file" `Quick test_save_load_file;
     Alcotest.test_case "content-addressed store" `Quick test_cas;
     Alcotest.test_case "delta diff/apply round-trip" `Quick
