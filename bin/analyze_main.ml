@@ -103,7 +103,10 @@ let run benchmark file verify reorder node_limit lint save_snapshot serve
     let config =
       { Jedd_serve.Serve.default_config with unix_path = Some socket_path }
     in
-    let server = Jedd_serve.Serve.create ~config ~universe_hash:"" snap in
+    let server =
+      try Jedd_serve.Serve.create ~config ~universe_hash:"" snap
+      with Jedd_serve.Serve.Listen_error msg -> fail "%s" msg
+    in
     Printf.printf "jeddd: serving %s on %s (send {\"verb\":\"shutdown\"} to stop)\n%!"
       name socket_path;
     Jedd_serve.Serve.run server

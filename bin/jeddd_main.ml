@@ -5,10 +5,11 @@
    pipeline — freezes the universe into a read-only arena (unless
    --no-freeze), then serves concurrent queries in the jeddd line/JSON
    protocol (see lib/server/protocol.ml) over any combination of a
-   Unix socket, a TCP port (--tcp) and an HTTP/1.1 port (--http),
-   with --workers query domains sharing the frozen node store.  The
-   whole point: the fixed-point computation happens at most once,
-   queries thereafter are BDD lookups. *)
+   Unix socket, a TCP port (--tcp) and an HTTP/1.1 port (--http).  One
+   worker domain evaluates the queries; with --live, an updater thread
+   re-solves edits beside it.  The whole point: the fixed-point
+   computation happens at most once, queries thereafter are BDD
+   lookups. *)
 
 open Cmdliner
 module Workload = Jedd_minijava.Workload
@@ -34,17 +35,19 @@ let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark
   let snap, origin, hash =
     match (snapshot_file, store_dir, store_name) with
     | Some file, _, _ ->
-      (* digest first, so an unreadable file is reported as such, not as
-         a corrupt snapshot; an open error names the path, a read error
-         (a directory) not *)
-      let hash =
-        try Digest.to_hex (Digest.file file)
-        with Sys_error msg when not (String.starts_with ~prefix:file msg) ->
-          fail "jeddd: %s: %s" file msg
+      (* read once: the bytes are both digested and decoded; an open
+         error names the path, a read error (a directory) not *)
+      let data =
+        try In_channel.with_open_bin file In_channel.input_all
+        with Sys_error msg ->
+          if String.starts_with ~prefix:file msg then fail "jeddd: %s" msg
+          else fail "jeddd: %s: %s" file msg
       in
-      ( Snapshot.load_file ~freeze:freeze_at_load file,
+      ( (try Snapshot.of_bytes ~freeze:freeze_at_load data
+         with Snapshot.Corrupt msg ->
+           fail "jeddd: corrupt snapshot: %s: %s" file msg),
         Printf.sprintf "snapshot %s" file,
-        hash )
+        Digest.to_hex (Digest.string data) )
     | None, Some dir, Some name ->
       let cas = Cas.open_ dir in
       if Cas.resolve cas name = None then
@@ -137,20 +140,17 @@ let make_live ~benchmark ~want_freeze ~save ~tag ~store_dir =
   ( Some { Jedd_serve.Serve.session; initial_bytes = bytes; publish },
     (snap, hash) )
 
-let run socket no_socket tcp http workers no_freeze sweep_threshold
-    cache_capacity snapshot_file store_dir store_name benchmark node_limit save
-    tag live =
-  if workers < 1 then fail "jeddd: --workers must be >= 1";
-  let want_freeze = not no_freeze in
-  let workers =
-    if workers > 1 && not want_freeze then begin
-      Printf.eprintf
-        "jeddd: multi-worker serving needs a frozen universe; falling back \
-         to --workers 1\n%!";
-      1
-    end
-    else workers
+let run socket no_socket tcp http no_freeze sweep_threshold cache_capacity
+    snapshot_file store_dir store_name benchmark node_limit save tag live =
+  if no_socket && tcp = None && http = None then
+    fail "jeddd: --no-socket leaves no listener; add --tcp or --http";
+  let tcp =
+    Option.map (parse_hostport ~what:"--tcp" ~default_host:"0.0.0.0") tcp
   in
+  let http =
+    Option.map (parse_hostport ~what:"--http" ~default_host:"0.0.0.0") http
+  in
+  let want_freeze = not no_freeze in
   let freeze_at_load = want_freeze && save = None && tag = None in
   if live && (snapshot_file <> None || store_name <> None) then
     fail
@@ -177,19 +177,17 @@ let run socket no_socket tcp http workers no_freeze sweep_threshold
       universe_hash;
   let config =
     {
-      Jedd_serve.Serve.unix_path = (if no_socket then None else Some socket);
-      tcp =
-        Option.map (parse_hostport ~what:"--tcp" ~default_host:"0.0.0.0") tcp;
-      http =
-        Option.map (parse_hostport ~what:"--http" ~default_host:"0.0.0.0") http;
-      workers;
-      default_timeout_ms = 30_000;
+      Jedd_serve.Serve.default_config with
+      unix_path = (if no_socket then None else Some socket);
+      tcp;
+      http;
       cache_capacity;
       sweep_threshold;
     }
   in
   let server =
-    Jedd_serve.Serve.create ~config ?live:live_cfg ~universe_hash snap
+    try Jedd_serve.Serve.create ~config ?live:live_cfg ~universe_hash snap
+    with Jedd_serve.Serve.Listen_error msg -> fail "jeddd: %s" msg
   in
   List.iter print_string
     (List.concat
@@ -206,9 +204,7 @@ let run socket no_socket tcp http workers no_freeze sweep_threshold
                (Option.value ~default:0 (Jedd_serve.Serve.http_port server)) ]
          | None -> []);
        ]);
-  Printf.printf
-    "jeddd: %d worker%s (send {\"verb\":\"shutdown\"} to stop)\n%!" workers
-    (if workers = 1 then "" else "s");
+  Printf.printf "jeddd: serving (send {\"verb\":\"shutdown\"} to stop)\n%!";
   if live then
     Printf.printf
       "jeddd: live updates enabled (send {\"verb\":\"update\", \
@@ -245,21 +241,12 @@ let http_arg =
           "Also serve HTTP/1.1 (POST /query with a protocol request body, \
            GET /ping, GET /stats)")
 
-let workers_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "workers" ] ~docv:"N"
-        ~doc:
-          "Query worker domains sharing the frozen universe (ignored with \
-           --no-freeze)")
-
 let no_freeze_arg =
   Arg.(
     value & flag
     & info [ "no-freeze" ]
         ~doc:
-          "Keep the universe mutable (refcounted GC, reorder verb enabled); \
-           forces --workers 1")
+          "Keep the universe mutable (refcounted GC, reorder verb enabled)")
 
 let sweep_threshold_arg =
   Arg.(
@@ -341,11 +328,11 @@ let cmd =
     (Cmd.info "jeddd" ~version:Jedd_relation.Version.banner
        ~doc:
          "Persistent relation store daemon: load or compute an analysis \
-          snapshot once, freeze it read-only, answer concurrent queries \
-          over Unix socket, TCP and HTTP with a pool of worker domains")
+          snapshot once, freeze it read-only, answer concurrent clients \
+          over Unix socket, TCP and HTTP from one query worker")
     Term.(
       const run $ socket_arg $ no_socket_arg $ tcp_arg $ http_arg
-      $ workers_arg $ no_freeze_arg $ sweep_threshold_arg $ cache_capacity_arg
+      $ no_freeze_arg $ sweep_threshold_arg $ cache_capacity_arg
       $ snapshot_arg $ store_arg $ name_arg $ benchmark_arg $ node_limit_arg
       $ save_arg $ tag_arg $ live_arg)
 

@@ -51,48 +51,6 @@ let vec_push v x =
   v.data.(v.len) <- x;
   v.len <- v.len + 1
 
-(* -- Parallel-mode state ------------------------------------------------ *)
-
-(* A frozen manager can be switched into parallel mode for concurrent
-   readers: the unique table stays one hash table but its buckets are
-   guarded by a fixed set of stripe locks, node allocation is served
-   from per-domain chunks carved off the shared free list, and every
-   domain memoises through its own operation cache (the shared cache of
-   the sequential mode is left untouched and resumes on exit).  Frozen
-   managers never collect, reorder, count references or allocate
-   variables, so nothing else needs coordinating. *)
-
-let max_slots = 64
-let chunk_cap = 256
-let nstripes = 256
-let stripe_mask = nstripes - 1
-
-(* A node carved out of the free list into a domain-local chunk carries
-   [lvl] = [chunk_mark]: not free (the free-list rebuild must not
-   re-thread it) and not allocated (GC must not sweep or hash it). *)
-let chunk_mark = -2
-
-type chunk = { cnodes : int array; mutable clen : int }
-
-type slot_state = {
-  s_cache : int array; (* same geometry as the shared cache *)
-  s_hit : int array;
-  s_miss : int array;
-  s_store : int array;
-  s_evict : int array;
-  s_chunk : chunk;
-}
-
-type par_state = {
-  p_epoch : int;
-  stripe_locks : Mutex.t array;
-  alloc_lock : Mutex.t;
-  slot_lock : Mutex.t;
-  slots : slot_state option array;
-  mutable nslots : int;
-  mutable depth : int; (* enter_parallel nesting *)
-}
-
 (* A free node has [lvl] = -1 and its [hnext] field threads the free
    list.  Allocated nodes thread [hnext] through their unique-table
    bucket. *)
@@ -148,17 +106,11 @@ type t = {
   (* Per-level index of allocated nodes, alive only inside a reorder
      session ([reorder_begin] .. [reorder_end]); rebuilt by [gc]. *)
   mutable level_index : vec array option;
-  (* Parallel mode: [Some p] between [enter_parallel]/[exit_parallel]. *)
-  mutable par : par_state option;
-  mutable par_epochs : int;
   (* Frozen (read-only arena) mode: refcounts, GC, reordering and
      variable allocation are all disabled; see [freeze]. *)
   mutable frozen : bool;
   mutable frozen_live : int; (* allocated nodes right after [freeze] *)
   mutable frozen_sweeps : int;
-  (* Cumulative parallel-mode statistics (survive [exit_parallel]). *)
-  mutable chunk_refills : int;
-  mutable par_domains_used : int;
 }
 
 let free_mark = -1
@@ -241,13 +193,9 @@ let create ?(node_capacity = 1 lsl 15) ?(cache_bits = 14) ?(cache_ways = 4)
       reorder_threshold = 0;
       in_reorder = false;
       level_index = None;
-      par = None;
-      par_epochs = 0;
       frozen = false;
       frozen_live = 0;
       frozen_sweeps = 0;
-      chunk_refills = 0;
-      par_domains_used = 0;
     }
   in
   (* Terminals: permanently allocated, never hashed, never swept. *)
@@ -275,63 +223,6 @@ let ensure_order_capacity m n =
     m.var2level <- grow m.var2level;
     m.level2var <- grow m.level2var
   end
-
-(* -- Per-domain slots ---------------------------------------------------- *)
-
-(* Each domain that touches a parallel-mode manager claims a slot holding
-   its private operation cache and allocation chunk.  Slots are found
-   through domain-local storage, keyed by (manager uid, parallel epoch) so
-   stale entries from an earlier [enter_parallel] window — or from another
-   manager — are never confused with live ones. *)
-
-type dls_entry = { e_uid : int; e_epoch : int; e_slot : int }
-
-let dls_key : dls_entry list ref Domain.DLS.key =
-  Domain.DLS.new_key (fun () -> ref [])
-
-let dls_find m (p : par_state) =
-  let cell = Domain.DLS.get dls_key in
-  let rec find = function
-    | [] -> None
-    | e :: _ when e.e_uid = m.uid && e.e_epoch = p.p_epoch -> Some e
-    | _ :: tl -> find tl
-  in
-  find !cell
-
-let fresh_slot m =
-  let sets = m.set_mask + 1 in
-  {
-    s_cache = Array.make (sets * m.ways * entry_ints) (-1);
-    s_hit = Array.make max_tags 0;
-    s_miss = Array.make max_tags 0;
-    s_store = Array.make max_tags 0;
-    s_evict = Array.make max_tags 0;
-    s_chunk = { cnodes = Array.make chunk_cap 0; clen = 0 };
-  }
-
-let dls_entry m (p : par_state) =
-  match dls_find m p with
-  | Some e -> e
-  | None ->
-    Mutex.lock p.slot_lock;
-    if p.nslots >= max_slots then begin
-      Mutex.unlock p.slot_lock;
-      invalid_arg "Manager: too many concurrent domains (max 64)"
-    end;
-    let s = p.nslots in
-    p.slots.(s) <- Some (fresh_slot m);
-    p.nslots <- s + 1;
-    if p.nslots > m.par_domains_used then m.par_domains_used <- p.nslots;
-    Mutex.unlock p.slot_lock;
-    let e = { e_uid = m.uid; e_epoch = p.p_epoch; e_slot = s } in
-    let cell = Domain.DLS.get dls_key in
-    cell := e :: List.filter (fun o -> o.e_uid <> m.uid) !cell;
-    e
-
-let slot_of m (p : par_state) =
-  match p.slots.((dls_entry m p).e_slot) with
-  | Some s -> s
-  | None -> assert false
 
 let new_var m =
   if m.frozen then frozen_error "Manager.new_var";
@@ -390,14 +281,15 @@ let in_reorder m = m.in_reorder
    recycled by the next store to their slot. *)
 let clear_caches m = m.cache_gen <- m.cache_gen + 1
 
-let cache_lookup_in m t hit_ct miss_ct tag a b c =
+let cache_lookup m tag a b c =
+  let t = m.cache in
   let set = hash3 (a lxor (tag * 0x85ebca6b)) b c m.set_mask in
   let base = set * m.ways * entry_ints in
   let gen = m.cache_gen in
   let ways = m.ways in
   let rec scan i =
     if i >= ways then begin
-      miss_ct.(tag) <- miss_ct.(tag) + 1;
+      m.miss_ct.(tag) <- m.miss_ct.(tag) + 1;
       -1
     end
     else
@@ -419,21 +311,22 @@ let cache_lookup_in m t hit_ct miss_ct tag a b c =
             t.(idx + k) <- tmp
           done
         end;
-        hit_ct.(tag) <- hit_ct.(tag) + 1;
+        m.hit_ct.(tag) <- m.hit_ct.(tag) + 1;
         r
       end
       else scan (i + 1)
   in
   scan 0
 
-let cache_store_in m t store_ct evict_ct tag a b c result =
+let cache_store m tag a b c result =
+  let t = m.cache in
   let set = hash3 (a lxor (tag * 0x85ebca6b)) b c m.set_mask in
   let base = set * m.ways * entry_ints in
   let last = base + ((m.ways - 1) * entry_ints) in
   (* the last way is the victim; count it if it held a live entry *)
   let victim_tag = t.(last) in
   if t.(last + 5) = m.cache_gen && victim_tag >= 0 && victim_tag < max_tags then
-    evict_ct.(victim_tag) <- evict_ct.(victim_tag) + 1;
+    m.evict_ct.(victim_tag) <- m.evict_ct.(victim_tag) + 1;
   if m.ways > 1 then
     Array.blit t base t (base + entry_ints) ((m.ways - 1) * entry_ints);
   t.(base) <- tag;
@@ -442,42 +335,7 @@ let cache_store_in m t store_ct evict_ct tag a b c result =
   t.(base + 3) <- c;
   t.(base + 4) <- result;
   t.(base + 5) <- m.cache_gen;
-  store_ct.(tag) <- store_ct.(tag) + 1
-
-(* In parallel mode every domain memoises through its own cache (found
-   via domain-local storage); the shared cache is neither read nor
-   written, so it needs no locks and resumes untouched on exit. *)
-let cache_lookup m tag a b c =
-  match m.par with
-  | None -> cache_lookup_in m m.cache m.hit_ct m.miss_ct tag a b c
-  | Some p ->
-    let sl = slot_of m p in
-    cache_lookup_in m sl.s_cache sl.s_hit sl.s_miss tag a b c
-
-let cache_store m tag a b c result =
-  match m.par with
-  | None -> cache_store_in m m.cache m.store_ct m.evict_ct tag a b c result
-  | Some p ->
-    let sl = slot_of m p in
-    cache_store_in m sl.s_cache sl.s_store sl.s_evict tag a b c result
-
-(* Statistics readers fold the live per-domain counters on top of the
-   base ones, so profiler snapshots taken during a parallel phase stay
-   monotone; [exit_parallel] merges the slot counters into the base
-   arrays for good.  Reads of other domains' counters are racy but each
-   cell is a single word, so a reader sees a (possibly slightly stale)
-   valid count. *)
-let slot_sum m tag pick =
-  match m.par with
-  | None -> 0
-  | Some p ->
-    let acc = ref 0 in
-    for i = 0 to p.nslots - 1 do
-      match p.slots.(i) with
-      | Some sl -> acc := !acc + (pick sl).(tag)
-      | None -> ()
-    done;
-    !acc
+  m.store_ct.(tag) <- m.store_ct.(tag) + 1
 
 let cache_stats m =
   let acc = ref [] in
@@ -486,10 +344,10 @@ let cache_stats m =
       {
         tag;
         name = tag_names.(tag);
-        hits = m.hit_ct.(tag) + slot_sum m tag (fun s -> s.s_hit);
-        misses = m.miss_ct.(tag) + slot_sum m tag (fun s -> s.s_miss);
-        stores = m.store_ct.(tag) + slot_sum m tag (fun s -> s.s_store);
-        evictions = m.evict_ct.(tag) + slot_sum m tag (fun s -> s.s_evict);
+        hits = m.hit_ct.(tag);
+        misses = m.miss_ct.(tag);
+        stores = m.store_ct.(tag);
+        evictions = m.evict_ct.(tag);
       }
       :: !acc
   done;
@@ -498,9 +356,9 @@ let cache_stats m =
 let cache_totals m =
   let h = ref 0 and mi = ref 0 and e = ref 0 in
   for tag = 0 to !registered_tags - 1 do
-    h := !h + m.hit_ct.(tag) + slot_sum m tag (fun s -> s.s_hit);
-    mi := !mi + m.miss_ct.(tag) + slot_sum m tag (fun s -> s.s_miss);
-    e := !e + m.evict_ct.(tag) + slot_sum m tag (fun s -> s.s_evict)
+    h := !h + m.hit_ct.(tag);
+    mi := !mi + m.miss_ct.(tag);
+    e := !e + m.evict_ct.(tag)
   done;
   (!h, !mi, !e)
 
@@ -524,9 +382,7 @@ let rebuild_buckets m =
       m.free_head <- n;
       m.free_count <- m.free_count + 1
     end
-    else if m.lvl.(n) <> chunk_mark then begin
-      (* nodes parked in a domain's allocation chunk are neither free nor
-         allocated: leave them to their owner *)
+    else begin
       let b = hash3 m.lvl.(n) m.lo.(n) m.hi.(n) m.bucket_mask in
       m.hnext.(n) <- m.buckets.(b);
       m.buckets.(b) <- n
@@ -555,28 +411,6 @@ let grow m =
   rebuild_buckets m;
   m.grows <- m.grows + 1;
   m.grow_millis <- m.grow_millis +. ((Sys.time () -. t0) *. 1000.0)
-
-(* Return every chunk-held node to the shared free list.  Runs only at
-   quiescence ([frozen_sweep] or [exit_parallel]), when no domain is
-   consuming its chunk. *)
-let flush_chunks m (p : par_state) =
-  Mutex.lock p.alloc_lock;
-  for i = 0 to p.nslots - 1 do
-    match p.slots.(i) with
-    | Some sl ->
-      let ch = sl.s_chunk in
-      for k = 0 to ch.clen - 1 do
-        let n = ch.cnodes.(k) in
-        m.lvl.(n) <- free_mark;
-        m.hnext.(n) <- m.free_head;
-        m.free_head <- n;
-        m.free_count <- m.free_count + 1
-      done;
-      m.allocated <- m.allocated - ch.clen;
-      ch.clen <- 0
-    | None -> ()
-  done;
-  Mutex.unlock p.alloc_lock
 
 (* -- Reorder sessions --------------------------------------------------- *)
 
@@ -637,8 +471,7 @@ let gc_raw m =
   m.gc_millis <- m.gc_millis +. ((Sys.time () -. t0) *. 1000.0)
 
 (* Frozen roots are pinned without refcounts, so a frozen manager
-   reclaims only through [frozen_sweep], at quiescence.  Parallel mode
-   is frozen-only, so a collection never meets allocation chunks. *)
+   reclaims only through [frozen_sweep], between queries. *)
 let gc m = if not m.frozen then gc_raw m
 
 let checkpoint m =
@@ -697,91 +530,20 @@ let alloc m =
   if m.allocated > m.peak then m.peak <- m.allocated;
   n
 
-let mk_seq m lvl lo hi =
-  let b = hash3 lvl lo hi m.bucket_mask in
-  let rec find n =
-    if n < 0 then begin
-      let n = alloc m in
-      m.lvl.(n) <- lvl;
-      m.lo.(n) <- lo;
-      m.hi.(n) <- hi;
-      m.refc.(n) <- 0;
-      (* Recompute the bucket: [alloc] may have grown the table. *)
-      let b = hash3 lvl lo hi m.bucket_mask in
-      m.hnext.(n) <- m.buckets.(b);
-      m.buckets.(b) <- n;
-      n
-    end
-    else if m.lvl.(n) = lvl && m.lo.(n) = lo && m.hi.(n) = hi then n
-    else find m.hnext.(n)
-  in
-  find m.buckets.(b)
-
-(* Parallel-mode table growth: the caller already holds [alloc_lock];
-   acquire every stripe so no [mk] is inside a bucket while the arrays
-   are replaced.  The stale old arrays remain valid for all nodes that
-   existed when a concurrent reader fetched them, so a racy read through
-   a captured reference still sees correct fields. *)
-let grow_all_stripes m (p : par_state) =
-  if m.node_limit > 0 && m.capacity * 2 > m.node_limit then raise Out_of_nodes;
-  for i = 0 to nstripes - 1 do
-    Mutex.lock p.stripe_locks.(i)
-  done;
-  grow m;
-  for i = nstripes - 1 downto 0 do
-    Mutex.unlock p.stripe_locks.(i)
-  done
-
-(* Refill a domain's allocation chunk from the shared free list.  A
-   frozen manager never collects, so when the budget wall is real we
-   raise [Out_of_nodes] directly; scratch is reclaimed by the next
-   [frozen_sweep]. *)
-let chunk_refill m (p : par_state) (sl : slot_state) =
-  Mutex.lock p.alloc_lock;
-  let ch = sl.s_chunk in
-  let oom = ref false in
-  (try
-     while ch.clen < chunk_cap do
-       if m.free_head < 0 then grow_all_stripes m p;
-       let n = m.free_head in
-       m.free_head <- m.hnext.(n);
-       m.free_count <- m.free_count - 1;
-       m.lvl.(n) <- chunk_mark;
-       ch.cnodes.(ch.clen) <- n;
-       ch.clen <- ch.clen + 1;
-       m.allocated <- m.allocated + 1
-     done
-   with Out_of_nodes -> oom := true (* a partial refill still makes progress *));
-  if m.allocated > m.peak then m.peak <- m.allocated;
-  m.chunk_refills <- m.chunk_refills + 1;
-  let exhausted = !oom && ch.clen = 0 in
-  Mutex.unlock p.alloc_lock;
-  if exhausted then raise Out_of_nodes
-
-let rec mk_par m (p : par_state) (sl : slot_state) lvl lo hi =
-  (* Reserve a node BEFORE taking the stripe lock: the bucket critical
-     section must never wait on [alloc_lock] (lock-order discipline:
-     alloc_lock > stripe locks, never the reverse). *)
-  if sl.s_chunk.clen = 0 then chunk_refill m p sl;
-  let mask0 = m.bucket_mask in
-  let b = hash3 lvl lo hi mask0 in
-  let lk = p.stripe_locks.(b land stripe_mask) in
-  Mutex.lock lk;
-  if m.bucket_mask <> mask0 then begin
-    (* the table grew between hashing and locking; rehash *)
-    Mutex.unlock lk;
-    mk_par m p sl lvl lo hi
-  end
+let mk m lvl lo hi =
+  if lo = hi then lo
   else begin
+    assert (lvl >= 0 && lvl < m.lvl.(lo) && lvl < m.lvl.(hi));
+    let b = hash3 lvl lo hi m.bucket_mask in
     let rec find n =
       if n < 0 then begin
-        let ch = sl.s_chunk in
-        ch.clen <- ch.clen - 1;
-        let n = ch.cnodes.(ch.clen) in
+        let n = alloc m in
         m.lvl.(n) <- lvl;
         m.lo.(n) <- lo;
         m.hi.(n) <- hi;
         m.refc.(n) <- 0;
+        (* Recompute the bucket: [alloc] may have grown the table. *)
+        let b = hash3 lvl lo hi m.bucket_mask in
         m.hnext.(n) <- m.buckets.(b);
         m.buckets.(b) <- n;
         n
@@ -789,18 +551,7 @@ let rec mk_par m (p : par_state) (sl : slot_state) lvl lo hi =
       else if m.lvl.(n) = lvl && m.lo.(n) = lo && m.hi.(n) = hi then n
       else find m.hnext.(n)
     in
-    let r = find m.buckets.(b) in
-    Mutex.unlock lk;
-    r
-  end
-
-let mk m lvl lo hi =
-  if lo = hi then lo
-  else begin
-    assert (lvl >= 0 && lvl < m.lvl.(lo) && lvl < m.lvl.(hi));
-    match m.par with
-    | None -> mk_seq m lvl lo hi
-    | Some p -> mk_par m p (slot_of m p) lvl lo hi
+    find m.buckets.(b)
   end
 
 let var m lvl = mk m lvl zero one
@@ -971,15 +722,8 @@ let check_invariants m =
     err "free_count %d but the free list threads %d entries" m.free_count
       !free_seen;
   let alloc_seen = ref 2 in
-  let chunk_seen = ref 0 in
   for n = 2 to m.capacity - 1 do
-    if m.lvl.(n) = chunk_mark then begin
-      (* granted to a domain's allocation chunk: counted as allocated,
-         but carries no node fields yet *)
-      incr alloc_seen;
-      incr chunk_seen
-    end
-    else if m.lvl.(n) <> free_mark then begin
+    if m.lvl.(n) <> free_mark then begin
       incr alloc_seen;
       let l = m.lvl.(n) and lo = m.lo.(n) and hi = m.hi.(n) in
       if l < 0 || l >= m.nvars then err "node %d has invalid level %d" n l
@@ -1007,29 +751,11 @@ let check_invariants m =
   if !alloc_seen <> m.allocated then
     err "allocated count %d but %d nodes live in the arrays" m.allocated
       !alloc_seen;
-  (* Sharded-table / chunk accounting.  Only meaningful at quiescence
-     (no domain mid-[mk]); the test suite calls this between parallel
-     phases. *)
-  (match m.par with
-  | None ->
-    if !chunk_seen > 0 then
-      err "%d chunk-held nodes outside parallel mode" !chunk_seen
-  | Some p ->
-    let in_chunks = ref 0 in
-    for i = 0 to p.nslots - 1 do
-      match p.slots.(i) with
-      | Some sl -> in_chunks := !in_chunks + sl.s_chunk.clen
-      | None -> ()
-    done;
-    if !in_chunks <> !chunk_seen then
-      err "domain chunks hold %d nodes but %d are marked chunk-held"
-        !in_chunks !chunk_seen);
   List.rev !errs
 
 (* Ref-count-free query path: on a frozen manager, roots pinned before
    the freeze keep their counts and relations created by queries are
-   scratch, reclaimed wholesale by [frozen_sweep].  Parallel mode is
-   frozen-only, so the counts are never touched from two domains. *)
+   scratch, reclaimed wholesale by [frozen_sweep]. *)
 let addref m n =
   if m.frozen then n
   else begin
@@ -1052,60 +778,6 @@ let visited_clear m = Bytes.fill m.visited 0 (Bytes.length m.visited) '\000'
 let visited_mem m n = Bytes.get m.visited n <> '\000'
 let visited_add m n = Bytes.set m.visited n '\001'
 
-(* -- Parallel-mode lifecycle -------------------------------------------- *)
-
-(* [enter_parallel] flips [mk] and the operation cache onto their
-   locked/per-domain variants; [exit_parallel] returns chunk-held nodes,
-   folds per-domain cache statistics into the base counters and restores
-   the plain sequential paths.  Calls nest; both must run on a single
-   domain at a moment the caller guarantees quiescent (no other domain
-   touching the manager): the serve pool flips the mode, spawns its
-   workers, and flips back after joining them.  Only a frozen manager
-   may enter: everything that would need coordinating across domains
-   (refcounts, GC, reordering, new variables) is already off there. *)
-
-let enter_parallel m =
-  if not m.frozen then
-    invalid_arg "Manager.enter_parallel: the manager is not frozen";
-  match m.par with
-  | Some p -> p.depth <- p.depth + 1
-  | None ->
-    m.par_epochs <- m.par_epochs + 1;
-    m.par <-
-      Some
-        {
-          p_epoch = m.par_epochs;
-          stripe_locks = Array.init nstripes (fun _ -> Mutex.create ());
-          alloc_lock = Mutex.create ();
-          slot_lock = Mutex.create ();
-          slots = Array.make max_slots None;
-          nslots = 0;
-          depth = 1;
-        }
-
-let exit_parallel m =
-  match m.par with
-  | None -> ()
-  | Some p ->
-    p.depth <- p.depth - 1;
-    if p.depth = 0 then begin
-      flush_chunks m p;
-      (* fold the per-domain cache statistics into the base counters so
-         the profiler's monotone snapshots survive the mode switch *)
-      for i = 0 to p.nslots - 1 do
-        match p.slots.(i) with
-        | Some sl ->
-          for tag = 0 to max_tags - 1 do
-            m.hit_ct.(tag) <- m.hit_ct.(tag) + sl.s_hit.(tag);
-            m.miss_ct.(tag) <- m.miss_ct.(tag) + sl.s_miss.(tag);
-            m.store_ct.(tag) <- m.store_ct.(tag) + sl.s_store.(tag);
-            m.evict_ct.(tag) <- m.evict_ct.(tag) + sl.s_evict.(tag)
-          done
-        | None -> ()
-      done;
-      m.par <- None
-    end
-
 (* -- Frozen mode --------------------------------------------------------- *)
 
 (* [freeze] turns the manager into a read-only arena for serving: a
@@ -1113,9 +785,9 @@ let exit_parallel m =
    from a referenced root is dropped), then refcount traffic, GC,
    auto-reordering, level swaps and variable allocation are all switched
    off.  Queries may still build scratch nodes (select cubes,
-   quantification results); those accumulate — ref-count-free — until a
-   coordinator with the pool quiesced calls [frozen_sweep], which marks
-   from the pinned pre-freeze roots and reclaims everything else.
+   quantification results); those accumulate — ref-count-free — until
+   the serving worker calls [frozen_sweep] between two queries, which
+   marks from the pinned pre-freeze roots and reclaims everything else.
    Freezing is one-way: a served universe never becomes mutable again. *)
 
 let freeze m =
@@ -1130,38 +802,10 @@ let frozen_live_nodes m = m.frozen_live
 let frozen_sweep_count m = m.frozen_sweeps
 
 (* Reclaim query scratch: every node unreachable from a pinned
-   (pre-freeze, refc > 0) root dies.  The caller must guarantee
-   quiescence — no query evaluating on any domain — which the serve
-   pool does by parking its workers first. *)
+   (pre-freeze, refc > 0) root dies.  The caller must guarantee that no
+   query is evaluating; the serve pool's one worker sweeps between
+   jobs. *)
 let frozen_sweep m =
   if not m.frozen then invalid_arg "Manager.frozen_sweep: manager not frozen";
-  (match m.par with Some p -> flush_chunks m p | None -> ());
   gc_raw m;
   m.frozen_sweeps <- m.frozen_sweeps + 1
-
-type par_stats = {
-  par_active : bool;
-  par_domains : int; (* distinct domains that claimed a slot, peak *)
-  par_chunk_refills : int;
-}
-
-let par_stats m =
-  {
-    par_active = m.par <> None;
-    par_domains = m.par_domains_used;
-    par_chunk_refills = m.chunk_refills;
-  }
-
-(* Per-domain cache counters of the live parallel window: (slot, hits,
-   misses, stores, evictions) summed over tags.  Empty outside parallel
-   mode. *)
-let slot_cache_stats m =
-  match m.par with
-  | None -> [||]
-  | Some p ->
-    Array.init p.nslots (fun i ->
-        match p.slots.(i) with
-        | None -> (i, 0, 0, 0, 0)
-        | Some sl ->
-          let sum a = Array.fold_left ( + ) 0 a in
-          (i, sum sl.s_hit, sum sl.s_miss, sum sl.s_store, sum sl.s_evict))

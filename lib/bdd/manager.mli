@@ -263,44 +263,6 @@ val visited_clear : t -> unit
 val visited_mem : t -> node -> bool
 val visited_add : t -> node -> unit
 
-(** {2 Parallel mode (OCaml 5 domains)}
-
-    Between {!enter_parallel} and {!exit_parallel} a {e frozen} manager
-    is safe to read from several domains at once: [mk] hash-conses
-    through lock-striped unique-table buckets and per-domain allocation
-    chunks, and every domain memoises through its own
-    generation-stamped operation cache.  Nothing else needs
-    coordinating, because a frozen manager never counts references,
-    collects, reorders or allocates variables.
-
-    Sequential mode is the default and pays only an option match per
-    [mk] and cache probe; results are bit-identical between modes
-    because hash-consing keeps BDDs canonical. *)
-
-val enter_parallel : t -> unit
-(** Flip a frozen manager into parallel mode.  Must be called at
-    quiescence (no other domain touching the manager).  Calls nest.
-    [Invalid_argument] if the manager is not {!frozen}. *)
-
-val exit_parallel : t -> unit
-(** Leave parallel mode (at quiescence, after joining all workers):
-    chunk-held nodes return to the free list, per-domain cache statistics
-    fold into the base counters, and the plain sequential paths resume. *)
-
-(** Cumulative parallel-execution counters (survive {!exit_parallel}). *)
-type par_stats = {
-  par_active : bool;
-  par_domains : int;  (** peak count of domains that claimed a slot *)
-  par_chunk_refills : int;  (** allocation-chunk refills served *)
-}
-
-val par_stats : t -> par_stats
-
-val slot_cache_stats : t -> (int * int * int * int * int) array
-(** Per-domain cache counters of the live parallel window:
-    [(slot, hits, misses, stores, evictions)] summed over tags; [[||]]
-    outside parallel mode. *)
-
 (** {2 Frozen (read-only serving) mode}
 
     {!freeze} turns the manager into an immutable arena for the query
@@ -310,11 +272,9 @@ val slot_cache_stats : t -> (int * int * int * int * int) array
     path is ref-count-free), {!gc} and {!checkpoint} are no-ops (no
     collections, no auto-reorder triggers, no cache-generation bumps
     between queries), and {!new_var} / {!swap_adjacent} raise
-    {!Frozen}.  Queries may still hash-cons scratch nodes; a
-    coordinator reclaims them at quiescence with {!frozen_sweep}.
-    Freezing is one-way and is the precondition of parallel mode: the
-    serve pool freezes first, then {!enter_parallel} for multi-domain
-    reads. *)
+    {!Frozen}.  Queries may still hash-cons scratch nodes; the serving
+    worker reclaims them between queries with {!frozen_sweep}.
+    Freezing is one-way. *)
 
 exception Frozen of string
 (** Raised by mutating entry points ({!new_var}, {!swap_adjacent},
@@ -328,9 +288,8 @@ val frozen : t -> bool
 
 val frozen_sweep : t -> unit
 (** Reclaim query scratch: collect every node unreachable from the
-    pinned pre-freeze roots.  The caller must guarantee quiescence (no
-    query in flight on any domain).  [Invalid_argument] if the manager
-    is not frozen. *)
+    pinned pre-freeze roots.  The caller must guarantee that no query is
+    in flight.  [Invalid_argument] if the manager is not frozen. *)
 
 val frozen_live_nodes : t -> int
 (** Node count right after {!freeze} (the pinned arena size). *)

@@ -18,9 +18,10 @@ type perm = {
 let intern_table : ((int * int) list, perm) Hashtbl.t = Hashtbl.create 32
 let next_perm_id = ref 1
 
-(* The intern table is global and may be hit from several query workers
-   sharing a frozen universe; interning is rare (layout changes, not
-   per-operation), so one mutex is plenty. *)
+(* The intern table is global, so two threads may hit it at once: the
+   serving worker domain answering queries and the live updater thread
+   re-solving an edit on its own universe.  Interning is rare (layout
+   changes, not per-operation), so one mutex is plenty. *)
 let intern_lock = Mutex.create ()
 
 let identity_perm = { id = 0; map = [||]; ident = true }
@@ -57,7 +58,7 @@ let make_perm _m pairs =
         pairs;
       Mutex.lock intern_lock;
       let p =
-        (* re-check: another domain may have interned the same mapping *)
+        (* re-check: another thread may have interned the same mapping *)
         match Hashtbl.find_opt intern_table pairs with
         | Some p -> p
         | None ->
@@ -125,10 +126,10 @@ let fused_stats () = (Atomic.get fused_hits, Atomic.get fallback_hits)
 let ok_memo : (int * int * int, (int * int) * bool) Hashtbl.t =
   Hashtbl.create 256
 
-(* The verdict memo is global (keyed by manager uid); query workers on a
-   frozen universe probe it concurrently, so its accesses are
-   serialised.  The traversal itself runs outside the lock — it only
-   touches the manager's (already domain-safe) cache. *)
+(* The verdict memo is global (keyed by manager uid); the serving worker
+   domain and the live updater thread probe it concurrently, each for
+   its own manager, so its accesses are serialised.  The traversal
+   itself runs outside the lock — it touches only that manager. *)
 let ok_memo_lock = Mutex.create ()
 
 let order_preserving_on m p f =

@@ -22,9 +22,9 @@ type summary = {
       (* high-water mark of distinct terminal values over the executions *)
 }
 
-(* One recorder may receive events from several domains at once (query
-   workers sharing a frozen universe), so the event list is
-   mutex-protected. *)
+(* One recorder may receive events from two threads at once (the serve
+   pool's worker domain and the live updater thread), so the event list
+   is mutex-protected. *)
 type t = { lock : Mutex.t; mutable events : row list; mutable next_seq : int }
 
 let create () = { lock = Mutex.create (); events = []; next_seq = 0 }
@@ -130,10 +130,7 @@ let summaries t =
 
 (* Lifetime counter snapshot of a universe's BDD layer, as flat
    (name, value) pairs: the cache/GC/growth/reorder counters of the
-   manager, the terminal-store counters of an mtbdd backend, and the
-   parallel-mode counters (domains that claimed a slot, allocation-chunk
-   refills, and the per-domain cache slots while parallel mode is
-   active; they merge into the base counters on [exit_parallel]).  This
+   manager and the terminal-store counters of an mtbdd backend.  This
    is the payload of the query server's [stats] verb and of the bench
    JSON reports, so the numbers users see in both places are the same
    counters the profiler attributes per-operation above. *)
@@ -141,7 +138,6 @@ let runtime_stats u =
   let module U = Jedd_relation.Universe in
   let module M = Jedd_bdd.Manager in
   let m = U.manager u in
-  let par = M.par_stats m in
   let hits, misses, evictions = M.cache_totals m in
   let mt_hits, mt_misses, mt_terminals, mt_live, mt_peak =
     match Jedd_relation.Backend.mt_store (U.backend u) with
@@ -173,15 +169,4 @@ let runtime_stats u =
     ("mt_distinct_terminals", float_of_int mt_terminals);
     ("mt_live_nodes", float_of_int mt_live);
     ("mt_peak_nodes", float_of_int mt_peak);
-    ("parallel_active", if par.M.par_active then 1.0 else 0.0);
-    ("parallel_domains_used", float_of_int par.M.par_domains);
-    ("parallel_chunk_refills", float_of_int par.M.par_chunk_refills);
   ]
-  @ (Array.to_list (M.slot_cache_stats m)
-    |> List.concat_map (fun (slot, h, ms, st, ev) ->
-           [
-             (Printf.sprintf "slot%d_cache_hits" slot, float_of_int h);
-             (Printf.sprintf "slot%d_cache_misses" slot, float_of_int ms);
-             (Printf.sprintf "slot%d_cache_stores" slot, float_of_int st);
-             (Printf.sprintf "slot%d_cache_evictions" slot, float_of_int ev);
-           ]))

@@ -63,11 +63,8 @@ val runtime_stats : Jedd_relation.Universe.t -> (string * float) list
 (** Lifetime BDD-layer counters of a universe as flat (name, value)
     pairs — cache hits/misses/evictions, GC and growth work, reorder
     passes/swaps, the mtbdd terminal-store counters ([mt_cache_*],
-    [mt_distinct_terminals], [mt_live_nodes]; zero in-core), and the
-    parallel-mode counters of frozen multi-reader serving ([parallel_active],
-    [parallel_domains_used], [parallel_chunk_refills], and — while
-    parallel mode is active — the per-domain operation-cache slot
-    counters [slot<i>_cache_hits], ...).  Integer counters are widened
-    to floats; [backend] is 0 in-core, 3 mtbdd (1 and 2 named the
-    retired out-of-core and hybrid engines and are not reused).
+    [mt_distinct_terminals], [mt_live_nodes]; zero in-core).  Integer
+    counters are widened to floats; [backend] is 0 in-core, 3 mtbdd (1
+    and 2 named the retired out-of-core and hybrid engines and are not
+    reused).
     Shared by the jeddd [stats] verb and the bench JSON reports. *)

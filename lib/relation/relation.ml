@@ -27,8 +27,8 @@ let same_universe (type a b) name (e : a B.engine) (y : b rel) : a rel =
 
 (* -- live-root accounting (per universe) --------------------------------
 
-   The table lookup is mutex-protected (query workers sharing a frozen
-   universe create relations from several domains), but the counter
+   The table lookup is mutex-protected (the serving worker domain and
+   the live updater thread create relations concurrently), but the counter
    itself is atomic and captured in the relation: [release] runs from GC
    finalisers, which may fire while this very lock is held, so its path
    must be lock-free. *)
@@ -122,7 +122,7 @@ let scratch_lock = Mutex.create ()
 let scratch_pools : (int, Physdom.t list ref) Hashtbl.t = Hashtbl.create 8
 
 (* The whole allocate-or-reuse step is one critical section so two
-   domains cannot both miss and declare duplicate scratch physdoms. *)
+   threads cannot both miss and declare duplicate scratch physdoms. *)
 let scratch u ~bits ~avoid =
   Mutex.lock scratch_lock;
   Fun.protect

@@ -1,18 +1,13 @@
-(* The query worker pool: N OCaml domains evaluating protocol requests
-   against one shared (ideally frozen) universe.
+(* The query worker: one OCaml domain evaluating protocol requests, in
+   the order the front end queued them, against one universe (frozen or
+   not).
 
-   With [workers > 1] the universe must be frozen and in-core: the pool
-   flips the manager into parallel mode (which only a frozen manager
-   may enter) so hash-consing goes through the lock-striped unique
-   table and every domain memoises in its own operation cache, while
-   the frozen flag removes the whole GC/refcount/reorder coordination
-   problem — queries only ever allocate scratch nodes, never reclaim.
-   Scratch is reclaimed by [frozen_sweep] at pool-local quiescence: the
-   last worker to go idle sweeps while holding the pool lock, so no
-   other domain can be touching the node store.
-
-   With [workers = 1] any universe works (frozen or not) and the pool
-   degenerates to the classic single-worker queue. *)
+   On a frozen universe queries build scratch nodes that no refcount
+   tracks; the worker reclaims them itself with [frozen_sweep] between
+   two jobs, once more than [sweep_threshold] of them have accumulated
+   beyond the pinned arena.  Between jobs it holds no node references,
+   and it is the only evaluator of the universe, so nothing else can be
+   touching the node store. *)
 
 module M = Jedd_bdd.Manager
 module U = Jedd_relation.Universe
@@ -30,18 +25,15 @@ type job = {
 type t = {
   qeval : Qeval.t;
   manager : M.t;
-  nworkers : int;
-  parallel : bool; (* we entered parallel mode and must exit it *)
   sweep_threshold : int; (* scratch nodes tolerated before a sweep; 0 = off *)
   jobs : job Queue.t;
   m : Mutex.t;
   c : Condition.t;
   mutable stopping : bool;
-  mutable active : int; (* workers currently evaluating *)
-  mutable domains : unit Domain.t list;
+  mutable worker : unit Domain.t option;
   requests : int Atomic.t;
   errors : int Atomic.t;
-  dropped : int Atomic.t; (* cancelled before a worker picked them up *)
+  dropped : int Atomic.t; (* cancelled before the worker picked them up *)
 }
 
 let is_error = function
@@ -49,9 +41,6 @@ let is_error = function
     List.assoc_opt "ok" kvs = Some (Json.Bool false)
   | _ -> false
 
-(* Called with [t.m] held and [t.active = 0]: no other domain can touch
-   the manager (idle workers hold no node references; a worker needs
-   the lock to dequeue its next job). *)
 let maybe_sweep t =
   if
     t.sweep_threshold > 0 && M.frozen t.manager
@@ -59,106 +48,82 @@ let maybe_sweep t =
        > t.sweep_threshold
   then M.frozen_sweep t.manager
 
+let run_job t job =
+  let outcome =
+    try Qeval.eval t.qeval job.request
+    with e ->
+      Protocol.Reply
+        (Protocol.err
+           (Protocol.request_id job.request)
+           (Printf.sprintf "internal error: %s" (Printexc.to_string e)))
+  in
+  Atomic.incr t.requests;
+  if is_error outcome then Atomic.incr t.errors;
+  if not (Atomic.get job.cancelled) then job.deliver outcome
+
+(* Pop jobs until [stop] and an empty queue; sweep after each one. *)
 let rec worker_loop t =
   Mutex.lock t.m;
-  let rec wait () =
-    if t.stopping && Queue.is_empty t.jobs then None
-    else if Queue.is_empty t.jobs then begin
-      Condition.wait t.c t.m;
-      wait ()
-    end
-    else Some (Queue.pop t.jobs)
-  in
-  match wait () with
-  | None -> Mutex.unlock t.m
+  while Queue.is_empty t.jobs && not t.stopping do
+    Condition.wait t.c t.m
+  done;
+  let job = Queue.take_opt t.jobs in
+  Mutex.unlock t.m;
+  match job with
+  | None -> ()
   | Some job ->
-    if Atomic.get job.cancelled then begin
-      Atomic.incr t.dropped;
-      Mutex.unlock t.m;
-      worker_loop t
-    end
+    if Atomic.get job.cancelled then Atomic.incr t.dropped
     else begin
-      t.active <- t.active + 1;
-      Mutex.unlock t.m;
-      let outcome =
-        try Qeval.eval t.qeval job.request
-        with e ->
-          Protocol.Reply
-            (Protocol.err
-               (Protocol.request_id job.request)
-               (Printf.sprintf "internal error: %s" (Printexc.to_string e)))
-      in
-      Atomic.incr t.requests;
-      if is_error outcome then Atomic.incr t.errors;
-      if not (Atomic.get job.cancelled) then job.deliver outcome;
-      Mutex.lock t.m;
-      t.active <- t.active - 1;
-      if t.active = 0 then maybe_sweep t;
-      Mutex.unlock t.m;
-      worker_loop t
-    end
+      run_job t job;
+      maybe_sweep t
+    end;
+    worker_loop t
 
-let create ?(workers = 1) ?(sweep_threshold = 1 lsl 20) qeval =
-  if workers < 1 then invalid_arg "Pool.create: workers must be >= 1";
+let create ?(sweep_threshold = 1 lsl 20) qeval =
   let u = (Qeval.world qeval).Protocol.snap.Snapshot.u in
-  let manager = U.manager u in
-  (* only an in-core universe can be frozen ([Universe.freeze]) *)
-  if workers > 1 && not (U.frozen u) then
-    invalid_arg
-      "Pool.create: multi-worker serving needs a frozen (in-core) universe";
-  let parallel = workers > 1 in
-  if parallel then M.enter_parallel manager;
   let t =
     {
       qeval;
-      manager;
-      nworkers = workers;
-      parallel;
+      manager = U.manager u;
       sweep_threshold;
       jobs = Queue.create ();
       m = Mutex.create ();
       c = Condition.create ();
       stopping = false;
-      active = 0;
-      domains = [];
+      worker = None;
       requests = Atomic.make 0;
       errors = Atomic.make 0;
       dropped = Atomic.make 0;
     }
   in
-  t.domains <- List.init workers (fun _ -> Domain.spawn (fun () -> worker_loop t));
+  t.worker <- Some (Domain.spawn (fun () -> worker_loop t));
   t
 
 let submit t ~request ~cancelled ~deliver =
   Mutex.lock t.m;
-  if t.stopping then begin
-    Mutex.unlock t.m;
-    false
-  end
-  else begin
+  let accepted = not t.stopping in
+  if accepted then begin
     Queue.push { request; cancelled; deliver } t.jobs;
-    Condition.signal t.c;
-    Mutex.unlock t.m;
-    true
-  end
+    Condition.signal t.c
+  end;
+  Mutex.unlock t.m;
+  accepted
 
+(* Drain the queue, then join the worker. *)
 let stop t =
   Mutex.lock t.m;
   t.stopping <- true;
-  Condition.broadcast t.c;
+  Condition.signal t.c;
   Mutex.unlock t.m;
-  List.iter Domain.join t.domains;
-  t.domains <- [];
-  if t.parallel then M.exit_parallel t.manager
+  Option.iter Domain.join t.worker;
+  t.worker <- None
 
-let workers t = t.nworkers
 let queue_depth t = Queue.length t.jobs
 let requests t = Atomic.get t.requests
 let errors t = Atomic.get t.errors
 
 let stats_fields t : (string * Json.t) list =
   [
-    ("workers", Json.Int t.nworkers);
     ("frozen", Json.Bool (M.frozen t.manager));
     ("frozen_sweeps", Json.Int (M.frozen_sweep_count t.manager));
     ("dropped", Json.Int (Atomic.get t.dropped));

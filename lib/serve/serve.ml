@@ -1,21 +1,21 @@
 (* The multiplexing front end of jeddd-serve: one event-loop thread
    running select() over nonblocking sockets — a Unix-socket listener,
    a TCP listener and an HTTP listener, any subset enabled — feeding
-   the worker pool (Pool) and flushing responses back in request order
-   per connection.
+   the query worker (Pool, one domain) and flushing responses back in
+   request order per connection.
 
    Flow of one request: the loop reads bytes into the connection's
    buffer, peels off a complete request (newline-framed JSON on
    Unix/TCP, Content-Length-framed HTTP on the HTTP port), allocates an
-   ordered response slot, and submits the job.  A worker evaluates it
-   through the shared Qeval (result cache + latency histograms) and
+   ordered response slot, and submits the job.  The worker evaluates it
+   through the generation's Qeval (result cache + latency histograms) and
    pushes the outcome onto the completion queue, waking the loop
    through a self-pipe.  The loop renders the response into the slot
    and writes out the longest filled prefix of each connection's slot
    queue — so pipelined clients always see answers in send order.
    Deadlines are enforced by the loop itself: an overdue slot is
    answered with a timeout error and its job is flagged cancelled, so
-   a worker that picks it up (or finishes it late) drops the result.
+   the worker that picks it up (or finishes it late) drops the result.
 
    select() caps the loop at FD_SETSIZE descriptors (~1024); the load
    generator defaults stay under that, and heavier fan-in belongs
@@ -25,10 +25,10 @@
    accepts the "update" verb.  Edits are applied to the mutable shadow
    universe (Jedd_analyses.Live) on a dedicated updater thread, the
    re-solved universe is serialized and reloaded as a fresh frozen
-   generation, a new worker pool is attached to it, and the generation
+   generation, a new worker is attached to it, and the generation
    pointer is swapped atomically — in-flight queries finish against the
-   old generation, which is retired once its pool reaches quiescence
-   ([Pool.stop] drains and joins).  The result cache is shared across
+   old generation, which is retired once its worker has drained its
+   queue ([Pool.stop] drains and joins).  The result cache is shared across
    generations (keys embed the universe hash) and the retired hash's
    entries are evicted at swap.  With a store configured, each new
    generation is published under its CAS ref — as a differential
@@ -50,7 +50,7 @@ type config = {
   unix_path : string option;
   tcp : (string * int) option; (* bind address, port *)
   http : (string * int) option;
-  workers : int;
+  workers : int; (* must be 1: one query worker *)
   default_timeout_ms : int;
   cache_capacity : int;
   sweep_threshold : int;
@@ -94,7 +94,7 @@ type stats = {
 }
 
 (* One serving generation: a (usually frozen) snapshot universe, its
-   evaluator, and the worker pool bound to it.  [hash] is the hex MD5
+   evaluator, and the worker bound to it.  [hash] is the hex MD5
    of the snapshot bytes — the cache-key component. *)
 type generation = {
   snap : Snapshot.t;
@@ -144,29 +144,68 @@ let max_line_buffer = 16 * 1024 * 1024
 
 (* -- listeners ----------------------------------------------------------- *)
 
-let listen_unix path =
-  (if Sys.file_exists path then try Unix.unlink path with _ -> ());
-  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
-  Unix.bind fd (Unix.ADDR_UNIX path);
-  Unix.listen fd 128;
-  Unix.set_nonblock fd;
-  fd
+exception Listen_error of string
+(* A listener could not be set up; the message names its address. *)
 
-let listen_tcp host port =
-  let addr =
-    match
-      Unix.getaddrinfo host (string_of_int port)
-        [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_PASSIVE ]
-    with
-    | ai :: _ -> ai.Unix.ai_addr
-    | [] -> invalid_arg (Printf.sprintf "cannot resolve bind address %s" host)
+let listen_error fmt =
+  Printf.ksprintf (fun s -> raise (Listen_error ("cannot listen on " ^ s))) fmt
+
+(* A socket bound and listening on [addr]; on failure it is closed and
+   [Listen_error] names [what]. *)
+let listen_on what addr =
+  match Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 with
+  | exception Unix.Unix_error (e, _, _) ->
+    listen_error "%s: %s" what (Unix.error_message e)
+  | fd -> (
+    try
+      (match addr with
+      | Unix.ADDR_INET _ -> Unix.setsockopt fd Unix.SO_REUSEADDR true
+      | Unix.ADDR_UNIX _ -> ());
+      Unix.bind fd addr;
+      Unix.listen fd 128;
+      Unix.set_nonblock fd;
+      fd
+    with Unix.Unix_error (e, _, _) ->
+      Unix.close fd;
+      listen_error "%s: %s" what (Unix.error_message e))
+
+(* A stale socket left by an earlier run is replaced; any other file at
+   [path] is left alone, and the bind then fails naming it. *)
+let listen_unix path =
+  (match Unix.lstat path with
+  | { Unix.st_kind = Unix.S_SOCK; _ } -> ( try Unix.unlink path with _ -> ())
+  | _ | (exception Unix.Unix_error _) -> ());
+  listen_on path (Unix.ADDR_UNIX path)
+
+let listen_tcp proto (host, port) =
+  let what = Printf.sprintf "%s %s:%d" proto host port in
+  match
+    Unix.getaddrinfo host (string_of_int port)
+      [ Unix.AI_SOCKTYPE Unix.SOCK_STREAM; Unix.AI_PASSIVE ]
+  with
+  | ai :: _ -> listen_on what ai.Unix.ai_addr
+  | [] -> listen_error "%s: cannot resolve %s" what host
+
+(* Bind every configured listener, or none: if one fails, those already
+   bound are closed (and the Unix socket file, always bound first, is
+   removed) before the error propagates. *)
+let bind_listeners config =
+  let bound = ref [] in
+  let bind f x =
+    let fd = f x in
+    bound := fd :: !bound;
+    fd
   in
-  let fd = Unix.socket (Unix.domain_of_sockaddr addr) Unix.SOCK_STREAM 0 in
-  Unix.setsockopt fd Unix.SO_REUSEADDR true;
-  Unix.bind fd addr;
-  Unix.listen fd 128;
-  Unix.set_nonblock fd;
-  fd
+  try
+    let unix_fd = Option.map (bind listen_unix) config.unix_path in
+    let tcp_fd = Option.map (bind (listen_tcp "tcp")) config.tcp in
+    let http_fd = Option.map (bind (listen_tcp "http")) config.http in
+    (unix_fd, tcp_fd, http_fd)
+  with Listen_error _ as e ->
+    List.iter Unix.close !bound;
+    (if !bound <> [] then
+       Option.iter (fun p -> try Unix.unlink p with _ -> ()) config.unix_path);
+    raise e
 
 let bound_port fd =
   match Unix.getsockname fd with
@@ -194,6 +233,9 @@ let server_stats t () =
 let create ?(config = default_config) ?live ~universe_hash snap =
   if config.unix_path = None && config.tcp = None && config.http = None then
     invalid_arg "Serve.create: no listener configured";
+  if config.workers <> 1 then
+    invalid_arg "Serve.create: workers must be 1 (one query worker)";
+  let unix_fd, tcp_fd, http_fd = bind_listeners config in
   let stats_hook = ref (fun () -> []) in
   let world =
     { Protocol.snap; extra_stats = (fun () -> !stats_hook ()) }
@@ -204,13 +246,7 @@ let create ?(config = default_config) ?live ~universe_hash snap =
     else None
   in
   let qeval = Qeval.create ?cache ~cache_capacity:0 ~universe_hash world in
-  let pool =
-    Pool.create ~workers:config.workers
-      ~sweep_threshold:config.sweep_threshold qeval
-  in
-  let unix_fd = Option.map listen_unix config.unix_path in
-  let tcp_fd = Option.map (fun (h, p) -> listen_tcp h p) config.tcp in
-  let http_fd = Option.map (fun (h, p) -> listen_tcp h p) config.http in
+  let pool = Pool.create ~sweep_threshold:config.sweep_threshold qeval in
   let listeners =
     List.concat
       [
@@ -371,9 +407,9 @@ let publish_generation ls ~gen_no ~edit bytes =
 
 (* Runs on the updater thread.  Applies the edit to the shadow
    universe, re-solves incrementally, loads the result as a fresh
-   (frozen iff the current generation is) universe with its own worker
-   pool, swaps the generation pointer, then retires the old pool at
-   quiescence and evicts its cache entries. *)
+   (frozen iff the current generation is) universe with its own worker,
+   swaps the generation pointer, then retires the old worker once it
+   has drained its queue and evicts its cache entries. *)
 let perform_update t ls request : Protocol.outcome =
   let id = Protocol.request_id request in
   try
@@ -403,15 +439,12 @@ let perform_update t ls request : Protocol.outcome =
     let qeval =
       Qeval.create ?cache:t.cache ~cache_capacity:0 ~universe_hash:hash world
     in
-    let gpool =
-      Pool.create ~workers:t.config.workers
-        ~sweep_threshold:t.config.sweep_threshold qeval
-    in
+    let gpool = Pool.create ~sweep_threshold:t.config.sweep_threshold qeval in
     let published = publish_generation ls ~gen_no ~edit bytes in
     ls.last_bytes <- bytes;
     (* the swap: new submissions route to the new pool from here on *)
     t.gen <- { snap; hash; qeval; gpool; gen_no };
-    (* retire the old generation: drain its queue, join its workers,
+    (* retire the old generation: drain its queue, join its worker,
        then drop the last references so the old universe can be
        collected, and flush its answers from the shared cache *)
     Pool.stop old.gpool;

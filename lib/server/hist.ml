@@ -1,6 +1,8 @@
 (* Lock-free log2-bucketed latency histograms.  One histogram per verb:
-   workers on several domains record concurrently (plain atomic
-   increments, no locks), the stats verb reads percentile estimates.  Bucket [i] counts samples whose latency in
+   the serving worker domain records, and the stats verb reads
+   percentile estimates — during a generation swap from the retiring
+   generation's worker while the new one records, hence plain atomic
+   increments (no locks).  Bucket [i] counts samples whose latency in
    microseconds has its highest set bit at position [i], so percentiles
    are exact to within a factor of two — plenty for p50/p95/p99 lines. *)
 

@@ -1,5 +1,6 @@
-(* The instrumented query evaluator of the serving worker pool
-   (Jedd_serve): Protocol.eval wrapped with a bounded result cache and per-verb latency histograms.
+(* The instrumented query evaluator of the serving worker
+   (Jedd_serve.Pool): Protocol.eval wrapped with a bounded result cache
+   and per-verb latency histograms.
 
    Cache keys are the canonical form of the request — object fields
    sorted recursively, the non-semantic "id" and "timeout_ms" fields
@@ -14,6 +15,9 @@ type t = {
   universe_hash : string;
   hists : (string, Hist.t) Hashtbl.t; (* per-verb latency *)
   hist_lock : Mutex.t;
+      (* guards [hists]: the worker adds verbs to it while, during a
+         generation swap, the retiring generation's worker may read it
+         for a stats request *)
 }
 
 (* [?cache] shares an existing Rescache across evaluators — the

@@ -1,111 +1,78 @@
-(* Bounded, sharded result cache for the query path.  Keys are canonical
-   request strings (verb + sorted args + universe hash — see Qeval);
-   values are the successful reply's payload fields.  Sharding by key
-   hash keeps lock contention negligible with many worker domains;
-   eviction is FIFO per shard, which is close enough to LRU for a
-   serving cache and needs no per-hit bookkeeping under the lock. *)
+(* Bounded result cache for the query path.  Keys are canonical request
+   strings (verb + sorted args + universe hash — see Qeval); values are
+   the successful reply's payload fields.  One table under one lock: the
+   serving worker reads and fills it, and the live updater thread evicts
+   a retired generation's entries from it.  Eviction is FIFO, which is
+   close enough to LRU for a serving cache and needs no per-hit
+   bookkeeping. *)
 
-type shard = {
+type t = {
   lock : Mutex.t;
   tbl : (string, (string * Json.t) list) Hashtbl.t;
   order : string Queue.t; (* insertion order, for FIFO eviction *)
+  capacity : int;
+  mutable hits : int;
+  mutable misses : int;
+  mutable evictions : int;
 }
-
-type t = {
-  shards : shard array;
-  per_shard_cap : int;
-  hits : int Atomic.t;
-  misses : int Atomic.t;
-  evictions : int Atomic.t;
-}
-
-let nshards = 16
 
 let create ~capacity =
-  if capacity < nshards then invalid_arg "Rescache.create: capacity too small";
+  if capacity < 1 then invalid_arg "Rescache.create: capacity must be >= 1";
   {
-    shards =
-      Array.init nshards (fun _ ->
-          {
-            lock = Mutex.create ();
-            tbl = Hashtbl.create 64;
-            order = Queue.create ();
-          });
-    per_shard_cap = capacity / nshards;
-    hits = Atomic.make 0;
-    misses = Atomic.make 0;
-    evictions = Atomic.make 0;
+    lock = Mutex.create ();
+    tbl = Hashtbl.create 64;
+    order = Queue.create ();
+    capacity;
+    hits = 0;
+    misses = 0;
+    evictions = 0;
   }
 
-let shard_of t key = t.shards.(Hashtbl.hash key land (nshards - 1))
-
 let find t key =
-  let s = shard_of t key in
-  Mutex.lock s.lock;
-  let r = Hashtbl.find_opt s.tbl key in
-  Mutex.unlock s.lock;
-  (match r with
-  | Some _ -> Atomic.incr t.hits
-  | None -> Atomic.incr t.misses);
-  r
+  Mutex.protect t.lock (fun () ->
+      let r = Hashtbl.find_opt t.tbl key in
+      (match r with
+      | Some _ -> t.hits <- t.hits + 1
+      | None -> t.misses <- t.misses + 1);
+      r)
 
 let add t key fields =
-  let s = shard_of t key in
-  Mutex.lock s.lock;
-  if not (Hashtbl.mem s.tbl key) then begin
-    if Hashtbl.length s.tbl >= t.per_shard_cap then begin
-      (match Queue.take_opt s.order with
-      | Some victim ->
-        Hashtbl.remove s.tbl victim;
-        Atomic.incr t.evictions
-      | None -> ());
-      ()
-    end;
-    Hashtbl.add s.tbl key fields;
-    Queue.add key s.order
-  end;
-  Mutex.unlock s.lock
+  Mutex.protect t.lock (fun () ->
+      if not (Hashtbl.mem t.tbl key) then begin
+        if Hashtbl.length t.tbl >= t.capacity then begin
+          Hashtbl.remove t.tbl (Queue.take t.order);
+          t.evictions <- t.evictions + 1
+        end;
+        Hashtbl.add t.tbl key fields;
+        Queue.add key t.order
+      end)
 
 (* Drop every entry whose key ends with [suffix].  Keys embed the
    universe hash as a "#<hex>" suffix (see Qeval.cache_key), so this is
    how a generation swap retires the old snapshot's answers from a
    cache shared across generations.  Returns the number evicted. *)
 let evict_suffix t suffix =
-  Array.fold_left
-    (fun evicted s ->
-      Mutex.lock s.lock;
+  Mutex.protect t.lock (fun () ->
       let victims =
         Hashtbl.fold
           (fun k _ acc -> if String.ends_with ~suffix k then k :: acc else acc)
-          s.tbl []
+          t.tbl []
       in
-      List.iter (Hashtbl.remove s.tbl) victims;
+      List.iter (Hashtbl.remove t.tbl) victims;
       if victims <> [] then begin
         let keep = Queue.create () in
-        Queue.iter
-          (fun k -> if Hashtbl.mem s.tbl k then Queue.add k keep)
-          s.order;
-        Queue.clear s.order;
-        Queue.transfer keep s.order
+        Queue.iter (fun k -> if Hashtbl.mem t.tbl k then Queue.add k keep) t.order;
+        Queue.clear t.order;
+        Queue.transfer keep t.order
       end;
-      Mutex.unlock s.lock;
       let n = List.length victims in
-      if n > 0 then ignore (Atomic.fetch_and_add t.evictions n);
-      evicted + n)
-    0 t.shards
+      t.evictions <- t.evictions + n;
+      n)
 
-let entries t =
-  Array.fold_left
-    (fun acc s ->
-      Mutex.lock s.lock;
-      let n = Hashtbl.length s.tbl in
-      Mutex.unlock s.lock;
-      acc + n)
-    0 t.shards
-
-let hits t = Atomic.get t.hits
-let misses t = Atomic.get t.misses
-let evictions t = Atomic.get t.evictions
+let entries t = Mutex.protect t.lock (fun () -> Hashtbl.length t.tbl)
+let hits t = Mutex.protect t.lock (fun () -> t.hits)
+let misses t = Mutex.protect t.lock (fun () -> t.misses)
+let evictions t = Mutex.protect t.lock (fun () -> t.evictions)
 
 let stats_json t : Json.t =
   Json.Obj

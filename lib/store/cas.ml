@@ -7,7 +7,8 @@
    identical snapshots dedupe to one blob and a name update is a
    one-line ref write.  All writes go through a temp file + rename in
    the same directory, so a crashed writer can never leave a partial
-   object or ref behind. *)
+   object or ref behind.  Only writes create directories: reading a
+   store that does not exist finds nothing and leaves no trace. *)
 
 type t = { root : string }
 
@@ -20,11 +21,16 @@ let ensure_dir d =
   else if not (Sys.is_directory d) then
     invalid_arg (Printf.sprintf "Cas: %s exists and is not a directory" d)
 
-let open_ root =
-  ensure_dir root;
-  ensure_dir (root / "objects");
-  ensure_dir (root / "refs");
-  { root }
+let open_ root = { root }
+
+(* The entries of a store subdirectory; a missing one is empty. *)
+let list_dir t sub =
+  let d = t.root / sub in
+  if Sys.file_exists d then Array.to_list (Sys.readdir d) else []
+
+let ensure_subdir t sub =
+  ensure_dir t.root;
+  ensure_dir (t.root / sub)
 
 let object_path t hex = t.root / "objects" / (hex ^ ".snap")
 let ref_path t name = t.root / "refs" / name
@@ -54,11 +60,15 @@ let atomic_write path data =
 let put t data =
   let hex = Digest.to_hex (Digest.string data) in
   let path = object_path t hex in
-  if not (Sys.file_exists path) then atomic_write path data;
+  if not (Sys.file_exists path) then begin
+    ensure_subdir t "objects";
+    atomic_write path data
+  end;
   hex
 
 let tag t name hex =
   check_name name;
+  ensure_subdir t "refs";
   atomic_write (ref_path t name) (hex ^ "\n")
 
 let read_ref t name =
@@ -73,14 +83,12 @@ let read_ref t name =
   end
 
 let objects t =
-  Sys.readdir (t.root / "objects")
-  |> Array.to_list
+  list_dir t "objects"
   |> List.filter_map (fun f -> Filename.chop_suffix_opt ~suffix:".snap" f)
   |> List.sort compare
 
 let refs t =
-  Sys.readdir (t.root / "refs")
-  |> Array.to_list |> List.sort compare
+  list_dir t "refs" |> List.sort compare
   |> List.filter_map (fun name ->
          Option.map (fun hex -> (name, hex)) (read_ref t name))
 

@@ -11,7 +11,9 @@ exception Corrupt_object of string
     offending path and the expected vs. found digests. *)
 
 val open_ : string -> t
-(** Open (creating directories as needed) a store rooted at a path. *)
+(** A store rooted at a path.  Nothing is read or created here: {!put}
+    and {!tag} create the directories they write into, and a missing
+    store reads as empty. *)
 
 val put : t -> string -> string
 (** Store a blob, returning its hex digest.  Idempotent: an existing

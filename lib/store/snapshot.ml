@@ -368,12 +368,7 @@ let save_file path s =
   Sys.rename tmp path
 
 let load_file ?node_capacity ?node_limit ?backend ?freeze path =
-  let ic =
-    try open_in_bin path
-    with Sys_error msg -> corrupt "cannot open snapshot %s: %s" path msg
-  in
-  let data = really_input_string ic (in_channel_length ic) in
-  close_in ic;
+  let data = In_channel.with_open_bin path In_channel.input_all in
   try of_bytes ?node_capacity ?node_limit ?backend ?freeze data
   with Corrupt msg -> corrupt "%s: %s" path msg
 

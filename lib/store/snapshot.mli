@@ -67,6 +67,9 @@ val load_file :
   ?freeze:bool ->
   string ->
   t
+(** [of_bytes] on a file's contents.  A file that cannot be read raises
+    [Sys_error]; bytes that do not decode raise [Corrupt], its message
+    prefixed with the path. *)
 
 val meta_value : t -> string -> string option
 

@@ -318,6 +318,56 @@ let test_growth () =
     (1 lsl (nv - 1))
     (Count.satcount m !f ~over:(List.init nv (fun i -> i)))
 
+(* Frozen serving: expressions rebuilt after the freeze hash-cons to
+   the pinned handles, kernels memoise as before, scratch survives [gc]
+   (a no-op on a frozen manager), and [frozen_sweep] reclaims exactly
+   the scratch, leaving the pinned arena. *)
+let test_frozen_sweep () =
+  let nvars = 8 in
+  let m = M.create ~node_capacity:1024 () in
+  for _ = 1 to nvars do
+    ignore (M.new_var m)
+  done;
+  let st = Random.State.make [| 5 |] in
+  let rand n = Random.State.int st n in
+  let exprs = List.init 8 (fun _ -> gen_expr nvars 5 rand) in
+  let pinned = List.map (fun e -> M.addref m (build m e)) exprs in
+  let cube = M.addref m (Quant.varset m [ 1; 4; 6 ]) in
+  let quant () =
+    let g = List.hd pinned in
+    List.concat_map
+      (fun r -> [ Quant.exist m r cube; Quant.relprod m r g cube ])
+      pinned
+  in
+  let quantified = List.map (M.addref m) (quant ()) in
+  let over = List.init nvars Fun.id in
+  let counts () = List.map (fun r -> Count.satcount m r ~over) pinned in
+  let before = counts () in
+  M.freeze m;
+  let arena = M.frozen_live_nodes m in
+  Alcotest.(check int) "freeze compacts to the arena" arena (M.live_nodes m);
+  Alcotest.(check (list int)) "rebuilt expressions are the pinned handles"
+    pinned (List.map (build m) exprs);
+  Alcotest.(check (list int)) "exist/relprod agree after the freeze"
+    quantified (quant ());
+  (* the freeze collected the unpinned variable nodes, so [build]'s
+     [M.var] calls hash-cons fresh ones *)
+  for _ = 1 to 20 do
+    ignore (build m (gen_expr nvars 5 rand))
+  done;
+  let held = M.live_nodes m in
+  Alcotest.(check bool) "scratch allocated" true (held > arena);
+  Alcotest.(check (list string)) "invariants with scratch" []
+    (M.check_invariants m);
+  M.gc m;
+  Alcotest.(check int) "gc reclaims nothing" held (M.live_nodes m);
+  M.frozen_sweep m;
+  Alcotest.(check int) "sweep restores the arena" arena (M.live_nodes m);
+  Alcotest.(check int) "one sweep counted" 1 (M.frozen_sweep_count m);
+  Alcotest.(check (list string)) "invariants after the sweep" []
+    (M.check_invariants m);
+  Alcotest.(check (list int)) "pinned satcounts unchanged" before (counts ())
+
 (* ---------------- operation cache and fused kernels ---------------- *)
 
 let total_activity stats =
@@ -715,5 +765,7 @@ let suite =
       test_relprod_replace_fallback;
     Alcotest.test_case "replace_exist fused path" `Quick
       test_replace_exist_block_move;
+    Alcotest.test_case "frozen sweep restores the arena" `Quick
+      test_frozen_sweep;
   ]
   @ qcheck_cases

@@ -1,6 +1,6 @@
 let () =
   Alcotest.run "jedd"
-    [ ("bdd", Test_bdd.suite); ("parallel", Test_parallel.suite);
+    [ ("bdd", Test_bdd.suite);
       ("sat", Test_sat.suite);
       ("relation", Test_relation.suite); ("jedd", Test_jedd.suite); ("analyses", Test_analyses.suite); ("tools", Test_tools.suite); ("ir", Test_ir.suite);
       ("reorder", Test_reorder.suite);

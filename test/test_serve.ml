@@ -1,9 +1,9 @@
 (* Tests for the async serving front end (lib/serve): HTTP/1.1 framing
    edge cases against the parser directly, then end-to-end checks over
-   real sockets — the three transports answer bit-identically at any
-   worker count, a frozen universe rejects mutation cleanly, the
-   result cache warms up, and pipelined HTTP requests come back in
-   order. *)
+   real sockets — the three transports answer bit-identically, frozen
+   or not, a frozen universe rejects mutation cleanly, the worker
+   sweeps query scratch without changing answers, the result cache
+   warms up, and pipelined HTTP requests come back in order. *)
 
 module Json = Jedd_server.Json
 module Client = Jedd_server.Client
@@ -106,8 +106,9 @@ let test_http_rejects () =
 let fixture_counter = ref 0
 
 (* Serialize the tiny-workload snapshot and reload it — the reload is
-   what jeddd does, and ~freeze lands the universe read-only. *)
-let with_serve ?(workers = 2) ?(frozen = true) f =
+   what jeddd does, and ~freeze lands the universe read-only.  [config]
+   supplies everything but the three listeners. *)
+let with_serve ?(config = Serve.default_config) ?(frozen = true) f =
   let p = Workload.generate Workload.tiny in
   let inst, _ = Suite.run_combined p in
   let bytes = Snapshot.to_bytes (Suite.snapshot inst) in
@@ -123,11 +124,10 @@ let with_serve ?(workers = 2) ?(frozen = true) f =
   if Sys.file_exists sock then Sys.remove sock;
   let config =
     {
-      Serve.default_config with
-      unix_path = Some sock;
+      config with
+      Serve.unix_path = Some sock;
       tcp = Some ("127.0.0.1", 0);
       http = Some ("127.0.0.1", 0);
-      workers;
     }
   in
   let server = Serve.create ~config ~universe_hash:hash snap in
@@ -175,30 +175,30 @@ let probe_all ~sock ~tcp_port ~http_port =
 (* -- end-to-end ----------------------------------------------------------- *)
 
 let test_differential () =
-  let single =
-    with_serve ~workers:1 (fun ~sock ~tcp_port ~http_port ->
+  let frozen =
+    with_serve (fun ~sock ~tcp_port ~http_port ->
         probe_all ~sock ~tcp_port ~http_port)
   in
-  let multi =
-    with_serve ~workers:2 (fun ~sock ~tcp_port ~http_port ->
+  let unfrozen =
+    with_serve ~frozen:false (fun ~sock ~tcp_port ~http_port ->
         probe_all ~sock ~tcp_port ~http_port)
   in
-  let reference = List.hd single in
+  let reference = List.hd frozen in
   List.iteri
     (fun i rs ->
       checkb
-        (Printf.sprintf "single-worker transport %d matches unix" i)
+        (Printf.sprintf "frozen transport %d matches unix" i)
         true (rs = reference))
-    single;
+    frozen;
   List.iteri
     (fun i rs ->
       checkb
-        (Printf.sprintf "two-worker transport %d matches single-worker" i)
+        (Printf.sprintf "unfrozen transport %d matches frozen" i)
         true (rs = reference))
-    multi
+    unfrozen
 
 let test_frozen_rejects_mutation () =
-  with_serve ~workers:2 (fun ~sock ~tcp_port:_ ~http_port:_ ->
+  with_serve (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let c = Client.connect ~retries:10 sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp = Client.request c (q "reorder" []) in
@@ -217,7 +217,7 @@ let test_frozen_rejects_mutation () =
            find 0)
       | _ -> Alcotest.fail "no error message");
   (* and an unfrozen server accepts the same verb *)
-  with_serve ~workers:1 ~frozen:false (fun ~sock ~tcp_port:_ ~http_port:_ ->
+  with_serve ~frozen:false (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let c = Client.connect ~retries:10 sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp = Client.request c (q "reorder" []) in
@@ -228,7 +228,7 @@ let test_frozen_rejects_mutation () =
           (Json.to_string resp))
 
 let test_cache_and_stats () =
-  with_serve ~workers:2 (fun ~sock ~tcp_port:_ ~http_port:_ ->
+  with_serve (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let c = Client.connect ~retries:10 sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let query = q "count" [ ("rel", Json.String "PointsTo.pt") ] in
@@ -252,19 +252,19 @@ let test_cache_and_stats () =
       (match get "latency" stats with
       | Json.Obj kvs -> checkb "per-verb latency present" true (kvs <> [])
       | _ -> Alcotest.fail "latency is not an object");
-      (match get "workers" stats with
-      | Json.Int w -> checki "worker count reported" 2 w
-      | _ -> Alcotest.fail "workers is not an int");
+      (match get "frozen_sweeps" stats with
+      | Json.Int _ -> ()
+      | _ -> Alcotest.fail "frozen_sweeps is not an int");
       match get "frozen" stats with
       | Json.Bool b -> checkb "frozen reported" true b
       | _ -> Alcotest.fail "frozen is not a bool")
 
 (* Serving under load: 50 concurrent TCP clients, 20 requests each,
-   against two frozen workers — mostly pointsto over a rotating set of
-   variables (so the result cache sees repeats), one count in four.
+   against the one frozen worker — mostly pointsto over a rotating set
+   of variables (so the result cache sees repeats), one count in four.
    Every request must come back ok, and the cache must hit. *)
 let test_tcp_load () =
-  with_serve ~workers:2 (fun ~sock ~tcp_port ~http_port:_ ->
+  with_serve (fun ~sock ~tcp_port ~http_port:_ ->
       let vars =
         let c = Client.connect ~retries:10 sock in
         Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
@@ -316,7 +316,7 @@ let test_tcp_load () =
 (* Two POSTs written back-to-back before reading anything: the server
    must answer both, in order, on the one connection. *)
 let test_http_pipelining_live () =
-  with_serve ~workers:2 (fun ~sock:_ ~tcp_port:_ ~http_port ->
+  with_serve (fun ~sock:_ ~tcp_port:_ ~http_port ->
       let c = Client.connect_tcp ~retries:10 "127.0.0.1" http_port in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let body1 = Json.to_string (q "ping" []) in
@@ -371,7 +371,7 @@ let test_http_pipelining_live () =
           (Json.to_string resp2)))
 
 let test_http_oversized_header_live () =
-  with_serve ~workers:1 (fun ~sock:_ ~tcp_port:_ ~http_port ->
+  with_serve (fun ~sock:_ ~tcp_port:_ ~http_port ->
       let c = Client.connect_tcp ~retries:10 "127.0.0.1" http_port in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       output_string c.Client.oc
@@ -388,7 +388,7 @@ let test_http_oversized_header_live () =
 (* A serving stack around a mutable Live session: frozen generation-0
    copy of the shadow universe, a CAS store publishing under ref
    "live", and the updater thread enabled. *)
-let with_live_serve ?(workers = 2) f =
+let with_live_serve f =
   let p = Workload.generate Workload.tiny in
   let session = Live.create p in
   let bytes = Snapshot.to_bytes (Suite.snapshot (Live.inst session)) in
@@ -405,7 +405,7 @@ let with_live_serve ?(workers = 2) f =
          !fixture_counter)
   in
   if Sys.file_exists sock then Sys.remove sock;
-  let config = { Serve.default_config with unix_path = Some sock; workers } in
+  let config = { Serve.default_config with unix_path = Some sock } in
   let live_cfg =
     { Serve.session; initial_bytes = bytes; publish = Some (cas, "live") }
   in
@@ -510,7 +510,7 @@ let test_live_update_swaps_generation () =
       checki "generation unchanged after rejection" 2 (generation ()))
 
 let test_update_without_live_session () =
-  with_serve ~workers:1 (fun ~sock ~tcp_port:_ ~http_port:_ ->
+  with_serve (fun ~sock ~tcp_port:_ ~http_port:_ ->
       let c = Client.connect ~retries:10 sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let resp =
@@ -531,6 +531,84 @@ let test_update_without_live_session () =
            go 0)
       | _ -> Alcotest.fail "no error message")
 
+(* With the result cache off and a sweep threshold of one node, every
+   query that builds scratch is followed by a sweep on the worker; a
+   repeated probe set must still get identical answers. *)
+let test_frozen_sweeps () =
+  let config =
+    { Serve.default_config with sweep_threshold = 1; cache_capacity = 0 }
+  in
+  with_serve ~config (fun ~sock ~tcp_port:_ ~http_port:_ ->
+      let c = Client.connect ~retries:10 sock in
+      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
+      let probes =
+        q "count" [ ("rel", Json.String "PointsTo.pt") ]
+        :: List.init 4 (fun v -> q "pointsto" [ ("var", Json.Int v) ])
+      in
+      let answers () =
+        List.map (fun r -> Json.to_string (Client.request_ok c r)) probes
+      in
+      let sweeps () =
+        int_member "stats" "frozen_sweeps" (Client.request c (q "stats" []))
+      in
+      let first = answers () in
+      let after_first = sweeps () in
+      let second = answers () in
+      checkb "the first probes swept" true (after_first >= 1);
+      checkb "the repeat swept again" true (sweeps () > after_first);
+      check Alcotest.(list string) "repeat answers identical" first second)
+
+(* A listener that cannot be set up raises [Listen_error] naming its
+   address; the listeners bound before it are closed (the Unix socket
+   file removed), and a regular file at the socket path is left alone. *)
+let test_listen_errors () =
+  let p = Workload.generate Workload.tiny in
+  let inst, _ = Suite.run_combined p in
+  let snap =
+    Snapshot.of_bytes ~freeze:true (Snapshot.to_bytes (Suite.snapshot inst))
+  in
+  let refused what config needle =
+    match Serve.create ~config ~universe_hash:"" snap with
+    | server ->
+      Serve.stop server;
+      Serve.run server;
+      Alcotest.failf "%s: listener set up" what
+    | exception Serve.Listen_error msg ->
+      checkb (Printf.sprintf "%s: %S names %s" what msg needle) true
+        (Test_store.contains msg needle)
+  in
+  let file = Filename.temp_file "jedd-serve" ".txt" in
+  Out_channel.with_open_bin file (fun oc -> output_string oc "precious");
+  Fun.protect ~finally:(fun () -> Sys.remove file) @@ fun () ->
+  refused "regular file"
+    { Serve.default_config with unix_path = Some file }
+    file;
+  check Alcotest.string "regular file kept" "precious"
+    (In_channel.with_open_bin file In_channel.input_all);
+  let missing = Filename.concat file "j.sock" in
+  refused "path under a file"
+    { Serve.default_config with unix_path = Some missing }
+    missing;
+  (* a TCP port already listened on fails after the Unix socket bound *)
+  let taken = Unix.socket Unix.PF_INET Unix.SOCK_STREAM 0 in
+  Fun.protect ~finally:(fun () -> Unix.close taken) @@ fun () ->
+  Unix.bind taken (Unix.ADDR_INET (Unix.inet_addr_loopback, 0));
+  Unix.listen taken 1;
+  let port =
+    match Unix.getsockname taken with
+    | Unix.ADDR_INET (_, port) -> port
+    | _ -> Alcotest.fail "no port"
+  in
+  let sock = file ^ ".sock" in
+  refused "tcp port in use"
+    {
+      Serve.default_config with
+      unix_path = Some sock;
+      tcp = Some ("127.0.0.1", port);
+    }
+    (Printf.sprintf "tcp 127.0.0.1:%d" port);
+  checkb "bound socket file removed" false (Sys.file_exists sock)
+
 let suite =
   [
     Alcotest.test_case "http framing: complete requests" `Quick
@@ -544,7 +622,7 @@ let suite =
       test_frozen_rejects_mutation;
     Alcotest.test_case "result cache and stats shape" `Quick
       test_cache_and_stats;
-    Alcotest.test_case "50 tcp clients against two frozen workers" `Quick
+    Alcotest.test_case "tcp clients against one frozen worker" `Quick
       test_tcp_load;
     Alcotest.test_case "live http pipelining" `Quick
       test_http_pipelining_live;
@@ -554,4 +632,8 @@ let suite =
       test_live_update_swaps_generation;
     Alcotest.test_case "update without --live is refused" `Quick
       test_update_without_live_session;
+    Alcotest.test_case "frozen sweeps under a small threshold" `Quick
+      test_frozen_sweeps;
+    Alcotest.test_case "listener errors name the address" `Quick
+      test_listen_errors;
   ]

@@ -266,9 +266,35 @@ let test_rescache_evict_suffix () =
   checkb "live generation still hits" true
     (Rescache.find c "count-pt#gen1" <> None);
   checki "re-evicting is a no-op" 0 (Rescache.evict_suffix c "#gen0");
-  (* eviction keeps the FIFO order queue consistent: capacity-driven
-     eviction afterwards must not drop phantom keys *)
-  checkb "evictions counted" true (Rescache.evictions c >= 2)
+  checki "evictions counted" 2 (Rescache.evictions c);
+  (* capacity-driven eviction is FIFO and counted, down to one entry;
+     a suffix eviction keeps the FIFO order consistent, so refilling
+     afterwards evicts no phantom keys *)
+  List.iter
+    (fun capacity ->
+      let what s = Printf.sprintf "capacity %d: %s" capacity s in
+      let key i = Printf.sprintf "count-%d#gen0" i in
+      let c = Rescache.create ~capacity in
+      for i = 0 to capacity + 1 do
+        Rescache.add c (key i) [ ("tuples", Json.Int i) ]
+      done;
+      checki (what "full") capacity (Rescache.entries c);
+      checki (what "two evictions") 2 (Rescache.evictions c);
+      checkb (what "oldest two evicted") true
+        (Rescache.find c (key 0) = None && Rescache.find c (key 1) = None);
+      for i = 2 to capacity + 1 do
+        checkb (what (Printf.sprintf "key %d kept" i)) true
+          (Rescache.find c (key i) <> None)
+      done;
+      checki (what "suffix evicts the rest") capacity
+        (Rescache.evict_suffix c "#gen0");
+      for i = 0 to capacity - 1 do
+        Rescache.add c (Printf.sprintf "count-%d#gen1" i) []
+      done;
+      checki (what "refilled") capacity (Rescache.entries c);
+      checki (what "refill evicts nothing") (capacity + 2)
+        (Rescache.evictions c))
+    [ 1; 5 ]
 
 let suite =
   [

@@ -408,6 +408,17 @@ let test_cas () =
   Alcotest.(check (option string)) "missing ref" None (Cas.get cas "nope");
   Alcotest.(check int) "one object" 1 (List.length (Cas.objects cas))
 
+(* Reading a store that does not exist finds nothing and creates
+   nothing, so a refused load leaves no directories behind. *)
+let test_cas_missing_root () =
+  with_cas_root @@ fun root ->
+  let cas = Cas.open_ root in
+  Alcotest.(check (option string)) "resolve" None (Cas.resolve cas "x");
+  Alcotest.(check (option string)) "get" None (Cas.get cas "x");
+  Alcotest.(check (list string)) "objects" [] (Cas.objects cas);
+  Alcotest.(check int) "refs" 0 (List.length (Cas.refs cas));
+  Alcotest.(check bool) "nothing created" false (Sys.file_exists root)
+
 (* -- differential snapshots ---------------------------------------------- *)
 
 let contains hay needle =
@@ -509,9 +520,10 @@ let test_corruption_messages () =
   | exception Snapshot.Corrupt msg ->
     checkb "path in checksum message" true (contains msg path));
   Sys.remove path;
+  (* a file that cannot be opened is not called corrupt *)
   (match Snapshot.load_file path with
   | _ -> Alcotest.fail "loaded a missing file"
-  | exception Snapshot.Corrupt msg ->
+  | exception Sys_error msg ->
     checkb "path in open error" true (contains msg path));
   (* a damaged CAS object names its path and both digests *)
   with_cas_root @@ fun root ->
@@ -551,6 +563,8 @@ let suite =
       test_capability_refusals;
     Alcotest.test_case "save_file/load_file" `Quick test_save_load_file;
     Alcotest.test_case "content-addressed store" `Quick test_cas;
+    Alcotest.test_case "missing store reads empty" `Quick
+      test_cas_missing_root;
     Alcotest.test_case "delta diff/apply round-trip" `Quick
       test_delta_diff_apply;
     Alcotest.test_case "delta chains through the store" `Quick
