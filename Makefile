@@ -1,4 +1,4 @@
-.PHONY: all check test release serve-smoke incr-smoke lint clean
+.PHONY: all check test release serve-smoke lint clean
 
 all:
 	dune build
@@ -61,15 +61,6 @@ release:
 # the socket, snapshot save, warm restart, answers compared.
 serve-smoke:
 	sh scripts/serve_smoke.sh
-
-# Incremental evaluation, CI-sized: the quick halves of the incr and
-# store suites — semi-naive vs naive differential, live-session edits
-# checked tuple-for-tuple against from-scratch solves, and the
-# differential-snapshot (delta) round trips.
-incr-smoke:
-	dune build test/test_main.exe
-	dune exec test/test_main.exe -- test incr -q
-	dune exec test/test_main.exe -- test store -q
 
 clean:
 	dune clean

@@ -12,11 +12,10 @@
      ablation-replace  §3.3.2: replaces kept vs the naive translation
      ablation-order    §3.3.1: interleaved vs consecutive bit blocks
      ablation-memory   §4.2: eager releases vs leaking handles
-     reorder           order optimizer off vs on, good vs bad order
 
    Commands run in the order given; with none, every command runs.  An
-   unknown command exits 2.  [table2] and [reorder] exit 1 when their
-   correctness checks fail. *)
+   unknown command exits 2.  [table2] exits 1 when its correctness
+   checks fail. *)
 
 module Workload = Jedd_minijava.Workload
 module Suite = Jedd_analyses.Suite
@@ -435,108 +434,6 @@ let ablation_memory () =
      exactly the §4.2 failure mode Jedd's containers avoid)\n"
 
 (* ----------------------------------------------------------------- *)
-(* Reorder: points-to under a deliberately bad declaration order,     *)
-(* variable-order optimizer off vs on, with the good order as control *)
-(* ----------------------------------------------------------------- *)
-
-(* V1/V2 and H1/H2 pushed to opposite ends of the order: every copy
-   rule's replace and every join over the pair pays for the spread —
-   the worst case §3.3.1 warns about. *)
-let bad_physdom_order =
-  [ "V1"; "T1"; "T2"; "T3"; "S1"; "M1"; "H1"; "M2"; "V2"; "C1"; "F1"; "H2" ]
-
-type reorder_run = {
-  rr_label : string;
-  rr_seconds : float;
-  rr_tuples : int;
-  rr_peak : int;
-  rr_live : int;
-  rr_reorders : int;
-  rr_swaps : int;
-  rr_aborts : int;
-}
-
-let reorder_run ~label ?physdom_order ~reorder name =
-  Printf.eprintf "[reorder] %s (%s)...\n%!" label name;
-  let p = Workload.generate (Workload.profile_named name) in
-  let source =
-    Jedd_analyses.Common.preamble ?physdom_order p
-    ^ Pointsto.source
-  in
-  let compiled =
-    match Driver.compile [ ("PointsTo.jedd", source) ] with
-    | Ok c -> c
-    | Error e -> failwith (Driver.error_to_string e)
-  in
-  let inst = Driver.instantiate ~node_capacity:(1 lsl 18) compiled in
-  Pointsto.load_facts inst p;
-  let (), secs = wall (fun () -> Pointsto.run ~reorder inst) in
-  Printf.eprintf "[reorder]   ... %.2fs\n%!" secs;
-  let tuples = List.length (Pointsto.results inst) in
-  let u = Interp.universe inst in
-  let m = Jedd_relation.Universe.manager u in
-  (match M.check_invariants m with
-  | [] -> ()
-  | errs ->
-    List.iter
-      (fun e -> Printf.eprintf "reorder invariant violation: %s\n" e)
-      errs;
-    exit 1);
-  M.gc m;
-  let engine = Jedd_relation.Universe.reorder_engine u in
-  let aborts =
-    List.fold_left
-      (fun acc (e : Jedd_reorder.Reorder.event) -> acc + e.aborts)
-      0
-      (Jedd_reorder.Reorder.events engine)
-  in
-  {
-    rr_label = label;
-    rr_seconds = secs;
-    rr_tuples = tuples;
-    rr_peak = M.peak_nodes m;
-    rr_live = M.live_nodes m;
-    rr_reorders = M.reorder_count m;
-    rr_swaps = M.swap_count m;
-    rr_aborts = aborts;
-  }
-
-(* Sequenced with lets: OCaml evaluates list elements right-to-left,
-   which would run the configurations in a confusing order. *)
-let reorder_bench () =
-  let name = "javac" in
-  line ();
-  Printf.printf
-    "Reorder: points-to (%s) under good vs bad declaration order\n" name;
-  line ();
-  let good_off = reorder_run ~label:"good-order/reorder-off" ~reorder:false name in
-  let good_on = reorder_run ~label:"good-order/reorder-on" ~reorder:true name in
-  let bad_off =
-    reorder_run ~label:"bad-order/reorder-off"
-      ~physdom_order:bad_physdom_order ~reorder:false name
-  in
-  let bad_on =
-    reorder_run ~label:"bad-order/reorder-on"
-      ~physdom_order:bad_physdom_order ~reorder:true name
-  in
-  let runs = [ good_off; good_on; bad_off; bad_on ] in
-  Printf.printf "%-26s %9s %9s %10s %10s %9s %7s %7s\n" "configuration"
-    "seconds" "tuples" "peak" "live" "reorders" "swaps" "aborts";
-  List.iter
-    (fun r ->
-      Printf.printf "%-26s %9.3f %9d %10d %10d %9d %7d %7d\n" r.rr_label
-        r.rr_seconds r.rr_tuples r.rr_peak r.rr_live r.rr_reorders r.rr_swaps
-        r.rr_aborts)
-    runs;
-  Printf.printf "bad-order peak nodes %d -> %d (%.2fx)\n" bad_off.rr_peak
-    bad_on.rr_peak
-    (float_of_int bad_off.rr_peak /. float_of_int (max 1 bad_on.rr_peak));
-  if List.exists (fun r -> r.rr_tuples <> good_off.rr_tuples) runs then begin
-    Printf.printf "FAIL: the four configurations disagree on the fixed point\n";
-    exit 1
-  end
-
-(* ----------------------------------------------------------------- *)
 
 let commands =
   [
@@ -548,7 +445,6 @@ let commands =
     ("ablation-replace", ablation_replace);
     ("ablation-order", ablation_order);
     ("ablation-memory", ablation_memory);
-    ("reorder", reorder_bench);
   ]
 
 let () =

@@ -57,8 +57,7 @@ let print_results (r : Suite.results) =
   Printf.printf "  Side-effect Analysis : %d (method, heap, field) triples\n"
     (List.length r.Suite.side_effects)
 
-let run benchmark file verify reorder node_limit lint save_snapshot serve
-    optimize =
+let run benchmark file verify node_limit lint save_snapshot serve optimize =
   let name, p = load_program benchmark file in
   if lint then lint_suite p;
   Format.printf "workload %s: %a@." name Program.pp_stats p;
@@ -76,9 +75,9 @@ let run benchmark file verify reorder node_limit lint save_snapshot serve
        plain report path keeps the historical per-analysis universes *)
     try
       if needs_instance then
-        let inst, r = Suite.run_combined ?node_limit ~reorder ~optimize p in
+        let inst, r = Suite.run_combined ?node_limit ~optimize p in
         (Some inst, r)
-      else (None, Suite.run_all ?node_limit ~reorder ~optimize p)
+      else (None, Suite.run_all ?node_limit ~optimize p)
     with Jedd_bdd.Manager.Out_of_nodes -> oom ()
   in
   Printf.printf "pipeline completed in %.2f s\n" (Unix.gettimeofday () -. t0);
@@ -138,15 +137,6 @@ let file_arg =
 let verify_arg =
   Arg.(value & flag & info [ "verify" ] ~doc:"Check against reference analyses")
 
-let reorder_arg =
-  Arg.(
-    value & flag
-    & info [ "reorder" ]
-        ~doc:
-          "Enable dynamic variable-order optimization: a sifting pass over \
-           the loaded facts plus an auto trigger at BDD safe points during \
-           the points-to and call-graph solves")
-
 let node_limit_arg =
   Arg.(
     value
@@ -199,8 +189,7 @@ let cmd =
     (Cmd.info "jedd-analyze" ~version:Jedd_relation.Version.banner
        ~doc:"Run the five BDD-based whole-program analyses of Figure 2")
     Term.(
-      const run $ benchmark_arg $ file_arg $ verify_arg $ reorder_arg
-      $ node_limit_arg $ lint_arg $ save_snapshot_arg $ serve_arg
-      $ optimize_arg)
+      const run $ benchmark_arg $ file_arg $ verify_arg $ node_limit_arg
+      $ lint_arg $ save_snapshot_arg $ serve_arg $ optimize_arg)
 
 let () = exit (Cmd.eval cmd)

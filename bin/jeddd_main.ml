@@ -246,7 +246,7 @@ let no_freeze_arg =
     value & flag
     & info [ "no-freeze" ]
         ~doc:
-          "Keep the universe mutable (refcounted GC, reorder verb enabled)")
+          "Keep the universe mutable (refcounted GC, no read-only arena)")
 
 let sweep_threshold_arg =
   Arg.(

@@ -27,9 +27,7 @@ let () =
   let recorder = Recorder.create () in
   Recorder.attach recorder (Interp.universe inst) ~level:U.Shapes;
   Jedd_analyses.Pointsto.load_facts inst p;
-  (* reorder on, so the report's "Variable order" section has a pass
-     (and the per-block attribution) to show *)
-  Jedd_analyses.Pointsto.run ~reorder:true inst;
+  Jedd_analyses.Pointsto.run inst;
   Recorder.detach (Interp.universe inst);
   Printf.printf "recorded %d relational operations\n"
     (Recorder.total_operations recorder);
@@ -41,9 +39,6 @@ let () =
           s.label s.executions s.total_millis s.max_result_nodes)
     (Recorder.summaries recorder);
   (try Unix.mkdir "_profile" 0o755 with Unix.Unix_error (Unix.EEXIST, _, _) -> ());
-  let engine = U.reorder_engine (Interp.universe inst) in
-  let files =
-    Report.write_files ~engine recorder ~dir:"_profile" ~prefix:"pointsto"
-  in
+  let files = Report.write_files recorder ~dir:"_profile" ~prefix:"pointsto" in
   print_endline "\nreports written:";
   List.iter (fun f -> Printf.printf "  %s\n" f) files

@@ -78,11 +78,7 @@ let solve ?on_iter inst =
   Array.iter R.release final;
   stats
 
-let run ?(reorder = false) inst =
-  Pointsto.with_reorder reorder inst (fun () -> ignore (solve inst))
-
-let run_naive ?(reorder = false) inst =
-  Pointsto.with_reorder reorder inst (fun () ->
-      ignore (Interp.call inst "CallGraph.runNaive" []))
+let run inst = ignore (solve inst)
+let run_naive inst = ignore (Interp.call inst "CallGraph.runNaive" [])
 
 let results inst = Common.get_tuples inst "CallGraph.reachable"

@@ -9,10 +9,9 @@
 module P = Jedd_minijava.Program
 
 (* Declaration order fixes the relative bit order of the physical
-   domains; this default keeps the pairs the analyses copy between
-   (V1/V2, H1/H2, the type domains) adjacent.  The reorder benchmark
-   permutes it to manufacture a deliberately bad initial order. *)
-let default_physdom_order =
+   domains for the whole run; this order keeps the pairs the analyses
+   copy between (V1/V2, H1/H2, the type domains) adjacent. *)
+let physdom_order =
   [ "T1"; "T2"; "T3"; "S1"; "M1"; "M2"; "V1"; "V2"; "H1"; "H2"; "F1"; "C1" ]
 
 (* Call-site ids of removed sites stay allocated (Incr.Edit tombstone
@@ -28,8 +27,7 @@ let n_callsites (p : P.t) =
    padded and unpadded universes compute identical tuple sets. *)
 let pad_for_headroom n = n + max 8 (n / 4)
 
-let preamble ?(physdom_order = default_physdom_order) ?(headroom = false)
-    (p : P.t) =
+let preamble ?(headroom = false) (p : P.t) =
   let d name size =
     let size = if headroom then pad_for_headroom size else size in
     Printf.sprintf "domain %s %d;\n" name (max 2 size)

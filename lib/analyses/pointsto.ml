@@ -111,26 +111,8 @@ let solve ?on_iter inst =
   Array.iter R.release final;
   stats
 
-(* [~reorder:true] turns the order optimizer on for this solve: one
-   explicit sifting pass over the loaded facts (which repairs a bad
-   declaration order before the fixpoint amplifies it), plus the
-   safe-point auto trigger for growth during the run. *)
-let with_reorder reorder inst f =
-  let u = Interp.universe inst in
-  if reorder then begin
-    Jedd_relation.Universe.reorder ~trigger:"pre-run" u;
-    Jedd_relation.Universe.set_auto_reorder u (Some (1 lsl 16))
-  end;
-  let r = f () in
-  if reorder then Jedd_relation.Universe.set_auto_reorder u None;
-  r
-
-let run ?(reorder = false) inst =
-  with_reorder reorder inst (fun () -> ignore (solve inst))
-
-let run_naive ?(reorder = false) inst =
-  with_reorder reorder inst (fun () ->
-      ignore (Interp.call inst "PointsTo.runNaive" []))
+let run inst = ignore (solve inst)
+let run_naive inst = ignore (Interp.call inst "PointsTo.runNaive" [])
 
 let results inst = Common.get_tuples inst "PointsTo.pt"
 let field_results inst = Common.get_tuples inst "PointsTo.fieldpt"

@@ -86,9 +86,9 @@ let create (p : P.t) : t =
     assign;
     load;
     store;
-    v1_to_v2 = Rep.make_perm man (Fdd.perm_pairs man v1 v2);
-    v2_to_v1 = Rep.make_perm man (Fdd.perm_pairs man v2 v1);
-    h1_to_h2 = Rep.make_perm man (Fdd.perm_pairs man h1 h2);
+    v1_to_v2 = Rep.make_perm man (Fdd.perm_pairs v1 v2);
+    v2_to_v1 = Rep.make_perm man (Fdd.perm_pairs v2 v1);
+    h1_to_h2 = Rep.make_perm man (Fdd.perm_pairs h1 h2);
     v1_cube = M.addref man (Fdd.domain_cube man v1);
     v2_cube = M.addref man (Fdd.domain_cube man v2);
     h2f_cube =
@@ -152,14 +152,13 @@ let pt_tuples (t : t) =
   let levels =
     Array.of_list
       (List.sort_uniq compare
-         (Array.to_list (Fdd.levels t.man t.v1)
-         @ Array.to_list (Fdd.levels t.man t.h1)))
+         (Array.to_list (Fdd.levels t.v1) @ Array.to_list (Fdd.levels t.h1)))
   in
   Jedd_bdd.Enum.iter_assignments t.man t.pt ~levels (fun values ->
       acc :=
         [
-          Fdd.decode t.man t.v1 ~levels values;
-          Fdd.decode t.man t.h1 ~levels values;
+          Fdd.decode t.v1 ~levels values;
+          Fdd.decode t.h1 ~levels values;
         ]
         :: !acc);
   List.sort compare !acc

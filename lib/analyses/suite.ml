@@ -78,9 +78,8 @@ let receiver_types (p : P.t) pt_tuples =
    persists and the query server serves.  The analyses address their
    fields by qualified name, so they run unchanged on the combined
    instance. *)
-let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?backend
-    ?(reorder = false) ?headroom ?(naive = false) ?(optimize = false)
-    (p : P.t) : Interp.t * results =
+let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?headroom
+    ?(naive = false) ?(optimize = false) (p : P.t) : Interp.t * results =
   let compiled =
     match
       Driver.compile ?weight:(weight_hook optimize)
@@ -96,8 +95,7 @@ let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?backend
   if naive then Hierarchy.run_naive inst else Hierarchy.run inst;
   let subtypes = Hierarchy.results inst in
   Pointsto.load_facts inst p;
-  if naive then Pointsto.run_naive ~reorder inst
-  else Pointsto.run ~reorder inst;
+  if naive then Pointsto.run_naive inst else Pointsto.run inst;
   let pt = Pointsto.results inst in
   Vcall.load_facts inst p;
   (if naive then Vcall.run_naive inst (receiver_types p pt)
@@ -105,8 +103,7 @@ let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?backend
   let resolved = Vcall.results inst in
   let call_edges = Vcall.call_edges inst in
   Callgraph.load_facts inst p ~call_edges;
-  if naive then Callgraph.run_naive ~reorder inst
-  else Callgraph.run ~reorder inst;
+  if naive then Callgraph.run_naive inst else Callgraph.run inst;
   let reachable = Callgraph.results inst in
   Sideeffect.load_facts inst p ~pt ~call_edges;
   if naive then Sideeffect.run_naive inst else Sideeffect.run inst;
@@ -168,7 +165,7 @@ let snapshot ?(meta = []) inst =
   }
 
 let run_all ?(node_capacity = 1 lsl 16) ?node_limit ?backend
-    ?(reorder = false) ?(optimize = false) (p : P.t) : results =
+    ?(optimize = false) (p : P.t) : results =
   let compile_one p name = compile_one ~optimize p name in
   let instantiate c = Driver.instantiate ~node_capacity ?node_limit ?backend c in
   (* 1. hierarchy *)
@@ -179,7 +176,7 @@ let run_all ?(node_capacity = 1 lsl 16) ?node_limit ?backend
   (* 2. points-to *)
   let pta = instantiate (compile_one p "Points-to Analysis") in
   Pointsto.load_facts pta p;
-  Pointsto.run ~reorder pta;
+  Pointsto.run pta;
   let pt = Pointsto.results pta in
   (* 3. virtual call resolution *)
   let vcr = instantiate (compile_one p "Virtual Call Resolution") in
@@ -190,7 +187,7 @@ let run_all ?(node_capacity = 1 lsl 16) ?node_limit ?backend
   (* 4. call graph *)
   let cg = instantiate (compile_one p "Call Graph") in
   Callgraph.load_facts cg p ~call_edges;
-  Callgraph.run ~reorder cg;
+  Callgraph.run cg;
   let reachable = Callgraph.results cg in
   (* 5. side effects *)
   let se = instantiate (compile_one p "Side-effect Analysis") in

@@ -55,23 +55,18 @@ val run_all :
   ?node_capacity:int ->
   ?node_limit:int ->
   ?backend:Jedd_relation.Backend.kind ->
-  ?reorder:bool ->
   ?optimize:bool ->
   Jedd_minijava.Program.t ->
   results
-(** Compile and run the full pipeline.  [~reorder:true] enables the
-    variable-order optimizer for the points-to and call-graph solves
-    (explicit pre-run pass + safe-point auto trigger).  [backend]
-    selects the relation engine for every universe the pipeline creates
-    (default in-core); [node_limit] caps each
-    in-core node table, turning runaway solves into a catchable
-    [Jedd_bdd.Manager.Out_of_nodes]. *)
+(** Compile and run the full pipeline.  [backend] selects the relation
+    engine for every universe the pipeline creates (default in-core);
+    [node_limit] caps each in-core node table, turning runaway solves
+    into a catchable [Jedd_bdd.Manager.Out_of_nodes]. *)
 
 val run_combined :
   ?node_capacity:int ->
   ?node_limit:int ->
   ?backend:Jedd_relation.Backend.kind ->
-  ?reorder:bool ->
   ?headroom:bool ->
   ?naive:bool ->
   ?optimize:bool ->

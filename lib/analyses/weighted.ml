@@ -52,8 +52,7 @@ type alloc_counts = {
   ac_counts : R.t;  (* <var>, weight = number of allocation sites *)
 }
 
-let run_alloc_counts ?(node_capacity = 1 lsl 16) ?node_limit
-    ?(reorder = false) (p : P.t) =
+let run_alloc_counts ?(node_capacity = 1 lsl 16) (p : P.t) =
   let compiled =
     match
       Driver.compile
@@ -63,11 +62,9 @@ let run_alloc_counts ?(node_capacity = 1 lsl 16) ?node_limit
     | Error e ->
       failwith ("weighted points-to: " ^ Driver.error_to_string e)
   in
-  let inst =
-    Driver.instantiate ~node_capacity ?node_limit ~backend:`Mtbdd compiled
-  in
+  let inst = Driver.instantiate ~node_capacity ~backend:`Mtbdd compiled in
   Pointsto.load_facts inst p;
-  Pointsto.run ~reorder inst;
+  Pointsto.run inst;
   let pt = R.dup (Interp.get_field inst "PointsTo.pt") in
   let heap = attr_named (R.schema pt) "heap" in
   let counts = R.project_sum ~label:"alloc-counts" pt [ heap ] in
@@ -127,8 +124,8 @@ let edge_weights ?(site_factor = 8) (p : P.t) ~call_edges =
       | _ -> None)
     call_edges
 
-let run_call_freqs ?(node_capacity = 1 lsl 16) ?node_limit ?site_factor
-    (p : P.t) ~call_edges =
+let run_call_freqs ?(node_capacity = 1 lsl 16) ?site_factor (p : P.t)
+    ~call_edges =
   let compiled =
     match
       Driver.compile
@@ -138,9 +135,7 @@ let run_call_freqs ?(node_capacity = 1 lsl 16) ?node_limit ?site_factor
     | Error e ->
       failwith ("weighted call graph: " ^ Driver.error_to_string e)
   in
-  let inst =
-    Driver.instantiate ~node_capacity ?node_limit ~backend:`Mtbdd compiled
-  in
+  let inst = Driver.instantiate ~node_capacity ~backend:`Mtbdd compiled in
   Callgraph.load_facts inst p ~call_edges;
   Callgraph.run inst;
   let u = Interp.universe inst in

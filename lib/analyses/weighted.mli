@@ -25,14 +25,9 @@ type alloc_counts = {
 }
 
 val run_alloc_counts :
-  ?node_capacity:int ->
-  ?node_limit:int ->
-  ?reorder:bool ->
-  Jedd_minijava.Program.t ->
-  alloc_counts
+  ?node_capacity:int -> Jedd_minijava.Program.t -> alloc_counts
 (** Compile and run the points-to class on a fresh [`Mtbdd] universe,
-    then sum out the heap attribute.  [reorder] is accepted for driver
-    symmetry but is a no-op (the mtbdd backend keeps a fixed order). *)
+    then sum out the heap attribute. *)
 
 val alloc_counts_list : alloc_counts -> (int * int) list
 (** [(var, count)] pairs, sorted by var. *)
@@ -66,7 +61,6 @@ val edge_weights :
 
 val run_call_freqs :
   ?node_capacity:int ->
-  ?node_limit:int ->
   ?site_factor:int ->
   Jedd_minijava.Program.t ->
   call_edges:int list list ->

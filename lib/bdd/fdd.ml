@@ -1,10 +1,9 @@
 type man = Manager.t
 type node = Manager.node
 
-(* Bits are stable variable ids, MSB first.  Levels are looked up through
-   the manager's current order at every use, so a dynamic reorder can
-   never invalidate a block. *)
-type block = { bits : int array }
+(* The block's variable levels, MSB first.  A level never changes once
+   allocated, so a block can hold its levels directly. *)
+type block = { levels : int array }
 
 let bits_for size =
   if size <= 0 then invalid_arg "Fdd.extdomain: size must be positive";
@@ -13,36 +12,29 @@ let bits_for size =
 
 let extdomain_bits m nbits =
   if nbits <= 0 then invalid_arg "Fdd.extdomain_bits: width must be positive";
-  { bits = Array.init nbits (fun _ -> Manager.new_var m) }
+  { levels = Array.init nbits (fun _ -> Manager.new_var m) }
 
 let extdomain m size = extdomain_bits m (bits_for size)
 
-let extdomains_interleaved ?(pad = false) m sizes =
+let extdomains_interleaved m sizes =
   match sizes with
   | [] -> []
   | _ ->
     let widths = List.map bits_for sizes in
-    let widths =
-      if pad then
-        let w = List.fold_left max 1 widths in
-        List.map (fun _ -> w) widths
-      else widths
-    in
     let w = List.fold_left max 1 widths in
     let blocks = List.map (fun wd -> Array.make wd 0) widths in
     (* Round-robin over the significance ranks, MSB first; narrower
        blocks simply stop contributing bits once exhausted. *)
     for bit = 0 to w - 1 do
       List.iter2
-        (fun bits wd -> if bit < wd then bits.(bit) <- Manager.new_var m)
+        (fun levels wd -> if bit < wd then levels.(bit) <- Manager.new_var m)
         blocks widths
     done;
-    List.map (fun bits -> { bits }) blocks
+    List.map (fun levels -> { levels }) blocks
 
-let width b = Array.length b.bits
+let width b = Array.length b.levels
 let size b = 1 lsl width b
-let vars b = Array.copy b.bits
-let levels m b = Array.map (Manager.level_of_var m) b.bits
+let levels b = Array.copy b.levels
 
 let ithvar m b v =
   if v < 0 || v >= size b then invalid_arg "Fdd.ithvar: value out of range";
@@ -50,14 +42,11 @@ let ithvar m b v =
   let assignment =
     List.init w (fun i ->
         (* bit i of the array is the (w-1-i)-th binary digit *)
-        ( Manager.level_of_var m b.bits.(i),
-          (v lsr (w - 1 - i)) land 1 = 1 ))
+        (b.levels.(i), (v lsr (w - 1 - i)) land 1 = 1))
   in
   Ops.cube m assignment
 
-let domain_cube m b =
-  Quant.varset m
-    (Array.to_list (Array.map (Manager.level_of_var m) b.bits))
+let domain_cube m b = Quant.varset m (Array.to_list b.levels)
 
 let less_than_const m b k =
   if k <= 0 then Manager.zero
@@ -65,27 +54,20 @@ let less_than_const m b k =
   else begin
     (* Walk bits from least significant upwards, building "value < k"
        bottom-up: at each bit, if k's bit is 1 then choosing 0 wins
-       outright on the suffix, else choosing 1 loses outright. *)
+       outright on the suffix, else choosing 1 loses outright.  The
+       least significant bit sits at the deepest level, so [mk] always
+       gets children at strictly deeper levels. *)
     let w = width b in
     (* Base case: the empty suffix is not strictly below the empty
        suffix of k. *)
     let acc = ref Manager.zero in
-    (* Process deepest level first, whatever the current order is: mk
-       needs children at strictly deeper levels. *)
-    let order =
-      Array.to_list
-        (Array.mapi
-           (fun i v -> (Manager.level_of_var m v, w - 1 - i))
-           b.bits)
-      |> List.sort (fun (l1, _) (l2, _) -> compare l2 l1)
-    in
-    List.iter
-      (fun (lvl, bit_index) ->
-        let kbit = (k lsr bit_index) land 1 in
-        acc :=
-          if kbit = 1 then Manager.mk m lvl Manager.one !acc
-          else Manager.mk m lvl !acc Manager.zero)
-      order;
+    for i = w - 1 downto 0 do
+      let lvl = b.levels.(i) in
+      let kbit = (k lsr (w - 1 - i)) land 1 in
+      acc :=
+        if kbit = 1 then Manager.mk m lvl Manager.one !acc
+        else Manager.mk m lvl !acc Manager.zero
+    done;
     !acc
   end
 
@@ -94,31 +76,28 @@ let equality m b1 b2 =
     invalid_arg "Fdd.equality: blocks differ in width";
   let acc = ref Manager.one in
   for i = width b1 - 1 downto 0 do
-    let v1 = Manager.level_of_var m b1.bits.(i) in
-    let v2 = Manager.level_of_var m b2.bits.(i) in
-    let bit_eq = Ops.bbiimp m (Manager.var m v1) (Manager.var m v2) in
+    let bit_eq =
+      Ops.bbiimp m
+        (Manager.var m b1.levels.(i))
+        (Manager.var m b2.levels.(i))
+    in
     acc := Ops.band m !acc bit_eq
   done;
   !acc
 
-let perm_pairs m b1 b2 =
+let perm_pairs b1 b2 =
   if width b1 <> width b2 then
     invalid_arg "Fdd.perm_pairs: blocks differ in width";
-  Array.to_list
-    (Array.mapi
-       (fun i src ->
-         ( Manager.level_of_var m src,
-           Manager.level_of_var m b2.bits.(i) ))
-       b1.bits)
+  Array.to_list (Array.map2 (fun l1 l2 -> (l1, l2)) b1.levels b2.levels)
 
-let decode m b ~levels:lv values =
+let decode b ~levels:lv values =
   let pos = Hashtbl.create 16 in
   Array.iteri (fun i l -> Hashtbl.replace pos l i) lv;
   let w = width b in
   let v = ref 0 in
   for i = 0 to w - 1 do
     let idx =
-      match Hashtbl.find_opt pos (Manager.level_of_var m b.bits.(i)) with
+      match Hashtbl.find_opt pos b.levels.(i) with
       | Some idx -> idx
       | None -> invalid_arg "Fdd.decode: block level missing from ~levels"
     in

@@ -2,9 +2,8 @@
     variables encoding bounded integers, after BuDDy's [fdd] interface.
     Jedd physical domains are realised as one block each (§3.2.1).
 
-    A block stores stable {e variable ids}; every operation translates to
-    current levels through the manager at call time, so blocks survive
-    dynamic reordering without invalidation. *)
+    A block holds its variables' levels, which never change: the
+    variable order is the one the allocations fix (§3.3.1). *)
 
 type man = Manager.t
 type node = Manager.node
@@ -14,32 +13,27 @@ type block
 
 val extdomain : man -> int -> block
 (** [extdomain m size] allocates a block wide enough for values
-    [0 .. size-1], with its bits consecutive at the bottom of the current
+    [0 .. size-1], with its bits consecutive at the bottom of the
     variable order. *)
 
 val extdomain_bits : man -> int -> block
 (** Allocate a block of exactly the given bit width. *)
 
-val extdomains_interleaved : ?pad:bool -> man -> int list -> block list
+val extdomains_interleaved : man -> int list -> block list
 (** Allocate several blocks with their bits interleaved — the layout
     that makes equality/join BDDs linear-sized, which the paper's
     points-to work depends on.  Blocks keep their requested widths,
     aligned at the most significant bit; narrower blocks stop
-    contributing to the interleave once exhausted.  [~pad:true] restores
-    the old behaviour of widening every block to the widest request. *)
+    contributing to the interleave once exhausted. *)
 
 val size : block -> int
 (** Number of representable values, [2^width]. *)
 
 val width : block -> int
 
-val vars : block -> int array
-(** The block's stable variable ids, most significant bit first. *)
-
-val levels : man -> block -> int array
-(** The block's current variable levels, most significant bit first.
-    Valid only until the next reorder — never cache across operations
-    that may trigger one. *)
+val levels : block -> int array
+(** The block's variable levels, most significant bit first (a fresh
+    array). *)
 
 val ithvar : man -> block -> int -> node
 (** [ithvar m b v] is the cube asserting that the block holds value [v]. *)
@@ -56,11 +50,11 @@ val equality : man -> block -> block -> node
 (** BDD asserting two equally wide blocks hold the same value — the
     building-block of Jedd's attribute-copy operation. *)
 
-val perm_pairs : man -> block -> block -> (int * int) list
-(** Current level pairs moving a value from the first block to the second
-    (feed to {!Replace.make_perm}).  Recompute after any reorder. *)
+val perm_pairs : block -> block -> (int * int) list
+(** Level pairs moving a value from the first block to the second (feed
+    to {!Replace.make_perm}). *)
 
-val decode : man -> block -> levels:int array -> bool array -> int
+val decode : block -> levels:int array -> bool array -> int
 (** Reassemble an integer from an assignment produced by
     {!Enum.iter_assignments} over [levels] (which must contain the
-    block's current levels). *)
+    block's levels). *)

@@ -36,21 +36,6 @@ type cache_stat = {
   evictions : int;
 }
 
-(* Growable int vector used by the per-level node index a reorder
-   session maintains. *)
-type vec = { mutable data : int array; mutable len : int }
-
-let vec_make () = { data = Array.make 16 0; len = 0 }
-
-let vec_push v x =
-  if v.len = Array.length v.data then begin
-    let d = Array.make (2 * v.len) 0 in
-    Array.blit v.data 0 d 0 v.len;
-    v.data <- d
-  end;
-  v.data.(v.len) <- x;
-  v.len <- v.len + 1
-
 (* A free node has [lvl] = -1 and its [hnext] field threads the free
    list.  Allocated nodes thread [hnext] through their unique-table
    bucket. *)
@@ -73,41 +58,21 @@ type t = {
   mutable gc_millis : float;
   mutable grows : int;
   mutable grow_millis : float;
-  mutable node_limit : int; (* capacity ceiling; 0 = unlimited *)
+  node_limit : int; (* capacity ceiling; 0 = unlimited *)
   (* N-way set-associative operation cache.  Each entry is
      [entry_ints] consecutive ints: tag, a, b, c, result, generation.
      A set is [ways] consecutive entries; lookups scan the set and
      promote hits toward the front, stores insert at the front and
      push the rest down (evicting the last way). *)
   cache : int array;
-  ways : int;
-  set_mask : int;
   mutable cache_gen : int;
   hit_ct : int array; (* per tag *)
   miss_ct : int array;
   store_ct : int array;
   evict_ct : int array;
   mutable marked : Bytes.t;
-  mutable visited : Bytes.t;
-  (* Dynamic variable order.  A variable keeps its id (allocation order)
-     for its whole life; [var2level]/[level2var] map between ids and the
-     current physical levels.  Both are the identity until the first
-     reorder. *)
-  mutable var2level : int array;
-  mutable level2var : int array;
-  mutable swaps : int; (* adjacent level exchanges performed *)
-  mutable order_gen : int; (* bumped on every swap; stamps order-dependent memos *)
-  mutable reorders : int; (* reorder passes recorded via [record_reorder] *)
-  mutable reorder_millis : float;
-  mutable reorder_aborts : int; (* max-growth aborts reported by the engine *)
-  mutable reorder_hook : (unit -> unit) option;
-  mutable reorder_threshold : int; (* 0 disables the auto trigger *)
-  mutable in_reorder : bool;
-  (* Per-level index of allocated nodes, alive only inside a reorder
-     session ([reorder_begin] .. [reorder_end]); rebuilt by [gc]. *)
-  mutable level_index : vec array option;
-  (* Frozen (read-only arena) mode: refcounts, GC, reordering and
-     variable allocation are all disabled; see [freeze]. *)
+  (* Frozen (read-only arena) mode: refcounts, GC and variable
+     allocation are all disabled; see [freeze]. *)
   mutable frozen : bool;
   mutable frozen_live : int; (* allocated nodes right after [freeze] *)
   mutable frozen_sweeps : int;
@@ -115,6 +80,10 @@ type t = {
 
 let free_mark = -1
 let entry_ints = 6
+
+(* Operation-cache geometry: 2^14 entries in sets of 4 ways. *)
+let ways = 4
+let set_mask = ((1 lsl 14) / ways) - 1
 
 let hash3 a b c mask =
   let h = (a * 12582917) lxor (b * 4256249) lxor (c * 0x9e3779b9) in
@@ -133,9 +102,7 @@ let frozen_error what =
        (Printf.sprintf
           "%s: the universe is frozen (read-only serving mode)" what))
 
-let create ?(node_capacity = 1 lsl 15) ?(cache_bits = 14) ?(cache_ways = 4)
-    ?(node_limit = 0) () =
-  if cache_ways < 1 then invalid_arg "Manager.create: cache_ways must be >= 1";
+let create ?(node_capacity = 1 lsl 15) ?(node_limit = 0) () =
   incr next_uid;
   let uid = !next_uid in
   let rec pow2_below n acc = if acc * 2 > n then acc else pow2_below n (acc * 2) in
@@ -147,10 +114,6 @@ let create ?(node_capacity = 1 lsl 15) ?(cache_bits = 14) ?(cache_ways = 4)
       pow2_below (max 1024 node_limit) 1024
     else capacity
   in
-  let entries = max cache_ways (1 lsl cache_bits) in
-  let sets = entries / cache_ways in
-  (* round the set count down to a power of two for mask indexing *)
-  let sets = pow2_below sets 1 in
   let m =
     {
       uid;
@@ -172,27 +135,13 @@ let create ?(node_capacity = 1 lsl 15) ?(cache_bits = 14) ?(cache_ways = 4)
       grows = 0;
       grow_millis = 0.0;
       node_limit;
-      cache = Array.make (sets * cache_ways * entry_ints) (-1);
-      ways = cache_ways;
-      set_mask = sets - 1;
+      cache = Array.make ((set_mask + 1) * ways * entry_ints) (-1);
       cache_gen = 1; (* entries start at gen 0: all invalid *)
       hit_ct = Array.make max_tags 0;
       miss_ct = Array.make max_tags 0;
       store_ct = Array.make max_tags 0;
       evict_ct = Array.make max_tags 0;
       marked = Bytes.make capacity '\000';
-      visited = Bytes.make capacity '\000';
-      var2level = [||];
-      level2var = [||];
-      swaps = 0;
-      order_gen = 0;
-      reorders = 0;
-      reorder_millis = 0.0;
-      reorder_aborts = 0;
-      reorder_hook = None;
-      reorder_threshold = 0;
-      in_reorder = false;
-      level_index = None;
       frozen = false;
       frozen_live = 0;
       frozen_sweeps = 0;
@@ -212,36 +161,13 @@ let create ?(node_capacity = 1 lsl 15) ?(cache_bits = 14) ?(cache_ways = 4)
   done;
   m
 
-let ensure_order_capacity m n =
-  if Array.length m.var2level < n then begin
-    let cap = max 16 (max n (2 * Array.length m.var2level)) in
-    let grow a =
-      let a' = Array.make cap (-1) in
-      Array.blit a 0 a' 0 (Array.length a);
-      a'
-    in
-    m.var2level <- grow m.var2level;
-    m.level2var <- grow m.level2var
-  end
-
+(* Variables are numbered in allocation order, and that number is the
+   variable's level: the order is fixed once the blocks are declared. *)
 let new_var m =
   if m.frozen then frozen_error "Manager.new_var";
   let v = m.nvars in
   m.nvars <- v + 1;
-  (* The fresh variable enters at the bottom of the current order; since
-     existing variables occupy levels [0, v), the new level is [v]. *)
-  ensure_order_capacity m m.nvars;
-  m.var2level.(v) <- v;
-  m.level2var.(v) <- v;
   v
-
-let level_of_var m v =
-  if v < 0 || v >= m.nvars then invalid_arg "Manager.level_of_var";
-  m.var2level.(v)
-
-let var_at_level m l =
-  if l < 0 || l >= m.nvars then invalid_arg "Manager.var_at_level";
-  m.level2var.(l)
 
 let uid m = m.uid
 let num_vars m = m.nvars
@@ -255,26 +181,7 @@ let gc_count m = m.gcs
 let gc_millis m = m.gc_millis
 let grow_count m = m.grows
 let grow_millis m = m.grow_millis
-
-let set_node_limit m limit =
-  m.node_limit <- (match limit with Some n when n > 0 -> n | _ -> 0)
-
 let refcount m n = m.refc.(n)
-let order_gen m = m.order_gen
-let swap_count m = m.swaps
-let reorder_count m = m.reorders
-let reorder_millis m = m.reorder_millis
-let reorder_aborts m = m.reorder_aborts
-
-let record_reorder m ~millis ~aborts =
-  m.reorders <- m.reorders + 1;
-  m.reorder_millis <- m.reorder_millis +. millis;
-  m.reorder_aborts <- m.reorder_aborts + aborts
-
-let set_reorder_hook m hook = m.reorder_hook <- hook
-let set_reorder_threshold m n = m.reorder_threshold <- max 0 n
-let reorder_threshold m = m.reorder_threshold
-let in_reorder m = m.in_reorder
 
 (* Invalidation is a generation bump: O(1) instead of an O(cache) wipe.
    Entries stamped with an older generation fail the lookup check and are
@@ -283,10 +190,9 @@ let clear_caches m = m.cache_gen <- m.cache_gen + 1
 
 let cache_lookup m tag a b c =
   let t = m.cache in
-  let set = hash3 (a lxor (tag * 0x85ebca6b)) b c m.set_mask in
-  let base = set * m.ways * entry_ints in
+  let set = hash3 (a lxor (tag * 0x85ebca6b)) b c set_mask in
+  let base = set * ways * entry_ints in
   let gen = m.cache_gen in
-  let ways = m.ways in
   let rec scan i =
     if i >= ways then begin
       m.miss_ct.(tag) <- m.miss_ct.(tag) + 1;
@@ -320,15 +226,14 @@ let cache_lookup m tag a b c =
 
 let cache_store m tag a b c result =
   let t = m.cache in
-  let set = hash3 (a lxor (tag * 0x85ebca6b)) b c m.set_mask in
-  let base = set * m.ways * entry_ints in
-  let last = base + ((m.ways - 1) * entry_ints) in
+  let set = hash3 (a lxor (tag * 0x85ebca6b)) b c set_mask in
+  let base = set * ways * entry_ints in
+  let last = base + ((ways - 1) * entry_ints) in
   (* the last way is the victim; count it if it held a live entry *)
   let victim_tag = t.(last) in
   if t.(last + 5) = m.cache_gen && victim_tag >= 0 && victim_tag < max_tags then
     m.evict_ct.(victim_tag) <- m.evict_ct.(victim_tag) + 1;
-  if m.ways > 1 then
-    Array.blit t base t (base + entry_ints) ((m.ways - 1) * entry_ints);
+  Array.blit t base t (base + entry_ints) ((ways - 1) * entry_ints);
   t.(base) <- tag;
   t.(base + 1) <- a;
   t.(base + 2) <- b;
@@ -361,8 +266,6 @@ let cache_totals m =
     e := !e + m.evict_ct.(tag)
   done;
   (!h, !mi, !e)
-
-let cache_config m = ((m.set_mask + 1) * m.ways, m.ways)
 
 (* -- Growth ------------------------------------------------------------ *)
 
@@ -404,31 +307,10 @@ let grow m =
   let marked = Bytes.make capacity '\000' in
   Bytes.blit m.marked 0 marked 0 (Bytes.length m.marked);
   m.marked <- marked;
-  let visited = Bytes.make capacity '\000' in
-  Bytes.blit m.visited 0 visited 0 (Bytes.length m.visited);
-  m.visited <- visited;
   m.capacity <- capacity;
   rebuild_buckets m;
   m.grows <- m.grows + 1;
   m.grow_millis <- m.grow_millis +. ((Sys.time () -. t0) *. 1000.0)
-
-(* -- Reorder sessions --------------------------------------------------- *)
-
-let build_level_index m =
-  let idx = Array.init (max 1 m.nvars) (fun _ -> vec_make ()) in
-  for n = 2 to m.capacity - 1 do
-    let l = m.lvl.(n) in
-    if l <> free_mark && l < terminal_level then vec_push idx.(l) n
-  done;
-  idx
-
-(* Opening a session materialises the per-level node index [swap_adjacent]
-   works from; it stays valid across swaps and table growth (handles are
-   stable) and is rebuilt by [gc] (which recycles handles). *)
-let reorder_begin m =
-  if m.level_index = None then m.level_index <- Some (build_level_index m)
-
-let reorder_end m = m.level_index <- None
 
 (* -- Garbage collection ------------------------------------------------ *)
 
@@ -465,9 +347,6 @@ let gc_raw m =
       else m.allocated <- m.allocated + 1
   done;
   rebuild_buckets m;
-  (* Collection recycles handles, so an open reorder session's per-level
-     index must be rebuilt from the survivors. *)
-  if m.level_index <> None then m.level_index <- Some (build_level_index m);
   m.gc_millis <- m.gc_millis +. ((Sys.time () -. t0) *. 1000.0)
 
 (* Frozen roots are pinned without refcounts, so a frozen manager
@@ -475,35 +354,19 @@ let gc_raw m =
 let gc m = if not m.frozen then gc_raw m
 
 let checkpoint m =
-  (* Frozen: the query path crosses safe points without GC, reorder
-     triggers or cache-generation bumps; scratch nodes accumulate until
+  (* Frozen: the query path crosses safe points without GC or
+     cache-generation bumps; scratch nodes accumulate until
      [frozen_sweep]. *)
-  if not m.frozen then begin
-    (* Auto-reorder trigger: safe points are the only places a reorder
-       may run (no recursive operation is in flight), so the hook fires
-       here when the live-node population has crossed the configured
-       threshold since the last reorder.  [in_reorder] guards against
-       reentry from the checkpoints the reorder engine itself performs. *)
-    (match m.reorder_hook with
-    | Some hook
-      when m.reorder_threshold > 0
-           && (not m.in_reorder)
-           && m.allocated >= m.reorder_threshold ->
-      m.in_reorder <- true;
-      Fun.protect ~finally:(fun () -> m.in_reorder <- false) hook
-    | _ -> ());
-    if m.free_count * 4 < m.capacity then begin
-      gc m;
-      (* If collection freed too little, enlarge so the mutator does not
-         immediately bump into the wall again — unless a node budget
-         says the next doubling is off-limits; then run on what
-         collection recovered and let [alloc] raise if the wall is
-         real. *)
-      if
-        m.free_count * 4 < m.capacity
-        && not (m.node_limit > 0 && m.capacity * 2 > m.node_limit)
-      then grow m
-    end
+  if (not m.frozen) && m.free_count * 4 < m.capacity then begin
+    gc m;
+    (* If collection freed too little, enlarge so the mutator does not
+       immediately bump into the wall again — unless a node budget says
+       the next doubling is off-limits; then run on what collection
+       recovered and let [alloc] raise if the wall is real. *)
+    if
+      m.free_count * 4 < m.capacity
+      && not (m.node_limit > 0 && m.capacity * 2 > m.node_limit)
+    then grow m
   end
 
 (* -- Node creation ------------------------------------------------------ *)
@@ -557,160 +420,14 @@ let mk m lvl lo hi =
 let var m lvl = mk m lvl zero one
 let nvar m lvl = mk m lvl one zero
 
-(* -- Adjacent level exchange -------------------------------------------- *)
-
-let unlink m n =
-  let b = hash3 m.lvl.(n) m.lo.(n) m.hi.(n) m.bucket_mask in
-  if m.buckets.(b) = n then m.buckets.(b) <- m.hnext.(n)
-  else begin
-    let rec go p =
-      if m.hnext.(p) = n then m.hnext.(p) <- m.hnext.(n)
-      else go m.hnext.(p)
-    in
-    go m.buckets.(b)
-  end
-
-let relink m n =
-  let b = hash3 m.lvl.(n) m.lo.(n) m.hi.(n) m.bucket_mask in
-  m.hnext.(n) <- m.buckets.(b);
-  m.buckets.(b) <- n
-
-(* [swap_adjacent m l] exchanges levels [l] and [l+1] of the order, in
-   place over the unique table.  Every existing handle keeps the boolean
-   function it denoted before the swap (over variable ids), so external
-   references, refcounts and inter-manager memo tables stay valid; only
-   level-dependent structural memos die, which the [order_gen] bump and
-   cache invalidation take care of.
-
-   Nodes at level [l] that do not depend on level [l+1], and all nodes at
-   level [l+1], merely trade levels.  A level-[l] node with a child at
-   level [l+1] is rewritten in place from its four grandcofactors; the
-   two new children are made by [mk] at level [l+1].  Canonicity
-   guarantees the rewritten node cannot collide with any relabeled node
-   (a collision would equate two functions that were distinct before the
-   swap). *)
-let swap_adjacent m l =
-  if m.frozen then frozen_error "Manager.swap_adjacent";
-  if l < 0 || l + 1 >= m.nvars then invalid_arg "Manager.swap_adjacent";
-  let standalone = m.level_index = None in
-  if standalone then reorder_begin m;
-  let idx = match m.level_index with Some i -> i | None -> assert false in
-  let upper = idx.(l) and lower = idx.(l + 1) in
-  (* Pre-grow so [mk] cannot trigger a mid-surgery table growth: each
-     rewritten node allocates at most two children. *)
-  while m.free_count < (2 * upper.len) + 64 do
-    grow m
-  done;
-  (* Partition the upper rank before any relabeling. *)
-  let deps = vec_make () and indeps = vec_make () in
-  for i = 0 to upper.len - 1 do
-    let n = upper.data.(i) in
-    if m.lvl.(m.lo.(n)) = l + 1 || m.lvl.(m.hi.(n)) = l + 1 then
-      vec_push deps n
-    else vec_push indeps n
-  done;
-  (* Unlink both ranks while their stored keys still match. *)
-  for i = 0 to upper.len - 1 do
-    unlink m upper.data.(i)
-  done;
-  for i = 0 to lower.len - 1 do
-    unlink m lower.data.(i)
-  done;
-  (* Independent upper nodes and the whole lower rank just trade levels:
-     under the swapped variable<->level maps they denote the same
-     functions. *)
-  for i = 0 to indeps.len - 1 do
-    let n = indeps.data.(i) in
-    m.lvl.(n) <- l + 1;
-    relink m n
-  done;
-  for i = 0 to lower.len - 1 do
-    let n = lower.data.(i) in
-    m.lvl.(n) <- l;
-    relink m n
-  done;
-  (* Rewrite each dependent node in place from its grandcofactors, so the
-     handle keeps denoting the same function with the variables read in
-     the new order.  Old lower-rank children now sit at level [l]; true
-     children of the node can never be at [l] otherwise. *)
-  for i = 0 to deps.len - 1 do
-    let n = deps.data.(i) in
-    let g = m.lo.(n) and h = m.hi.(n) in
-    let g0, g1 =
-      if (not (is_terminal g)) && m.lvl.(g) = l then (m.lo.(g), m.hi.(g))
-      else (g, g)
-    in
-    let h0, h1 =
-      if (not (is_terminal h)) && m.lvl.(h) = l then (m.lo.(h), m.hi.(h))
-      else (h, h)
-    in
-    let c0 = mk m (l + 1) g0 h0 in
-    let c1 = mk m (l + 1) g1 h1 in
-    m.lo.(n) <- c0;
-    m.hi.(n) <- c1;
-    relink m n
-  done;
-  (* Rebuild the two touched ranks of the index: level [l] now holds the
-     rewritten dependents plus the relabeled old lower rank; level [l+1]
-     holds the relabeled independents plus whatever [mk] returned or
-     created there (deduplicated through the scratch visited set). *)
-  let new_upper = vec_make () in
-  for i = 0 to deps.len - 1 do
-    vec_push new_upper deps.data.(i)
-  done;
-  for i = 0 to lower.len - 1 do
-    vec_push new_upper lower.data.(i)
-  done;
-  let new_lower = vec_make () in
-  let add c =
-    if
-      (not (is_terminal c))
-      && m.lvl.(c) = l + 1
-      && Bytes.get m.visited c = '\000'
-    then begin
-      Bytes.set m.visited c '\001';
-      vec_push new_lower c
-    end
-  in
-  for i = 0 to indeps.len - 1 do
-    add indeps.data.(i)
-  done;
-  for i = 0 to deps.len - 1 do
-    add m.lo.(deps.data.(i));
-    add m.hi.(deps.data.(i))
-  done;
-  for i = 0 to new_lower.len - 1 do
-    Bytes.set m.visited new_lower.data.(i) '\000'
-  done;
-  idx.(l) <- new_upper;
-  idx.(l + 1) <- new_lower;
-  (* Swap the variable<->level maps and retire order-dependent memos. *)
-  let va = m.level2var.(l) and vb = m.level2var.(l + 1) in
-  m.level2var.(l) <- vb;
-  m.level2var.(l + 1) <- va;
-  m.var2level.(va) <- l + 1;
-  m.var2level.(vb) <- l;
-  m.swaps <- m.swaps + 1;
-  m.order_gen <- m.order_gen + 1;
-  clear_caches m;
-  if standalone then reorder_end m
-
 (* -- Invariant checker --------------------------------------------------- *)
 
-(* Structural audit of the node store, the unique table, the free list
-   and the variable-order maps; run by the test suite and the bench smoke
-   gate after reordering.  Returns human-readable violations, empty when
-   the manager is consistent. *)
+(* Structural audit of the node store, the unique table and the free
+   list; run by the test suite.  Returns human-readable violations,
+   empty when the manager is consistent. *)
 let check_invariants m =
   let errs = ref [] in
   let err fmt = Printf.ksprintf (fun s -> errs := s :: !errs) fmt in
-  for v = 0 to m.nvars - 1 do
-    let l = m.var2level.(v) in
-    if l < 0 || l >= m.nvars then err "var %d has out-of-range level %d" v l
-    else if m.level2var.(l) <> v then
-      err "var2level/level2var disagree at var %d (level %d maps back to %d)"
-        v l m.level2var.(l)
-  done;
   let free_seen = ref 0 in
   let n = ref m.free_head in
   while !n >= 0 do
@@ -769,25 +486,16 @@ let delref m n =
     m.refc.(n) <- m.refc.(n) - 1
   end
 
-let iter_live m f =
-  for n = 2 to m.capacity - 1 do
-    if m.lvl.(n) <> free_mark then f n
-  done
-
-let visited_clear m = Bytes.fill m.visited 0 (Bytes.length m.visited) '\000'
-let visited_mem m n = Bytes.get m.visited n <> '\000'
-let visited_add m n = Bytes.set m.visited n '\001'
-
 (* -- Frozen mode --------------------------------------------------------- *)
 
 (* [freeze] turns the manager into a read-only arena for serving: a
    final mark/sweep compacts the live node set (everything unreachable
-   from a referenced root is dropped), then refcount traffic, GC,
-   auto-reordering, level swaps and variable allocation are all switched
-   off.  Queries may still build scratch nodes (select cubes,
-   quantification results); those accumulate — ref-count-free — until
-   the serving worker calls [frozen_sweep] between two queries, which
-   marks from the pinned pre-freeze roots and reclaims everything else.
+   from a referenced root is dropped), then refcount traffic, GC and
+   variable allocation are all switched off.  Queries may still build
+   scratch nodes (select cubes, quantification results); those
+   accumulate — ref-count-free — until the serving worker calls
+   [frozen_sweep] between two queries, which marks from the pinned
+   pre-freeze roots and reclaims everything else.
    Freezing is one-way: a served universe never becomes mutable again. *)
 
 let freeze m =

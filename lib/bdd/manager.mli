@@ -35,45 +35,25 @@ exception Out_of_nodes
     operation boundary, release what you can, and retry under a larger
     budget. *)
 
-val create :
-  ?node_capacity:int ->
-  ?cache_bits:int ->
-  ?cache_ways:int ->
-  ?node_limit:int ->
-  unit ->
-  t
+val create : ?node_capacity:int -> ?node_limit:int -> unit -> t
 (** [create ()] makes an empty manager with no variables.
-    [node_capacity] is the initial node-array capacity (default 1 lsl 15),
-    [cache_bits] the log2 of the total operation-cache entry count
-    (default 14), and [cache_ways] the set associativity (default 4; 1
-    recovers a direct-mapped cache).  [node_limit] caps the node-table
-    capacity: doublings that would overshoot it are refused and
-    allocation raises {!Out_of_nodes} instead (default: unlimited). *)
-
-val set_node_limit : t -> int option -> unit
-(** Install, change or remove ([None]) the node budget at runtime. *)
+    [node_capacity] is the initial node-array capacity (default 1 lsl 15).
+    [node_limit] caps the node-table capacity: doublings that would
+    overshoot it are refused and allocation raises {!Out_of_nodes}
+    instead (default: unlimited).  The operation cache holds 2{^14}
+    entries in sets of 4 ways. *)
 
 val uid : t -> int
 (** A process-unique id for this manager, for keying external memo
     tables that span managers. *)
 
 val new_var : t -> int
-(** Allocate a fresh variable at the bottom of the current order and
-    return its {e variable id}.  Ids are stable across reordering; the
-    {e level} (position in the current order, 0 = topmost) of a variable
-    starts out equal to its id and diverges once levels are swapped.
-    Use {!level_of_var} / {!var_at_level} to translate. *)
+(** Allocate a fresh variable at the bottom of the order and return its
+    {e level} (0 = topmost).  Levels are handed out in allocation order
+    and never change: the order is the one the allocations fix. *)
 
 val num_vars : t -> int
 (** Number of variables allocated so far. *)
-
-val level_of_var : t -> int -> int
-(** Current level of a variable id ([Invalid_argument] if out of
-    range).  Identity until the first reorder. *)
-
-val var_at_level : t -> int -> int
-(** Variable id sitting at a level ([Invalid_argument] if out of
-    range).  Inverse of {!level_of_var}. *)
 
 val level : t -> node -> int
 (** Level of a node ({!terminal_level} for terminals). *)
@@ -183,85 +163,11 @@ val cache_stats : t -> cache_stat list
 val cache_totals : t -> int * int * int
 (** [(hits, misses, evictions)] summed over all tags. *)
 
-val cache_config : t -> int * int
-(** [(total_entries, ways)] of the operation cache. *)
-
-val iter_live : t -> (node -> unit) -> unit
-(** Iterate over all currently allocated non-terminal nodes (marks from
-    external references first, so only externally reachable nodes are
-    visited). *)
-
-(** {2 Dynamic variable reordering}
-
-    The manager exposes one in-place primitive — {!swap_adjacent},
-    exchanging two adjacent levels of the order over the unique table —
-    on top of which {!Jedd_reorder} builds sifting and window search.
-    Every existing handle keeps denoting the same boolean function over
-    {e variable ids} across a swap, so external references, refcounts
-    and relation-layer state survive reordering untouched; only
-    level-dependent memos are invalidated (generation bump +
-    {!order_gen}). *)
-
-val swap_adjacent : t -> int -> unit
-(** [swap_adjacent m l] exchanges levels [l] and [l+1] of the variable
-    order, in place.  O(size of the two ranks).  Bumps {!order_gen} and
-    invalidates the operation cache. *)
-
-val order_gen : t -> int
-(** Generation counter bumped by every {!swap_adjacent}; memo tables
-    keyed on levels must include it in their stamps. *)
-
-val swap_count : t -> int
-(** Total adjacent swaps performed over the manager's lifetime. *)
-
-val reorder_begin : t -> unit
-(** Open a reorder session: builds a per-level node index that
-    {!swap_adjacent} keeps up to date, amortising many swaps.  Idempotent.
-    {!gc} rebuilds the index, so collecting mid-session is fine. *)
-
-val reorder_end : t -> unit
-(** Close the reorder session and drop the per-level index. *)
-
-val reorder_count : t -> int
-(** Number of completed reorder passes (recorded by the reorder engine
-    via {!record_reorder}). *)
-
-val reorder_millis : t -> float
-(** Total wall milliseconds spent inside reorder passes. *)
-
-val reorder_aborts : t -> int
-(** Total sifting moves aborted by the max-growth bound. *)
-
-val record_reorder : t -> millis:float -> aborts:int -> unit
-(** Account one finished reorder pass (called by the reorder engine). *)
-
-val set_reorder_hook : t -> (unit -> unit) option -> unit
-(** Install the auto-reorder callback fired by {!checkpoint} when the
-    allocated-node count reaches the threshold.  The hook runs at a safe
-    point; re-entry is guarded ({!in_reorder}). *)
-
-val set_reorder_threshold : t -> int -> unit
-(** Node-count threshold arming the auto trigger; [0] (the default)
-    disables it. *)
-
-val reorder_threshold : t -> int
-val in_reorder : t -> bool
-
 val check_invariants : t -> string list
-(** Structural audit: variable/level maps are inverse bijections, the
-    free list is consistent, every allocated node respects the order
-    invariant and sits exactly once in its unique-table bucket.  Returns
-    human-readable violations; [[]] means consistent.  O(nodes ×
-    bucket length) — meant for tests and bench smoke gates. *)
-
-(** {2 Scratch marking}
-
-    A per-manager visited set for traversals (node counting, shapes,
-    export).  Only one traversal may be in flight at a time. *)
-
-val visited_clear : t -> unit
-val visited_mem : t -> node -> bool
-val visited_add : t -> node -> unit
+(** Structural audit: the free list is consistent, every allocated node
+    respects the order invariant and sits exactly once in its
+    unique-table bucket.  Returns human-readable violations; [[]] means
+    consistent.  O(nodes × bucket length) — meant for tests. *)
 
 (** {2 Frozen (read-only serving) mode}
 
@@ -270,15 +176,14 @@ val visited_add : t -> node -> unit
     mutating entry points are fenced off.  On a frozen manager
     {!addref} / {!delref} return without touching memory (the query
     path is ref-count-free), {!gc} and {!checkpoint} are no-ops (no
-    collections, no auto-reorder triggers, no cache-generation bumps
-    between queries), and {!new_var} / {!swap_adjacent} raise
-    {!Frozen}.  Queries may still hash-cons scratch nodes; the serving
-    worker reclaims them between queries with {!frozen_sweep}.
-    Freezing is one-way. *)
+    collections, no cache-generation bumps between queries), and
+    {!new_var} raises {!Frozen}.  Queries may still hash-cons scratch
+    nodes; the serving worker reclaims them between queries with
+    {!frozen_sweep}.  Freezing is one-way. *)
 
 exception Frozen of string
-(** Raised by mutating entry points ({!new_var}, {!swap_adjacent},
-    relation-layer writes) on a frozen manager. *)
+(** Raised by mutating entry points ({!new_var}, relation-layer
+    writes) on a frozen manager. *)
 
 val freeze : t -> unit
 (** Compact the live node set and flip the manager read-only.  Must be

@@ -120,10 +120,9 @@ let fused_stats () = (Atomic.get fused_hits, Atomic.get fallback_hits)
    shared cache (keyed on node and permutation id); the top-level verdict
    additionally goes into a dedicated table because it is a structural
    property of the node graph — it survives cache invalidation and only
-   dies when GC recycles handles or a reorder moves levels around, so
-   fixpoints do not re-traverse their operands after every collection of
-   the operation cache. *)
-let ok_memo : (int * int * int, (int * int) * bool) Hashtbl.t =
+   dies when GC recycles handles, so fixpoints do not re-traverse their
+   operands after every collection of the operation cache. *)
+let ok_memo : (int * int * int, int * bool) Hashtbl.t =
   Hashtbl.create 256
 
 (* The verdict memo is global (keyed by manager uid); the serving worker
@@ -134,7 +133,7 @@ let ok_memo_lock = Mutex.create ()
 
 let order_preserving_on m p f =
   let key = (Manager.uid m, p.id, f) in
-  let gcs = (Manager.gc_count m, Manager.order_gen m) in
+  let gcs = Manager.gc_count m in
   Mutex.lock ok_memo_lock;
   let cached = Hashtbl.find_opt ok_memo key in
   Mutex.unlock ok_memo_lock;

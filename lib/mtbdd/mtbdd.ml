@@ -8,8 +8,6 @@ module M = Jedd_bdd.Manager
 
 type node = int
 
-exception Out_of_nodes
-
 let value_cap = 1_000_000_000
 
 let tlvl = M.terminal_level
@@ -60,8 +58,11 @@ type cache_stat = {
   evictions : int;
 }
 
-(* Cache slot layout, stride 6: tag, a, b, c, result, generation. *)
+(* Cache slot layout, stride 6: tag, a, b, c, result, generation; the
+   cache holds [cache_sets] sets of [cache_ways] slots. *)
 let ck_stride = 6
+let cache_sets = 1 lsl 12
+let cache_ways = 4
 
 type t = {
   mutable lvl : int array; (* -1 = free slot *)
@@ -73,13 +74,10 @@ type t = {
   mutable capacity : int; (* power of two *)
   mutable free_head : int;
   mutable free_count : int;
-  node_limit : int;
   mutable peak : int;
   mutable gcs : int;
   mutable n_terminals : int;
   (* op cache *)
-  cache_sets : int;
-  cache_ways : int;
   cache : int array;
   mutable cache_gen : int;
   mutable tick : int;
@@ -100,16 +98,12 @@ let fused_count = ref 0
 let fallback_count = ref 0
 let fused_stats () = (!fused_count, !fallback_count)
 
-let rec pow2_ge n p = if p >= n then p else pow2_ge n (p * 2)
-
 let hash3 a b c =
   let h = (a * 0x9e3779b1) lxor (b * 0x85ebca77) lxor (c * 0xc2b2ae3d) in
   (h lxor (h lsr 17)) land max_int
 
-let create ?(node_capacity = 1 lsl 14) ?(cache_bits = 12) ?(cache_ways = 4)
-    ?node_limit () =
-  let capacity = pow2_ge (Int.max 64 node_capacity) 64 in
-  let sets = 1 lsl cache_bits in
+let create () =
+  let capacity = 1 lsl 14 in
   let s =
     {
       lvl = Array.make capacity (-1);
@@ -121,13 +115,10 @@ let create ?(node_capacity = 1 lsl 14) ?(cache_bits = 12) ?(cache_ways = 4)
       capacity;
       free_head = -1;
       free_count = 0;
-      node_limit = (match node_limit with Some l -> l | None -> max_int);
       peak = 0;
       gcs = 0;
       n_terminals = 0;
-      cache_sets = sets;
-      cache_ways;
-      cache = Array.make (sets * cache_ways * ck_stride) (-1);
+      cache = Array.make (cache_sets * cache_ways * ck_stride) (-1);
       cache_gen = 0;
       tick = 0;
       c_hits = Array.make n_tags 0;
@@ -193,7 +184,6 @@ let rehash s =
 
 let grow s =
   let old = s.capacity in
-  if old * 2 > s.node_limit then raise Out_of_nodes;
   let cap = old * 2 in
   let extend a fill =
     let b = Array.make cap fill in
@@ -292,17 +282,16 @@ let gc s =
 let checkpoint s =
   if s.free_count * 4 < s.capacity then begin
     gc s;
-    if s.free_count * 4 < s.capacity && s.capacity * 2 <= s.node_limit then
-      grow s
+    if s.free_count * 4 < s.capacity then grow s
   end
 
 (* --- operation cache --------------------------------------------------- *)
 
 let cache_lookup s tag a b c =
-  let set = hash3 (tag lxor (a lsl 3)) b c land (s.cache_sets - 1) in
-  let base = set * s.cache_ways * ck_stride in
+  let set = hash3 (tag lxor (a lsl 3)) b c land (cache_sets - 1) in
+  let base = set * cache_ways * ck_stride in
   let rec scan w =
-    if w >= s.cache_ways then begin
+    if w >= cache_ways then begin
       s.c_misses.(tag) <- s.c_misses.(tag) + 1;
       -1
     end
@@ -323,11 +312,11 @@ let cache_lookup s tag a b c =
   scan 0
 
 let cache_store s tag a b c r =
-  let set = hash3 (tag lxor (a lsl 3)) b c land (s.cache_sets - 1) in
-  let base = set * s.cache_ways * ck_stride in
+  let set = hash3 (tag lxor (a lsl 3)) b c land (cache_sets - 1) in
+  let base = set * cache_ways * ck_stride in
   (* prefer a stale slot; otherwise round-robin eviction *)
   let rec find w =
-    if w >= s.cache_ways then -1
+    if w >= cache_ways then -1
     else if s.cache.(base + (w * ck_stride) + 5) <> s.cache_gen then w
     else find (w + 1)
   in
@@ -336,7 +325,7 @@ let cache_store s tag a b c r =
     | -1 ->
         s.tick <- s.tick + 1;
         s.c_evict.(tag) <- s.c_evict.(tag) + 1;
-        s.tick mod s.cache_ways
+        s.tick mod cache_ways
     | w -> w
   in
   let o = base + (w * ck_stride) in

@@ -10,11 +10,10 @@
     arithmetic ({!apply}) and quantification to terminal aggregation
     ({!exist}: sum for counting, max for boolean-style projection).
 
-    The store is sequential-only and keeps a fixed variable order: node
-    levels are the current levels of the owning universe's in-core
-    manager at construction time, baked into the store's nodes (so an
-    [`Mtbdd] universe disables dynamic reordering).  Terminal values must be non-negative; arithmetic
-    saturates at {!value_cap} instead of overflowing. *)
+    The store is sequential-only; node levels are the levels of the
+    owning universe's in-core manager.  Terminal values must be
+    non-negative; arithmetic saturates at {!value_cap} instead of
+    overflowing. *)
 
 type t
 (** An MTBDD store.  Handles from different stores must not be mixed. *)
@@ -24,26 +23,13 @@ type node = int
     terminal 0) is the additive and multiplicative absorbing element and
     plays the role of the empty relation. *)
 
-exception Out_of_nodes
-(** Raised by allocation when the node table is full and the configured
-    node budget forbids growing.  The store remains consistent; the
-    operation in flight is abandoned. *)
-
 val value_cap : int
 (** Saturation bound for all terminal arithmetic. *)
 
-val create :
-  ?node_capacity:int ->
-  ?cache_bits:int ->
-  ?cache_ways:int ->
-  ?node_limit:int ->
-  unit ->
-  t
-(** [create ()] makes a store holding only the terminal 0.
-    [node_capacity] is the initial node-array capacity (default
-    [1 lsl 14]), [cache_bits] the log2 of the operation-cache entry
-    count (default 12), [cache_ways] its set associativity (default 4),
-    [node_limit] an optional capacity cap ({!Out_of_nodes} beyond it). *)
+val create : unit -> t
+(** [create ()] makes a store holding only the terminal 0, with room for
+    2{^14} nodes (the table doubles as needed) and an operation cache of
+    2{^12} sets of 4 ways. *)
 
 val terminal : t -> int -> node
 (** Intern the terminal with the given value ([Invalid_argument] on

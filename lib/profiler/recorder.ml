@@ -13,9 +13,6 @@ type summary = {
   cache_misses : int;
   gcs : int;
   gc_millis : float;
-  reorders : int;
-  reorder_swaps : int;
-  reorder_millis : float;
   mt_cache_hits : int;
   mt_cache_misses : int;
   mt_terminals : int;
@@ -80,25 +77,15 @@ let summaries t =
             cache_misses = 0;
             gcs = 0;
             gc_millis = 0.0;
-            reorders = 0;
-            reorder_swaps = 0;
-            reorder_millis = 0.0;
             mt_cache_hits = 0;
             mt_cache_misses = 0;
             mt_terminals = 0;
           }
       in
-      let hits, misses, gcs, gc_millis, reorders, rswaps, rmillis =
+      let hits, misses, gcs, gc_millis =
         match e.U.bdd with
-        | Some d ->
-          ( d.U.cache_hits,
-            d.U.cache_misses,
-            d.U.gcs,
-            d.U.gc_millis,
-            d.U.reorders,
-            d.U.reorder_swaps,
-            d.U.reorder_millis )
-        | None -> (0, 0, 0, 0.0, 0, 0, 0.0)
+        | Some d -> (d.U.cache_hits, d.U.cache_misses, d.U.gcs, d.U.gc_millis)
+        | None -> (0, 0, 0, 0.0)
       in
       let mt_hits, mt_misses, mt_terms =
         match e.U.bdd with
@@ -117,9 +104,6 @@ let summaries t =
           cache_misses = current.cache_misses + misses;
           gcs = current.gcs + gcs;
           gc_millis = current.gc_millis +. gc_millis;
-          reorders = current.reorders + reorders;
-          reorder_swaps = current.reorder_swaps + rswaps;
-          reorder_millis = current.reorder_millis +. rmillis;
           mt_cache_hits = current.mt_cache_hits + mt_hits;
           mt_cache_misses = current.mt_cache_misses + mt_misses;
           mt_terminals = max current.mt_terminals mt_terms;
@@ -129,7 +113,7 @@ let summaries t =
   |> List.sort (fun a b -> compare b.total_millis a.total_millis)
 
 (* Lifetime counter snapshot of a universe's BDD layer, as flat
-   (name, value) pairs: the cache/GC/growth/reorder counters of the
+   (name, value) pairs: the cache/GC/growth counters of the
    manager and the terminal-store counters of an mtbdd backend.  This
    is the payload of the query server's [stats] verb and of the bench
    JSON reports, so the numbers users see in both places are the same
@@ -161,9 +145,6 @@ let runtime_stats u =
     ("gc_millis", M.gc_millis m);
     ("grows", float_of_int (M.grow_count m));
     ("grow_millis", M.grow_millis m);
-    ("reorders", float_of_int (M.reorder_count m));
-    ("reorder_swaps", float_of_int (M.swap_count m));
-    ("reorder_millis", M.reorder_millis m);
     ("mt_cache_hits", float_of_int mt_hits);
     ("mt_cache_misses", float_of_int mt_misses);
     ("mt_distinct_terminals", float_of_int mt_terminals);

@@ -28,9 +28,6 @@ type summary = {
   cache_misses : int;
   gcs : int;
   gc_millis : float;
-  reorders : int;  (** variable-reorder passes during the operation *)
-  reorder_swaps : int;  (** adjacent level swaps performed *)
-  reorder_millis : float;
   mt_cache_hits : int;  (** mtbdd backend: terminal-apply cache hits *)
   mt_cache_misses : int;
   mt_terminals : int;
@@ -61,10 +58,9 @@ val clear : t -> unit
 
 val runtime_stats : Jedd_relation.Universe.t -> (string * float) list
 (** Lifetime BDD-layer counters of a universe as flat (name, value)
-    pairs — cache hits/misses/evictions, GC and growth work, reorder
-    passes/swaps, the mtbdd terminal-store counters ([mt_cache_*],
-    [mt_distinct_terminals], [mt_live_nodes]; zero in-core).  Integer
-    counters are widened to floats; [backend] is 0 in-core, 3 mtbdd (1
-    and 2 named the retired out-of-core and hybrid engines and are not
-    reused).
-    Shared by the jeddd [stats] verb and the bench JSON reports. *)
+    pairs — cache hits/misses/evictions, GC and growth work, the mtbdd
+    terminal-store counters ([mt_cache_*], [mt_distinct_terminals],
+    [mt_live_nodes]; zero in-core).  Integer counters are widened to
+    floats; [backend] is 0 in-core, 3 mtbdd (1 and 2 named the retired
+    out-of-core and hybrid engines and are not reused).  Shared by the
+    jeddd [stats] verb and the bench JSON reports. *)

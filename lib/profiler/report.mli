@@ -3,13 +3,10 @@
     per-execution BDD shape charts), a CSV table, and the SQL dump that
     substitutes for the paper's SQLite database. *)
 
-val to_html : ?engine:Jedd_reorder.Reorder.t -> Recorder.t -> string
+val to_html : Recorder.t -> string
 (** A self-contained HTML page: overview table sorted by cost, one
     anchor-linked section per operation with a line per execution, and
-    inline SVG bar charts of BDD shapes when shape profiling was on.
-    With [?engine] (a universe's reorder engine) a "Variable order"
-    section is appended: live-node histogram per level, node attribution
-    per physical-domain block, and the reorder-pass log. *)
+    inline SVG bar charts of BDD shapes when shape profiling was on. *)
 
 val to_csv : Recorder.t -> string
 (** One row per recorded execution. *)
@@ -18,11 +15,6 @@ val to_sql : Recorder.t -> string
 (** [CREATE TABLE] + [INSERT] statements loadable into any SQL engine —
     the format the paper's runtime wrote for its CGI views. *)
 
-val write_files :
-  ?engine:Jedd_reorder.Reorder.t ->
-  Recorder.t ->
-  dir:string ->
-  prefix:string ->
-  string list
+val write_files : Recorder.t -> dir:string -> prefix:string -> string list
 (** Write [prefix.html], [prefix.csv] and [prefix.sql] under [dir];
     returns the paths written. *)

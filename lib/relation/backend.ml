@@ -60,8 +60,8 @@ type t = Engine : 'n engine -> t [@@unboxed]
 
 (* The (level, polarity) literals of a block holding value [v], msb
    first. *)
-let value_literals m block v =
-  let levels = Fdd.levels m block in
+let value_literals block v =
+  let levels = Fdd.levels block in
   let w = Array.length levels in
   List.init w (fun i -> (levels.(i), (v lsr (w - 1 - i)) land 1 = 1))
 
@@ -136,7 +136,7 @@ let mtbdd m s : Mtb.node ops =
         let eq_hi = Mtb.mk s hi_l (Mtb.zero s) (Mtb.one s) in
         let eq_lo = Mtb.mk s hi_l (Mtb.one s) (Mtb.zero s) in
         Mtb.mk s lo_l eq_lo eq_hi);
-    ithval = (fun block v -> cube (value_literals m block v));
+    ithval = (fun block v -> cube (value_literals block v));
     less_than =
       (fun block k ->
         (* build on the shared boolean manager and lift the 0/1 diagram *)

@@ -21,7 +21,7 @@
     a binary operation checks once, through the engine's {!Type.Id.t},
     that both operands share one universe.  What an engine can do
     beyond the boolean {!ops} is fixed when {!make} builds it: levelized
-    dumps, freezing and reordering ({!in_place}), and weights.  The code
+    dumps and freezing ({!in_place}), and weights.  The code
     that needs a capability asks for it and refuses its absence itself.
 
     In both cases the in-core manager remains the variable-order
@@ -29,9 +29,8 @@
     through it, and the mtbdd store addresses variables by level. *)
 
 (** Operations every engine provides, closed over the engine's state
-    (node store, caches).  Levels are current manager
-    levels; blocks are the finite-domain bit blocks of
-    [Jedd_bdd.Fdd]. *)
+    (node store, caches).  Levels are manager levels; blocks are the
+    finite-domain bit blocks of [Jedd_bdd.Fdd]. *)
 type 'n ops = {
   zero : unit -> 'n;
   one : unit -> 'n;
@@ -132,8 +131,8 @@ val mt_store : t -> Jedd_mtbdd.Mtbdd.t option
 val in_place : kind -> bool
 (** The engine computes on the manager's own node table: [`Incore]
     only.  That table is what [Universe.freeze] compacts into a
-    read-only arena, what [Universe.reorder] sifts in place and what a
-    levelized dump (the snapshot format) is written from; mtbdd roots
+    read-only arena and what a levelized dump (the snapshot format) is
+    written from; mtbdd roots
     live in their own store with the levels baked in and carry weights
     the boolean dump cannot hold. *)
 

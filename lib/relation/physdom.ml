@@ -1,32 +1,19 @@
 type t = {
   name : string;
   block : Jedd_bdd.Fdd.block;
-  u : Universe.t;
   uid : int;
 }
 
 let counter = ref 0
 
-let fresh u name block =
-  incr counter;
-  (* Registering with the universe's reorder engine makes the block a
-     unit of reordering and a row of the profiler's attribution. *)
-  Universe.register_block u ~name ~vars:(Jedd_bdd.Fdd.vars block);
-  { name; block; u; uid = !counter }
-
 let declare u ~name ~bits =
-  fresh u name (Jedd_bdd.Fdd.extdomain_bits (Universe.manager u) bits)
-
-let declare_interleaved ?pad u requests =
-  let sizes = List.map (fun (_, bits) -> 1 lsl bits) requests in
-  let blocks =
-    Jedd_bdd.Fdd.extdomains_interleaved ?pad (Universe.manager u) sizes
-  in
-  List.map2 (fun (name, _) block -> fresh u name block) requests blocks
+  incr counter;
+  let block = Jedd_bdd.Fdd.extdomain_bits (Universe.manager u) bits in
+  { name; block; uid = !counter }
 
 let name p = p.name
 let width p = Jedd_bdd.Fdd.width p.block
 let block p = p.block
-let levels p = Jedd_bdd.Fdd.levels (Universe.manager p.u) p.block
+let levels p = Jedd_bdd.Fdd.levels p.block
 let equal a b = a.uid = b.uid
 let fits p d = Domain.bits d <= width p

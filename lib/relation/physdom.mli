@@ -1,29 +1,20 @@
 (** Physical domains: named blocks of BDD variables that attributes are
     assigned to (§2.1, §3.2.1).  The relative bit ordering of physical
-    domains is fixed by declaration order, or interleaved on request —
-    the ordering lever the paper's §3.3.1 discusses. *)
+    domains is fixed by declaration order — the ordering lever the
+    paper's §3.3.1 discusses — and never changes afterwards. *)
 
 type t
 
 val declare : Universe.t -> name:string -> bits:int -> t
 (** Allocate a physical domain of the given width at the bottom of the
-    current variable order. *)
-
-val declare_interleaved :
-  ?pad:bool -> Universe.t -> (string * int) list -> t list
-(** Allocate several physical domains with their bits interleaved.
-    Each keeps its requested width (narrower domains stop contributing
-    bits, MSB-aligned); [~pad:true] restores the old behaviour of
-    widening every domain to the widest request. *)
+    variable order. *)
 
 val name : t -> string
 val width : t -> int
 val block : t -> Jedd_bdd.Fdd.block
 
 val levels : t -> int array
-(** Current variable levels of the domain's block, MSB first.  Computed
-    from the manager's live order — do not cache across operations that
-    may reorder. *)
+(** Variable levels of the domain's block, MSB first. *)
 
 val equal : t -> t -> bool
 

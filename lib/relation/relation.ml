@@ -642,14 +642,13 @@ let select ?(label = "") (R r) bindings =
 (* -- extraction -------------------------------------------------------------- *)
 
 let iter_tuples (R r) k =
-  let m = Universe.manager r.u in
   let levels = Schema.levels r.sch in
   let entries = Array.of_list (Schema.entries r.sch) in
   let tuple = Array.make (Array.length entries) 0 in
   r.e.ops.iter_assignments (root r) ~levels (fun values ->
       Array.iteri
         (fun i (e : Schema.entry) ->
-          tuple.(i) <- Fdd.decode m (Physdom.block e.phys) ~levels values)
+          tuple.(i) <- Fdd.decode (Physdom.block e.phys) ~levels values)
         entries;
       k tuple)
 
@@ -666,11 +665,6 @@ let iter_objects r k =
       (Schema.to_string (schema r))
 
 let dup (R r) = R (make r.u r.e r.sch (root r))
-
-(* Relations hold BDD roots through stable handles, and every operation
-   derives levels/permutations from the current order at call time, so
-   reordering between operations is always safe. *)
-let reorder r = Universe.reorder ~trigger:"relation" (universe r)
 
 let pp ppf r =
   let entries = Schema.entries (schema r) in
@@ -758,14 +752,13 @@ let of_weighted_tuples u sch wtuples =
 
 let iter_weighted_tuples (R r) k =
   let w = weights "Relation.iter_weighted_tuples" r.e in
-  let m = Universe.manager r.u in
   let levels = Schema.levels r.sch in
   let entries = Array.of_list (Schema.entries r.sch) in
   let tuple = Array.make (Array.length entries) 0 in
   w.iter_weighted (root r) ~levels (fun values weight ->
       Array.iteri
         (fun i (e : Schema.entry) ->
-          tuple.(i) <- Fdd.decode m (Physdom.block e.phys) ~levels values)
+          tuple.(i) <- Fdd.decode (Physdom.block e.phys) ~levels values)
         entries;
       k tuple weight)
 

@@ -120,13 +120,6 @@ val iter_objects : t -> (int -> unit) -> unit
 (** Single-attribute relations only: iterate the objects themselves
     (the paper's first iterator). *)
 
-val reorder : t -> unit
-(** Run one variable-reorder pass on the relation's universe
-    ({!Universe.reorder} with trigger ["relation"]) — e.g. between
-    fixpoint phases.  Safe at any point between operations: relations
-    hold stable BDD handles and all layout data is derived from the
-    current order at call time. *)
-
 val pp : Format.formatter -> t -> unit
 (** Figure 3-style table with attribute headers and object names. *)
 

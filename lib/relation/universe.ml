@@ -9,9 +9,6 @@ type bdd_delta = {
   gc_millis : float;
   grows : int;
   grow_millis : float;
-  reorders : int;
-  reorder_swaps : int;
-  reorder_millis : float;
   mt_cache_hits : int;
   mt_cache_misses : int;
   mt_per_tag : tag_delta list;
@@ -34,7 +31,6 @@ type profile_level = Off | Counts | Shapes
 type t = {
   manager : Jedd_bdd.Manager.t;
   backend : Backend.t;
-  engine : Jedd_reorder.Reorder.t;
   uid : int;
   mutable level : profile_level;
   mutable on_op : (op_event -> unit) option;
@@ -49,7 +45,6 @@ let create ?(node_capacity = 1 lsl 16) ?node_limit ?(backend = `Incore) () =
   {
     manager;
     backend = Backend.make backend manager;
-    engine = Jedd_reorder.Reorder.create manager;
     uid = !counter;
     level = Off;
     on_op = None;
@@ -61,31 +56,7 @@ let uid u = u.uid
 let manager u = u.manager
 let backend u = u.backend
 let backend_kind u = Backend.kind u.backend
-let reorder_engine u = u.engine
-
-let set_node_limit u limit = Jedd_bdd.Manager.set_node_limit u.manager limit
-
-let register_block u ~name ~vars =
-  Jedd_reorder.Reorder.register_block u.engine ~name ~vars
-
 let frozen u = Jedd_bdd.Manager.frozen u.manager
-
-(* Dynamic reordering rewires the in-core node store in place; the mtbdd
-   store bakes levels into its nodes, so both entry points degrade to
-   no-ops there. *)
-let reorder ?(trigger = "explicit") u =
-  if frozen u then
-    raise
-      (Jedd_bdd.Manager.Frozen
-         "Universe.reorder: the universe is frozen (read-only serving mode)");
-  if Backend.in_place (backend_kind u) then
-    Jedd_reorder.Reorder.sift ~trigger u.engine
-
-let set_auto_reorder u threshold =
-  if Backend.in_place (backend_kind u) then
-    match threshold with
-    | Some n -> Jedd_reorder.Reorder.install_auto u.engine ~threshold:n
-    | None -> Jedd_reorder.Reorder.disable_auto u.engine
 
 (* Snapshot the monotone counters of the manager and (when present) the
    mtbdd store; [bdd_delta_since] turns two snapshots into the
@@ -96,9 +67,6 @@ type bdd_snapshot = {
   snap_gc_millis : float;
   snap_grows : int;
   snap_grow_millis : float;
-  snap_reorders : int;
-  snap_swaps : int;
-  snap_reorder_millis : float;
   snap_mt_stats : Jedd_mtbdd.Mtbdd.cache_stat list;
   snap_mt_terminals : int;
 }
@@ -117,9 +85,6 @@ let bdd_snapshot u =
     snap_gc_millis = Jedd_bdd.Manager.gc_millis m;
     snap_grows = Jedd_bdd.Manager.grow_count m;
     snap_grow_millis = Jedd_bdd.Manager.grow_millis m;
-    snap_reorders = Jedd_bdd.Manager.reorder_count m;
-    snap_swaps = Jedd_bdd.Manager.swap_count m;
-    snap_reorder_millis = Jedd_bdd.Manager.reorder_millis m;
     snap_mt_stats = mt_stats;
     snap_mt_terminals = mt_terminals;
   }
@@ -164,10 +129,6 @@ let bdd_delta_since u before =
     gc_millis = after.snap_gc_millis -. before.snap_gc_millis;
     grows = after.snap_grows - before.snap_grows;
     grow_millis = after.snap_grow_millis -. before.snap_grow_millis;
-    reorders = after.snap_reorders - before.snap_reorders;
-    reorder_swaps = after.snap_swaps - before.snap_swaps;
-    reorder_millis =
-      after.snap_reorder_millis -. before.snap_reorder_millis;
     mt_cache_hits = mt_sum (fun (s : Jedd_mtbdd.Mtbdd.cache_stat) -> s.hits);
     mt_cache_misses =
       mt_sum (fun (s : Jedd_mtbdd.Mtbdd.cache_stat) -> s.misses);
@@ -203,5 +164,4 @@ let freeze u =
          "Universe.freeze: the %s backend cannot be frozen (only the \
           in-core node table has a read-only form)"
          (Backend.kind_name kind));
-  Jedd_reorder.Reorder.disable_auto u.engine;
   Jedd_bdd.Manager.freeze u.manager

@@ -7,7 +7,8 @@
     profiler hook.
 
     Every universe carries an in-core [Jedd_bdd.Manager] — the variable
-    order and finite-domain blocks always live there — and one engine
+    order and finite-domain blocks always live there, and the order is
+    the one the physical-domain declarations fix — and one engine
     that stores and combines relation BDDs ({!Backend}): the default
     [`Incore] engine computes on the manager itself, while [`Mtbdd]
     keeps weighted relations in a terminal-valued store. *)
@@ -18,9 +19,9 @@ type t
 type tag_delta = { tag : string; hits : int; misses : int }
 
 (** What one relational operation cost at the BDD layer: operation-cache
-    activity (total and per tag, only tags with activity listed), GC /
-    node-table-resize and reorder work, and — on the mtbdd backend —
-    the terminal store's cache activity. *)
+    activity (total and per tag, only tags with activity listed), GC
+    and node-table-resize work, and — on the mtbdd backend — the
+    terminal store's cache activity. *)
 type bdd_delta = {
   cache_hits : int;
   cache_misses : int;
@@ -30,9 +31,6 @@ type bdd_delta = {
   gc_millis : float;
   grows : int;
   grow_millis : float;
-  reorders : int;  (** reorder passes completed during the operation *)
-  reorder_swaps : int;  (** adjacent level swaps performed *)
-  reorder_millis : float;
   mt_cache_hits : int;
       (** terminal-valued apply-cache activity, on the mtbdd backend *)
   mt_cache_misses : int;
@@ -58,7 +56,7 @@ type op_event = {
 }
 
 type bdd_snapshot
-(** Opaque snapshot of the monotone cache/GC/reorder counters. *)
+(** Opaque snapshot of the monotone cache/GC counters. *)
 
 val bdd_snapshot : t -> bdd_snapshot
 val bdd_delta_since : t -> bdd_snapshot -> bdd_delta
@@ -68,39 +66,15 @@ type profile_level = Off | Counts | Shapes
 val create :
   ?node_capacity:int -> ?node_limit:int -> ?backend:Backend.kind -> unit -> t
 (** [create ()] makes a universe over a fresh manager.  [backend]
-    selects the relation engine (default [`Incore]).  [node_limit] caps the manager's node table —
-    exceeding it raises [Jedd_bdd.Manager.Out_of_nodes]
-    ({!set_node_limit} adjusts it later). *)
+    selects the relation engine (default [`Incore]).  [node_limit] caps
+    the manager's node table — exceeding it raises
+    [Jedd_bdd.Manager.Out_of_nodes]. *)
 
 val manager : t -> Jedd_bdd.Manager.t
 (** The in-core manager: variable-order authority for both engines. *)
 
 val backend : t -> Backend.t
 val backend_kind : t -> Backend.kind
-
-val set_node_limit : t -> int option -> unit
-(** Install or remove the in-core node budget at runtime. *)
-
-val reorder_engine : t -> Jedd_reorder.Reorder.t
-(** The universe's variable-order optimizer.  Physical domains register
-    their blocks with it on declaration ({!Physdom.declare}). *)
-
-val register_block : t -> name:string -> vars:int array -> unit
-(** Register a block of variables with the reorder engine so it is moved
-    as a unit.  Called by {!Physdom}; exposed for direct Fdd users. *)
-
-val reorder : ?trigger:string -> t -> unit
-(** Run one sifting pass over the registered blocks now (e.g. between
-    fixpoint phases).  [trigger] defaults to ["explicit"] and is
-    recorded in the pass event.  A no-op on [`Mtbdd]
-    ({!Backend.in_place}): its store bakes levels into its nodes, so
-    the order is fixed. *)
-
-val set_auto_reorder : t -> int option -> unit
-(** [set_auto_reorder u (Some n)] arms the safe-point trigger: a sifting
-    pass fires at the next {!checkpoint} once [n] allocated nodes are
-    reached, re-arming itself above the surviving population.  [None]
-    disarms it.  A no-op on [`Mtbdd]. *)
 
 val uid : t -> int
 (** A unique id per universe, used to key per-universe side tables. *)
@@ -120,10 +94,9 @@ val checkpoint : t -> unit
 (** Give the backend a safe point to garbage-collect. *)
 
 val freeze : t -> unit
-(** Flip the universe into read-only serving mode: disarms the
-    auto-reorder trigger and freezes the backend
-    ([Jedd_bdd.Manager.freeze] — compaction, then no refcount traffic,
-    GC or reordering; mutation raises [Jedd_bdd.Manager.Frozen]).
+(** Flip the universe into read-only serving mode by freezing the
+    backend ([Jedd_bdd.Manager.freeze] — compaction, then no refcount
+    traffic or GC; mutation raises [Jedd_bdd.Manager.Frozen]).
     One-way; idempotent.  [Invalid_argument] on [`Mtbdd]
     ({!Backend.in_place}). *)
 

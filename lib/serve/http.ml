@@ -1,7 +1,7 @@
 (* Minimal HTTP/1.1 for the jeddd JSON protocol: an incremental request
    parser (fed from a nonblocking socket's read buffer), a response
    writer with keep-alive and Content-Length framing, and a tiny
-   blocking client used by jeddq and the load generator.
+   blocking client used by jeddq and the tests.
 
    Deliberately hand-rolled and deliberately small: one verb surface
    (POST a protocol request object, GET /ping, GET /stats), no chunked
@@ -137,7 +137,7 @@ let error_response ?(keep_alive = false) status msg =
        (Json.Obj
           [ ("ok", Json.Bool false); ("error", Json.String msg) ]))
 
-(* -- blocking client (jeddq, load generator) ----------------------------- *)
+(* -- blocking client (jeddq, tests) -------------------------------------- *)
 
 (* POST one protocol request to [path] over an established connection's
    channels; returns the response body.  Raises on a non-200 status so

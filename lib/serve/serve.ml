@@ -17,9 +17,8 @@
    answered with a timeout error and its job is flagged cancelled, so
    the worker that picks it up (or finishes it late) drops the result.
 
-   select() caps the loop at FD_SETSIZE descriptors (~1024); the load
-   generator defaults stay under that, and heavier fan-in belongs
-   behind multiple processes. *)
+   select() caps the loop at FD_SETSIZE descriptors (~1024); heavier
+   fan-in belongs behind multiple processes. *)
 
 (* Live updates: when created with a [live_config], the front end also
    accepts the "update" verb.  Edits are applied to the mutable shadow

@@ -14,7 +14,6 @@
      pointsto  var:int                      heaps of PointsTo.pt at var
      resolve   callsite:int                 targets from VirtualCalls.resolved
      stats                                  server + BDD-layer counters
-     reorder                                sift the variable order now
      batch     requests:[req..]             evaluate in order, one round trip
      sleep     ms:int                       hold the worker (timeout testing)
      shutdown                               stop the server after replying
@@ -311,11 +310,6 @@ let rec eval w req : outcome =
     | "pointsto" -> Reply (ok id (obj_fields (do_pointsto w req)))
     | "resolve" -> Reply (ok id (obj_fields (do_resolve w req)))
     | "stats" -> Reply (ok id (obj_fields (do_stats w)))
-    | "reorder" ->
-      (* the protocol's one mutating verb; on a frozen (read-only
-         serving) universe it fails cleanly with Manager.Frozen *)
-      Jedd_relation.Universe.reorder ~trigger:"server" w.snap.Snapshot.u;
-      Reply (ok id [ ("reordered", Json.Bool true) ])
     | "batch" -> (
       match Json.member "requests" req with
       | Some (Json.List reqs) ->

@@ -166,8 +166,3 @@ let stats_fields t : (string * Json.t) list =
     ("latency", Json.Obj latency);
     ("universe_hash", Json.String t.universe_hash);
   ]
-
-let cache_hit_counts t =
-  match t.cache with
-  | None -> (0, 0, 0)
-  | Some c -> (Rescache.hits c, Rescache.misses c, Rescache.evictions c)

@@ -2,8 +2,8 @@
 
    A snapshot captures everything needed to answer relational queries
    without re-running the fixed points: the domain / attribute /
-   physical-domain declarations, the variable order (as the current
-   levels of every physical-domain bit, densely renumbered), and every
+   physical-domain declarations, the variable order (as the levels of
+   every physical-domain bit, densely renumbered), and every
    named relation as a shared-structure levelized BDD dump
    (Jedd_bdd.Levelized) plus its schema and tuple count.
 
@@ -15,18 +15,18 @@
      16 bytes    MD5 of the payload
      payload     Binio-encoded body (see [write_payload])
 
-   Loading rebuilds a fresh in-core universe: physical domains
-   are declared in their recorded order, the recorded level permutation
-   is imposed with adjacent swaps on the still-empty manager (cheap),
-   and each relation is imported bottom-up.  Every recorded tuple count
-   is re-verified after import, so a snapshot that decodes but does not
-   round-trip is rejected, not served.
+   Loading rebuilds a fresh in-core universe: physical domains are
+   declared in their recorded order, which fixes the variable order, and
+   each domain's recorded levels must be the levels it was just declared
+   at; then each relation is imported bottom-up.  Every recorded tuple
+   count is re-verified after import, so a snapshot that decodes but
+   does not round-trip is rejected, not served.
 
    Any structural problem — bad magic, version skew, length or digest
-   mismatch, truncation, dangling names, malformed dumps, tuple-count
-   mismatch — raises [Corrupt] with a description. *)
+   mismatch, truncation, dangling names, a recorded order the
+   declarations do not give, malformed dumps, tuple-count mismatch —
+   raises [Corrupt] with a description. *)
 
-module M = Jedd_bdd.Manager
 module Lv = Jedd_bdd.Levelized
 module U = Jedd_relation.Universe
 module B = Jedd_relation.Backend
@@ -55,10 +55,10 @@ let format_version = 1
 (* -- saving ------------------------------------------------------------- *)
 
 (* Dense level renumbering: dump-time manager levels (which may have
-   holes from scratch physical domains, and arbitrary order after
-   dynamic reordering) -> 0..k-1, monotonically.  Only the declared
-   physical domains' bits are recorded; every relation's support must
-   lie inside them (fields are always coerced to declared layouts). *)
+   holes from scratch physical domains) -> 0..k-1, monotonically.  Only
+   the declared physical domains' bits are recorded; every relation's
+   support must lie inside them (fields are always coerced to declared
+   layouts). *)
 let dense_remap physdoms =
   let levels =
     List.concat_map
@@ -189,18 +189,6 @@ let to_bytes s =
 
 (* -- loading ------------------------------------------------------------ *)
 
-(* Impose the recorded variable order on a freshly declared (and still
-   empty) manager: selection sort with adjacent swaps, O(k^2) on at most
-   a few hundred variables carrying zero nodes. *)
-let impose_order m ~nvars ~vars_by_target =
-  for target = 0 to nvars - 1 do
-    let v = vars_by_target.(target) in
-    let c = M.level_of_var m v in
-    for l = c - 1 downto target do
-      M.swap_adjacent m l
-    done
-  done
-
 (* Verify the framing (magic, version, length, checksum) and return the
    raw payload.  Shared by [of_bytes] and the differential-snapshot
    machinery in [Delta], which splices payloads byte-for-byte. *)
@@ -276,31 +264,22 @@ let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?(freeze = false)
     in
     let u = U.create ~node_capacity ?node_limit ?backend () in
     let lv = levelized_of "of_bytes" u in
-    let mgr = U.manager u in
+    (* Declaration order fixes the variable order, and saving renumbers
+       the declared levels densely, so each domain must land exactly at
+       the levels it recorded. *)
+    let show levels =
+      String.concat "; " (Array.to_list (Array.map string_of_int levels))
+    in
     let physdoms =
       List.map
-        (fun (name, width, _) -> (name, Phys.declare u ~name ~bits:width))
+        (fun (name, width, recorded) ->
+          let p = Phys.declare u ~name ~bits:width in
+          if Phys.levels p <> recorded then
+            corrupt "physdom %s: recorded levels [%s], declared at [%s]" name
+              (show recorded) (show (Phys.levels p));
+          (name, p))
         phys_specs
     in
-    let nvars = M.num_vars mgr in
-    (* recorded levels must be a permutation of 0..nvars-1 *)
-    let vars_by_target = Array.make (max nvars 1) (-1) in
-    List.iter2
-      (fun (_, p) (name, _, recorded) ->
-        let current = Phys.levels p in
-        Array.iteri
-          (fun j target ->
-            if target < 0 || target >= nvars then
-              corrupt "physdom %s: recorded level %d out of range" name target;
-            if vars_by_target.(target) >= 0 then
-              corrupt "physdom %s: recorded level %d assigned twice" name target;
-            (* the manager is fresh: current levels are variable ids *)
-            vars_by_target.(target) <- current.(j))
-          recorded)
-      physdoms phys_specs;
-    if nvars > 0 && Array.exists (fun v -> v < 0) vars_by_target then
-      corrupt "recorded variable order does not cover every level";
-    impose_order mgr ~nvars ~vars_by_target;
     let find_attr name =
       match List.assoc_opt name attrs with
       | Some a -> a

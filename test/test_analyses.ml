@@ -70,6 +70,43 @@ let test_verify_compares_tuples () =
     "names pt" [ ("pt", 2) ]
     (Suite.verify p { r with Suite.pt })
 
+(* The physical-domain declaration order fixes the variable order for
+   the whole run.  A deliberately bad order — V1/V2 and H1/H2 pushed to
+   opposite ends, so every copy rule's replace and every join over a
+   pair pays for the spread, the worst case §3.3.1 warns about — may
+   cost nodes but must reach the same points-to fixed point. *)
+let test_pointsto_bad_order () =
+  let module Pt = Jedd_analyses.Pointsto in
+  let p = tiny () in
+  let bad_order =
+    [ "V1"; "T1"; "T2"; "T3"; "S1"; "M1"; "H1"; "M2"; "V2"; "C1"; "F1"; "H2" ]
+  in
+  let declarations =
+    String.split_on_char '\n' (Jedd_analyses.Common.preamble p)
+    |> List.filter (fun l -> not (String.starts_with ~prefix:"physdom " l))
+    |> String.concat "\n"
+  in
+  let source =
+    declarations
+    ^ String.concat "" (List.map (Printf.sprintf "physdom %s;\n") bad_order)
+    ^ Pt.source
+  in
+  let inst =
+    match Driver.compile [ ("PointsTo.jedd", source) ] with
+    | Ok c -> Driver.instantiate c
+    | Error e -> Alcotest.fail (Driver.error_to_string e)
+  in
+  let _, _, physdoms = Jedd_lang.Interp.registries inst in
+  Alcotest.(check (list string)) "declared in the bad order" bad_order
+    (List.map fst physdoms);
+  Alcotest.(check int) "V1 takes the top level" 0
+    (Jedd_relation.Physdom.levels (List.assoc "V1" physdoms)).(0);
+  Pt.load_facts inst p;
+  Pt.run inst;
+  Alcotest.(check (list (list int)))
+    "points-to equal to the default order's" (Suite.run_all p).Suite.pt
+    (Pt.results inst)
+
 let test_baseline_matches_reference () =
   let p = small () in
   let b = Baseline.create p in
@@ -219,6 +256,8 @@ let suite =
       test_suite_small;
     Alcotest.test_case "verify compares tuples, not sizes" `Quick
       test_verify_compares_tuples;
+    Alcotest.test_case "points-to independent of physdom order" `Quick
+      test_pointsto_bad_order;
     Alcotest.test_case "baseline matches reference" `Quick
       test_baseline_matches_reference;
     Alcotest.test_case "baseline matches jedd" `Quick test_baseline_matches_jedd;

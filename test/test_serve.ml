@@ -15,6 +15,9 @@ module Delta = Jedd_store.Delta
 module Suite = Jedd_analyses.Suite
 module Live = Jedd_analyses.Live
 module Workload = Jedd_minijava.Workload
+module Manager = Jedd_bdd.Manager
+module Universe = Jedd_relation.Universe
+module Physdom = Jedd_relation.Physdom
 
 let check = Alcotest.check
 let checkb = Alcotest.check Alcotest.bool
@@ -106,14 +109,17 @@ let test_http_rejects () =
 let fixture_counter = ref 0
 
 (* Serialize the tiny-workload snapshot and reload it — the reload is
-   what jeddd does, and ~freeze lands the universe read-only.  [config]
-   supplies everything but the three listeners. *)
-let with_serve ?(config = Serve.default_config) ?(frozen = true) f =
+   what jeddd does, and ~freeze lands the universe read-only.  Returns
+   the reloaded snapshot and its universe hash. *)
+let load_fixture ~frozen =
   let p = Workload.generate Workload.tiny in
   let inst, _ = Suite.run_combined p in
   let bytes = Snapshot.to_bytes (Suite.snapshot inst) in
-  let snap = Snapshot.of_bytes ~freeze:frozen bytes in
-  let hash = Digest.to_hex (Digest.string bytes) in
+  (Snapshot.of_bytes ~freeze:frozen bytes, Digest.to_hex (Digest.string bytes))
+
+(* Serve [snap] on all three transports for the duration of [f].
+   [config] supplies everything but the three listeners. *)
+let serve_snapshot ?(config = Serve.default_config) (snap, hash) f =
   incr fixture_counter;
   let sock =
     Filename.concat
@@ -140,6 +146,9 @@ let with_serve ?(config = Serve.default_config) ?(frozen = true) f =
       Thread.join th;
       if Sys.file_exists sock then Sys.remove sock)
     (fun () -> f ~sock ~tcp_port ~http_port)
+
+let with_serve ?config ?(frozen = true) f =
+  serve_snapshot ?config (load_fixture ~frozen) f
 
 let q verb fields = Json.Obj (("verb", Json.String verb) :: fields)
 
@@ -197,35 +206,48 @@ let test_differential () =
         true (rs = reference))
     unfrozen
 
+(* Declaring a physical domain allocates BDD variables — a mutation of
+   the served universe.  On a frozen universe it fails with
+   Manager.Frozen before touching the variable order, and the server
+   goes on answering exactly as before; an unfrozen served universe
+   accepts the same declaration. *)
 let test_frozen_rejects_mutation () =
-  with_serve (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect ~retries:10 sock in
-      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      let resp = Client.request c (q "reorder" []) in
-      (match Json.member "ok" resp with
-      | Some (Json.Bool false) -> ()
-      | _ -> Alcotest.failf "reorder on a frozen universe succeeded: %s"
-               (Json.to_string resp));
-      match Json.member "error" resp with
-      | Some (Json.String msg) ->
+  let bits = 4 in
+  let declare (snap : Snapshot.t) =
+    Physdom.declare snap.Snapshot.u ~name:"mutation_probe" ~bits
+  in
+  let num_vars (snap : Snapshot.t) =
+    Manager.num_vars (Universe.manager snap.Snapshot.u)
+  in
+  let ((snap, _) as fixture) = load_fixture ~frozen:true in
+  serve_snapshot fixture (fun ~sock ~tcp_port ~http_port ->
+      let before = probe_all ~sock ~tcp_port ~http_port in
+      let vars = num_vars snap in
+      (match declare snap with
+      | _ ->
+        Alcotest.fail "declaring a physical domain on a frozen universe \
+                       succeeded"
+      | exception Manager.Frozen msg ->
         checkb "error names the frozen state" true
           (let lower = String.lowercase_ascii msg in
            let rec find i =
              i + 6 <= String.length lower
              && (String.sub lower i 6 = "frozen" || find (i + 1))
            in
-           find 0)
-      | _ -> Alcotest.fail "no error message");
-  (* and an unfrozen server accepts the same verb *)
-  with_serve ~frozen:false (fun ~sock ~tcp_port:_ ~http_port:_ ->
-      let c = Client.connect ~retries:10 sock in
-      Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-      let resp = Client.request c (q "reorder" []) in
-      match Json.member "ok" resp with
-      | Some (Json.Bool true) -> ()
-      | _ ->
-        Alcotest.failf "reorder on an unfrozen universe failed: %s"
-          (Json.to_string resp))
+           find 0));
+      checki "variable order untouched" vars (num_vars snap);
+      checkb "answers unchanged after the refused mutation" true
+        (probe_all ~sock ~tcp_port ~http_port = before));
+  (* and an unfrozen served universe accepts the same declaration *)
+  let ((snap, _) as fixture) = load_fixture ~frozen:false in
+  serve_snapshot fixture (fun ~sock ~tcp_port ~http_port ->
+      let before = probe_all ~sock ~tcp_port ~http_port in
+      let vars = num_vars snap in
+      ignore (declare snap : Physdom.t);
+      checki "declaration allocated its variables" (vars + bits)
+        (num_vars snap);
+      checkb "answers unchanged after the declaration" true
+        (probe_all ~sock ~tcp_port ~http_port = before))
 
 let test_cache_and_stats () =
   with_serve (fun ~sock ~tcp_port:_ ~http_port:_ ->

@@ -64,6 +64,13 @@ let check_same_relations snap snap' =
         (R.tuples r'))
     snap.Snapshot.relations snap'.Snapshot.relations
 
+let contains hay needle =
+  let nl = String.length needle and hl = String.length hay in
+  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
+  go 0
+
+let checkb = Alcotest.(check bool)
+
 (* -- levelized dumps ---------------------------------------------------- *)
 
 let test_levelized_roundtrip () =
@@ -137,20 +144,6 @@ let test_snapshot_roundtrip () =
   Alcotest.(check (option string)) "meta" (Some "test-world")
     (Snapshot.meta_value snap "kind");
   check_same_relations world snap
-
-let test_snapshot_reordered () =
-  (* a snapshot taken after heavy reordering must still round-trip *)
-  let world = build_world () in
-  let u = world.Snapshot.u in
-  Jedd_reorder.Reorder.random_swaps ~seed:7 (U.reorder_engine u) 50;
-  let before = List.map (fun (n, r) -> (n, R.tuples r)) world.Snapshot.relations in
-  let snap = Snapshot.of_bytes (Snapshot.to_bytes world) in
-  List.iter2
-    (fun (n, tuples) (n', r') ->
-      Alcotest.(check string) "name" n n';
-      Alcotest.(check (list (list int))) (n ^ " tuples after reorder") tuples
-        (R.tuples r'))
-    before snap.Snapshot.relations
 
 let test_snapshot_analysis_fixed_point () =
   let p = Workload.generate Workload.tiny in
@@ -244,31 +237,39 @@ let test_resealed_mutations =
       match Snapshot.of_bytes (Snapshot.bytes_of_payload mutated) with
       | _ | (exception Snapshot.Corrupt _) -> true)
 
+(* A sealed snapshot over one domain D of size 4 and one attribute a,
+   with the given physical domains (name, width, recorded levels) and
+   relations written by [relations]. *)
+let hand_payload ~physdoms ~relations =
+  let w = Binio.writer () in
+  Binio.list_ w (fun _ () -> ()) [];
+  Binio.list_ w
+    (fun w () ->
+      Binio.string_ w "D";
+      Binio.int_ w 4)
+    [ () ];
+  Binio.list_ w
+    (fun w () ->
+      Binio.string_ w "a";
+      Binio.string_ w "D")
+    [ () ];
+  Binio.list_ w
+    (fun w (name, width, levels) ->
+      Binio.string_ w name;
+      Binio.int_ w width;
+      levels w)
+    physdoms;
+  relations w;
+  Snapshot.bytes_of_payload (Binio.contents w)
+
+let no_relations w = Binio.list_ w (fun _ () -> ()) []
+
 (* Two payloads whose counts, unbounded, drive an allocation: a dump's
    block count past [Sys.max_array_length] (with one real block behind
    it) and an int array of length [min_int]. *)
 let test_hostile_counts () =
   let payload ~levels ~relations =
-    let w = Binio.writer () in
-    Binio.list_ w (fun _ () -> ()) [];
-    Binio.list_ w
-      (fun w () ->
-        Binio.string_ w "D";
-        Binio.int_ w 4)
-      [ () ];
-    Binio.list_ w
-      (fun w () ->
-        Binio.string_ w "a";
-        Binio.string_ w "D")
-      [ () ];
-    Binio.list_ w
-      (fun w () ->
-        Binio.string_ w "P";
-        Binio.int_ w 2;
-        levels w)
-      [ () ];
-    relations w;
-    Snapshot.bytes_of_payload (Binio.contents w)
+    hand_payload ~physdoms:[ ("P", 2, levels) ] ~relations
   in
   let huge_block_count w =
     Binio.list_ w
@@ -303,9 +304,43 @@ let test_hostile_counts () =
           ~relations:(fun _ -> ()) );
     ]
 
-(* What each kind can do, and where the other is refused: freezing,
-   reordering and snapshots need the in-core node table, weights the
-   terminal-valued store. *)
+(* The declarations fix the variable order, so a physical domain must
+   record exactly the levels it is declared at: a complete but permuted
+   level list, within one domain or across two, is refused with the
+   domain's name rather than imposed on the fresh universe. *)
+let test_recorded_order_checked () =
+  let levels l w = Binio.int_array w l in
+  let load physdoms =
+    Snapshot.of_bytes (hand_payload ~physdoms ~relations:no_relations)
+  in
+  let snap =
+    load [ ("P", 2, levels [| 0; 1 |]); ("Q", 2, levels [| 2; 3 |]) ]
+  in
+  Alcotest.(check (list (array int))) "declared levels"
+    [ [| 0; 1 |]; [| 2; 3 |] ]
+    (List.map (fun (_, p) -> Phys.levels p) snap.Snapshot.physdoms);
+  List.iter
+    (fun (what, physdoms, culprit) ->
+      match load physdoms with
+      | _ -> Alcotest.failf "%s: loaded" what
+      | exception Snapshot.Corrupt msg ->
+        checkb (what ^ ": names " ^ culprit) true
+          (contains msg ("physdom " ^ culprit ^ ":")))
+    [
+      ( "levels swapped within a domain",
+        [ ("P", 2, levels [| 1; 0 |]); ("Q", 2, levels [| 2; 3 |]) ],
+        "P" );
+      ( "domains swapped in the order",
+        [ ("P", 2, levels [| 2; 3 |]); ("Q", 2, levels [| 0; 1 |]) ],
+        "P" );
+      ( "second domain permuted",
+        [ ("P", 2, levels [| 0; 1 |]); ("Q", 2, levels [| 3; 2 |]) ],
+        "Q" );
+    ]
+
+(* What each kind can do, and where the other is refused: freezing and
+   snapshots need the in-core node table, weights the terminal-valued
+   store. *)
 let test_capability_refusals () =
   let checkb = Alcotest.(check bool) in
   List.iter
@@ -343,18 +378,6 @@ let test_capability_refusals () =
               one is %s)"
              name)
           msg);
-      (* reorder runs a sifting pass in place only *)
-      let before = List.map (fun (n, r) -> (n, R.tuples r)) world.Snapshot.relations in
-      let passes = M.reorder_count (U.manager u) in
-      U.reorder u;
-      Alcotest.(check int) (name ^ ": reorder passes")
-        (passes + if in_place then 1 else 0)
-        (M.reorder_count (U.manager u));
-      List.iter
-        (fun (n, r) ->
-          Alcotest.(check (list (list int))) (name ^ ": " ^ n ^ " after reorder")
-            (List.assoc n before) (R.tuples r))
-        world.Snapshot.relations;
       (* freezing *)
       (match U.freeze u with
       | () -> checkb (name ^ ": freeze") true in_place
@@ -421,13 +444,7 @@ let test_cas_missing_root () =
 
 (* -- differential snapshots ---------------------------------------------- *)
 
-let contains hay needle =
-  let nl = String.length needle and hl = String.length hay in
-  let rec go i = i + nl <= hl && (String.sub hay i nl = needle || go (i + 1)) in
-  go 0
-
 let hex_of s = Digest.to_hex (Digest.string s)
-let checkb = Alcotest.(check bool)
 
 let test_delta_diff_apply () =
   let base = Snapshot.to_bytes (build_world ~seed:5 ()) in
@@ -550,8 +567,6 @@ let suite =
     Alcotest.test_case "levelized malformed dumps rejected" `Quick
       test_levelized_malformed;
     Alcotest.test_case "snapshot round-trip" `Quick test_snapshot_roundtrip;
-    Alcotest.test_case "snapshot after dynamic reordering" `Quick
-      test_snapshot_reordered;
     Alcotest.test_case "analysis fixed point survives the store" `Quick
       test_snapshot_analysis_fixed_point;
     QCheck_alcotest.to_alcotest test_snapshot_qcheck;
@@ -559,6 +574,8 @@ let suite =
       test_corrupt_rejection;
     QCheck_alcotest.to_alcotest test_resealed_mutations;
     Alcotest.test_case "hostile counts rejected" `Quick test_hostile_counts;
+    Alcotest.test_case "recorded order must match declarations" `Quick
+      test_recorded_order_checked;
     Alcotest.test_case "capability refusals by kind" `Quick
       test_capability_refusals;
     Alcotest.test_case "save_file/load_file" `Quick test_save_load_file;

@@ -68,28 +68,6 @@ let test_html_report () =
   Alcotest.(check bool) "escapes labels" true
     (not (contains html "<demo"))
 
-let test_html_order_section () =
-  let u = U.create () in
-  let d = Dom.declare ~name:"D" ~size:8 () in
-  let p1 = Phys.declare u ~name:"P1" ~bits:3 in
-  let p2 = Phys.declare u ~name:"P2" ~bits:3 in
-  let a = Attr.declare ~name:"a" ~domain:d in
-  let b = Attr.declare ~name:"b" ~domain:d in
-  let sch =
-    Schema.make [ { Schema.attr = a; phys = p1 }; { Schema.attr = b; phys = p2 } ]
-  in
-  let rec_ = Recorder.create () in
-  Recorder.attach rec_ u ~level:U.Counts;
-  let x = R.of_tuples u sch [ [ 1; 2 ]; [ 3; 4 ] ] in
-  U.reorder ~trigger:"test" u;
-  let _ = R.size x in
-  Recorder.detach u;
-  let html = Report.to_html ~engine:(U.reorder_engine u) rec_ in
-  Alcotest.(check bool) "has order section" true
-    (contains html "Variable order");
-  Alcotest.(check bool) "names the blocks" true (contains html "P1");
-  Alcotest.(check bool) "lists the pass" true (contains html "sift")
-
 let test_csv_report () =
   let rec_ = small_session () in
   let csv = Report.to_csv rec_ in
@@ -216,7 +194,6 @@ let suite =
     Alcotest.test_case "recorder counts" `Quick test_recorder_counts;
     Alcotest.test_case "recorder shapes" `Quick test_recorder_shapes;
     Alcotest.test_case "html report" `Quick test_html_report;
-    Alcotest.test_case "html order section" `Quick test_html_order_section;
     Alcotest.test_case "csv report" `Quick test_csv_report;
     Alcotest.test_case "sql report" `Quick test_sql_report;
     Alcotest.test_case "recorder clear" `Quick test_clear;
