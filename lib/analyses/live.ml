@@ -119,7 +119,6 @@ type t = {
   mutable rts : int list list;
   mutable call_edges : int list list;
   node_capacity : int;
-  backend : Jedd_relation.Backend.kind option;
 }
 
 let caps_of (p : P.t) =
@@ -202,14 +201,15 @@ let solve_all inst (p : P.t) ~action =
   in
   (pt, rts, ce, [ s1; s2; s3; s4; s5 ])
 
-let instantiate ~node_capacity ?backend (p : P.t) =
+let instantiate ~node_capacity (p : P.t) =
   let src = Suite.combined_source ~headroom:true p in
   match Driver.compile [ ("Live.jedd", src) ] with
-  | Ok c -> Driver.instantiate ~node_capacity ?backend c
+  | Ok c -> Driver.instantiate ~node_capacity c
   | Error e -> failwith ("live: " ^ Driver.error_to_string e)
 
-let create ?(node_capacity = 1 lsl 16) ?backend (p : P.t) =
-  let inst = instantiate ~node_capacity ?backend p in
+let create ?(node_capacity = 1 lsl 16) ?backend:(_ : [ `Incore ] option)
+    (p : P.t) =
+  let inst = instantiate ~node_capacity p in
   let pt, rts, call_edges, _ = solve_all inst p ~action:"cold" in
   {
     p;
@@ -220,7 +220,6 @@ let create ?(node_capacity = 1 lsl 16) ?backend (p : P.t) =
     rts;
     call_edges;
     node_capacity;
-    backend;
   }
 
 let program t = t.p
@@ -268,7 +267,7 @@ let update t edit : update_stats =
   in
   if not (fits t.caps p') then begin
     (* an id space outgrew the compiled bit widths: fresh universe *)
-    let inst = instantiate ~node_capacity:t.node_capacity ?backend:t.backend p' in
+    let inst = instantiate ~node_capacity:t.node_capacity p' in
     let pt, rts, ce, stages = solve_all inst p' ~action:"recompile" in
     t.inst <- inst;
     t.caps <- caps_of p';

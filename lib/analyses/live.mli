@@ -44,10 +44,12 @@ type update_stats = {
 
 val create :
   ?node_capacity:int ->
-  ?backend:Jedd_relation.Backend.kind ->
+  ?backend:[ `Incore ] ->
   P.t ->
   t
-(** Compile (with headroom), load the facts, and run the cold solve. *)
+(** Compile (with headroom), load the facts, and run the cold solve.
+    [backend] is accepted and ignored: there is one engine, and existing
+    callers still name it. *)
 
 val program : t -> P.t
 val inst : t -> Jedd_lang.Interp.t

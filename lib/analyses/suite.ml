@@ -78,7 +78,7 @@ let receiver_types (p : P.t) pt_tuples =
    persists and the query server serves.  The analyses address their
    fields by qualified name, so they run unchanged on the combined
    instance. *)
-let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?headroom
+let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?headroom
     ?(naive = false) ?(optimize = false) (p : P.t) : Interp.t * results =
   let compiled =
     match
@@ -88,9 +88,7 @@ let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?headroom
     | Ok c -> c
     | Error e -> failwith ("combined: " ^ Driver.error_to_string e)
   in
-  let inst =
-    Driver.instantiate ~node_capacity ?node_limit ?backend compiled
-  in
+  let inst = Driver.instantiate ~node_capacity ?node_limit compiled in
   Hierarchy.load_facts inst p;
   if naive then Hierarchy.run_naive inst else Hierarchy.run inst;
   let subtypes = Hierarchy.results inst in
@@ -164,10 +162,10 @@ let snapshot ?(meta = []) inst =
     relations = Interp.fields inst;
   }
 
-let run_all ?(node_capacity = 1 lsl 16) ?node_limit ?backend
-    ?(optimize = false) (p : P.t) : results =
+let run_all ?(node_capacity = 1 lsl 16) ?node_limit ?(optimize = false)
+    (p : P.t) : results =
   let compile_one p name = compile_one ~optimize p name in
-  let instantiate c = Driver.instantiate ~node_capacity ?node_limit ?backend c in
+  let instantiate c = Driver.instantiate ~node_capacity ?node_limit c in
   (* 1. hierarchy *)
   let hier = instantiate (compile_one p "Hierarchy") in
   Hierarchy.load_facts hier p;

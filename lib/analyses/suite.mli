@@ -54,19 +54,16 @@ val receiver_types : Jedd_minijava.Program.t -> int list list -> int list list
 val run_all :
   ?node_capacity:int ->
   ?node_limit:int ->
-  ?backend:Jedd_relation.Backend.kind ->
   ?optimize:bool ->
   Jedd_minijava.Program.t ->
   results
-(** Compile and run the full pipeline.  [backend] selects the relation
-    engine for every universe the pipeline creates (default in-core);
-    [node_limit] caps each in-core node table, turning runaway solves
-    into a catchable [Jedd_bdd.Manager.Out_of_nodes]. *)
+(** Compile and run the full pipeline.  [node_limit] caps each
+    universe's node table, turning runaway solves into a catchable
+    [Jedd_bdd.Manager.Out_of_nodes]. *)
 
 val run_combined :
   ?node_capacity:int ->
   ?node_limit:int ->
-  ?backend:Jedd_relation.Backend.kind ->
   ?headroom:bool ->
   ?naive:bool ->
   ?optimize:bool ->

@@ -148,39 +148,6 @@ end
 
 module W_solver = Jedd_dataflow.Solver (W_lattice)
 
-(* The interprocedural half of the analysis, freed from the typed AST:
-   saturating frequency propagation over any call multigraph whose nodes
-   are dense integers.  Each edge routes through its own call-site node
-   carrying the multiplicative factor, exactly like the named version
-   below, so shared callees join with [max] and recursion saturates at
-   [weight_cap]. *)
-let graph_weights ~n ~entries ~edges =
-  let cg = G.create () in
-  (* method nodes first: ids 0..n-1 (G.add_node allocates densely) *)
-  for _ = 1 to n do
-    ignore (G.add_node cg)
-  done;
-  let cs_weight = Hashtbl.create 16 in
-  List.iter
-    (fun (src, dst, f) ->
-      if src >= 0 && src < n && dst >= 0 && dst < n then begin
-        let c = G.add_node cg in
-        Hashtbl.replace cs_weight c (max 1 f);
-        G.add_edge cg src c;
-        G.add_edge cg c dst
-      end)
-    edges;
-  let entry = Array.make n false in
-  List.iter (fun i -> if i >= 0 && i < n then entry.(i) <- true) entries;
-  let res =
-    W_solver.run cg Jedd_dataflow.Forward
-      ~init:(fun i -> if i < n && entry.(i) then 1 else 0)
-      ~transfer:(fun i fact ->
-        if i < n then if entry.(i) then max 1 fact else fact
-        else sat_mul fact (Hashtbl.find cs_weight i))
-  in
-  Array.init n res.W_solver.after
-
 type t = {
   sites : (int, site) Hashtbl.t;  (* eid -> final weight/depth/fixpoint *)
   meths : (string, int) Hashtbl.t;

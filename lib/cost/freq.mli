@@ -24,19 +24,6 @@ val weight_cap : int
 val sat_mul : int -> int -> int
 (** Multiplication saturating at {!weight_cap} (0 absorbs). *)
 
-val graph_weights :
-  n:int -> entries:int list -> edges:(int * int * int) list -> int array
-(** The interprocedural propagation alone, over an arbitrary call
-    multigraph on dense integer nodes [0..n-1]: every entry starts at
-    weight 1, an edge [(caller, callee, factor)] carries
-    [caller_weight * factor] (saturating, [factor] floored at 1) to the
-    callee, joins are [max], recursion saturates at {!weight_cap}.
-    Returns the per-node weights; nodes unreachable from the entries get
-    0.  Out-of-range endpoints are ignored.  This is the engine behind
-    {!analyze}'s method weights, exposed for weighing call graphs that
-    do not come from a Jedd program (e.g. the analysed subject program's
-    own call graph in the weighted call-graph analysis). *)
-
 val analyze :
   ?loop_factor:int -> ?fixpoint_factor:int -> Jedd_lang.Tast.tprogram -> t
 (** Run the analysis.  [loop_factor] (default 8) scales plain loop

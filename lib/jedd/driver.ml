@@ -59,5 +59,6 @@ let compile_exn ?max_paths_per_class ?weight ~file src =
   | Ok c -> c
   | Error e -> failwith (error_to_string e)
 
-let instantiate ?node_capacity ?node_limit ?backend c =
-  Interp.instantiate ?node_capacity ?node_limit ?backend c
+let instantiate ?node_capacity ?node_limit ?backend:(_ : [ `Incore ] option)
+    c =
+  Interp.instantiate ?node_capacity ?node_limit c

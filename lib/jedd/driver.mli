@@ -44,10 +44,11 @@ val compile_exn :
 val instantiate :
   ?node_capacity:int ->
   ?node_limit:int ->
-  ?backend:Jedd_relation.Backend.kind ->
+  ?backend:[ `Incore ] ->
   compiled ->
   Interp.t
 (** Set up a runnable instance (universe + fields initialised, every
-    method lowered). *)
+    method lowered).  [backend] is accepted and ignored: there is one
+    engine, and existing callers still name it. *)
 
 val error_to_string : error -> string

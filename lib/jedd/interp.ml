@@ -68,10 +68,9 @@ let check_from_env () =
   | Some ("" | "0") | None -> false
   | Some _ -> true
 
-let create ?(node_capacity = 1 lsl 16) ?node_limit ?backend
-    (c : Lower.compiled) : t =
+let create ?(node_capacity = 1 lsl 16) ?node_limit (c : Lower.compiled) : t =
   let prog = c.Lower.tprog in
-  let u = U.create ~node_capacity ?node_limit ?backend () in
+  let u = U.create ~node_capacity ?node_limit () in
   let physdoms = Hashtbl.create 16 in
   List.iter
     (fun (p : phys_info) ->
@@ -401,8 +400,8 @@ let is_init q =
   | [ _; meth ] -> String.starts_with ~prefix:"<init:" meth
   | _ -> false
 
-let instantiate ?node_capacity ?node_limit ?backend c =
-  let t = create ?node_capacity ?node_limit ?backend c in
+let instantiate ?node_capacity ?node_limit c =
+  let t = create ?node_capacity ?node_limit c in
   (* every field starts as 0B at its assigned layout (§4.2: one
      container per field), then the field initialisers run *)
   Hashtbl.iter

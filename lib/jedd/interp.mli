@@ -25,7 +25,6 @@ type t
 val instantiate :
   ?node_capacity:int ->
   ?node_limit:int ->
-  ?backend:Jedd_relation.Backend.kind ->
   Lower.compiled ->
   t
 (** Create the universe, declare the physical domains at their computed

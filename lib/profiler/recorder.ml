@@ -13,10 +13,6 @@ type summary = {
   cache_misses : int;
   gcs : int;
   gc_millis : float;
-  mt_cache_hits : int;
-  mt_cache_misses : int;
-  mt_terminals : int;
-      (* high-water mark of distinct terminal values over the executions *)
 }
 
 (* One recorder may receive events from two threads at once (the serve
@@ -77,20 +73,12 @@ let summaries t =
             cache_misses = 0;
             gcs = 0;
             gc_millis = 0.0;
-            mt_cache_hits = 0;
-            mt_cache_misses = 0;
-            mt_terminals = 0;
           }
       in
       let hits, misses, gcs, gc_millis =
         match e.U.bdd with
         | Some d -> (d.U.cache_hits, d.U.cache_misses, d.U.gcs, d.U.gc_millis)
         | None -> (0, 0, 0, 0.0)
-      in
-      let mt_hits, mt_misses, mt_terms =
-        match e.U.bdd with
-        | Some d -> (d.U.mt_cache_hits, d.U.mt_cache_misses, d.U.mt_terminals)
-        | None -> (0, 0, 0)
       in
       Hashtbl.replace table key
         {
@@ -104,17 +92,14 @@ let summaries t =
           cache_misses = current.cache_misses + misses;
           gcs = current.gcs + gcs;
           gc_millis = current.gc_millis +. gc_millis;
-          mt_cache_hits = current.mt_cache_hits + mt_hits;
-          mt_cache_misses = current.mt_cache_misses + mt_misses;
-          mt_terminals = max current.mt_terminals mt_terms;
         })
     events;
   Hashtbl.fold (fun _ s acc -> s :: acc) table []
   |> List.sort (fun a b -> compare b.total_millis a.total_millis)
 
 (* Lifetime counter snapshot of a universe's BDD layer, as flat
-   (name, value) pairs: the cache/GC/growth counters of the
-   manager and the terminal-store counters of an mtbdd backend.  This
+   (name, value) pairs: the node, cache, GC and growth counters of the
+   manager.  This
    is the payload of the query server's [stats] verb and of the bench
    JSON reports, so the numbers users see in both places are the same
    counters the profiler attributes per-operation above. *)
@@ -123,18 +108,7 @@ let runtime_stats u =
   let module M = Jedd_bdd.Manager in
   let m = U.manager u in
   let hits, misses, evictions = M.cache_totals m in
-  let mt_hits, mt_misses, mt_terminals, mt_live, mt_peak =
-    match Jedd_relation.Backend.mt_store (U.backend u) with
-    | None -> (0, 0, 0, 0, 0)
-    | Some st ->
-      let module Mt = Jedd_mtbdd.Mtbdd in
-      let h, ms, _ev = Mt.cache_totals st in
-      (h, ms, Mt.distinct_terminals st, Mt.live_nodes st, Mt.peak_nodes st)
-  in
   [
-    ( "backend",
-      float_of_int (match U.backend_kind u with `Incore -> 0 | `Mtbdd -> 3)
-    );
     ("live_nodes", float_of_int (M.live_nodes m));
     ("peak_nodes", float_of_int (M.peak_nodes m));
     ("num_vars", float_of_int (M.num_vars m));
@@ -145,9 +119,4 @@ let runtime_stats u =
     ("gc_millis", M.gc_millis m);
     ("grows", float_of_int (M.grow_count m));
     ("grow_millis", M.grow_millis m);
-    ("mt_cache_hits", float_of_int mt_hits);
-    ("mt_cache_misses", float_of_int mt_misses);
-    ("mt_distinct_terminals", float_of_int mt_terminals);
-    ("mt_live_nodes", float_of_int mt_live);
-    ("mt_peak_nodes", float_of_int mt_peak);
   ]

@@ -28,11 +28,6 @@ type summary = {
   cache_misses : int;
   gcs : int;
   gc_millis : float;
-  mt_cache_hits : int;  (** mtbdd backend: terminal-apply cache hits *)
-  mt_cache_misses : int;
-  mt_terminals : int;
-      (** mtbdd backend: high-water mark of distinct terminal values
-          observed across the executions (a gauge) *)
 }
 
 val create : unit -> t
@@ -58,9 +53,6 @@ val clear : t -> unit
 
 val runtime_stats : Jedd_relation.Universe.t -> (string * float) list
 (** Lifetime BDD-layer counters of a universe as flat (name, value)
-    pairs — cache hits/misses/evictions, GC and growth work, the mtbdd
-    terminal-store counters ([mt_cache_*], [mt_distinct_terminals],
-    [mt_live_nodes]; zero in-core).  Integer counters are widened to
-    floats; [backend] is 0 in-core, 3 mtbdd (1 and 2 named the retired
-    out-of-core and hybrid engines and are not reused).  Shared by the
-    jeddd [stats] verb and the bench JSON reports. *)
+    pairs — node counts, cache hits/misses/evictions, GC and growth
+    work.  Integer counters are widened to floats.  Shared by the jeddd
+    [stats] verb and the bench JSON reports. *)

@@ -55,22 +55,10 @@ let to_html rec_ =
   (* Overview: the paper's top-level profile view, plus the BDD-layer
      cache behaviour attributed to each relational operation. *)
   let summaries = Recorder.summaries rec_ in
-  (* The terminal-store columns appear only when some operation ran on
-     the mtbdd backend — boolean-only profiles keep the original table. *)
-  let has_mt =
-    List.exists
-      (fun (s : Recorder.summary) ->
-        s.mt_cache_hits + s.mt_cache_misses + s.mt_terminals > 0)
-      summaries
-  in
   out "<h2>Overview</h2><table><tr><th class=l>operation</th><th \
        class=l>label</th><th>executions</th><th>total ms</th><th>max \
        result nodes</th><th>cache hits</th><th>cache misses</th><th>hit \
-       rate</th><th>GCs</th><th>GC ms</th>%s</tr>"
-    (if has_mt then
-       "<th>terminal cache hits</th><th>terminal cache misses</th>\
-        <th>terminal hit rate</th><th>distinct terminals</th>"
-     else "");
+       rate</th><th>GCs</th><th>GC ms</th></tr>";
   let hit_rate hits misses =
     if hits + misses = 0 then "-"
     else
@@ -82,18 +70,12 @@ let to_html rec_ =
       out
         "<tr><td class=l><a href=\"#%s\">%s</a></td><td \
          class=l>%s</td><td>%d</td><td>%.3f</td><td>%d</td><td>%d</td>\
-         <td>%d</td><td>%s</td><td>%d</td><td>%.3f</td>%s</tr>"
+         <td>%d</td><td>%s</td><td>%d</td><td>%.3f</td></tr>"
         (anchor s.op s.label) (escape_html s.op) (escape_html s.label)
         s.executions s.total_millis s.max_result_nodes s.cache_hits
         s.cache_misses
         (hit_rate s.cache_hits s.cache_misses)
-        s.gcs s.gc_millis
-        (if has_mt then
-           Printf.sprintf "<td>%d</td><td>%d</td><td>%s</td><td>%d</td>"
-             s.mt_cache_hits s.mt_cache_misses
-             (hit_rate s.mt_cache_hits s.mt_cache_misses)
-             s.mt_terminals
-         else ""))
+        s.gcs s.gc_millis)
     summaries;
   out "</table>";
   (* Drill-down: one section per operation. *)
@@ -117,19 +99,15 @@ let to_html rec_ =
               e.U.result_nodes e.U.result_tuples
               (match e.U.bdd with
               | Some d ->
-                (* boolean tags first, then the mt-* terminal kernels *)
                 String.concat ", "
                   (List.map
                      (fun (t : U.tag_delta) ->
                        Printf.sprintf "%s %d/%d" (escape_html t.tag) t.hits
                          (t.hits + t.misses))
-                     (d.U.per_tag @ d.U.mt_per_tag))
-                ^ (if d.U.gcs > 0 then
-                     Printf.sprintf " (%d GC, %.2f ms)" d.U.gcs d.U.gc_millis
-                   else "")
+                     d.U.per_tag)
                 ^
-                if d.U.mt_terminals > 0 then
-                  Printf.sprintf " [%d terminals]" d.U.mt_terminals
+                if d.U.gcs > 0 then
+                  Printf.sprintf " (%d GC, %.2f ms)" d.U.gcs d.U.gc_millis
                 else ""
               | None -> "")
               (match e.U.shapes with
@@ -145,8 +123,7 @@ let to_csv rec_ =
   let buf = Buffer.create 4096 in
   Buffer.add_string buf
     "seq,op,label,millis,operand_nodes,result_nodes,result_tuples,\
-     cache_hits,cache_misses,gcs,gc_millis,mt_cache_hits,mt_cache_misses,\
-     mt_distinct_terminals\n";
+     cache_hits,cache_misses,gcs,gc_millis\n";
   List.iter
     (fun (r : Recorder.row) ->
       let e = r.event in
@@ -155,18 +132,11 @@ let to_csv rec_ =
         | Some d -> (d.U.cache_hits, d.U.cache_misses, d.U.gcs, d.U.gc_millis)
         | None -> (0, 0, 0, 0.0)
       in
-      let mt_hits, mt_misses, mt_terms =
-        match e.U.bdd with
-        | Some d -> (d.U.mt_cache_hits, d.U.mt_cache_misses, d.U.mt_terminals)
-        | None -> (0, 0, 0)
-      in
       Buffer.add_string buf
-        (Printf.sprintf
-           "%d,%s,\"%s\",%.4f,\"%s\",%d,%d,%d,%d,%d,%.4f,%d,%d,%d\n"
+        (Printf.sprintf "%d,%s,\"%s\",%.4f,\"%s\",%d,%d,%d,%d,%d,%.4f\n"
            r.seq e.U.op e.U.label e.U.millis
            (String.concat ";" (List.map string_of_int e.U.operand_nodes))
-           e.U.result_nodes e.U.result_tuples hits misses gcs gc_ms mt_hits
-           mt_misses mt_terms))
+           e.U.result_nodes e.U.result_tuples hits misses gcs gc_ms))
     (Recorder.rows rec_);
   Buffer.contents buf
 

@@ -1,77 +1,56 @@
+module M = Jedd_bdd.Manager
+module Ops = Jedd_bdd.Ops
+module Quant = Jedd_bdd.Quant
+module Rep = Jedd_bdd.Replace
+module Count = Jedd_bdd.Count
+module Enum = Jedd_bdd.Enum
 module Fdd = Jedd_bdd.Fdd
-module B = Backend
+module Lv = Jedd_bdd.Levelized
 
 exception Type_error of string
 
 let type_error fmt = Format.kasprintf (fun s -> raise (Type_error s)) fmt
 
-(* A root has the node type of its universe's engine.  Operations on
-   one relation use that engine directly; a binary operation first
-   proves, in [same_universe], that both engines are one. *)
-type 'n rel = {
+(* A schema and a root in the manager of its universe. *)
+type t = {
   u : Universe.t;
-  e : 'n B.engine;
   sch : Schema.t;
-  rt : 'n;
-  lc : int Atomic.t;  (** the universe's live-root counter, captured so
-                          [release] (a finaliser) never takes a lock *)
+  rt : M.node;
   mutable released : bool;
 }
 
-type t = R : 'n rel -> t [@@unboxed]
-
-let same_universe (type a b) name (e : a B.engine) (y : b rel) : a rel =
-  match Type.Id.provably_equal e.id y.e.id with
-  | Some Type.Equal -> y
-  | None -> type_error "%s: relations from different universes" name
+let same_universe name x y =
+  if Universe.uid x.u <> Universe.uid y.u then
+    type_error "%s: relations from different universes" name
 
 (* -- live-root accounting (per universe) --------------------------------
 
-   The table lookup is mutex-protected (the serving worker domain and
-   the live updater thread create relations concurrently), but the counter
-   itself is atomic and captured in the relation: [release] runs from GC
-   finalisers, which may fire while this very lock is held, so its path
-   must be lock-free. *)
+   The counter is atomic and lives in the universe: [release] runs from
+   GC finalisers, and the serving worker domain and the live updater
+   thread create relations concurrently, so no path here takes a
+   lock. *)
 
-let live_lock = Mutex.create ()
-let live_counts : (int, int Atomic.t) Hashtbl.t = Hashtbl.create 8
+let live_root_count u = Atomic.get (Universe.live_roots u)
 
-let live_counter u =
-  Mutex.lock live_lock;
-  let r =
-    match Hashtbl.find_opt live_counts (Universe.uid u) with
-    | Some r -> r
-    | None ->
-      let r = Atomic.make 0 in
-      Hashtbl.add live_counts (Universe.uid u) r;
-      r
-  in
-  Mutex.unlock live_lock;
-  r
-
-let live_root_count u = Atomic.get (live_counter u)
-
-let release_rel (r : _ rel) =
+let release r =
   if not r.released then begin
     r.released <- true;
-    Atomic.decr r.lc;
-    r.e.ops.delref r.rt
+    Atomic.decr (Universe.live_roots r.u);
+    M.delref (Universe.manager r.u) r.rt
   end
 
-let release (R r) = release_rel r
-
-let make u (e : 'n B.engine) sch (rt : 'n) =
-  e.ops.addref rt;
-  let lc = live_counter u in
-  let r = { u; e; sch; rt; lc; released = false } in
-  Atomic.incr lc;
+let make u sch rt =
+  ignore (M.addref (Universe.manager u) rt);
+  let r = { u; sch; rt; released = false } in
+  Atomic.incr (Universe.live_roots u);
   (* The finaliser is the safety net of §4.2: eager releases come from
      [release], called by the interpreter's liveness analysis. *)
-  Gc.finalise release_rel r;
+  Gc.finalise release r;
   r
 
-let universe (R r) = r.u
-let schema (R r) = r.sch
+let universe r = r.u
+let schema r = r.sch
+let man r = Universe.manager r.u
 
 let root r =
   if r.released then invalid_arg "Relation: use after release";
@@ -81,8 +60,7 @@ let root r =
 
 let now_ms () = Sys.time () *. 1000.0
 
-let profiled u ~op ~label ~(operands : 'n rel list) (f : unit -> 'n rel) :
-    'n rel =
+let profiled u ~op ~label ~operands f =
   match Universe.profile_level u with
   | Universe.Off -> f ()
   | lvl ->
@@ -91,16 +69,19 @@ let profiled u ~op ~label ~(operands : 'n rel list) (f : unit -> 'n rel) :
     let result = f () in
     let millis = now_ms () -. t0 in
     let bdd = Some (Universe.bdd_delta_since u snap) in
-    let o = result.e.ops in
-    let operand_nodes = List.map (fun r -> o.nodecount r.rt) operands in
-    let result_nodes = o.nodecount result.rt in
+    let m = Universe.manager u in
+    let operand_nodes = List.map (fun r -> Count.nodecount m r.rt) operands in
+    let result_nodes = Count.nodecount m result.rt in
     let result_tuples =
-      o.satcount result.rt ~over:(Array.to_list (Schema.levels result.sch))
+      Count.satcount m result.rt
+        ~over:(Array.to_list (Schema.levels result.sch))
     in
     let shapes =
       match lvl with
       | Universe.Shapes ->
-        Some (o.shape result.rt, List.map (fun r -> o.shape r.rt) operands)
+        Some
+          ( Count.shape m result.rt,
+            List.map (fun r -> Count.shape m r.rt) operands )
       | _ -> None
     in
     Universe.emit_op u
@@ -155,12 +136,12 @@ let scratch u ~bits ~avoid =
    runtime invariant that bits above an attribute's domain width are
    constrained to zero.
 
-   [layout_parts] splits the change into the three pieces the backends
+   [layout_parts] splits the change into the three pieces the kernels
    consume separately: the source-side restriction (applied eagerly — it
    only shrinks the operand, and only when a move narrows), the raw
    level-permutation pairs, and the levels of new high bits of wider
    targets that must be constrained to zero after the move. *)
-let layout_parts (o : 'n B.ops) (rt : 'n) moves =
+let layout_parts m rt moves =
   let moves = List.filter (fun (s, d) -> not (Physdom.equal s d)) moves in
   if moves = [] then (rt, [], [])
   else begin
@@ -172,7 +153,7 @@ let layout_parts (o : 'n B.ops) (rt : 'n) moves =
           if ws > wd then begin
             let lv = Physdom.levels src in
             let highs = Array.to_list (Array.sub lv 0 (ws - wd)) in
-            o.restrict rt (List.map (fun l -> (l, false)) highs)
+            Ops.restrict m rt (List.map (fun l -> (l, false)) highs)
           end
           else rt)
         rt moves
@@ -205,30 +186,32 @@ let layout_parts (o : 'n B.ops) (rt : 'n) moves =
    any new high bits of the (unmaterialised) aligned right operand:
    [f /\ (perm(g) /\ Z)] = [(f /\ Z) /\ perm(g)], and conjoining a small
    cube into [f] is linear in [f]. *)
-let absorb_zero_levels (o : 'n B.ops) (rt : 'n) zero_levels =
+let absorb_zero_levels m rt zero_levels =
   if zero_levels = [] then rt
-  else o.band rt (o.cube (List.map (fun l -> (l, false)) zero_levels))
+  else Ops.band m rt (Ops.cube m (List.map (fun l -> (l, false)) zero_levels))
 
-let change_layout (o : 'n B.ops) (rt : 'n) moves =
-  let rt, pairs, zero_levels = layout_parts o rt moves in
-  let rt = if pairs = [] then rt else o.replace rt pairs in
-  absorb_zero_levels o rt zero_levels
+let change_layout m rt moves =
+  let rt, pairs, zero_levels = layout_parts m rt moves in
+  let rt = if pairs = [] then rt else Rep.replace m rt (Rep.make_perm m pairs) in
+  absorb_zero_levels m rt zero_levels
 
 (* Equality constraint between two physical domains holding the same
    domain's values (used by attribute copy). *)
-let phys_equality (o : 'n B.ops) pa pb : 'n =
+let phys_equality m pa pb =
   let la = Physdom.levels pa and lb = Physdom.levels pb in
   let wa = Array.length la and wb = Array.length lb in
   let k = min wa wb in
-  let acc = ref (o.one ()) in
+  let acc = ref M.one in
   for i = 0 to k - 1 do
-    let eq = o.biimp_vars la.(wa - 1 - i) lb.(wb - 1 - i) in
-    acc := o.band !acc eq
+    let eq =
+      Ops.bbiimp m (M.var m la.(wa - 1 - i)) (M.var m lb.(wb - 1 - i))
+    in
+    acc := Ops.band m !acc eq
   done;
   (* extra high bits of the wider side must be zero *)
   let force_zero levels extra =
     for i = 0 to extra - 1 do
-      acc := o.band !acc (o.cube [ (levels.(i), false) ])
+      acc := Ops.band m !acc (Ops.cube m [ (levels.(i), false) ])
     done
   in
   if wa > wb then force_zero la (wa - wb);
@@ -237,25 +220,22 @@ let phys_equality (o : 'n B.ops) pa pb : 'n =
 
 (* -- construction -------------------------------------------------------- *)
 
-let empty u sch =
-  let (B.Engine e) = Universe.backend u in
-  R (make u e sch (e.ops.zero ()))
+let empty u sch = make u sch M.zero
 
 let full u sch =
   Universe.checkpoint u;
-  let (B.Engine e) = Universe.backend u in
-  let o = e.ops in
+  let m = Universe.manager u in
   let rt =
     List.fold_left
       (fun acc (en : Schema.entry) ->
-        o.band acc
-          (o.less_than (Physdom.block en.phys)
+        Ops.band m acc
+          (Fdd.less_than_const m (Physdom.block en.phys)
              (Domain.size (Attribute.domain en.attr))))
-      (o.one ()) (Schema.entries sch)
+      M.one (Schema.entries sch)
   in
-  R (make u e sch rt)
+  make u sch rt
 
-let tuple_root (o : 'n B.ops) sch objs : 'n =
+let tuple_root m sch objs =
   let entries = Schema.entries sch in
   if List.length objs <> List.length entries then
     type_error "tuple arity %d does not match schema %s" (List.length objs)
@@ -265,28 +245,26 @@ let tuple_root (o : 'n B.ops) sch objs : 'n =
       let d = Attribute.domain e.attr in
       if v < 0 || v >= Domain.size d then
         type_error "object %d out of range for domain %s" v (Domain.name d);
-      o.band acc (o.ithval (Physdom.block e.phys) v))
-    (o.one ()) entries objs
+      Ops.band m acc (Fdd.ithvar m (Physdom.block e.phys) v))
+    M.one entries objs
 
 let tuple u sch objs =
   Universe.checkpoint u;
-  let (B.Engine e) = Universe.backend u in
-  R (make u e sch (tuple_root e.ops sch objs))
+  make u sch (tuple_root (Universe.manager u) sch objs)
 
 let of_tuples u sch tuples =
   Universe.checkpoint u;
-  let (B.Engine e) = Universe.backend u in
-  let o = e.ops in
+  let m = Universe.manager u in
   let rt =
     List.fold_left
-      (fun acc objs -> o.bor acc (tuple_root o sch objs))
-      (o.zero ()) tuples
+      (fun acc objs -> Ops.bor m acc (tuple_root m sch objs))
+      M.zero tuples
   in
-  R (make u e sch rt)
+  make u sch rt
 
 (* -- layout coercion ------------------------------------------------------ *)
 
-let coerce_rel ?(label = "") (r : 'n rel) target : 'n rel =
+let coerce ?(label = "") r target =
   if not (Schema.same_attrs r.sch target) then
     type_error "coerce: schemas %s and %s differ in attributes"
       (Schema.to_string r.sch) (Schema.to_string target);
@@ -299,7 +277,7 @@ let coerce_rel ?(label = "") (r : 'n rel) target : 'n rel =
           Attribute.equal a.attr b.attr)
         (Schema.entries r.sch) (Schema.entries target)
     in
-    if same_order then r else make r.u r.e target (root r)
+    if same_order then r else make r.u target (root r)
   end
   else begin
     Universe.checkpoint r.u;
@@ -312,12 +290,10 @@ let coerce_rel ?(label = "") (r : 'n rel) target : 'n rel =
               else Some (e.phys, e'.phys))
             (Schema.entries r.sch)
         in
-        make r.u r.e target (change_layout r.e.ops (root r) moves))
+        make r.u target (change_layout (man r) (root r) moves))
   end
 
-let coerce ?label (R r) target = R (coerce_rel ?label r target)
-
-let replace ?(label = "") (R r) assignment =
+let replace ?(label = "") r assignment =
   let target =
     Schema.make
       (List.map
@@ -335,46 +311,43 @@ let replace ?(label = "") (R r) assignment =
         type_error "replace: attribute %s not in schema %s" (Attribute.name a)
           (Schema.to_string r.sch))
     assignment;
-  R (coerce_rel ~label r target)
+  coerce ~label r target
 
 (* -- set operations -------------------------------------------------------- *)
 
-let set_op name op ?(label = "") (R x) (R y) =
-  let y = same_universe name x.e y in
+let set_op name op ?(label = "") x y =
+  same_universe name x y;
   if not (Schema.same_attrs x.sch y.sch) then
     type_error "%s: incompatible schemas %s and %s" name
       (Schema.to_string x.sch) (Schema.to_string y.sch);
   Universe.checkpoint x.u;
-  let y = coerce_rel ~label y x.sch in
-  let o = x.e.ops in
+  let y = coerce ~label y x.sch in
   let bdd_op =
-    match op with `Union -> o.bor | `Inter -> o.band | `Diff -> o.bdiff
+    match op with `Union -> Ops.bor | `Inter -> Ops.band | `Diff -> Ops.bdiff
   in
-  R
-    (profiled x.u ~op:name ~label ~operands:[ x; y ] (fun () ->
-         make x.u x.e x.sch (bdd_op (root x) (root y))))
+  profiled x.u ~op:name ~label ~operands:[ x; y ] (fun () ->
+      make x.u x.sch (bdd_op (man x) (root x) (root y)))
 
 let union ?label x y = set_op "union" `Union ?label x y
 let inter ?label x y = set_op "intersect" `Inter ?label x y
 let diff ?label x y = set_op "difference" `Diff ?label x y
 
-let equal (R x) (R y) =
-  let y = same_universe "equal" x.e y in
+let equal x y =
+  same_universe "equal" x y;
   if not (Schema.same_attrs x.sch y.sch) then
     type_error "equal: incompatible schemas %s and %s"
       (Schema.to_string x.sch) (Schema.to_string y.sch);
-  let y = coerce_rel y x.sch in
-  x.e.ops.equal (root x) (root y)
+  let y = coerce y x.sch in
+  Int.equal (root x) (root y)
 
-let is_empty (R r) =
-  r.e.ops.is_zero (root r)
+let is_empty r = root r = M.zero
 
-let size (R r) =
-  r.e.ops.satcount (root r) ~over:(Array.to_list (Schema.levels r.sch))
+let size r =
+  Count.satcount (man r) (root r) ~over:(Array.to_list (Schema.levels r.sch))
 
 (* -- projection and attribute operations ----------------------------------- *)
 
-let project_away ?(label = "") (R r) attrs =
+let project_away ?(label = "") r attrs =
   List.iter
     (fun a ->
       if not (Schema.mem r.sch a) then
@@ -382,22 +355,25 @@ let project_away ?(label = "") (R r) attrs =
           (Schema.to_string r.sch))
     attrs;
   Universe.checkpoint r.u;
-  R
-    (profiled r.u ~op:"project" ~label ~operands:[ r ] (fun () ->
-         let removed, kept =
-           List.partition
-             (fun (e : Schema.entry) ->
-               List.exists (Attribute.equal e.attr) attrs)
-             (Schema.entries r.sch)
-         in
-         let levels =
-           List.concat_map
-             (fun (e : Schema.entry) -> Array.to_list (Physdom.levels e.phys))
-             removed
-         in
-         make r.u r.e (Schema.make kept) (r.e.ops.exist (root r) levels)))
+  profiled r.u ~op:"project" ~label ~operands:[ r ] (fun () ->
+      let removed, kept =
+        List.partition
+          (fun (e : Schema.entry) -> List.exists (Attribute.equal e.attr) attrs)
+          (Schema.entries r.sch)
+      in
+      let levels =
+        List.concat_map
+          (fun (e : Schema.entry) -> Array.to_list (Physdom.levels e.phys))
+          removed
+      in
+      let m = man r in
+      let rt =
+        if levels = [] then root r
+        else Quant.exist m (root r) (Quant.varset m levels)
+      in
+      make r.u (Schema.make kept) rt)
 
-let rename ?(label = "") (R r) renames =
+let rename ?(label = "") r renames =
   ignore label;
   let entries =
     List.map
@@ -421,9 +397,9 @@ let rename ?(label = "") (R r) renames =
           (Schema.to_string r.sch))
     renames;
   (* No BDD work: only the attribute -> physical domain map changes. *)
-  R (make r.u r.e (Schema.make entries) (root r))
+  make r.u (Schema.make entries) (root r)
 
-let copy ?(label = "") ?phys (R r) a ~as_ =
+let copy ?(label = "") ?phys r a ~as_ =
   if not (Schema.mem r.sch a) then
     type_error "copy: attribute %s not in schema %s" (Attribute.name a)
       (Schema.to_string r.sch);
@@ -434,31 +410,30 @@ let copy ?(label = "") ?phys (R r) a ~as_ =
     type_error "copy: %s and %s have different domains" (Attribute.name a)
       (Attribute.name as_);
   Universe.checkpoint r.u;
-  R
-    (profiled r.u ~op:"copy" ~label ~operands:[ r ] (fun () ->
-         let src = Schema.phys_of r.sch a in
-         let target =
-           match phys with
-           | Some p -> p
-           | None ->
-             scratch r.u
-               ~bits:(Domain.bits (Attribute.domain a))
-               ~avoid:(List.map (fun (e : Schema.entry) -> e.phys)
-                         (Schema.entries r.sch))
-         in
-         let entries =
-           Schema.entries r.sch @ [ { Schema.attr = as_; phys = target } ]
-         in
-         let o = r.e.ops in
-         let rt = o.band (root r) (phys_equality o src target) in
-         make r.u r.e (Schema.make entries) rt))
+  profiled r.u ~op:"copy" ~label ~operands:[ r ] (fun () ->
+      let src = Schema.phys_of r.sch a in
+      let target =
+        match phys with
+        | Some p -> p
+        | None ->
+          scratch r.u
+            ~bits:(Domain.bits (Attribute.domain a))
+            ~avoid:
+              (List.map (fun (e : Schema.entry) -> e.phys) (Schema.entries r.sch))
+      in
+      let entries =
+        Schema.entries r.sch @ [ { Schema.attr = as_; phys = target } ]
+      in
+      let m = man r in
+      let rt = Ops.band m (root r) (phys_equality m src target) in
+      make r.u (Schema.make entries) rt)
 
 (* -- join and composition --------------------------------------------------- *)
 
 (* Shared front half of join and compose: dynamic type checks, then
    relayout of the right operand so compared attributes share physical
    domains with the left and everything else is collision-free. *)
-let align name (x : 'n rel) cmp_x (y : 'n rel) cmp_y =
+let align name x cmp_x y cmp_y =
   if List.length cmp_x <> List.length cmp_y then
     type_error "%s: attribute lists differ in length" name;
   let check_in sch a =
@@ -537,10 +512,10 @@ let align name (x : 'n rel) cmp_x (y : 'n rel) cmp_y =
   in
   (* Hot path: the aligned right operand is NOT materialised here.  The
      caller feeds the pre-restricted root plus the permutation pairs to
-     the backend's fused product (relprod_replace), which
+     the fused product ([relprod_replace]), which
      conjoins/quantifies against the permuted operand in one recursion
      (§2.2.3's one-pass argument, extended to the re-layout itself). *)
-  let y_pre, pairs, zero_levels = layout_parts x.e.ops (root y) moves in
+  let y_pre, pairs, zero_levels = layout_parts (man x) (root y) moves in
   let y_entries' =
     List.map
       (fun ((e : Schema.entry), t) -> { e with Schema.phys = t })
@@ -560,62 +535,67 @@ let result_disjointness name left_entries right_entries =
           (Attribute.name e.attr))
     left_entries
 
-let join ?(label = "") (R x) cmp_x (R y) cmp_y =
-  let y = same_universe "join" x.e y in
-  Universe.checkpoint x.u;
-  R
-    (profiled x.u ~op:"join" ~label ~operands:[ x; y ] (fun () ->
-         let y_pre, pairs, zero_levels, y_entries' =
-           align "join" x cmp_x y cmp_y
-         in
-         let kept_right =
-           List.filter
-             (fun (e : Schema.entry) ->
-               not (List.exists (Attribute.equal e.attr) cmp_y))
-             y_entries'
-         in
-         result_disjointness "join" (Schema.entries x.sch) kept_right;
-         let o = x.e.ops in
-         let xr = absorb_zero_levels o (root x) zero_levels in
-         (* Fused conjunction-with-permutation: no aligned intermediate. *)
-         let rt = o.relprod_replace xr y_pre pairs [] in
-         make x.u x.e (Schema.make (Schema.entries x.sch @ kept_right)) rt))
+(* [exist (band f (replace g pairs)) qlevels] in one recursion: the
+   join/compose kernel. *)
+let relprod_replace m f g pairs qlevels =
+  let perm = Rep.make_perm m pairs in
+  let cube = if qlevels = [] then M.one else Quant.varset m qlevels in
+  Rep.relprod_replace m f g perm cube
 
-let compose ?(label = "") (R x) cmp_x (R y) cmp_y =
-  let y = same_universe "compose" x.e y in
+let join ?(label = "") x cmp_x y cmp_y =
+  same_universe "join" x y;
   Universe.checkpoint x.u;
-  R
-    (profiled x.u ~op:"compose" ~label ~operands:[ x; y ] (fun () ->
-         let y_pre, pairs, zero_levels, y_entries' =
-           align "compose" x cmp_x y cmp_y
-         in
-         let kept_left =
-           List.filter
-             (fun (e : Schema.entry) ->
-               not (List.exists (Attribute.equal e.attr) cmp_x))
-             (Schema.entries x.sch)
-         in
-         let kept_right =
-           List.filter
-             (fun (e : Schema.entry) ->
-               not (List.exists (Attribute.equal e.attr) cmp_y))
-             y_entries'
-         in
-         result_disjointness "compose" kept_left kept_right;
-         let qlevels =
-           List.concat_map
-             (fun a -> Array.to_list (Physdom.levels (Schema.phys_of x.sch a)))
-             cmp_x
-         in
-         (* The one-pass relational product the paper says makes composition
-            cheaper than join-then-project (§2.2.3), further fused with the
-            right operand's re-layout so no aligned intermediate is built. *)
-         let o = x.e.ops in
-         let xr = absorb_zero_levels o (root x) zero_levels in
-         let rt = o.relprod_replace xr y_pre pairs qlevels in
-         make x.u x.e (Schema.make (kept_left @ kept_right)) rt))
+  profiled x.u ~op:"join" ~label ~operands:[ x; y ] (fun () ->
+      let y_pre, pairs, zero_levels, y_entries' =
+        align "join" x cmp_x y cmp_y
+      in
+      let kept_right =
+        List.filter
+          (fun (e : Schema.entry) ->
+            not (List.exists (Attribute.equal e.attr) cmp_y))
+          y_entries'
+      in
+      result_disjointness "join" (Schema.entries x.sch) kept_right;
+      let m = man x in
+      let xr = absorb_zero_levels m (root x) zero_levels in
+      (* Fused conjunction-with-permutation: no aligned intermediate. *)
+      let rt = relprod_replace m xr y_pre pairs [] in
+      make x.u (Schema.make (Schema.entries x.sch @ kept_right)) rt)
 
-let select ?(label = "") (R r) bindings =
+let compose ?(label = "") x cmp_x y cmp_y =
+  same_universe "compose" x y;
+  Universe.checkpoint x.u;
+  profiled x.u ~op:"compose" ~label ~operands:[ x; y ] (fun () ->
+      let y_pre, pairs, zero_levels, y_entries' =
+        align "compose" x cmp_x y cmp_y
+      in
+      let kept_left =
+        List.filter
+          (fun (e : Schema.entry) ->
+            not (List.exists (Attribute.equal e.attr) cmp_x))
+          (Schema.entries x.sch)
+      in
+      let kept_right =
+        List.filter
+          (fun (e : Schema.entry) ->
+            not (List.exists (Attribute.equal e.attr) cmp_y))
+          y_entries'
+      in
+      result_disjointness "compose" kept_left kept_right;
+      let qlevels =
+        List.concat_map
+          (fun a -> Array.to_list (Physdom.levels (Schema.phys_of x.sch a)))
+          cmp_x
+      in
+      (* The one-pass relational product the paper says makes composition
+         cheaper than join-then-project (§2.2.3), further fused with the
+         right operand's re-layout so no aligned intermediate is built. *)
+      let m = man x in
+      let xr = absorb_zero_levels m (root x) zero_levels in
+      let rt = relprod_replace m xr y_pre pairs qlevels in
+      make x.u (Schema.make (kept_left @ kept_right)) rt)
+
+let select ?(label = "") r bindings =
   List.iter
     (fun (a, _) ->
       if not (Schema.mem r.sch a) then
@@ -623,29 +603,28 @@ let select ?(label = "") (R r) bindings =
           (Schema.to_string r.sch))
     bindings;
   Universe.checkpoint r.u;
-  R
-    (profiled r.u ~op:"select" ~label ~operands:[ r ] (fun () ->
-         let o = r.e.ops in
-         let constraint_bdd =
-           List.fold_left
-             (fun acc (a, v) ->
-               let e = Schema.find r.sch a in
-               let d = Attribute.domain a in
-               if v < 0 || v >= Domain.size d then
-                 type_error "select: object %d out of range for domain %s" v
-                   (Domain.name d);
-               o.band acc (o.ithval (Physdom.block e.phys) v))
-             (o.one ()) bindings
-         in
-         make r.u r.e r.sch (o.band (root r) constraint_bdd)))
+  profiled r.u ~op:"select" ~label ~operands:[ r ] (fun () ->
+      let m = man r in
+      let constraint_bdd =
+        List.fold_left
+          (fun acc (a, v) ->
+            let e = Schema.find r.sch a in
+            let d = Attribute.domain a in
+            if v < 0 || v >= Domain.size d then
+              type_error "select: object %d out of range for domain %s" v
+                (Domain.name d);
+            Ops.band m acc (Fdd.ithvar m (Physdom.block e.phys) v))
+          M.one bindings
+      in
+      make r.u r.sch (Ops.band m (root r) constraint_bdd))
 
 (* -- extraction -------------------------------------------------------------- *)
 
-let iter_tuples (R r) k =
+let iter_tuples r k =
   let levels = Schema.levels r.sch in
   let entries = Array.of_list (Schema.entries r.sch) in
   let tuple = Array.make (Array.length entries) 0 in
-  r.e.ops.iter_assignments (root r) ~levels (fun values ->
+  Enum.iter_assignments (man r) (root r) ~levels (fun values ->
       Array.iteri
         (fun i (e : Schema.entry) ->
           tuple.(i) <- Fdd.decode (Physdom.block e.phys) ~levels values)
@@ -664,7 +643,7 @@ let iter_objects r k =
     type_error "iter_objects: relation %s does not have exactly one attribute"
       (Schema.to_string (schema r))
 
-let dup (R r) = R (make r.u r.e r.sch (root r))
+let dup r = make r.u r.sch (root r)
 
 let pp ppf r =
   let entries = Schema.entries (schema r) in
@@ -701,129 +680,11 @@ let to_string r = Format.asprintf "%a" pp r
 
 (* -- levelized dumps (serialization) --------------------------------------- *)
 
-type levelized = {
-  export : t -> Jedd_bdd.Levelized.t;
-  import : Schema.t -> Jedd_bdd.Levelized.t -> t;
-}
+let export r = Lv.of_manager (man r) (root r)
 
-let levelized u =
-  let (B.Engine e) = Universe.backend u in
-  Option.map
-    (fun (lv : _ B.levelized) ->
-      {
-        export = (fun (R r) -> lv.export (root (same_universe "export" e r)));
-        import =
-          (fun sch d ->
-            let rt = lv.import d in
-            let r = make u e sch rt in
-            e.ops.delref rt;
-            R r);
-      })
-    e.levelized
-
-(* -- weighted relations (mtbdd backend) ---------------------------------- *)
-
-(* Per-tuple integer weights, carried as MTBDD terminal values.  Every
-   function below needs the engine's weights; on the in-core engine
-   there is nowhere to keep a weight, so they are type errors rather
-   than silently-lossy approximations. *)
-
-let weights name (e : 'n B.engine) : 'n B.weights =
-  match e.weights with
-  | Some w -> w
-  | None ->
-    type_error "%s: requires an mtbdd universe (this one is %s)" name
-      (B.kind_name e.kind)
-
-let of_weighted_tuples u sch wtuples =
-  let (B.Engine e) = Universe.backend u in
-  let w = weights "Relation.of_weighted_tuples" e in
-  Universe.checkpoint u;
-  let o = e.ops in
-  let rt =
-    (* accumulate with addition so duplicate tuples sum their weights *)
-    List.fold_left
-      (fun acc (objs, k) ->
-        if k < 0 then type_error "of_weighted_tuples: negative weight %d" k;
-        w.add acc (w.scale (tuple_root o sch objs) k))
-      (o.zero ()) wtuples
-  in
-  R (make u e sch rt)
-
-let iter_weighted_tuples (R r) k =
-  let w = weights "Relation.iter_weighted_tuples" r.e in
-  let levels = Schema.levels r.sch in
-  let entries = Array.of_list (Schema.entries r.sch) in
-  let tuple = Array.make (Array.length entries) 0 in
-  w.iter_weighted (root r) ~levels (fun values weight ->
-      Array.iteri
-        (fun i (e : Schema.entry) ->
-          tuple.(i) <- Fdd.decode (Physdom.block e.phys) ~levels values)
-        entries;
-      k tuple weight)
-
-let weight_of_tuples r =
-  let acc = ref [] in
-  iter_weighted_tuples r (fun t w -> acc := (Array.to_list t, w) :: !acc);
-  List.sort compare !acc
-
-let fold_weighted r ~init ~f =
-  let acc = ref init in
-  iter_weighted_tuples r (fun t w -> acc := f !acc (Array.to_list t) w);
-  !acc
-
-(* The weight summed over every assignment of [levels]: project them
-   away, then read the constant (terminal) diagram left — the callback
-   fires once with the terminal's weight, or not at all for zero. *)
-let summed_weight (w : _ B.weights) n levels =
-  let total = ref 0 in
-  w.iter_weighted (w.sum_exist n levels) ~levels:[||] (fun _ v -> total := v);
-  !total
-
-let total_weight (R r) =
-  let w = weights "Relation.total_weight" r.e in
-  summed_weight w (root r) (Array.to_list (Schema.levels r.sch))
-
-let weight_of (R r) objs =
-  let w = weights "Relation.weight_of" r.e in
-  let masked = w.mul (root r) (tuple_root r.e.ops r.sch objs) in
-  summed_weight w masked (Array.to_list (Schema.levels r.sch))
-
-let project_sum ?(label = "") (R r) attrs =
-  let w = weights "Relation.project_sum" r.e in
-  List.iter
-    (fun a ->
-      if not (Schema.mem r.sch a) then
-        type_error "project_sum: attribute %s not in schema %s"
-          (Attribute.name a) (Schema.to_string r.sch))
-    attrs;
-  Universe.checkpoint r.u;
-  R
-    (profiled r.u ~op:"project_sum" ~label ~operands:[ r ] (fun () ->
-         let removed, kept =
-           List.partition
-             (fun (e : Schema.entry) ->
-               List.exists (Attribute.equal e.attr) attrs)
-             (Schema.entries r.sch)
-         in
-         let levels =
-           List.concat_map
-             (fun (e : Schema.entry) -> Array.to_list (Physdom.levels e.phys))
-             removed
-         in
-         make r.u r.e (Schema.make kept) (w.sum_exist (root r) levels)))
-
-let scale ?(label = "") (R r) k =
-  let w = weights "Relation.scale" r.e in
-  if k < 0 then type_error "scale: negative factor %d" k;
-  Universe.checkpoint r.u;
-  R
-    (profiled r.u ~op:"scale" ~label ~operands:[ r ] (fun () ->
-         make r.u r.e r.sch (w.scale (root r) k)))
-
-let threshold ?(label = "") (R r) k =
-  let w = weights "Relation.threshold" r.e in
-  Universe.checkpoint r.u;
-  R
-    (profiled r.u ~op:"threshold" ~label ~operands:[ r ] (fun () ->
-         make r.u r.e r.sch (w.threshold (root r) k)))
+let import u sch d =
+  let m = Universe.manager u in
+  let rt = Lv.to_manager m d in
+  let r = make u sch rt in
+  M.delref m rt;
+  r

@@ -19,10 +19,9 @@
     triggers this path except where the translator planned it. *)
 
 type t
-(** A schema plus a BDD root in the engine of its universe
-    ({!Backend.t}).  The root's type is that engine's node type, so
-    roots of two engines never mix: every binary operation below raises
-    {!Type_error} on operands from different universes. *)
+(** A schema plus a BDD root in the manager of its universe.  Every
+    binary operation below raises {!Type_error} on operands from
+    different universes. *)
 
 exception Type_error of string
 (** Raised by the dynamic checks mirroring the paper's type rules
@@ -127,66 +126,15 @@ val to_string : t -> string
 
 (** {2 Levelized dumps}
 
-    The serialization layer's view of roots ({!Backend.levelized}). *)
+    The serialization layer's view of roots. *)
 
-type levelized = {
-  export : t -> Jedd_bdd.Levelized.t;
-      (** Dump a relation's root; {!Type_error} on a relation of
-          another universe. *)
-  import : Schema.t -> Jedd_bdd.Levelized.t -> t;
-      (** Rebuild a root and wrap it at the schema, whose levels must
-          hold the dump's support (not checked here).  Validates the
-          dump first ({!Jedd_bdd.Levelized.Malformed}). *)
-}
+val export : t -> Jedd_bdd.Levelized.t
+(** Dump the relation's root; levels are its universe's levels. *)
 
-val levelized : Universe.t -> levelized option
-(** [None] when the universe's engine has no levelized form
-    ([`Mtbdd]: terminal weights do not fit the boolean node-file
-    format); callers refuse that case themselves. *)
-
-(** {2 Weighted relations (mtbdd backend)}
-
-    Per-tuple non-negative integer weights, carried as MTBDD terminal
-    values.  A weighted relation is an ordinary {!t} whose universe runs
-    the [`Mtbdd] backend: the boolean operations above act on it with
-    0/1-embedding semantics ({!inter} preserves weights, {!union} takes
-    the pointwise max, {!size}/{!tuples} see the support), while the
-    functions here read and transform the weights themselves.  All of
-    them raise {!Type_error} on a universe without the weights
-    capability ({!Backend.weights}).  Weights saturate at
-    [Jedd_mtbdd.Mtbdd.value_cap]. *)
-
-val of_weighted_tuples : Universe.t -> Schema.t -> (int list * int) list -> t
-(** Build a weighted relation from (tuple, weight) pairs.  Duplicate
-    tuples sum their weights; weight 0 is the same as absence.
-    [Type_error] on a negative weight. *)
-
-val weight_of_tuples : t -> (int list * int) list
-(** All support tuples with their weights, sorted. *)
-
-val iter_weighted_tuples : t -> (int array -> int -> unit) -> unit
-(** Objects in schema order plus the tuple's weight; the array is
-    reused between calls. *)
-
-val fold_weighted : t -> init:'a -> f:('a -> int list -> int -> 'a) -> 'a
-
-val weight_of : t -> int list -> int
-(** Weight of one tuple (0 if absent). *)
-
-val total_weight : t -> int
-(** Sum of all tuple weights. *)
-
-val project_sum : ?label:string -> t -> Attribute.t list -> t
-(** Like {!project_away}, but summing weights instead of erasing them:
-    each surviving tuple's weight is the sum over the projected-away
-    attributes — the counting projection. *)
-
-val scale : ?label:string -> t -> int -> t
-(** Multiply every weight by a constant factor. *)
-
-val threshold : ?label:string -> t -> int -> t
-(** Keep tuples of weight [>= k], with weight 1 — the abstraction back
-    to a boolean relation (within the mtbdd universe). *)
+val import : Universe.t -> Schema.t -> Jedd_bdd.Levelized.t -> t
+(** Rebuild a root in the universe and wrap it at the schema, whose
+    levels must hold the dump's support (not checked here).  Validates
+    the dump first ({!Jedd_bdd.Levelized.Malformed}). *)
 
 (** {2 Memory management (§4.2)} *)
 

@@ -9,10 +9,6 @@ type bdd_delta = {
   gc_millis : float;
   grows : int;
   grow_millis : float;
-  mt_cache_hits : int;
-  mt_cache_misses : int;
-  mt_per_tag : tag_delta list;
-  mt_terminals : int;
 }
 
 type op_event = {
@@ -30,8 +26,8 @@ type profile_level = Off | Counts | Shapes
 
 type t = {
   manager : Jedd_bdd.Manager.t;
-  backend : Backend.t;
   uid : int;
+  live : int Atomic.t;
   mutable level : profile_level;
   mutable on_op : (op_event -> unit) option;
   mutable scratch_counter : int;
@@ -39,13 +35,12 @@ type t = {
 
 let counter = ref 0
 
-let create ?(node_capacity = 1 lsl 16) ?node_limit ?(backend = `Incore) () =
+let create ?(node_capacity = 1 lsl 16) ?node_limit () =
   incr counter;
-  let manager = Jedd_bdd.Manager.create ~node_capacity ?node_limit () in
   {
-    manager;
-    backend = Backend.make backend manager;
+    manager = Jedd_bdd.Manager.create ~node_capacity ?node_limit ();
     uid = !counter;
+    live = Atomic.make 0;
     level = Off;
     on_op = None;
     scratch_counter = 0;
@@ -54,39 +49,28 @@ let create ?(node_capacity = 1 lsl 16) ?node_limit ?(backend = `Incore) () =
 let uid u = u.uid
 
 let manager u = u.manager
-let backend u = u.backend
-let backend_kind u = Backend.kind u.backend
+let live_roots u = u.live
 let frozen u = Jedd_bdd.Manager.frozen u.manager
 
-(* Snapshot the monotone counters of the manager and (when present) the
-   mtbdd store; [bdd_delta_since] turns two snapshots into the
-   per-operation delta the profiler records. *)
+(* Snapshot the monotone counters of the manager; [bdd_delta_since]
+   turns two snapshots into the per-operation delta the profiler
+   records. *)
 type bdd_snapshot = {
   snap_stats : Jedd_bdd.Manager.cache_stat list;
   snap_gcs : int;
   snap_gc_millis : float;
   snap_grows : int;
   snap_grow_millis : float;
-  snap_mt_stats : Jedd_mtbdd.Mtbdd.cache_stat list;
-  snap_mt_terminals : int;
 }
 
 let bdd_snapshot u =
   let m = u.manager in
-  let mt_stats, mt_terminals =
-    match Backend.mt_store u.backend with
-    | None -> ([], 0)
-    | Some st ->
-      (Jedd_mtbdd.Mtbdd.cache_stats st, Jedd_mtbdd.Mtbdd.distinct_terminals st)
-  in
   {
     snap_stats = Jedd_bdd.Manager.cache_stats m;
     snap_gcs = Jedd_bdd.Manager.gc_count m;
     snap_gc_millis = Jedd_bdd.Manager.gc_millis m;
     snap_grows = Jedd_bdd.Manager.grow_count m;
     snap_grow_millis = Jedd_bdd.Manager.grow_millis m;
-    snap_mt_stats = mt_stats;
-    snap_mt_terminals = mt_terminals;
   }
 
 let bdd_delta_since u before =
@@ -105,20 +89,6 @@ let bdd_delta_since u before =
            (a : Jedd_bdd.Manager.cache_stat) -> acc + f a - f b)
       0 before.snap_stats after.snap_stats
   in
-  let mt_per_tag =
-    List.map2
-      (fun (b : Jedd_mtbdd.Mtbdd.cache_stat)
-           (a : Jedd_mtbdd.Mtbdd.cache_stat) ->
-        { tag = a.name; hits = a.hits - b.hits; misses = a.misses - b.misses })
-      before.snap_mt_stats after.snap_mt_stats
-    |> List.filter (fun d -> d.hits <> 0 || d.misses <> 0)
-  in
-  let mt_sum f =
-    List.fold_left2
-      (fun acc (b : Jedd_mtbdd.Mtbdd.cache_stat)
-           (a : Jedd_mtbdd.Mtbdd.cache_stat) -> acc + f a - f b)
-      0 before.snap_mt_stats after.snap_mt_stats
-  in
   {
     cache_hits = sum (fun (s : Jedd_bdd.Manager.cache_stat) -> s.hits);
     cache_misses = sum (fun (s : Jedd_bdd.Manager.cache_stat) -> s.misses);
@@ -129,12 +99,6 @@ let bdd_delta_since u before =
     gc_millis = after.snap_gc_millis -. before.snap_gc_millis;
     grows = after.snap_grows - before.snap_grows;
     grow_millis = after.snap_grow_millis -. before.snap_grow_millis;
-    mt_cache_hits = mt_sum (fun (s : Jedd_mtbdd.Mtbdd.cache_stat) -> s.hits);
-    mt_cache_misses =
-      mt_sum (fun (s : Jedd_mtbdd.Mtbdd.cache_stat) -> s.misses);
-    mt_per_tag;
-    (* a gauge, not a counter: the current number of distinct weights *)
-    mt_terminals = after.snap_mt_terminals;
   }
 
 let set_profile_level u level = u.level <- level
@@ -150,18 +114,5 @@ let next_scratch_name u =
   u.scratch_counter <- u.scratch_counter + 1;
   Printf.sprintf "__scratch%d" u.scratch_counter
 
-let checkpoint u =
-  let (Backend.Engine e) = u.backend in
-  e.ops.checkpoint ()
-
-(* -- frozen (read-only serving) mode ------------------------------------ *)
-
-let freeze u =
-  let kind = backend_kind u in
-  if not (Backend.in_place kind) then
-    invalid_arg
-      (Printf.sprintf
-         "Universe.freeze: the %s backend cannot be frozen (only the \
-          in-core node table has a read-only form)"
-         (Backend.kind_name kind));
-  Jedd_bdd.Manager.freeze u.manager
+let checkpoint u = Jedd_bdd.Manager.checkpoint u.manager
+let freeze u = Jedd_bdd.Manager.freeze u.manager

@@ -1,4 +1,4 @@
-(** The universe: one BDD backend plus the registries of domains,
+(** The universe: one BDD manager plus the registries of domains,
     attributes and physical domains a Jedd program runs against.
 
     Corresponds to the global state of the paper's Jedd runtime library:
@@ -6,12 +6,10 @@
     [jedd.Attribute] and [jedd.PhysicalDomain] implementations, and the
     profiler hook.
 
-    Every universe carries an in-core [Jedd_bdd.Manager] — the variable
-    order and finite-domain blocks always live there, and the order is
-    the one the physical-domain declarations fix — and one engine
-    that stores and combines relation BDDs ({!Backend}): the default
-    [`Incore] engine computes on the manager itself, while [`Mtbdd]
-    keeps weighted relations in a terminal-valued store. *)
+    Every relation of a universe is a root in its one in-core
+    [Jedd_bdd.Manager], which also holds the variable order (the one
+    the physical-domain declarations fix) and the finite-domain
+    blocks. *)
 
 type t
 
@@ -20,8 +18,7 @@ type tag_delta = { tag : string; hits : int; misses : int }
 
 (** What one relational operation cost at the BDD layer: operation-cache
     activity (total and per tag, only tags with activity listed), GC
-    and node-table-resize work, and — on the mtbdd backend — the
-    terminal store's cache activity. *)
+    and node-table-resize work. *)
 type bdd_delta = {
   cache_hits : int;
   cache_misses : int;
@@ -31,14 +28,6 @@ type bdd_delta = {
   gc_millis : float;
   grows : int;
   grow_millis : float;
-  mt_cache_hits : int;
-      (** terminal-valued apply-cache activity, on the mtbdd backend *)
-  mt_cache_misses : int;
-  mt_per_tag : tag_delta list;
-      (** per-kernel mtbdd cache activity (mt-apply-add, mt-exist-sum, ...) *)
-  mt_terminals : int;
-      (** distinct terminal values live in the store after the operation
-          (a gauge, not a per-operation difference) *)
 }
 
 (** What an operation reports to the profiler hook. *)
@@ -63,21 +52,22 @@ val bdd_delta_since : t -> bdd_snapshot -> bdd_delta
 
 type profile_level = Off | Counts | Shapes
 
-val create :
-  ?node_capacity:int -> ?node_limit:int -> ?backend:Backend.kind -> unit -> t
-(** [create ()] makes a universe over a fresh manager.  [backend]
-    selects the relation engine (default [`Incore]).  [node_limit] caps
-    the manager's node table — exceeding it raises
+val create : ?node_capacity:int -> ?node_limit:int -> unit -> t
+(** [create ()] makes a universe over a fresh manager.  [node_limit]
+    caps the manager's node table — exceeding it raises
     [Jedd_bdd.Manager.Out_of_nodes]. *)
 
 val manager : t -> Jedd_bdd.Manager.t
-(** The in-core manager: variable-order authority for both engines. *)
-
-val backend : t -> Backend.t
-val backend_kind : t -> Backend.kind
+(** The manager holding every relation root of this universe. *)
 
 val uid : t -> int
-(** A unique id per universe, used to key per-universe side tables. *)
+(** A unique id per universe: relations of two universes never mix, and
+    per-universe side tables are keyed by it. *)
+
+val live_roots : t -> int Atomic.t
+(** The number of relation roots of this universe currently holding a
+    reference, kept by [Relation] (lock-free, since relations are
+    released from GC finalisers). *)
 
 val set_profile_level : t -> profile_level -> unit
 val profile_level : t -> profile_level
@@ -91,14 +81,13 @@ val next_scratch_name : t -> string
     allocates when it must separate colliding attributes on the fly. *)
 
 val checkpoint : t -> unit
-(** Give the backend a safe point to garbage-collect. *)
+(** Give the manager a safe point to garbage-collect. *)
 
 val freeze : t -> unit
 (** Flip the universe into read-only serving mode by freezing the
-    backend ([Jedd_bdd.Manager.freeze] — compaction, then no refcount
+    manager ([Jedd_bdd.Manager.freeze] — compaction, then no refcount
     traffic or GC; mutation raises [Jedd_bdd.Manager.Frozen]).
-    One-way; idempotent.  [Invalid_argument] on [`Mtbdd]
-    ({!Backend.in_place}). *)
+    One-way; idempotent. *)
 
 val frozen : t -> bool
 

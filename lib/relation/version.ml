@@ -2,6 +2,4 @@
 
 let version = "0.5.0"
 
-let banner =
-  Printf.sprintf "jedd %s (backends: %s)" version
-    (String.concat ", " Backend.known_backends)
+let banner = "jedd " ^ version

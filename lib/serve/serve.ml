@@ -429,8 +429,7 @@ let perform_update t ls request : Protocol.outcome =
     let bytes = Snapshot.to_bytes snap_live in
     let hash = Digest.to_hex (Digest.string bytes) in
     let snap =
-      let u = old.snap.Snapshot.u in
-      Snapshot.of_bytes ~backend:(U.backend_kind u) ~freeze:(U.frozen u) bytes
+      Snapshot.of_bytes ~freeze:(U.frozen old.snap.Snapshot.u) bytes
     in
     let world =
       { Protocol.snap; extra_stats = (fun () -> server_stats t ()) }

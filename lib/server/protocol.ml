@@ -6,7 +6,7 @@
 
    Verbs:
      ping                                   liveness probe
-     version                                package version + backends
+     version                                package version
      relations                              catalogue of named relations
      count     rel                          tuple count
      member    rel tuple:[o..]              tuple membership
@@ -15,6 +15,8 @@
      resolve   callsite:int                 targets from VirtualCalls.resolved
      stats                                  server + BDD-layer counters
      batch     requests:[req..]             evaluate in order, one round trip
+                                            (evaluated by Qeval, so each
+                                            sub-request hits its cache)
      sleep     ms:int                       hold the worker (timeout testing)
      shutdown                               stop the server after replying
      update    edit:{op,...}                apply a program edit and swap in
@@ -279,7 +281,16 @@ let err id msg =
 
 let request_id req = Option.value (Json.member "id" req) ~default:Json.Null
 
-let rec eval w req : outcome =
+let obj_fields = function Json.Obj kvs -> kvs | v -> [ ("result", v) ]
+
+(* The verbs [eval] answers, one per arm of its dispatch below. *)
+let verbs =
+  [
+    "ping"; "version"; "relations"; "count"; "member"; "tuples"; "pointsto";
+    "resolve"; "stats"; "sleep"; "shutdown";
+  ]
+
+let eval w req : outcome =
   let id = request_id req in
   let verb =
     match Json.member "verb" req with
@@ -291,16 +302,7 @@ let rec eval w req : outcome =
     | "" -> Reply (err id "missing \"verb\"")
     | "ping" -> Reply (ok id [ ("pong", Json.Bool true) ])
     | "version" ->
-      Reply
-        (ok id
-           [
-             ("version", Json.String Jedd_relation.Version.version);
-             ( "backends",
-               Json.List
-                 (List.map
-                    (fun b -> Json.String b)
-                    Jedd_relation.Backend.known_backends) );
-           ])
+      Reply (ok id [ ("version", Json.String Jedd_relation.Version.version) ])
     | "relations" -> Reply (ok id (obj_fields (do_relations w)))
     | "count" ->
       let r = get_rel w req in
@@ -310,25 +312,6 @@ let rec eval w req : outcome =
     | "pointsto" -> Reply (ok id (obj_fields (do_pointsto w req)))
     | "resolve" -> Reply (ok id (obj_fields (do_resolve w req)))
     | "stats" -> Reply (ok id (obj_fields (do_stats w)))
-    | "batch" -> (
-      match Json.member "requests" req with
-      | Some (Json.List reqs) ->
-        (* a shutdown inside a batch stops the server after the whole
-           batch's responses are flushed *)
-        let quit = ref false in
-        let responses =
-          List.map
-            (fun sub ->
-              match eval w sub with
-              | Reply r -> r
-              | Quit r ->
-                quit := true;
-                r)
-            reqs
-        in
-        let body = ok id [ ("responses", Json.List responses) ] in
-        if !quit then Quit body else Reply body
-      | _ -> Reply (err id "batch: missing \"requests\" array"))
     | "sleep" ->
       (* occupies the single worker for real, like a long BDD op would;
          exists so timeout behaviour is testable deterministically *)
@@ -342,5 +325,3 @@ let rec eval w req : outcome =
   | R.Type_error msg -> Reply (err id msg)
   | Invalid_argument msg -> Reply (err id msg)
   | Jedd_bdd.Manager.Frozen msg -> Reply (err id msg)
-
-and obj_fields = function Json.Obj kvs -> kvs | v -> [ ("result", v) ]

@@ -6,14 +6,19 @@
    sorted recursively, the non-semantic "id" and "timeout_ms" fields
    dropped — plus the universe hash, so a snapshot upgrade can never
    serve stale answers.  Only successful replies to pure read verbs are
-   cached; batch is re-implemented here so each sub-request hits the
-   cache individually. *)
+   cached; batch is evaluated here, not in Protocol, so each sub-request
+   hits the cache individually.
+
+   Latency is kept per known verb ([Protocol.verbs] and batch); every
+   other verb a client sends shares the "unknown" histogram, and a
+   request without a verb the "invalid" one, so outside input cannot
+   add histograms. *)
 
 type t = {
   world : Protocol.world;
   cache : Rescache.t option;
   universe_hash : string;
-  hists : (string, Hist.t) Hashtbl.t; (* per-verb latency *)
+  hists : (string, Hist.t) Hashtbl.t; (* per-verb latency, see [latency_key] *)
   hist_lock : Mutex.t;
       (* guards [hists]: the worker adds verbs to it while, during a
          generation swap, the retiring generation's worker may read it
@@ -95,6 +100,11 @@ let is_ok = function
 let verb_of req =
   match Json.member "verb" req with Some (Json.String v) -> v | _ -> ""
 
+let latency_key = function
+  | "" -> "invalid"
+  | "batch" as v -> v
+  | v -> if List.mem v Protocol.verbs then v else "unknown"
+
 let now_us () = int_of_float (Unix.gettimeofday () *. 1e6)
 
 (* -- evaluation ---------------------------------------------------------- *)
@@ -108,8 +118,7 @@ let rec eval t req : Protocol.outcome =
     | v when cacheable_verb v -> eval_cached t req
     | _ -> Protocol.eval t.world req
   in
-  Hist.record (hist_for t (if verb = "" then "invalid" else verb))
-    ~us:(now_us () - start);
+  Hist.record (hist_for t (latency_key verb)) ~us:(now_us () - start);
   outcome
 
 and eval_cached t req =
@@ -131,6 +140,8 @@ and eval_batch t req =
   let id = Protocol.request_id req in
   match Json.member "requests" req with
   | Some (Json.List reqs) ->
+    (* a shutdown inside a batch stops the server after the whole
+       batch's responses are flushed *)
     let quit = ref false in
     let responses =
       List.map

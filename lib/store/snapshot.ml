@@ -29,7 +29,6 @@
 
 module Lv = Jedd_bdd.Levelized
 module U = Jedd_relation.Universe
-module B = Jedd_relation.Backend
 module R = Jedd_relation.Relation
 module Dom = Jedd_relation.Domain
 module Attr = Jedd_relation.Attribute
@@ -99,19 +98,7 @@ let read_dump r : Lv.t =
   in
   { Lv.blocks; root }
 
-(* The one refusal of a universe without levelized roots, made before
-   any relation is read or written. *)
-let levelized_of what u =
-  match R.levelized u with
-  | Some lv -> lv
-  | None ->
-    invalid_arg
-      (Printf.sprintf "Snapshot.%s: the %s backend has no levelized form"
-         what
-         (B.kind_name (U.backend_kind u)))
-
 let write_payload w s =
-  let lv = levelized_of "to_bytes" s.u in
   let remap = dense_remap s.physdoms in
   let remap_level name l =
     match Hashtbl.find_opt remap l with
@@ -130,7 +117,7 @@ let write_payload w s =
     (s.meta
     @ [
         ("jedd.version", Jedd_relation.Version.version);
-        ("jedd.backend", B.kind_name (U.backend_kind s.u));
+        ("jedd.backend", "incore");
       ]);
   Binio.list_ w
     (fun w (name, d) ->
@@ -170,7 +157,7 @@ let write_payload w s =
           Binio.string_ w pname)
         (Schema.entries (R.schema rel));
       Binio.int_ w (R.size rel);
-      write_dump w (Lv.map_levels (remap_level name) (lv.R.export rel)))
+      write_dump w (Lv.map_levels (remap_level name) (R.export rel)))
     s.relations
 
 let bytes_of_payload payload =
@@ -221,8 +208,8 @@ let payload_of_bytes data =
     payload
   with Binio.Truncated -> corrupt "snapshot is truncated"
 
-let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?(freeze = false)
-    data =
+let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit
+    ?backend:(_ : [ `Incore ] option) ?(freeze = false) data =
   try
     let payload = payload_of_bytes data in
     let r = Binio.reader payload in
@@ -262,8 +249,7 @@ let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?(freeze = false)
               (Array.length levels) width;
           (name, width, levels))
     in
-    let u = U.create ~node_capacity ?node_limit ?backend () in
-    let lv = levelized_of "of_bytes" u in
+    let u = U.create ~node_capacity ?node_limit () in
     (* Declaration order fixes the variable order, and saving renumbers
        the declared levels densely, so each domain must land exactly at
        the levels it recorded. *)
@@ -315,7 +301,7 @@ let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit ?backend ?(freeze = false)
                   l)
             (Lv.support dump);
           let rel =
-            try lv.R.import schema dump
+            try R.import u schema dump
             with Lv.Malformed msg ->
               corrupt "relation %s has a malformed BDD dump: %s" name msg
           in
@@ -346,9 +332,9 @@ let save_file path s =
   close_out oc;
   Sys.rename tmp path
 
-let load_file ?node_capacity ?node_limit ?backend ?freeze path =
+let load_file ?node_capacity ?node_limit ?freeze path =
   let data = In_channel.with_open_bin path In_channel.input_all in
-  try of_bytes ?node_capacity ?node_limit ?backend ?freeze data
+  try of_bytes ?node_capacity ?node_limit ?freeze data
   with Corrupt msg -> corrupt "%s: %s" path msg
 
 let meta_value s key = List.assoc_opt key s.meta

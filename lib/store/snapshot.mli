@@ -9,7 +9,7 @@ type t = {
   u : Jedd_relation.Universe.t;
   meta : (string * string) list;
       (** Caller key/values; [to_bytes] appends [jedd.version] and
-          [jedd.backend]. *)
+          [jedd.backend] (always ["incore"]). *)
   domains : (string * Jedd_relation.Domain.t) list;
   attrs : (string * Jedd_relation.Attribute.t) list;
   physdoms : (string * Jedd_relation.Physdom.t) list;
@@ -45,14 +45,14 @@ val bytes_of_payload : string -> string
 val of_bytes :
   ?node_capacity:int ->
   ?node_limit:int ->
-  ?backend:Jedd_relation.Backend.kind ->
+  ?backend:[ `Incore ] ->
   ?freeze:bool ->
   string ->
   t
 (** Rebuild a fresh universe and every relation.  Each relation's tuple
-    count is re-verified against the recorded one.  [backend] defaults
-    to [`Incore]; [`Mtbdd] has no levelized form and is refused with
-    [Invalid_argument].  [~freeze:true] lands the rebuilt universe
+    count is re-verified against the recorded one.  [backend] is
+    accepted and ignored: there is one engine, and existing callers
+    still name it.  [~freeze:true] lands the rebuilt universe
     directly in read-only serving mode
     ([Jedd_relation.Universe.freeze]): the final act of loading compacts
     the node store and fences off mutation. *)
@@ -63,7 +63,6 @@ val save_file : string -> t -> unit
 val load_file :
   ?node_capacity:int ->
   ?node_limit:int ->
-  ?backend:Jedd_relation.Backend.kind ->
   ?freeze:bool ->
   string ->
   t

@@ -146,15 +146,18 @@ let test_dynamic_check_clean_run () =
   Alcotest.(check pass) "checked run completed" () ()
 
 let test_dynamic_check_analyses () =
-  (* the five analyses, combined, shadow-checked end to end: the
-     semi-naive pipeline and the paper's naive loops *)
+  (* the five analyses shadow-checked end to end: combined in one
+     universe, semi-naive and with the paper's naive loops, and one
+     universe per analysis *)
   List.iter
     (fun p ->
       List.iter
-        (fun naive ->
-          let _, r = with_check_ir (fun () -> Suite.run_combined ~naive p) in
-          Test_analyses.check_results p r)
-        [ false; true ])
+        (fun run -> Test_analyses.check_results p (with_check_ir (fun () -> run p)))
+        [
+          (fun p -> snd (Suite.run_combined ~naive:false p));
+          (fun p -> snd (Suite.run_combined ~naive:true p));
+          (fun p -> Suite.run_all p);
+        ])
     [
       Workload.generate Workload.tiny;
       Jedd_minijava.Frontend.load_file "../examples/shapes.mjava";

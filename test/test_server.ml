@@ -43,9 +43,9 @@ let test_json_roundtrip () =
 
 (* -- socket fixture ------------------------------------------------------ *)
 
-let with_server ?backend f =
+let with_server f =
   let p = Workload.generate Workload.tiny in
-  let inst, _ = Suite.run_combined ?backend p in
+  let inst, _ = Suite.run_combined p in
   let snap = Suite.snapshot inst in
   let socket_path =
     Filename.concat
@@ -239,17 +239,6 @@ let test_shutdown () =
       in
       checkb "server is down after shutdown" true (gone 40))
 
-(* One worker serves an unfrozen universe of either backend. *)
-let test_every_backend () =
-  let count backend =
-    with_server ~backend (fun sock ->
-        let c = Client.connect sock in
-        Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
-        Client.ping c;
-        Client.count c "pt")
-  in
-  checki "mtbdd serves the in-core count" (count `Incore) (count `Mtbdd)
-
 (* -- result-cache eviction (no socket) ----------------------------------- *)
 
 let test_rescache_evict_suffix () =
@@ -296,6 +285,49 @@ let test_rescache_evict_suffix () =
         (Rescache.evictions c))
     [ 1; 5 ]
 
+(* -- latency histograms under hostile verbs (no socket) ------------------ *)
+
+(* Each request is recorded under its verb only if the protocol knows
+   the verb; 1,000 distinct unknown verbs share one histogram, so they
+   cannot grow the evaluator or its stats reply. *)
+let test_unknown_verbs_bounded () =
+  let module Protocol = Jedd_server.Protocol in
+  let module Qeval = Jedd_server.Qeval in
+  let p = Workload.generate Workload.tiny in
+  let inst, _ = Suite.run_combined p in
+  let world =
+    { Protocol.snap = Suite.snapshot inst; extra_stats = (fun () -> []) }
+  in
+  let q = Qeval.create ~universe_hash:"" world in
+  let send fields = ignore (Qeval.eval q (Json.Obj fields)) in
+  for i = 1 to 1000 do
+    send [ ("verb", Json.String (Printf.sprintf "nosuch-%d" i)) ]
+  done;
+  send [ ("verb", Json.String "ping") ];
+  send [ ("verb", Json.String "count"); ("rel", Json.String "pt") ];
+  send [ ("verb", Json.String "batch"); ("requests", Json.List []) ];
+  send [ ("rel", Json.String "pt") ];
+  let known = ("batch" :: Protocol.verbs) @ [ "invalid"; "unknown" ] in
+  match List.assoc_opt "latency" (Qeval.stats_fields q) with
+  | Some (Json.Obj hists) ->
+    List.iter
+      (fun (verb, _) ->
+        checkb (Printf.sprintf "latency key %S is known" verb) true
+          (List.mem verb known))
+      hists;
+    checkb "at most the known verbs" true
+      (List.length hists <= List.length known);
+    let count verb =
+      match Option.bind (List.assoc_opt verb hists) (Json.member "count") with
+      | Some (Json.Int n) -> n
+      | _ -> 0
+    in
+    checki "unknown verbs share one histogram" 1000 (count "unknown");
+    List.iter
+      (fun verb -> checki (verb ^ " keeps its own") 1 (count verb))
+      [ "ping"; "count"; "batch"; "invalid" ]
+  | _ -> Alcotest.fail "stats fields lack a latency object"
+
 let suite =
   [
     Alcotest.test_case "json roundtrip and strictness" `Quick test_json_roundtrip;
@@ -306,5 +338,6 @@ let suite =
     Alcotest.test_case "per-request timeout" `Quick test_timeout;
     Alcotest.test_case "concurrent clients" `Quick test_concurrent_clients;
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown;
-    Alcotest.test_case "one worker on every backend" `Quick test_every_backend;
+    Alcotest.test_case "unknown verbs share one latency histogram" `Quick
+      test_unknown_verbs_bounded;
   ]

@@ -1,13 +1,11 @@
 (* Tests for the persistent relation store: levelized dumps, the binary
    snapshot format, the content-addressed store, and corrupt-file
    rejection.  Round-trips are checked on random relations and on a real
-   analysis fixed point; the mtbdd engine, which has no levelized form,
-   is refused up front. *)
+   analysis fixed point. *)
 
 module M = Jedd_bdd.Manager
 module Lv = Jedd_bdd.Levelized
 module U = Jedd_relation.Universe
-module B = Jedd_relation.Backend
 module R = Jedd_relation.Relation
 module Dom = Jedd_relation.Domain
 module Attr = Jedd_relation.Attribute
@@ -22,8 +20,8 @@ module Workload = Jedd_minijava.Workload
 
 (* A small two-relation world over three domains, with tuples drawn
    from a seeded PRNG so failures reproduce. *)
-let build_world ?(seed = 42) ?(n = 40) ?(backend = `Incore) () =
-  let u = U.create ~backend () in
+let build_world ?(seed = 42) ?(n = 40) () =
+  let u = U.create () in
   let d1 = Dom.declare ~name:"D1" ~size:13 () in
   let d2 = Dom.declare ~name:"D2" ~size:7 () in
   let a = Attr.declare ~name:"a" ~domain:d1 in
@@ -75,15 +73,14 @@ let checkb = Alcotest.(check bool)
 
 let test_levelized_roundtrip () =
   let world = build_world () in
-  let lv = Option.get (R.levelized world.Snapshot.u) in
   List.iter
     (fun (name, r) ->
-      let dump = lv.R.export r in
+      let dump = R.export r in
       Lv.validate ~num_vars:(M.num_vars (U.manager world.Snapshot.u)) dump;
-      let r' = lv.R.import (R.schema r) dump in
+      let r' = R.import world.Snapshot.u (R.schema r) dump in
       (* a dump holds each node of the root's BDD once *)
       Alcotest.(check int) (name ^ " nodecount") (Lv.node_count dump)
-        (Lv.node_count (lv.R.export r'));
+        (Lv.node_count (R.export r'));
       Alcotest.(check (list (list int))) (name ^ " tuples") (R.tuples r)
         (R.tuples r'))
     world.Snapshot.relations
@@ -338,54 +335,6 @@ let test_recorded_order_checked () =
         "Q" );
     ]
 
-(* What each kind can do, and where the other is refused: freezing and
-   snapshots need the in-core node table, weights the terminal-valued
-   store. *)
-let test_capability_refusals () =
-  let checkb = Alcotest.(check bool) in
-  List.iter
-    (fun backend ->
-      let name = B.kind_name backend in
-      let world = build_world ~backend () in
-      let u = world.Snapshot.u in
-      let in_place = backend = `Incore in
-      checkb (name ^ ": in place") in_place (B.in_place backend);
-      checkb (name ^ ": levelized capability") in_place
-        (R.levelized u <> None);
-      (* a snapshot with no relations: a refusal here comes before any
-         relation is written or read *)
-      let empty = { world with Snapshot.relations = [] } in
-      (match Snapshot.to_bytes empty with
-      | _ -> checkb (name ^ ": to_bytes") true in_place
-      | exception Invalid_argument _ ->
-        checkb (name ^ ": to_bytes refused") false in_place);
-      (match
-         Snapshot.of_bytes ~backend
-           (Snapshot.to_bytes (build_world ()))
-       with
-      | _ -> checkb (name ^ ": of_bytes") true in_place
-      | exception Invalid_argument _ ->
-        checkb (name ^ ": of_bytes refused") false in_place);
-      (* weights *)
-      let sch = R.schema (List.assoc "W.ab" world.Snapshot.relations) in
-      (match R.of_weighted_tuples u sch [ ([ 1; 2 ], 3) ] with
-      | r -> Alcotest.(check int) (name ^ ": weight") 3 (R.weight_of r [ 1; 2 ])
-      | exception R.Type_error msg ->
-        checkb (name ^ ": weights refused") true (backend <> `Mtbdd);
-        Alcotest.(check string) (name ^ ": weights message")
-          (Printf.sprintf
-             "Relation.of_weighted_tuples: requires an mtbdd universe (this \
-              one is %s)"
-             name)
-          msg);
-      (* freezing *)
-      (match U.freeze u with
-      | () -> checkb (name ^ ": freeze") true in_place
-      | exception Invalid_argument _ ->
-        checkb (name ^ ": freeze refused") false in_place);
-      checkb (name ^ ": frozen") in_place (U.frozen u))
-    [ `Incore; `Mtbdd ]
-
 let test_save_load_file () =
   let world = build_world () in
   let path = Filename.temp_file "jedd_snap" ".snap" in
@@ -576,8 +525,6 @@ let suite =
     Alcotest.test_case "hostile counts rejected" `Quick test_hostile_counts;
     Alcotest.test_case "recorded order must match declarations" `Quick
       test_recorded_order_checked;
-    Alcotest.test_case "capability refusals by kind" `Quick
-      test_capability_refusals;
     Alcotest.test_case "save_file/load_file" `Quick test_save_load_file;
     Alcotest.test_case "content-addressed store" `Quick test_cas;
     Alcotest.test_case "missing store reads empty" `Quick
