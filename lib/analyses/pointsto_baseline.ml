@@ -149,18 +149,8 @@ let solve ?(use_relprod = true) (t : t) =
 
 let pt_tuples (t : t) =
   let acc = ref [] in
-  let levels =
-    Array.of_list
-      (List.sort_uniq compare
-         (Array.to_list (Fdd.levels t.v1) @ Array.to_list (Fdd.levels t.h1)))
-  in
-  Jedd_bdd.Enum.iter_assignments t.man t.pt ~levels (fun values ->
-      acc :=
-        [
-          Fdd.decode t.v1 ~levels values;
-          Fdd.decode t.h1 ~levels values;
-        ]
-        :: !acc);
+  Fdd.iter_values t.man [| t.v1; t.h1 |] t.pt (fun vh ->
+      acc := Array.to_list vh :: !acc);
   List.sort compare !acc
 
 let pt_node_count t = Count.nodecount t.man t.pt

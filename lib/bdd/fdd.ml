@@ -46,6 +46,75 @@ let ithvar m b v =
   in
   Ops.cube m assignment
 
+(* -- many values at once ----------------------------------------------- *)
+
+(* Where the bits of disjoint [blocks] sit in the sorted union of their
+   levels, [order]: position [j] holds a bit of block [owner.(j)], of
+   weight [weight.(j)] in its value (MSB first, as in [ithvar]). *)
+type positions = { order : int array; owner : int array; weight : int array }
+
+let positions blocks =
+  let bits =
+    Array.concat
+      (Array.to_list
+         (Array.mapi
+            (fun k (b : block) ->
+              let w = Array.length b.levels in
+              Array.mapi (fun i l -> (l, k, 1 lsl (w - 1 - i))) b.levels)
+            blocks))
+  in
+  Array.stable_sort (fun (l1, _, _) (l2, _, _) -> Int.compare l1 l2) bits;
+  {
+    order = Array.map (fun (l, _, _) -> l) bits;
+    owner = Array.map (fun (_, k, _) -> k) bits;
+    weight = Array.map (fun (_, _, wt) -> wt) bits;
+  }
+
+let of_values m blocks tuples =
+  let p = positions blocks in
+  let n = Array.length p.order in
+  (* One bit string per tuple, one character per level in level order,
+     so that sorting the strings sorts the tuples' paths. *)
+  let encode values =
+    let v = Array.make (Array.length blocks) 0 in
+    List.iteri (fun k x -> if k < Array.length v then v.(k) <- x) values;
+    String.init n (fun j ->
+        if v.(p.owner.(j)) land p.weight.(j) <> 0 then '1' else '0')
+  in
+  let rows =
+    Array.of_list (List.sort_uniq String.compare (List.rev_map encode tuples))
+  in
+  (* [build lo hi d]: the node of the rows [lo, hi), which share their
+     first [d] bits.  Rows with bit [d] clear come first, so one scan
+     splits the range; each distinct prefix costs one [mk], children
+     before parents. *)
+  let rec build lo hi d =
+    if lo = hi then Manager.zero
+    else if d = n then Manager.one
+    else begin
+      let mid = ref lo in
+      while !mid < hi && rows.(!mid).[d] = '0' do incr mid done;
+      let low = build lo !mid (d + 1) in
+      let high = build !mid hi (d + 1) in
+      Manager.mk m p.order.(d) low high
+    end
+  in
+  build 0 (Array.length rows) 0
+
+let iter_values m blocks f k =
+  let p = positions blocks in
+  let tuple = Array.make (Array.length blocks) 0 in
+  Enum.iter_assignments m f ~levels:p.order (fun bits ->
+      Array.fill tuple 0 (Array.length tuple) 0;
+      Array.iteri
+        (fun j bit ->
+          if bit then begin
+            let k = p.owner.(j) in
+            tuple.(k) <- tuple.(k) lor p.weight.(j)
+          end)
+        bits;
+      k tuple)
+
 let domain_cube m b = Quant.varset m (Array.to_list b.levels)
 
 let less_than_const m b k =
@@ -90,17 +159,3 @@ let perm_pairs b1 b2 =
     invalid_arg "Fdd.perm_pairs: blocks differ in width";
   Array.to_list (Array.map2 (fun l1 l2 -> (l1, l2)) b1.levels b2.levels)
 
-let decode b ~levels:lv values =
-  let pos = Hashtbl.create 16 in
-  Array.iteri (fun i l -> Hashtbl.replace pos l i) lv;
-  let w = width b in
-  let v = ref 0 in
-  for i = 0 to w - 1 do
-    let idx =
-      match Hashtbl.find_opt pos b.levels.(i) with
-      | Some idx -> idx
-      | None -> invalid_arg "Fdd.decode: block level missing from ~levels"
-    in
-    if values.(idx) then v := !v lor (1 lsl (w - 1 - i))
-  done;
-  !v

@@ -38,6 +38,24 @@ val levels : block -> int array
 val ithvar : man -> block -> int -> node
 (** [ithvar m b v] is the cube asserting that the block holds value [v]. *)
 
+val of_values : man -> block array -> int list list -> node
+(** [of_values m blocks tuples] is the set of [tuples], each listing one
+    value per block in [blocks] order (the blocks pairwise disjoint).
+    It is built bottom-up, without apply or the operation cache: each
+    tuple is encoded once as a bit string in level order, the strings
+    are sorted and deduplicated, and each distinct prefix costs one
+    {!Manager.mk}.  Checking the tuples is the caller's part: only the
+    low [width b] bits of a value are read, a missing value reads as 0
+    and an extra one is ignored.  The result is unreferenced, as from
+    {!Ops}. *)
+
+val iter_values : man -> block array -> node -> (int array -> unit) -> unit
+(** [iter_values m blocks f k] calls [k] once per tuple of values (in
+    [blocks] order) satisfying [f], decoding each assignment through bit
+    positions computed once per call.  The array is reused between
+    calls.  [f] must depend only on the blocks' levels
+    ([Invalid_argument] from {!Enum.iter_assignments} otherwise). *)
+
 val domain_cube : man -> block -> node
 (** The varset cube of the block's variables (for quantification). *)
 
@@ -54,7 +72,3 @@ val perm_pairs : block -> block -> (int * int) list
 (** Level pairs moving a value from the first block to the second (feed
     to {!Replace.make_perm}). *)
 
-val decode : block -> levels:int array -> bool array -> int
-(** Reassemble an integer from an assignment produced by
-    {!Enum.iter_assignments} over [levels] (which must contain the
-    block's levels). *)

@@ -3,7 +3,6 @@ module Ops = Jedd_bdd.Ops
 module Quant = Jedd_bdd.Quant
 module Rep = Jedd_bdd.Replace
 module Count = Jedd_bdd.Count
-module Enum = Jedd_bdd.Enum
 module Fdd = Jedd_bdd.Fdd
 module Lv = Jedd_bdd.Levelized
 
@@ -235,32 +234,34 @@ let full u sch =
   in
   make u sch rt
 
-let tuple_root m sch objs =
+(* The blocks of a schema's physical domains, in attribute order: the
+   layout [Fdd.of_values] and [Fdd.iter_values] read tuples in. *)
+let blocks sch =
+  Array.of_list
+    (List.map
+       (fun (e : Schema.entry) -> Physdom.block e.phys)
+       (Schema.entries sch))
+
+let check_tuple sch objs =
   let entries = Schema.entries sch in
   if List.length objs <> List.length entries then
     type_error "tuple arity %d does not match schema %s" (List.length objs)
       (Schema.to_string sch);
-  List.fold_left2
-    (fun acc (e : Schema.entry) v ->
+  List.iter2
+    (fun (e : Schema.entry) v ->
       let d = Attribute.domain e.attr in
       if v < 0 || v >= Domain.size d then
-        type_error "object %d out of range for domain %s" v (Domain.name d);
-      Ops.band m acc (Fdd.ithvar m (Physdom.block e.phys) v))
-    M.one entries objs
+        type_error "object %d out of range for domain %s" v (Domain.name d))
+    entries objs
 
-let tuple u sch objs =
-  Universe.checkpoint u;
-  make u sch (tuple_root (Universe.manager u) sch objs)
-
+(* Every tuple is checked before any node is made, so a bad tuple
+   leaves no relation and no garbage behind. *)
 let of_tuples u sch tuples =
+  List.iter (check_tuple sch) tuples;
   Universe.checkpoint u;
-  let m = Universe.manager u in
-  let rt =
-    List.fold_left
-      (fun acc objs -> Ops.bor m acc (tuple_root m sch objs))
-      M.zero tuples
-  in
-  make u sch rt
+  make u sch (Fdd.of_values (Universe.manager u) (blocks sch) tuples)
+
+let tuple u sch objs = of_tuples u sch [ objs ]
 
 (* -- layout coercion ------------------------------------------------------ *)
 
@@ -620,16 +621,7 @@ let select ?(label = "") r bindings =
 
 (* -- extraction -------------------------------------------------------------- *)
 
-let iter_tuples r k =
-  let levels = Schema.levels r.sch in
-  let entries = Array.of_list (Schema.entries r.sch) in
-  let tuple = Array.make (Array.length entries) 0 in
-  Enum.iter_assignments (man r) (root r) ~levels (fun values ->
-      Array.iteri
-        (fun i (e : Schema.entry) ->
-          tuple.(i) <- Fdd.decode (Physdom.block e.phys) ~levels values)
-        entries;
-      k tuple)
+let iter_tuples r k = Fdd.iter_values (man r) (blocks r.sch) (root r) k
 
 let tuples r =
   let acc = ref [] in

@@ -43,9 +43,14 @@ val full : Universe.t -> Schema.t -> t
 
 val of_tuples : Universe.t -> Schema.t -> int list list -> t
 (** Build a relation from explicit tuples (objects listed in schema
-    order) — the [new { o=>attr, ... }] literal, repeated. *)
+    order) — the [new { o=>attr, ... }] literal, repeated.  Raises
+    {!Type_error} on a tuple of the wrong arity or an object outside its
+    attribute's domain, before any node is made.  The root is built
+    bottom-up from the sorted tuples ({!Jedd_bdd.Fdd.of_values}), with
+    no operation-cache traffic. *)
 
 val tuple : Universe.t -> Schema.t -> int list -> t
+(** [of_tuples] of one tuple. *)
 
 (** {2 Set operations and comparison (§2.2.1)} *)
 

@@ -22,7 +22,8 @@
      update    edit:{op,...}                apply a program edit and swap in
                                             the re-solved generation (only
                                             on jeddd --live; handled by the
-                                            Jedd_serve front end, not here)
+                                            Jedd_serve front end, not here;
+                                            refused inside a batch)
 
    Relation names are snapshot names ("PointsTo.pt"); an unambiguous
    "pt" works too (Snapshot.find_relation).  This module is the pure

@@ -146,11 +146,17 @@ and eval_batch t req =
     let responses =
       List.map
         (fun sub ->
-          match eval t sub with
-          | Protocol.Reply r -> r
-          | Protocol.Quit r ->
-            quit := true;
-            r)
+          (* A batch runs on the worker against one frozen generation;
+             only a request of its own reaches the live updater. *)
+          if verb_of sub = "update" then
+            Protocol.err (Protocol.request_id sub)
+              "update cannot be batched: send it as its own request"
+          else
+            match eval t sub with
+            | Protocol.Reply r -> r
+            | Protocol.Quit r ->
+              quit := true;
+              r)
         reqs
     in
     let body = Protocol.ok id [ ("responses", Json.List responses) ] in

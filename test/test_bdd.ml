@@ -238,7 +238,9 @@ let test_fdd_basics () =
     (Ops.band m v3 v7 = M.zero);
   let union = Ops.bor m v3 v7 in
   Alcotest.(check int) "two tuples" 2
-    (Count.satcount m union ~over:(Array.to_list (Fdd.levels b)))
+    (Count.satcount m union ~over:(Array.to_list (Fdd.levels b)));
+  Alcotest.(check int) "of_values builds the same node" union
+    (Fdd.of_values m [| b |] [ [ 7 ]; [ 3 ]; [ 7 ] ])
 
 let test_fdd_equality_and_move () =
   let m = M.create () in
@@ -253,11 +255,9 @@ let test_fdd_equality_and_move () =
   let moved =
     Replace.replace m v5 (Replace.make_perm m (Fdd.perm_pairs b1 b2))
   in
-  Alcotest.(check int) "moved value decodes as 5" 5
-    (let lv = Fdd.levels b2 in
-     match Enum.first_assignment m moved ~levels:lv with
-     | Some values -> Fdd.decode b2 ~levels:lv values
-     | None -> -1)
+  let decoded = ref [] in
+  Fdd.iter_values m [| b2 |] moved (fun v -> decoded := v.(0) :: !decoded);
+  Alcotest.(check (list int)) "moved value decodes as 5" [ 5 ] !decoded
 
 let test_fdd_interleaved () =
   let m = M.create () in

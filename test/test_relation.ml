@@ -131,6 +131,15 @@ let test_type_errors () =
   raises "join missing attr" (fun () -> R.join x [ b ] y [ b ]);
   raises "tuple arity" (fun () -> R.tuple f.u sch_a [ 1; 2 ]);
   raises "tuple range" (fun () -> R.tuple f.u sch_a [ 99 ]);
+  (* a bad tuple in the middle of a list: refused before any relation
+     is made *)
+  let live = R.live_root_count f.u in
+  raises "of_tuples arity" (fun () ->
+      R.of_tuples f.u sch_a [ [ 1 ]; [ 2; 3 ]; [ 4 ] ]);
+  raises "of_tuples range" (fun () ->
+      R.of_tuples f.u sch_a [ [ 1 ]; [ 8 ]; [ 4 ] ]);
+  Alcotest.(check int) "refused of_tuples leave no live root" live
+    (R.live_root_count f.u);
   (* operands from two universes over the same attributes *)
   let in_universe u pa pb tuples =
     R.of_tuples u
@@ -406,6 +415,44 @@ let test_release_accounting () =
   R.release r;
   Alcotest.(check int) "double release harmless" before (R.live_root_count f.u)
 
+(* Cliff guard: building a relation from tuples and reading its tuples
+   back go through no operation-cache lookup at all, so the work per
+   tuple cannot grow with the tuple count. *)
+let test_bulk_io_cache_lookups () =
+  let u = U.create () in
+  let d1 = Dom.declare ~name:"D1" ~size:37 () in
+  let d2 = Dom.declare ~name:"D2" ~size:100 () in
+  let d3 = Dom.declare ~name:"D3" ~size:13 () in
+  let entry name d bits =
+    { Schema.attr = attr name d; phys = Phys.declare u ~name ~bits }
+  in
+  let sch =
+    Schema.make [ entry "a" d1 6; entry "b" d2 7; entry "c" d3 4 ]
+  in
+  let st = Random.State.make [| 22 |] in
+  let rand n = Random.State.int st n in
+  let lookups f =
+    let before = U.bdd_snapshot u in
+    let x = f () in
+    let d = U.bdd_delta_since u before in
+    (x, d.cache_hits + d.cache_misses)
+  in
+  List.iter
+    (fun n ->
+      let ts = List.init n (fun _ -> [ rand 37; rand 100; rand 13 ]) in
+      let r, built = lookups (fun () -> R.of_tuples u sch ts) in
+      Alcotest.(check int)
+        (Printf.sprintf "of_tuples on %d tuples: cache lookups" n)
+        0 built;
+      let got, read = lookups (fun () -> R.tuples r) in
+      Alcotest.(check int)
+        (Printf.sprintf "tuples of %d: cache lookups" n)
+        0 read;
+      Alcotest.(check (list (list int)))
+        (Printf.sprintf "%d tuples round trip" n)
+        (List.sort_uniq compare ts) got)
+    [ 200; 800 ]
+
 (* ---------------- property tests: BDD relations vs a reference
    set-of-tuples implementation --------------------------------------- *)
 
@@ -461,6 +508,34 @@ let prop_ops_match_reference =
         if got <> TupleSet.elements expect then
           QCheck.Test.fail_reportf "%s mismatch" op_name
       in
+      (* r1 built three more ways: from shuffled input with a repeat,
+         through a schema against level order, and without of_tuples *)
+      let same_as_r1 name r =
+        if not (R.equal r r1) then
+          QCheck.Test.fail_reportf "%s: not equal to r1" name;
+        check_set name (R.tuples (R.coerce r sch_ab)) s1
+      in
+      let repeat = match ts1 with [] -> [] | t :: _ -> [ t ] in
+      let shuffled =
+        List.map (fun t -> (rand 1000, t)) (ts1 @ repeat)
+        |> List.sort compare |> List.map snd
+      in
+      same_as_r1 "shuffled with a repeat" (R.of_tuples u sch_ab shuffled);
+      let sch_ba =
+        Schema.make
+          [ { Schema.attr = b; phys = p2 }; { Schema.attr = a; phys = p1 } ]
+      in
+      same_as_r1 "b before a"
+        (R.of_tuples u sch_ba (List.map List.rev ts1));
+      same_as_r1 "union of selects"
+        (List.fold_left
+           (fun acc t ->
+             R.union acc
+               (R.select (R.full u sch_ab)
+                  [ (a, List.nth t 0); (b, List.nth t 1) ]))
+           (R.empty u sch_ab) ts1);
+      if not (R.is_empty (R.of_tuples u sch_ab [])) then
+        QCheck.Test.fail_reportf "of_tuples on [] is not empty";
       check_set "union" (R.tuples (R.union r1 r2)) (TupleSet.union s1 s2);
       check_set "inter" (R.tuples (R.inter r1 r2)) (TupleSet.inter s1 s2);
       check_set "diff" (R.tuples (R.diff r1 r2)) (TupleSet.diff s1 s2);
@@ -602,5 +677,7 @@ let suite =
     Alcotest.test_case "iter objects" `Quick test_iter_objects;
     Alcotest.test_case "to_string" `Quick test_to_string;
     Alcotest.test_case "release accounting" `Quick test_release_accounting;
+    Alcotest.test_case "bulk tuple I/O makes no cache lookups" `Quick
+      test_bulk_io_cache_lookups;
   ]
   @ qcheck_cases

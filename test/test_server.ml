@@ -328,6 +328,53 @@ let test_unknown_verbs_bounded () =
       [ "ping"; "count"; "batch"; "invalid" ]
   | _ -> Alcotest.fail "stats fields lack a latency object"
 
+(* An edit inside a batch is refused with a reason, and the rest of the
+   batch is still answered (no socket, no live session). *)
+let test_batched_update_refused () =
+  let module Protocol = Jedd_server.Protocol in
+  let module Qeval = Jedd_server.Qeval in
+  let p = Workload.generate Workload.tiny in
+  let inst, _ = Suite.run_combined p in
+  let world =
+    { Protocol.snap = Suite.snapshot inst; extra_stats = (fun () -> []) }
+  in
+  let q = Qeval.create ~universe_hash:"" world in
+  let update =
+    Json.Obj
+      [
+        ("verb", Json.String "update");
+        ( "edit",
+          Json.Obj
+            [
+              ("op", Json.String "add_assign");
+              ("src", Json.Int 1);
+              ("dst", Json.Int 3);
+            ] );
+      ]
+  in
+  let batch =
+    Json.Obj
+      [
+        ("verb", Json.String "batch");
+        ("requests", Json.List [ update; Json.Obj [ ("verb", Json.String "ping") ] ]);
+      ]
+  in
+  match Qeval.eval q batch with
+  | Protocol.Reply r -> (
+    checkb "batch ok" true (Json.member "ok" r = Some (Json.Bool true));
+    match Json.member "responses" r with
+    | Some (Json.List [ first; second ]) ->
+      checkb "update refused" true
+        (Json.member "ok" first = Some (Json.Bool false));
+      checkb "refusal names the rule" true
+        (Json.member "error" first
+        = Some
+            (Json.String "update cannot be batched: send it as its own request"));
+      checkb "ping answered" true
+        (Json.member "pong" second = Some (Json.Bool true))
+    | _ -> Alcotest.fail "expected two responses")
+  | Protocol.Quit _ -> Alcotest.fail "batch must not stop the server"
+
 let suite =
   [
     Alcotest.test_case "json roundtrip and strictness" `Quick test_json_roundtrip;
@@ -340,4 +387,6 @@ let suite =
     Alcotest.test_case "graceful shutdown" `Quick test_shutdown;
     Alcotest.test_case "unknown verbs share one latency histogram" `Quick
       test_unknown_verbs_bounded;
+    Alcotest.test_case "update inside a batch is refused" `Quick
+      test_batched_update_refused;
   ]
