@@ -58,7 +58,9 @@ release:
 	dune build --profile release
 
 # End-to-end daemon round trip: jeddd cold start, jeddq queries over
-# the socket, snapshot save, warm restart, answers compared.
+# the socket, snapshot save, warm restart, answers compared; then a
+# jeddd --live start and one update through jeddq, checked for its
+# generation, a grown points-to set and the served universe hash.
 serve-smoke:
 	sh scripts/serve_smoke.sh
 

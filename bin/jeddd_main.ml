@@ -1,21 +1,19 @@
 (* jeddd: the persistent analysis daemon.
 
-   Obtains an analysis snapshot — warm from a snapshot file or the
-   content-addressed store, or cold by running the combined Figure 2
-   pipeline — freezes the universe into a read-only arena (unless
-   --no-freeze), then serves concurrent queries in the jeddd line/JSON
-   protocol (see lib/server/protocol.ml) over any combination of a
-   Unix socket, a TCP port (--tcp) and an HTTP/1.1 port (--http).  One
-   worker domain evaluates the queries; with --live, an updater thread
-   re-solves edits beside it.  The whole point: the fixed-point
-   computation happens at most once, queries thereafter are BDD
-   lookups. *)
+   Obtains an analysis snapshot — warm from a snapshot file, or cold by
+   running the combined Figure 2 pipeline — freezes the universe into a
+   read-only arena (unless --no-freeze), then serves concurrent queries
+   in the jeddd line/JSON protocol (see lib/server/protocol.ml) over any
+   combination of a Unix socket, a TCP port (--tcp) and an HTTP/1.1 port
+   (--http).  One worker domain evaluates the queries; with --live, an
+   updater thread re-solves edits beside it.  The whole point: the
+   fixed-point computation happens at most once, queries thereafter are
+   BDD lookups. *)
 
 open Cmdliner
 module Workload = Jedd_minijava.Workload
 module Suite = Jedd_analyses.Suite
 module Snapshot = Jedd_store.Snapshot
-module Cas = Jedd_store.Cas
 
 let fail fmt = Printf.ksprintf (fun s -> prerr_endline s; exit 2) fmt
 
@@ -27,14 +25,14 @@ let program_of benchmark =
 (* Returns the snapshot plus its universe hash (the MD5 of the snapshot
    bytes) — the cache key component that makes result-cache entries
    snapshot-specific.  [freeze_at_load] lands a warm load directly in
-   frozen mode; it is requested only when no --save/--tag follows
-   (those re-serialize, which is cleaner before the final compaction). *)
-let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark
-    ~node_limit ~save ~tag ~freeze_at_load =
+   frozen mode; it is requested only when no --save follows (that
+   re-serializes, which is cleaner before the final compaction). *)
+let load_or_compute ~snapshot_file ~benchmark ~node_limit ~save
+    ~freeze_at_load =
   let t0 = Unix.gettimeofday () in
   let snap, origin, hash =
-    match (snapshot_file, store_dir, store_name) with
-    | Some file, _, _ ->
+    match snapshot_file with
+    | Some file ->
       (* read once: the bytes are both digested and decoded; an open
          error names the path, a read error (a directory) not *)
       let data =
@@ -48,18 +46,7 @@ let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark
            fail "jeddd: corrupt snapshot: %s: %s" file msg),
         Printf.sprintf "snapshot %s" file,
         Digest.to_hex (Digest.string data) )
-    | None, Some dir, Some name ->
-      let cas = Cas.open_ dir in
-      if Cas.resolve cas name = None then
-        fail "jeddd: %S does not name a snapshot in store %s" name dir;
-      (* the ref may point at a differential snapshot: replay the chain *)
-      let data = Jedd_store.Delta.load_chain cas name in
-      ( Snapshot.of_bytes ~freeze:freeze_at_load data,
-        Printf.sprintf "store %s/%s" dir name,
-        Digest.to_hex (Digest.string data) )
-    | None, Some _, None -> fail "jeddd: --store needs --name"
-    | None, None, Some _ -> fail "jeddd: --name needs --store"
-    | None, None, None ->
+    | None ->
       let inst, _ = Suite.run_combined ?node_limit (program_of benchmark) in
       let snap = Suite.snapshot ~meta:[ ("workload", benchmark) ] inst in
       ( snap,
@@ -74,14 +61,6 @@ let load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark
     Snapshot.save_file path snap;
     Printf.printf "jeddd: saved snapshot to %s\n%!" path
   | None -> ());
-  (match (tag, store_dir) with
-  | Some name, Some dir ->
-    let cas = Cas.open_ dir in
-    let digest = Cas.put cas (Snapshot.to_bytes snap) in
-    Cas.tag cas name digest;
-    Printf.printf "jeddd: stored as %s (ref %s)\n%!" digest name
-  | Some _, None -> fail "jeddd: --tag needs --store"
-  | None, _ -> ());
   (snap, hash)
 
 let parse_hostport ~what ~default_host s =
@@ -102,9 +81,8 @@ let parse_hostport ~what ~default_host s =
    mutable shadow universe), then serve a frozen copy of it.  The
    daemon then accepts the "update" verb: each edit is re-solved
    incrementally on the shadow and swapped in as a new frozen
-   generation; with --store/--tag, each generation is published under
-   the ref as a differential snapshot. *)
-let make_live ~benchmark ~want_freeze ~save ~tag ~store_dir =
+   generation. *)
+let make_live ~benchmark ~want_freeze ~save =
   let p = program_of benchmark in
   let t0 = Unix.gettimeofday () in
   let session = Jedd_analyses.Live.create p in
@@ -125,23 +103,12 @@ let make_live ~benchmark ~want_freeze ~save ~tag ~store_dir =
     close_out oc;
     Printf.printf "jeddd: saved snapshot to %s\n%!" path
   | None -> ());
-  let publish =
-    match (tag, store_dir) with
-    | Some name, Some dir ->
-      let cas = Cas.open_ dir in
-      let digest = Cas.put cas bytes in
-      Cas.tag cas name digest;
-      Printf.printf "jeddd: stored as %s (ref %s)\n%!" digest name;
-      Some (cas, name)
-    | Some _, None -> fail "jeddd: --tag needs --store"
-    | None, _ -> None
-  in
   let snap = Snapshot.of_bytes ~freeze:want_freeze bytes in
-  ( Some { Jedd_serve.Serve.session; initial_bytes = bytes; publish },
+  ( Some { Jedd_serve.Serve.session; initial_bytes = bytes; publish = None },
     (snap, hash) )
 
 let run socket no_socket tcp http no_freeze sweep_threshold cache_capacity
-    snapshot_file store_dir store_name benchmark node_limit save tag live =
+    snapshot_file benchmark node_limit save live =
   if no_socket && tcp = None && http = None then
     fail "jeddd: --no-socket leaves no listener; add --tcp or --http";
   let tcp =
@@ -151,21 +118,20 @@ let run socket no_socket tcp http no_freeze sweep_threshold cache_capacity
     Option.map (parse_hostport ~what:"--http" ~default_host:"0.0.0.0") http
   in
   let want_freeze = not no_freeze in
-  let freeze_at_load = want_freeze && save = None && tag = None in
-  if live && (snapshot_file <> None || store_name <> None) then
+  let freeze_at_load = want_freeze && save = None in
+  if live && snapshot_file <> None then
     fail
       "jeddd: --live re-solves edits, so it needs the program and always \
-       runs a cold analysis; drop --snapshot/--name";
+       runs a cold analysis; drop --snapshot";
   let live_cfg, (snap, universe_hash) =
     try
-      if live then make_live ~benchmark ~want_freeze ~save ~tag ~store_dir
+      if live then make_live ~benchmark ~want_freeze ~save
       else
         ( None,
-          load_or_compute ~snapshot_file ~store_dir ~store_name ~benchmark
-            ~node_limit ~save ~tag ~freeze_at_load )
+          load_or_compute ~snapshot_file ~benchmark ~node_limit ~save
+            ~freeze_at_load )
     with
     | Snapshot.Corrupt msg -> fail "jeddd: corrupt snapshot: %s" msg
-    | Cas.Corrupt_object msg -> fail "jeddd: %s" msg
     | Sys_error msg -> fail "jeddd: %s" msg
   in
   if want_freeze && not (Jedd_relation.Universe.frozen snap.Snapshot.u) then
@@ -271,21 +237,6 @@ let snapshot_arg =
         ~doc:"Warm-start from a snapshot file written by --save or \
               jedd-analyze --save-snapshot")
 
-let store_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "store" ] ~docv:"DIR"
-        ~doc:"Content-addressed snapshot store (with --name to load, \
-              --tag to publish)")
-
-let name_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "name" ] ~docv:"REF"
-        ~doc:"Ref name, digest, or unique digest prefix to load from --store")
-
 let benchmark_arg =
   Arg.(
     value & opt string "compress"
@@ -305,13 +256,6 @@ let save_arg =
     & info [ "save" ] ~docv:"FILE"
         ~doc:"Also write the (loaded or computed) snapshot to FILE")
 
-let tag_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "tag" ] ~docv:"REF"
-        ~doc:"Also publish the snapshot into --store under this ref name")
-
 let live_arg =
   Arg.(
     value & flag
@@ -320,8 +264,7 @@ let live_arg =
           "Keep a mutable shadow of the analysis and accept the \
            $(b,update) verb: program edits are re-solved incrementally \
            and swapped in as new frozen generations without restarting. \
-           Implies a cold analysis run of --benchmark; with --store and --tag, every generation is published under \
-           the ref, as a differential snapshot when smaller.")
+           Implies a cold analysis run of --benchmark.")
 
 let cmd =
   Cmd.v
@@ -333,7 +276,6 @@ let cmd =
     Term.(
       const run $ socket_arg $ no_socket_arg $ tcp_arg $ http_arg
       $ no_freeze_arg $ sweep_threshold_arg $ cache_capacity_arg
-      $ snapshot_arg $ store_arg $ name_arg $ benchmark_arg $ node_limit_arg
-      $ save_arg $ tag_arg $ live_arg)
+      $ snapshot_arg $ benchmark_arg $ node_limit_arg $ save_arg $ live_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -29,17 +29,13 @@
    old generation, which is retired once its worker has drained its
    queue ([Pool.stop] drains and joins).  The result cache is shared across
    generations (keys embed the universe hash) and the retired hash's
-   entries are evicted at swap.  With a store configured, each new
-   generation is published under its CAS ref — as a differential
-   snapshot against the previous generation when that is smaller. *)
+   entries are evicted at swap. *)
 
 module Json = Jedd_server.Json
 module Protocol = Jedd_server.Protocol
 module Qeval = Jedd_server.Qeval
 module Rescache = Jedd_server.Rescache
 module Snapshot = Jedd_store.Snapshot
-module Cas = Jedd_store.Cas
-module Delta = Jedd_store.Delta
 module Live = Jedd_analyses.Live
 module Suite = Jedd_analyses.Suite
 module Edit = Jedd_incr.Edit
@@ -103,16 +99,18 @@ type generation = {
   gen_no : int;
 }
 
+(* Uninhabited: new generations are not published anywhere. *)
+type publisher = |
+
 type live_config = {
   session : Live.t;
-  initial_bytes : string;  (** generation 0's full snapshot bytes *)
-  publish : (Cas.t * string) option;  (** store + ref for new generations *)
+  initial_bytes : string;
+      (** generation 0's snapshot bytes; the server does not read them *)
+  publish : publisher option;  (** always [None] *)
 }
 
 type live_state = {
   session : Live.t;
-  publish : (Cas.t * string) option;
-  mutable last_bytes : string;  (* previous generation's snapshot bytes *)
   updates : (Json.t * (Protocol.outcome -> unit)) Queue.t;
   um : Mutex.t;
   uc : Condition.t;
@@ -262,8 +260,6 @@ let create ?(config = default_config) ?live ~universe_hash snap =
       (fun (lc : live_config) ->
         {
           session = lc.session;
-          publish = lc.publish;
-          last_bytes = lc.initial_bytes;
           updates = Queue.create ();
           um = Mutex.create ();
           uc = Condition.create ();
@@ -367,43 +363,6 @@ let edit_of_json request : Edit.t =
   | Some _ -> bad "edit \"op\" must be a string"
   | None -> bad "edit is missing \"op\""
 
-(* Publish the new generation's bytes under the configured CAS ref — as
-   a delta against the previous generation when that is smaller. *)
-let publish_generation ls ~gen_no ~edit bytes =
-  match ls.publish with
-  | None -> []
-  | Some (cas, ref_name) ->
-    (* the base must exist in the store for the chain to replay *)
-    let base_hex = Cas.put cas ls.last_bytes in
-    let d =
-      Delta.diff
-        ~meta:
-          [
-            ("jedd.generation", string_of_int gen_no);
-            ("jedd.edit", Edit.describe edit);
-          ]
-        ~base:ls.last_bytes ~next:bytes ()
-    in
-    let dbytes = Delta.to_bytes d in
-    let obj, kind =
-      if String.length dbytes < String.length bytes then (dbytes, "delta")
-      else (bytes, "snapshot")
-    in
-    let hex = Cas.put cas obj in
-    Cas.tag cas ref_name hex;
-    [
-      ( "published",
-        Json.Obj
-          [
-            ("ref", Json.String ref_name);
-            ("object", Json.String hex);
-            ("kind", Json.String kind);
-            ("base", Json.String base_hex);
-            ("bytes", Json.Int (String.length obj));
-            ("changed_relations", Json.Int (List.length d.Delta.changed));
-          ] );
-    ]
-
 (* Runs on the updater thread.  Applies the edit to the shadow
    universe, re-solves incrementally, loads the result as a fresh
    (frozen iff the current generation is) universe with its own worker,
@@ -438,8 +397,6 @@ let perform_update t ls request : Protocol.outcome =
       Qeval.create ?cache:t.cache ~cache_capacity:0 ~universe_hash:hash world
     in
     let gpool = Pool.create ~sweep_threshold:t.config.sweep_threshold qeval in
-    let published = publish_generation ls ~gen_no ~edit bytes in
-    ls.last_bytes <- bytes;
     (* the swap: new submissions route to the new pool from here on *)
     t.gen <- { snap; hash; qeval; gpool; gen_no };
     (* retire the old generation: drain its queue, join its worker,
@@ -454,30 +411,29 @@ let perform_update t ls request : Protocol.outcome =
     let millis = (Unix.gettimeofday () -. t0) *. 1000. in
     Protocol.Reply
       (Protocol.ok id
-         ([
-            ("updated", Json.Bool true);
-            ("edit", Json.String (Edit.describe edit));
-            ("mode", Json.String (Live.mode_to_string ustats.Live.mode));
-            ("generation", Json.Int gen_no);
-            ("universe_hash", Json.String hash);
-            ("solve_millis", Json.Float ustats.Live.millis);
-            ("total_millis", Json.Float millis);
-            ("evicted_cache_entries", Json.Int evicted);
-            ( "stages",
-              Json.List
-                (List.map
-                   (fun (s : Live.stage_stats) ->
-                     Json.Obj
-                       [
-                         ("stage", Json.String s.Live.stage);
-                         ("action", Json.String s.Live.action);
-                         ("iterations", Json.Int s.Live.iterations);
-                         ("delta_tuples", Json.Int s.Live.delta_tuples);
-                         ("millis", Json.Float s.Live.stage_millis);
-                       ])
-                   ustats.Live.stages) );
-          ]
-         @ published))
+         [
+           ("updated", Json.Bool true);
+           ("edit", Json.String (Edit.describe edit));
+           ("mode", Json.String (Live.mode_to_string ustats.Live.mode));
+           ("generation", Json.Int gen_no);
+           ("universe_hash", Json.String hash);
+           ("solve_millis", Json.Float ustats.Live.millis);
+           ("total_millis", Json.Float millis);
+           ("evicted_cache_entries", Json.Int evicted);
+           ( "stages",
+             Json.List
+               (List.map
+                  (fun (s : Live.stage_stats) ->
+                    Json.Obj
+                      [
+                        ("stage", Json.String s.Live.stage);
+                        ("action", Json.String s.Live.action);
+                        ("iterations", Json.Int s.Live.iterations);
+                        ("delta_tuples", Json.Int s.Live.delta_tuples);
+                        ("millis", Json.Float s.Live.stage_millis);
+                      ])
+                  ustats.Live.stages) );
+         ])
   with
   | Protocol.Bad_request msg -> Protocol.Reply (Protocol.err id msg)
   | Edit.Invalid_edit msg ->

@@ -177,8 +177,7 @@ let to_bytes s =
 (* -- loading ------------------------------------------------------------ *)
 
 (* Verify the framing (magic, version, length, checksum) and return the
-   raw payload.  Shared by [of_bytes] and the differential-snapshot
-   machinery in [Delta], which splices payloads byte-for-byte. *)
+   raw payload. *)
 let payload_of_bytes data =
   try
     if String.length data < 8 || String.sub data 0 8 <> magic then

@@ -31,8 +31,9 @@ val to_bytes : t -> string
 
 (** {2 Framing internals}
 
-    Used by {!Delta} to splice snapshot payloads byte-for-byte; most
-    callers want [to_bytes] / [of_bytes]. *)
+    The checksummed envelope alone, for tests that re-seal a mutated
+    payload so that it reaches the payload decoder; other callers want
+    [to_bytes] / [of_bytes]. *)
 
 val payload_of_bytes : string -> string
 (** Verify the framing (magic, version, length, checksum) of snapshot

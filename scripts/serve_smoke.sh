@@ -1,8 +1,11 @@
 #!/bin/sh
 # Server smoke test: cold-start jeddd on the tiny workload, save a
 # snapshot, query it with jeddq over the socket, shut it down, then
-# warm-start from the snapshot and check the answers agree.  Exercises
-# the full analyze/serve/query/persist loop without the test harness.
+# warm-start from the snapshot and check the answers agree.  A third
+# run starts jeddd --live, sends one update, and checks that the reply
+# names generation 1, that points-to grew, and that the server now
+# serves the universe hash the reply names.  Exercises the full
+# analyze/serve/query/persist/update loop without the test harness.
 set -eu
 
 SOCK="$(mktemp -u /tmp/jeddd-smoke-XXXXXX.sock)"
@@ -56,4 +59,27 @@ wait $JEDDD_PID
     exit 1
 }
 
-echo "serve_smoke: OK ($COLD_COUNT)"
+echo "== live update =="
+$JEDDD -s "$SOCK" -b tiny --live &
+JEDDD_PID=$!
+wait_for_socket
+
+UPDATE=$($JEDDQ -s "$SOCK" raw \
+    '{"verb":"update","edit":{"op":"add_alloc","var":0,"cls":0}}')
+LIVE_COUNT=$($JEDDQ -s "$SOCK" count pt)
+STATS=$($JEDDQ -s "$SOCK" stats)
+$JEDDQ -s "$SOCK" shutdown
+wait $JEDDD_PID
+
+field() { printf '%s' "$1" | sed -n "s/.*\"$2\":\"\{0,1\}\([0-9a-z]*\).*/\1/p"; }
+fail_live() { echo "serve_smoke: live update: $1: $UPDATE" >&2; exit 1; }
+[ "$(field "$UPDATE" updated)" = true ] || fail_live "not updated"
+[ "$(field "$UPDATE" generation)" = 1 ] || fail_live "not generation 1"
+case "$UPDATE" in *'"published"'*) fail_live "reply has a published key" ;; esac
+[ "$(field "$LIVE_COUNT" tuples)" -gt "$(field "$COLD_COUNT" tuples)" ] ||
+    fail_live "points-to did not grow ($COLD_COUNT -> $LIVE_COUNT)"
+HASH=$(field "$UPDATE" universe_hash)
+[ -n "$HASH" ] && [ "$(field "$STATS" universe_hash)" = "$HASH" ] ||
+    fail_live "stats serve another universe: $STATS"
+
+echo "serve_smoke: OK ($COLD_COUNT; live $LIVE_COUNT)"

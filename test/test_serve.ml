@@ -10,8 +10,6 @@ module Client = Jedd_server.Client
 module Serve = Jedd_serve.Serve
 module Http = Jedd_serve.Http
 module Snapshot = Jedd_store.Snapshot
-module Cas = Jedd_store.Cas
-module Delta = Jedd_store.Delta
 module Suite = Jedd_analyses.Suite
 module Live = Jedd_analyses.Live
 module Workload = Jedd_minijava.Workload
@@ -408,17 +406,13 @@ let test_http_oversized_header_live () =
 (* -- live updates and generation swaps ------------------------------------ *)
 
 (* A serving stack around a mutable Live session: frozen generation-0
-   copy of the shadow universe, a CAS store publishing under ref
-   "live", and the updater thread enabled. *)
+   copy of the shadow universe, and the updater thread enabled. *)
 let with_live_serve f =
   let p = Workload.generate Workload.tiny in
   let session = Live.create p in
   let bytes = Snapshot.to_bytes (Suite.snapshot (Live.inst session)) in
   let hash = Digest.to_hex (Digest.string bytes) in
   let snap = Snapshot.of_bytes ~freeze:true bytes in
-  Test_store.with_cas_root @@ fun root ->
-  let cas = Cas.open_ root in
-  Cas.tag cas "live" (Cas.put cas bytes);
   incr fixture_counter;
   let sock =
     Filename.concat
@@ -428,9 +422,7 @@ let with_live_serve f =
   in
   if Sys.file_exists sock then Sys.remove sock;
   let config = { Serve.default_config with unix_path = Some sock } in
-  let live_cfg =
-    { Serve.session; initial_bytes = bytes; publish = Some (cas, "live") }
-  in
+  let live_cfg = { Serve.session; initial_bytes = bytes; publish = None } in
   let server = Serve.create ~config ~live:live_cfg ~universe_hash:hash snap in
   let th = Thread.create Serve.run server in
   Fun.protect
@@ -438,7 +430,7 @@ let with_live_serve f =
       Serve.stop server;
       Thread.join th;
       if Sys.file_exists sock then Sys.remove sock)
-    (fun () -> f ~sock ~cas ~session)
+    (fun () -> f ~sock ~session)
 
 let int_member what key obj =
   match Json.member key obj with
@@ -446,7 +438,7 @@ let int_member what key obj =
   | _ -> Alcotest.failf "%s: no integer %S in %s" what key (Json.to_string obj)
 
 let test_live_update_swaps_generation () =
-  with_live_serve (fun ~sock ~cas ~session ->
+  with_live_serve (fun ~sock ~session ->
       let c = Client.connect ~retries:10 sock in
       Fun.protect ~finally:(fun () -> Client.close c) @@ fun () ->
       let count () =
@@ -455,6 +447,20 @@ let test_live_update_swaps_generation () =
       in
       let generation () =
         int_member "stats" "generation" (Client.request c (q "stats" []))
+      in
+      (* the swap serves the generation the reply names, and nothing
+         publishes it *)
+      let check_served what resp =
+        (match
+           ( Json.member "universe_hash" resp,
+             Json.member "universe_hash" (Client.request c (q "stats" [])) )
+         with
+        | Some (Json.String h), Some (Json.String served) ->
+          check Alcotest.string (what ^ ": stats serve the reply's hash") h
+            served
+        | _ -> Alcotest.failf "%s: no universe_hash" what);
+        checkb (what ^ ": no published key") true
+          (Json.member "published" resp = None)
       in
       checki "starts at generation 0" 0 (generation ());
       let before = count () in
@@ -489,22 +495,7 @@ let test_live_update_swaps_generation () =
       let _, fresh = Suite.run_combined (Live.program session) in
       checki "tuple count matches from-scratch" (List.length fresh.Suite.pt)
         (count ());
-      (* the new generation was published under the CAS ref (delta or
-         full), and replaying the chain reproduces the served bytes *)
-      (match Json.member "published" resp with
-      | Some (Json.Obj _ as pub) -> (
-        match (Json.member "ref" pub, Json.member "object" pub) with
-        | Some (Json.String "live"), Some (Json.String obj_hex) ->
-          checkb "ref points at the published object" true
-            (Cas.read_ref cas "live" = Some obj_hex);
-          let replayed = Delta.load_chain cas "live" in
-          (match Json.member "universe_hash" resp with
-          | Some (Json.String h) ->
-            check Alcotest.string "chain replays to the served snapshot" h
-              (Digest.to_hex (Digest.string replayed))
-          | _ -> Alcotest.fail "update reply lacks universe_hash")
-        | _ -> Alcotest.failf "bad published payload: %s" (Json.to_string pub))
-      | _ -> Alcotest.fail "update reply lacks published");
+      check_served "update 1" resp;
       (* a second update moves to generation 2 and keeps serving *)
       let resp2 =
         update
@@ -517,6 +508,7 @@ let test_live_update_swaps_generation () =
       checkb "second update succeeded" true
         (Json.member "ok" resp2 = Some (Json.Bool true));
       checki "generation 2" 2 (int_member "update" "generation" resp2);
+      check_served "update 2" resp2;
       checkb "still answering" true (count () > 0);
       (* invalid edits are rejected without killing the session *)
       let bad =

@@ -1,7 +1,6 @@
 (* Tests for the persistent relation store: levelized dumps, the binary
-   snapshot format, the content-addressed store, and corrupt-file
-   rejection.  Round-trips are checked on random relations and on a real
-   analysis fixed point. *)
+   snapshot format, and corrupt-file rejection.  Round-trips are checked
+   on random relations and on a real analysis fixed point. *)
 
 module M = Jedd_bdd.Manager
 module Lv = Jedd_bdd.Levelized
@@ -13,8 +12,6 @@ module Phys = Jedd_relation.Physdom
 module Schema = Jedd_relation.Schema
 module Snapshot = Jedd_store.Snapshot
 module Binio = Jedd_store.Binio
-module Cas = Jedd_store.Cas
-module Delta = Jedd_store.Delta
 module Suite = Jedd_analyses.Suite
 module Workload = Jedd_minijava.Workload
 
@@ -137,10 +134,14 @@ let test_levelized_malformed () =
 
 let test_snapshot_roundtrip () =
   let world = build_world () in
-  let snap = Snapshot.of_bytes (Snapshot.to_bytes world) in
+  let bytes = Snapshot.to_bytes world in
+  let snap = Snapshot.of_bytes bytes in
   Alcotest.(check (option string)) "meta" (Some "test-world")
     (Snapshot.meta_value snap "kind");
-  check_same_relations world snap
+  check_same_relations world snap;
+  let hex s = Digest.to_hex (Digest.string s) in
+  Alcotest.(check string) "deterministic serialization" (hex bytes)
+    (hex (Snapshot.to_bytes (build_world ())))
 
 let test_snapshot_analysis_fixed_point () =
   let p = Workload.generate Workload.tiny in
@@ -343,127 +344,6 @@ let test_save_load_file () =
   check_same_relations world snap;
   Sys.remove path
 
-(* -- content-addressed store --------------------------------------------- *)
-
-(* A fresh store root in the temp directory, removed with everything in
-   it once [f] returns or raises. *)
-let with_cas_root f =
-  let root = Filename.temp_file "jedd_cas" "" in
-  Sys.remove root;
-  let rec remove path =
-    if Sys.is_directory path then begin
-      Array.iter (fun n -> remove (Filename.concat path n)) (Sys.readdir path);
-      Sys.rmdir path
-    end
-    else Sys.remove path
-  in
-  Fun.protect
-    ~finally:(fun () -> if Sys.file_exists root then remove root)
-    (fun () -> f root)
-
-let test_cas () =
-  with_cas_root @@ fun root ->
-  let cas = Cas.open_ root in
-  let world = build_world () in
-  let bytes = Snapshot.to_bytes world in
-  let hex = Cas.put cas bytes in
-  Alcotest.(check string) "idempotent put" hex (Cas.put cas bytes);
-  Cas.tag cas "tiny" hex;
-  Alcotest.(check (option string)) "ref" (Some hex) (Cas.read_ref cas "tiny");
-  (* load through ref name, digest, and digest prefix *)
-  List.iter
-    (fun key ->
-      match Cas.get cas key with
-      | None -> Alcotest.fail ("unresolvable key " ^ key)
-      | Some data -> check_same_relations world (Snapshot.of_bytes data))
-    [ "tiny"; hex; String.sub hex 0 8 ];
-  Alcotest.(check (option string)) "missing ref" None (Cas.get cas "nope");
-  Alcotest.(check int) "one object" 1 (List.length (Cas.objects cas))
-
-(* Reading a store that does not exist finds nothing and creates
-   nothing, so a refused load leaves no directories behind. *)
-let test_cas_missing_root () =
-  with_cas_root @@ fun root ->
-  let cas = Cas.open_ root in
-  Alcotest.(check (option string)) "resolve" None (Cas.resolve cas "x");
-  Alcotest.(check (option string)) "get" None (Cas.get cas "x");
-  Alcotest.(check (list string)) "objects" [] (Cas.objects cas);
-  Alcotest.(check int) "refs" 0 (List.length (Cas.refs cas));
-  Alcotest.(check bool) "nothing created" false (Sys.file_exists root)
-
-(* -- differential snapshots ---------------------------------------------- *)
-
-let hex_of s = Digest.to_hex (Digest.string s)
-
-let test_delta_diff_apply () =
-  let base = Snapshot.to_bytes (build_world ~seed:5 ()) in
-  (* serialization is deterministic, so identical worlds diff empty *)
-  let same = Snapshot.to_bytes (build_world ~seed:5 ()) in
-  Alcotest.(check string) "deterministic serialization" (hex_of base)
-    (hex_of same);
-  let d0 = Delta.diff ~base ~next:same () in
-  Alcotest.(check int) "no changes between identical snapshots" 0
-    (List.length d0.Delta.changed);
-  Alcotest.(check string) "empty delta applies to identity" (hex_of base)
-    (hex_of (Delta.apply ~base d0));
-  (* drop one relation's tuples: exactly that entry is recorded *)
-  let w2 = build_world ~seed:5 () in
-  let rc = List.assoc "W.c" w2.Snapshot.relations in
-  let rc' = R.empty w2.Snapshot.u (R.schema rc) in
-  let w2 =
-    {
-      w2 with
-      Snapshot.relations =
-        [ ("W.ab", List.assoc "W.ab" w2.Snapshot.relations); ("W.c", rc') ];
-    }
-  in
-  let next = Snapshot.to_bytes w2 in
-  let d = Delta.diff ~meta:[ ("edit", "clear W.c") ] ~base ~next () in
-  Alcotest.(check (list string)) "only W.c changed" [ "W.c" ]
-    (List.map fst d.Delta.changed);
-  Alcotest.(check (list string)) "order covers every relation"
-    [ "W.ab"; "W.c" ] d.Delta.order;
-  (* file round-trip, then replay: byte-identical to the real next *)
-  let d' = Delta.of_bytes (Delta.to_bytes d) in
-  checkb "delta round-trips" true (d = d');
-  let out = Delta.apply ~base d' in
-  Alcotest.(check string) "replay is byte-identical" (hex_of next)
-    (hex_of out);
-  check_same_relations w2 (Snapshot.of_bytes out);
-  (* replaying onto the wrong base fails with both digests named *)
-  match Delta.apply ~base:next d' with
-  | _ -> Alcotest.fail "wrong base accepted"
-  | exception Snapshot.Corrupt msg ->
-    checkb "recorded base digest in message" true (contains msg d.Delta.base);
-    checkb "found digest in message" true (contains msg (hex_of next))
-
-let test_delta_chain () =
-  with_cas_root @@ fun root ->
-  let cas = Cas.open_ root in
-  let mk seed = Snapshot.to_bytes (build_world ~seed ()) in
-  let a = mk 1 and b = mk 2 and c = mk 3 in
-  ignore (Cas.put cas a);
-  Cas.tag cas "main" (Cas.put cas (Delta.to_bytes (Delta.diff ~base:a ~next:b ())));
-  Alcotest.(check string) "delta ref replays to the next generation"
-    (hex_of b)
-    (hex_of (Delta.load_chain cas "main"));
-  ignore (Cas.put cas b);
-  Cas.tag cas "main" (Cas.put cas (Delta.to_bytes (Delta.diff ~base:b ~next:c ())));
-  Alcotest.(check string) "second publish replays too" (hex_of c)
-    (hex_of (Delta.load_chain cas "main"));
-  (* full snapshot objects pass through the same entry point *)
-  Alcotest.(check string) "full object loads unchanged" (hex_of a)
-    (hex_of (Delta.load_chain cas (hex_of a)));
-  checkb "replayed bytes rebuild a universe" true
-    (Snapshot.of_bytes (Delta.load_chain cas "main") |> fun s ->
-     List.length s.Snapshot.relations = 2);
-  (* a dangling base fails cleanly *)
-  Cas.tag cas "orphan"
-    (Cas.put cas (Delta.to_bytes (Delta.diff ~base:c ~next:a ())));
-  match Delta.load_chain cas "orphan" with
-  | _ -> Alcotest.fail "dangling base accepted"
-  | exception Snapshot.Corrupt _ -> ()
-
 let test_corruption_messages () =
   let good = Snapshot.to_bytes (build_world ()) in
   (* checksum failure reports expected vs found digests *)
@@ -487,27 +367,10 @@ let test_corruption_messages () =
     checkb "path in checksum message" true (contains msg path));
   Sys.remove path;
   (* a file that cannot be opened is not called corrupt *)
-  (match Snapshot.load_file path with
+  match Snapshot.load_file path with
   | _ -> Alcotest.fail "loaded a missing file"
   | exception Sys_error msg ->
-    checkb "path in open error" true (contains msg path));
-  (* a damaged CAS object names its path and both digests *)
-  with_cas_root @@ fun root ->
-  let cas = Cas.open_ root in
-  let hex = Cas.put cas good in
-  let obj_path =
-    Filename.concat (Filename.concat root "objects") (hex ^ ".snap")
-  in
-  let oc = open_out_bin obj_path in
-  output_string oc "damaged bytes";
-  close_out oc;
-  match Cas.get cas hex with
-  | _ -> Alcotest.fail "damaged object served"
-  | exception Cas.Corrupt_object msg ->
-    checkb "object path named" true (contains msg obj_path);
-    checkb "expected digest named" true (contains msg hex);
-    checkb "found digest named" true
-      (contains msg (hex_of "damaged bytes"))
+    checkb "path in open error" true (contains msg path)
 
 let suite =
   [
@@ -526,13 +389,6 @@ let suite =
     Alcotest.test_case "recorded order must match declarations" `Quick
       test_recorded_order_checked;
     Alcotest.test_case "save_file/load_file" `Quick test_save_load_file;
-    Alcotest.test_case "content-addressed store" `Quick test_cas;
-    Alcotest.test_case "missing store reads empty" `Quick
-      test_cas_missing_root;
-    Alcotest.test_case "delta diff/apply round-trip" `Quick
-      test_delta_diff_apply;
-    Alcotest.test_case "delta chains through the store" `Quick
-      test_delta_chain;
     Alcotest.test_case "corruption errors name path and digests" `Quick
       test_corruption_messages;
   ]
