@@ -57,7 +57,7 @@ let print_results (r : Suite.results) =
   Printf.printf "  Side-effect Analysis : %d (method, heap, field) triples\n"
     (List.length r.Suite.side_effects)
 
-let run benchmark file verify node_limit lint save_snapshot serve optimize =
+let run benchmark file verify node_limit lint save_snapshot serve =
   let name, p = load_program benchmark file in
   if lint then lint_suite p;
   Format.printf "workload %s: %a@." name Program.pp_stats p;
@@ -75,9 +75,9 @@ let run benchmark file verify node_limit lint save_snapshot serve optimize =
        plain report path keeps the historical per-analysis universes *)
     try
       if needs_instance then
-        let inst, r = Suite.run_combined ?node_limit ~optimize p in
+        let inst, r = Suite.run_combined ?node_limit p in
         (Some inst, r)
-      else (None, Suite.run_all ?node_limit ~optimize p)
+      else (None, Suite.run_all ?node_limit p)
     with Jedd_bdd.Manager.Out_of_nodes -> oom ()
   in
   Printf.printf "pipeline completed in %.2f s\n" (Unix.gettimeofday () -. t0);
@@ -173,23 +173,12 @@ let serve_arg =
           "After the pipeline completes, serve the results over a Unix \
            socket speaking the jeddd line/JSON protocol (query with jeddq)")
 
-let optimize_arg =
-  Arg.(
-    value & flag
-    & info [ "optimize-domains" ]
-        ~doc:
-          "Solve each physical-domain assignment with the weighted \
-           objective: the static cost analysis weights every candidate \
-           replace site by loop nesting and call-graph frequency, and the \
-           SAT solve minimises the summed weight of the copies it keeps.  \
-           Results are bit-identical; dynamic replace executions drop.")
-
 let cmd =
   Cmd.v
     (Cmd.info "jedd-analyze" ~version:Jedd_relation.Version.banner
        ~doc:"Run the five BDD-based whole-program analyses of Figure 2")
     Term.(
       const run $ benchmark_arg $ file_arg $ verify_arg $ node_limit_arg
-      $ lint_arg $ save_snapshot_arg $ serve_arg $ optimize_arg)
+      $ lint_arg $ save_snapshot_arg $ serve_arg)
 
 let () = exit (Cmd.eval cmd)

@@ -16,8 +16,8 @@ let read_file path =
   s
 
 (* --domain-report=json: machine-readable dump of the constraint-graph
-   statistics, the computed widths, the weighted-assignment outcome (if
-   any), and every candidate replace site with its static weight. *)
+   statistics, the SAT instance sizes, the computed widths, and every
+   candidate replace site with its static weight. *)
 let domain_report_json (compiled : Jedd_lang.Driver.compiled) =
   let module D = Jedd_lang.Driver in
   let module C = Jedd_lang.Constraints in
@@ -41,14 +41,6 @@ let domain_report_json (compiled : Jedd_lang.Driver.compiled) =
         \"encode_seconds\": %.4f, \"solve_seconds\": %.4f },\n"
        sat.E.sat_vars sat.E.sat_clauses sat.E.sat_literals
        sat.E.encode_seconds sat.E.solve_seconds);
-  (match compiled.D.weighted_stats with
-  | Some w ->
-    add
-      (Printf.sprintf
-         "  \"weighted\": { \"sites\": %d, \"kept\": %d, \"broken\": %d, \
-          \"cost\": %d, \"solves\": %d },\n"
-         w.E.w_sites w.E.w_kept w.E.w_broken w.E.w_cost w.E.w_solves)
-  | None -> add "  \"weighted\": null,\n");
   add "  \"widths\": { ";
   add
     (String.concat ", "
@@ -121,22 +113,14 @@ let write_dimacs path sources =
         msg;
       exit 1)
 
-let run files output stats dimacs dump_ir lint optimize domain_report =
+let run files output stats dimacs dump_ir lint domain_report =
   if files = [] then begin
     prerr_endline "jeddc: no input files";
     exit 2
   end;
   let sources = List.map (fun f -> (f, read_file f)) files in
   if dimacs <> "" then write_dimacs dimacs sources;
-  let weight =
-    if optimize then
-      Some
-        (fun tprog ->
-          let f = Jedd_cost.Freq.analyze tprog in
-          Jedd_cost.Freq.weight f)
-    else None
-  in
-  match Jedd_lang.Driver.compile ?weight sources with
+  match Jedd_lang.Driver.compile sources with
   | Error e ->
     prerr_endline (Jedd_lang.Driver.error_to_string e);
     exit 1
@@ -167,14 +151,6 @@ let run files output stats dimacs dump_ir lint optimize domain_report =
       "jeddc: physical domain assignment complete (encode %.4f s, CDCL %.4f \
        s)\n"
       sat.Jedd_lang.Encode.encode_seconds sat.Jedd_lang.Encode.solve_seconds;
-    (match compiled.Jedd_lang.Driver.weighted_stats with
-    | Some w ->
-      Printf.printf
-        "jeddc: weighted objective kept %d of %d replace sites (broken cost \
-         %d, %d SAT solves)\n"
-        w.Jedd_lang.Encode.w_kept w.Jedd_lang.Encode.w_sites
-        w.Jedd_lang.Encode.w_cost w.Jedd_lang.Encode.w_solves
-    | None -> ());
     if stats then begin
       Printf.printf "  relational expressions : %d\n"
         st.Jedd_lang.Constraints.n_rel_exprs;
@@ -244,18 +220,6 @@ let lint_arg =
            diagnostics as $(docv) (text or json).  Exits 2 on errors, 1 on \
            warnings, 0 otherwise.")
 
-let optimize_arg =
-  Arg.(
-    value & flag
-    & info [ "optimize-domains" ]
-        ~doc:
-          "Solve the physical-domain assignment with the weighted objective: \
-           minimise the summed static execution-weight (interprocedural \
-           frequency analysis, loop nesting, fixed-point loops) of the \
-           replace instructions the assignment emits, instead of accepting \
-           an arbitrary satisfying model.  Analysis results are unchanged; \
-           only where the copies happen moves.")
-
 let domain_report_arg =
   Arg.(
     value
@@ -274,6 +238,6 @@ let cmd =
        ~doc:"Jedd to Java translator (PLDI 2004 reproduction)")
     Term.(
       const run $ files_arg $ output_arg $ stats_arg $ dimacs_arg $ dump_ir_arg
-      $ lint_arg $ optimize_arg $ domain_report_arg)
+      $ lint_arg $ domain_report_arg)
 
 let () = exit (Cmd.eval cmd)

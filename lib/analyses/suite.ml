@@ -36,21 +36,8 @@ type results = {
   side_effects : int list list;  (* (method, heap, field) *)
 }
 
-(* The weighted-assignment hook: plug the interprocedural frequency
-   analysis into the compile pipeline when [optimize] is requested. *)
-let weight_hook optimize =
-  if optimize then
-    Some
-      (fun tprog ->
-        let f = Jedd_cost.Freq.analyze tprog in
-        Jedd_cost.Freq.weight f)
-  else None
-
-let compile_one ?(optimize = false) (p : P.t) name =
-  match
-    Driver.compile ?weight:(weight_hook optimize)
-      [ (name ^ ".jedd", source_for p name) ]
-  with
+let compile_one (p : P.t) name =
+  match Driver.compile [ (name ^ ".jedd", source_for p name) ] with
   | Ok c -> c
   | Error e ->
     failwith (Printf.sprintf "%s: %s" name (Driver.error_to_string e))
@@ -79,12 +66,9 @@ let receiver_types (p : P.t) pt_tuples =
    fields by qualified name, so they run unchanged on the combined
    instance. *)
 let run_combined ?(node_capacity = 1 lsl 16) ?node_limit ?headroom
-    ?(naive = false) ?(optimize = false) (p : P.t) : Interp.t * results =
+    ?(naive = false) (p : P.t) : Interp.t * results =
   let compiled =
-    match
-      Driver.compile ?weight:(weight_hook optimize)
-        [ ("Combined.jedd", combined_source ?headroom p) ]
-    with
+    match Driver.compile [ ("Combined.jedd", combined_source ?headroom p) ] with
     | Ok c -> c
     | Error e -> failwith ("combined: " ^ Driver.error_to_string e)
   in
@@ -162,9 +146,7 @@ let snapshot ?(meta = []) inst =
     relations = Interp.fields inst;
   }
 
-let run_all ?(node_capacity = 1 lsl 16) ?node_limit ?(optimize = false)
-    (p : P.t) : results =
-  let compile_one p name = compile_one ~optimize p name in
+let run_all ?(node_capacity = 1 lsl 16) ?node_limit (p : P.t) : results =
   let instantiate c = Driver.instantiate ~node_capacity ?node_limit c in
   (* 1. hierarchy *)
   let hier = instantiate (compile_one p "Hierarchy") in

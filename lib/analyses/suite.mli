@@ -27,16 +27,8 @@ val source_for : Jedd_minijava.Program.t -> string -> string
 (** One analysis with its preamble, by display name. *)
 
 val compile_one :
-  ?optimize:bool ->
-  Jedd_minijava.Program.t ->
-  string ->
-  Jedd_lang.Driver.compiled
-(** Compile one analysis; fails loudly on any jeddc error.
-    [~optimize:true] solves the physical-domain assignment with the
-    weighted objective (the jeddc [--optimize-domains] flag): the
-    summed static execution-weight of the emitted replace instructions
-    is minimised, so copies move out of fixed-point loops where the
-    constraints allow.  Analysis results are unchanged either way. *)
+  Jedd_minijava.Program.t -> string -> Jedd_lang.Driver.compiled
+(** Compile one analysis; fails loudly on any jeddc error. *)
 
 type results = {
   subtypes : int list list;  (** (sub, super), strict transitive closure *)
@@ -54,7 +46,6 @@ val receiver_types : Jedd_minijava.Program.t -> int list list -> int list list
 val run_all :
   ?node_capacity:int ->
   ?node_limit:int ->
-  ?optimize:bool ->
   Jedd_minijava.Program.t ->
   results
 (** Compile and run the full pipeline.  [node_limit] caps each
@@ -66,7 +57,6 @@ val run_combined :
   ?node_limit:int ->
   ?headroom:bool ->
   ?naive:bool ->
-  ?optimize:bool ->
   Jedd_minijava.Program.t ->
   Jedd_lang.Interp.t * results
 (** The same pipeline compiled as ONE Jedd program in ONE universe

@@ -12,9 +12,8 @@
     [max], call-site nodes multiply the caller's weight by the site's
     local loop weight, and recursion saturates at {!weight_cap}.
 
-    The resulting per-expression weights drive the weighted
-    domain-assignment objective ([Encode.solve_weighted]) and the
-    JL201 cost lint. *)
+    The resulting per-expression weights feed the JL201 cost lint and
+    [jeddc --domain-report]. *)
 
 type t
 

@@ -3,7 +3,7 @@ type compiled = Lower.compiled = {
   graph : Constraints.t;
   assignment : Encode.assignment;
   constraint_stats : Constraints.stats;
-  weighted_stats : Encode.weighted_stats option;
+  weighted_stats : Lower.weighted_stats option;
 }
 
 type error = { message : string; pos : Ast.pos option; phase : string }
@@ -13,7 +13,7 @@ let error_to_string e =
   | Some p -> Format.asprintf "%s error at %a: %s" e.phase Ast.pp_pos p e.message
   | None -> Printf.sprintf "%s error: %s" e.phase e.message
 
-let compile ?max_paths_per_class ?weight sources =
+let compile ?max_paths_per_class sources =
   try
     let decls =
       List.concat_map
@@ -22,26 +22,14 @@ let compile ?max_paths_per_class ?weight sources =
     in
     let tprog = Typecheck.check decls in
     let graph = Constraints.build tprog in
-    (* [weight] receives the typed program and returns an eid-keyed
-       weight (callers plug in [Jedd_cost.Freq]; this module stays
-       ignorant of the cost library) *)
-    let assignment, weighted_stats =
-      match weight with
-      | None -> (Encode.solve ?max_paths_per_class tprog graph, None)
-      | Some mk ->
-        let asg, ws =
-          Encode.solve_weighted ?max_paths_per_class ~weight:(mk tprog)
-            tprog graph
-        in
-        (asg, Some ws)
-    in
+    let assignment = Encode.solve ?max_paths_per_class tprog graph in
     Ok
       {
         tprog;
         graph;
         assignment;
         constraint_stats = Constraints.stats tprog graph;
-        weighted_stats;
+        weighted_stats = None;
       }
   with
   | Lexer.Lex_error (msg, pos) -> Error { message = msg; pos = Some pos; phase = "parse" }
@@ -54,8 +42,8 @@ let compile ?max_paths_per_class ?weight sources =
   | Encode.Assignment_conflict msg ->
     Error { message = msg; pos = None; phase = "assignment" }
 
-let compile_exn ?max_paths_per_class ?weight ~file src =
-  match compile ?max_paths_per_class ?weight [ (file, src) ] with
+let compile_exn ?max_paths_per_class ~file src =
+  match compile ?max_paths_per_class [ (file, src) ] with
   | Ok c -> c
   | Error e -> failwith (error_to_string e)
 

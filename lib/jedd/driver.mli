@@ -10,8 +10,8 @@ type compiled = Lower.compiled = {
   graph : Constraints.t;
   assignment : Encode.assignment;
   constraint_stats : Constraints.stats;
-  weighted_stats : Encode.weighted_stats option;
-      (** present when the weighted objective ran *)
+  weighted_stats : Lower.weighted_stats option;
+      (** always [None]: kept for callers that build the record *)
 }
 
 type error = {
@@ -22,21 +22,15 @@ type error = {
 
 val compile :
   ?max_paths_per_class:int ->
-  ?weight:(Tast.tprogram -> int -> int) ->
   (string * string) list ->
   (compiled, error) result
 (** [compile [(filename, source); ...]].  The physical-domain assignment
-    is completed automatically from whatever the programmer specified;
-    failures carry the §3.3.3 error messages.  When [weight] is given
-    the assignment instead minimises the summed weight of the replace
-    instructions it emits ([Encode.solve_weighted]); the function maps
-    the typed program to an expression-id weighting, so callers can
-    plug in [Jedd_cost.Freq.analyze] without this module depending on
-    the cost library. *)
+    is completed automatically from whatever the programmer specified,
+    as the first model the SAT solver finds (§3.3.2); failures carry the
+    §3.3.3 error messages. *)
 
 val compile_exn :
   ?max_paths_per_class:int ->
-  ?weight:(Tast.tprogram -> int -> int) ->
   file:string ->
   string ->
   compiled

@@ -432,145 +432,3 @@ let solve ?max_paths_per_class (prog : Tast.tprogram) (g : Constraints.t) :
     raise (Assignment_conflict (diagnose enc (Solver.unsat_core solver)))
   | Solver.Sat ->
     decode enc solver ~encode_seconds:(t1 -. t0) ~solve_seconds:(t2 -. t1)
-
-(* -- weighted assignment (minimise the cost of broken edges) --------------- *)
-
-type weighted_stats = {
-  w_sites : int;
-  w_kept : int;
-  w_broken : int;
-  w_cost : int;
-  w_solves : int;
-}
-
-let solve_weighted ?max_paths_per_class ?(budget = 64) ~weight
-    (prog : Tast.tprogram) (g : Constraints.t) : assignment * weighted_stats
-    =
-  (* candidate groups: the assignment edges of one dummy replace
-     wrapper stand or fall together (a single IReplace covers all of a
-     wrap site's attributes), so they are kept or broken as a unit *)
-  let by_eid = Hashtbl.create 32 in
-  List.iter
-    (fun (i, j) ->
-      let eid_of k =
-        match g.Constraints.nodes.(k).Constraints.site with
-        | Constraints.S_wrap e -> Some e
-        | _ -> None
-      in
-      match (eid_of j, eid_of i) with
-      | Some e, _ | None, Some e ->
-        Hashtbl.replace by_eid e
-          ((i, j) :: Option.value (Hashtbl.find_opt by_eid e) ~default:[])
-      | None, None -> ())
-    g.Constraints.assignment;
-  let groups =
-    Hashtbl.fold (fun e pairs acc -> (e, weight e, pairs) :: acc) by_eid []
-    |> List.sort (fun (e1, w1, _) (e2, w2, _) ->
-           if w1 <> w2 then compare w2 w1 else compare e1 e2)
-    |> Array.of_list
-  in
-  let ng = Array.length groups in
-  let t0 = Sys.time () in
-  let enc = prepare ?max_paths_per_class prog g in
-  let encode_seconds = ref (Sys.time () -. t0) in
-  let solve_seconds = ref 0.0 in
-  let solves = ref 0 in
-  (* one probe = the clause-1-7 instance streamed into a fresh solver
-     plus hard equalities over every kept group's edges, exactly the
-     [probe_wrap_equal] shape but for a set of wrappers at once *)
-  let probe kept_mask =
-    incr solves;
-    let t0 = Sys.time () in
-    let solver = load enc in
-    Array.iteri
-      (fun gi (_, _, pairs) ->
-        if kept_mask.(gi) then
-          List.iter
-            (fun lits -> ignore (Solver.add_clause solver lits))
-            (equal_clauses enc pairs))
-      groups;
-    let t1 = Sys.time () in
-    let result = Solver.solve solver in
-    encode_seconds := !encode_seconds +. (t1 -. t0);
-    solve_seconds := !solve_seconds +. (Sys.time () -. t1);
-    if result = Solver.Sat then Some solver else None
-  in
-  (* greedy: walk the groups by descending weight, keeping each one
-     whose equalities remain satisfiable on top of what is already
-     kept — heavy sites get first claim on the solver's freedom *)
-  let kept = Array.make ng false in
-  for gi = 0 to ng - 1 do
-    kept.(gi) <- true;
-    match probe kept with
-    | Some _ -> ()
-    | None -> kept.(gi) <- false
-  done;
-  let cost_of mask =
-    let c = ref 0 in
-    Array.iteri
-      (fun gi (_, w, _) -> if not mask.(gi) then c := !c + w)
-      groups;
-    !c
-  in
-  let best_mask = ref (Array.copy kept) in
-  let best_cost = ref (cost_of kept) in
-  (* bounded branch-and-bound refinement: revisit the decision order,
-     branching keep/break with the incumbent cost as the bound and a
-     budget on extra solver calls.  The greedy order can be beaten when
-     keeping one heavy site blocked two lighter ones it outweighs
-     individually but not together. *)
-  if !best_cost > 0 then begin
-    let base_solves = !solves in
-    let budget_left () = !solves - base_solves < budget in
-    let rec bb gi mask cost =
-      if cost < !best_cost && budget_left () then
-        if gi >= ng then begin
-          (* mask was verified satisfiable when its last kept group was
-             added, so it is a genuine incumbent *)
-          best_cost := cost;
-          best_mask := Array.copy mask
-        end
-        else begin
-          let _, w, _ = groups.(gi) in
-          mask.(gi) <- true;
-          (match probe mask with
-          | Some _ -> bb (gi + 1) mask cost
-          | None -> ());
-          mask.(gi) <- false;
-          bb (gi + 1) mask (cost + w)
-        end
-    in
-    bb 0 (Array.make ng false) 0
-  end;
-  (* final decode from the winning kept set *)
-  match probe !best_mask with
-  | None ->
-    (* every incumbent with kept groups was produced by a satisfiable
-       probe and rebuilds are deterministic, so this is only reachable
-       when the base instance itself is unsatisfiable (the greedy pass
-       rejected everything); report it exactly as [solve] would *)
-    let solver = load enc in
-    (match Solver.solve solver with
-    | Solver.Unsat ->
-      raise
-        (Assignment_conflict (diagnose enc (Solver.unsat_core solver)))
-    | Solver.Sat ->
-      raise
-        (Assignment_conflict
-           "Encode.solve_weighted: winning kept set became unsatisfiable"))
-  | Some solver ->
-    let asg =
-      decode enc solver ~encode_seconds:!encode_seconds
-        ~solve_seconds:!solve_seconds
-    in
-    let n_kept =
-      Array.fold_left (fun a k -> if k then a + 1 else a) 0 !best_mask
-    in
-    ( asg,
-      {
-        w_sites = ng;
-        w_kept = n_kept;
-        w_broken = ng - n_kept;
-        w_cost = !best_cost;
-        w_solves = !solves;
-      } )

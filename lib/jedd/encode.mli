@@ -41,36 +41,6 @@ val solve :
 (** Runs the whole §3.3.2 pipeline.  Raises {!Unreachable_attribute} or
     {!Assignment_conflict} on the two failure modes of §3.3.3. *)
 
-(** Outcome statistics of {!solve_weighted}. *)
-type weighted_stats = {
-  w_sites : int;  (** candidate replace sites (assignment-edge groups) *)
-  w_kept : int;  (** sites forced equal — no replace emitted *)
-  w_broken : int;  (** sites left broken — a replace remains *)
-  w_cost : int;  (** total static weight of the broken sites *)
-  w_solves : int;  (** CDCL invocations spent *)
-}
-
-val solve_weighted :
-  ?max_paths_per_class:int ->
-  ?budget:int ->
-  weight:(int -> int) ->
-  Tast.tprogram ->
-  Constraints.t ->
-  assignment * weighted_stats
-(** Like {!solve}, but minimises the summed [weight] (keyed by wrapped
-    expression id) of the assignment edges the model breaks, i.e. of
-    the replace instructions the lowering will emit.  Greedy
-    descending-weight probing — each wrap site's edges are promoted to
-    hard equalities when still satisfiable, exactly the
-    {!probe_wrap_equal} construction over a growing set — seeds a
-    branch-and-bound refinement bounded by [budget] extra solver calls
-    (default 64).  The unweighted solver is the degenerate case: with a
-    constant [weight] this minimises the replace count, and with the
-    result ignored it coincides with any {!solve} model.  Raises the
-    same exceptions as {!solve} on infeasible programs, with the same
-    unsat-core diagnosis.  Its [encode_seconds] and [solve_seconds] sum
-    over every probe. *)
-
 (** Outcome of re-solving with a replace wrapper's assignment edges
     promoted to hard equalities, for the jeddlint replace audit. *)
 type replace_probe =

@@ -10,6 +10,10 @@
 open Tast
 open Ir
 
+(* Uninhabited: the physical-domain assignment has no weighted
+   objective. *)
+type weighted_stats = |
+
 (* A compiled program: the typed AST with its physical-domain
    assignment.  [Driver] re-exports this record as [Driver.compiled];
    it lives here so that [Interp] can lower what it runs. *)
@@ -18,8 +22,7 @@ type compiled = {
   graph : Constraints.t;
   assignment : Encode.assignment;
   constraint_stats : Constraints.stats;
-  weighted_stats : Encode.weighted_stats option;
-      (* present when the weighted objective ran *)
+  weighted_stats : weighted_stats option;  (* always [None] *)
 }
 
 (* Provenance the lint subsystem and the interpreter feed on: where

@@ -1,12 +1,11 @@
 (* JL201/JL202: cost-model lints built on [Jedd_cost].
 
    JL201 marks forced replace sites (the JL007 verdict) that execute
-   inside a recognised fixed-point loop: the weighted assignment
-   objective cannot remove them — the unsat core is the blocking
-   constraint chain — so they run once per solver iteration and
-   dominate the §6.1 replace profile.  Informational, like the rest of
-   the replace audit: fixed-point solvers legitimately pay for forced
-   copies.
+   inside a recognised fixed-point loop: no physical-domain assignment
+   can remove them — the unsat core is the blocking constraint chain —
+   so they run once per solver iteration and dominate the §6.1 replace
+   profile.  Informational, like the rest of the replace audit:
+   fixed-point solvers legitimately pay for forced copies.
 
    JL202 warns about joins whose result layout is wide enough that the
    predicted BDD node count ([Jedd_cost.Shape], optionally sharpened by
@@ -44,8 +43,8 @@ let check ?(threshold_bits = default_threshold_bits)
             (Diag.make
                ~notes:
                  (Printf.sprintf
-                    "static weight %d (loop depth %d); the weighted \
-                     assignment objective cannot eliminate this copy"
+                    "static weight %d (loop depth %d); no physical-domain \
+                     assignment can eliminate this copy"
                     w (Freq.depth freq eid)
                  :: List.map (fun c -> "blocked because " ^ c) core)
                ~code:"JL201" ~severity:Diag.Info

@@ -440,6 +440,42 @@ let test_jeddc_dimacs () =
       Alcotest.(check bool) ("message names the path: " ^ msg) true
         (Str.string_match (Str.regexp (".*" ^ Str.quote bad)) msg 0))
 
+(* --domain-report=json on the seeded cost example: the forced copy in
+   its fixed-point loop (JL201's site) carries the weight, loop depth
+   and fixed-point flag that JL201's note prints. *)
+let test_jeddc_domain_report () =
+  let module Json = Jedd_server.Json in
+  let out = Filename.temp_file "jeddc" ".json" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove out)
+    (fun () ->
+      Alcotest.(check int) "exit status" 0
+        (jeddc
+           [ "--domain-report=json"; "../examples/cost_defects.jedd"; ">";
+             Filename.quote out ]);
+      let report = Json.of_string (read_file out) in
+      Alcotest.(check bool) "no weighted key" true
+        (Json.member "weighted" report = None);
+      let int key site =
+        match Json.member key site with
+        | Some (Json.Int n) -> n
+        | _ -> Alcotest.failf "site without %s: %s" key (Json.to_string site)
+      in
+      let sites =
+        match Json.member "sites" report with
+        | Some (Json.List l) -> l
+        | _ -> Alcotest.fail "report without sites"
+      in
+      match
+        List.find_opt (fun s -> int "line" s = 36 && int "col" s = 19) sites
+      with
+      | None -> Alcotest.fail "no site at 36,19"
+      | Some site ->
+        Alcotest.(check int) "weight" 32 (int "weight" site);
+        Alcotest.(check int) "depth" 1 (int "depth" site);
+        Alcotest.(check bool) "fixpoint" true
+          (Json.member "fixpoint" site = Some (Json.Bool true)))
+
 (* ---------------- end-to-end: Figure 4 execution ---------------- *)
 
 let test_figure4_execution () =
@@ -686,4 +722,5 @@ let suite =
     Alcotest.test_case "assignment retains no solver" `Quick
       test_assignment_retains_no_solver;
     Alcotest.test_case "jeddc --dimacs" `Quick test_jeddc_dimacs;
+    Alcotest.test_case "jeddc --domain-report" `Quick test_jeddc_domain_report;
   ]
