@@ -1,56 +1,48 @@
 type man = Manager.t
 type node = Manager.node
 
-let support_levels m f =
-  let seen = Hashtbl.create 256 in
-  let levels = Hashtbl.create 64 in
-  let rec go f =
-    if (not (Manager.is_terminal f)) && not (Hashtbl.mem seen f) then begin
-      Hashtbl.add seen f ();
-      Hashtbl.replace levels (Manager.level m f) ();
-      go (Manager.low m f);
-      go (Manager.high m f)
-    end
-  in
-  go f;
-  List.sort compare (Hashtbl.fold (fun l () acc -> l :: acc) levels [])
-
 let satcount m f ~over =
   let over = List.sort_uniq compare over in
-  let support = support_levels m f in
-  let in_over = Hashtbl.create 64 in
-  List.iter (fun l -> Hashtbl.replace in_over l ()) over;
-  List.iter
-    (fun l ->
-      if not (Hashtbl.mem in_over l) then
-        invalid_arg "Count.satcount: BDD depends on a variable outside ~over")
-    support;
-  (* rank.(i) = position of a level within [over]; count below a node is
-     relative to its rank so that skipped variables double the count. *)
   let n = List.length over in
-  let rank = Hashtbl.create 64 in
-  List.iteri (fun i l -> Hashtbl.add rank l i) over;
-  let rank_of f =
-    if Manager.is_terminal f then n else Hashtbl.find rank (Manager.level m f)
+  (* rank.(l) = position of level l within [over], -1 outside it; the
+     count below a node is relative to its rank, so that every skipped
+     variable doubles it *)
+  let rank = Array.make (Manager.num_vars m) (-1) in
+  List.iteri
+    (fun i l -> if l >= 0 && l < Array.length rank then rank.(l) <- i)
+    over;
+  let rank_of g =
+    let r = rank.(Manager.level m g) in
+    if r < 0 then
+      invalid_arg "Count.satcount: BDD depends on a variable outside ~over";
+    r
   in
-  let memo = Hashtbl.create 1024 in
-  (* c f = number of assignments of the variables of [over] with rank >=
-     rank_of f that satisfy f. *)
-  let rec c f =
-    if f = Manager.zero then 0
-    else if f = Manager.one then 1
+  let memo = Nodetbl.create 256 in
+  (* c g rg = number of assignments of the variables of [over] with
+     rank >= rg = rank_of g that satisfy the internal node g; part h rg
+     counts a child h of a node of rank rg over the same variables.
+     Every reachable node is visited once, so every support level is
+     checked against [over] on the way. *)
+  let rec c g rg =
+    let r = Nodetbl.find memo g in
+    if r >= 0 then r
+    else begin
+      let r = part (Manager.low m g) rg + part (Manager.high m g) rg in
+      Nodetbl.add memo g r;
+      r
+    end
+  and part h rg =
+    if h = Manager.zero then 0
+    else if h = Manager.one then 1 lsl (n - rg - 1)
     else
-      match Hashtbl.find_opt memo f with
-      | Some r -> r
-      | None ->
-        let rf = rank_of f in
-        let lo = Manager.low m f and hi = Manager.high m f in
-        let part g = c g lsl (rank_of g - rf - 1) in
-        let r = part lo + part hi in
-        Hashtbl.add memo f r;
-        r
+      let rh = rank_of h in
+      c h rh lsl (rh - rg - 1)
   in
-  c f lsl rank_of f
+  if f = Manager.zero then 0
+  else if f = Manager.one then 1 lsl n
+  else
+    let rf = rank_of f in
+    c f rf lsl rf
 
 let satcount_all m f =
   let all = List.init (Manager.num_vars m) (fun i -> i) in

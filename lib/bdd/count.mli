@@ -24,6 +24,3 @@ val nodecount_many : man -> node list -> int
 val shape : man -> node -> int array
 (** [shape m f] is the number of reachable nodes at each level — the
     profile the paper's browsable profiler draws. Length {!Manager.num_vars}. *)
-
-val support_levels : man -> node -> int list
-(** Sorted levels of the variables [f] depends on. *)

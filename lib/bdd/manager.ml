@@ -102,16 +102,18 @@ let frozen_error what =
        (Printf.sprintf
           "%s: the universe is frozen (read-only serving mode)" what))
 
+let min_node_capacity = 1024
+
 let create ?(node_capacity = 1 lsl 15) ?(node_limit = 0) () =
   incr next_uid;
   let uid = !next_uid in
   let rec pow2_below n acc = if acc * 2 > n then acc else pow2_below n (acc * 2) in
-  let capacity = max 1024 node_capacity in
+  let capacity = max min_node_capacity node_capacity in
   (* A node budget is a true ceiling: the initial table must fit under it
      too (rounded down to a power of two for mask indexing). *)
   let capacity =
     if node_limit > 0 && capacity > node_limit then
-      pow2_below (max 1024 node_limit) 1024
+      pow2_below (max min_node_capacity node_limit) min_node_capacity
     else capacity
   in
   let m =

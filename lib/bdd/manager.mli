@@ -43,6 +43,10 @@ val create : ?node_capacity:int -> ?node_limit:int -> unit -> t
     instead (default: unlimited).  The operation cache holds 2{^14}
     entries in sets of 4 ways. *)
 
+val min_node_capacity : int
+(** The smallest node table {!create} makes; a smaller [node_capacity]
+    is raised to it. *)
+
 val uid : t -> int
 (** A process-unique id for this manager, for keying external memo
     tables that span managers. *)

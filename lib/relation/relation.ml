@@ -674,9 +674,18 @@ let to_string r = Format.asprintf "%a" pp r
 
 let export r = Lv.of_manager (man r) (root r)
 
-let import u sch d =
-  let m = Universe.manager u in
-  let rt = Lv.to_manager m d in
+(* Wrap a root the caller holds one reference on, taking that reference
+   over. *)
+let adopt u sch rt =
   let r = make u sch rt in
-  M.delref m rt;
+  M.delref (Universe.manager u) rt;
   r
+
+let import u sch d = adopt u sch (Lv.to_manager (Universe.manager u) d)
+
+let transfer tr u sch r =
+  if M.uid (Jedd_bdd.Transfer.src tr) <> M.uid (man r) then
+    type_error "Relation.transfer: the relation is not in the source manager";
+  if M.uid (Jedd_bdd.Transfer.dst tr) <> M.uid (Universe.manager u) then
+    type_error "Relation.transfer: the universe is not the destination";
+  adopt u sch (Jedd_bdd.Transfer.copy tr (root r))

@@ -129,9 +129,9 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-(** {2 Levelized dumps}
+(** {2 Levelized dumps and copies}
 
-    The serialization layer's view of roots. *)
+    The store's view of roots. *)
 
 val export : t -> Jedd_bdd.Levelized.t
 (** Dump the relation's root; levels are its universe's levels. *)
@@ -140,6 +140,13 @@ val import : Universe.t -> Schema.t -> Jedd_bdd.Levelized.t -> t
 (** Rebuild a root in the universe and wrap it at the schema, whose
     levels must hold the dump's support (not checked here).  Validates
     the dump first ({!Jedd_bdd.Levelized.Malformed}). *)
+
+val transfer : Jedd_bdd.Transfer.t -> Universe.t -> Schema.t -> t -> t
+(** [transfer tr u sch r] copies [r]'s root into [u] through [tr]
+    ({!Jedd_bdd.Transfer.copy}) and wraps the copy at [sch], whose
+    levels must hold the copy's support (not checked here, as for
+    {!import}).  The transfer must run from [r]'s manager to [u]'s
+    ({!Type_error} otherwise). *)
 
 (** {2 Memory management (§4.2)} *)
 

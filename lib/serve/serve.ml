@@ -23,13 +23,13 @@
 (* Live updates: when created with a [live_config], the front end also
    accepts the "update" verb.  Edits are applied to the mutable shadow
    universe (Jedd_analyses.Live) on a dedicated updater thread, the
-   re-solved universe is serialized and reloaded as a fresh frozen
-   generation, a new worker is attached to it, and the generation
-   pointer is swapped atomically — in-flight queries finish against the
-   old generation, which is retired once its worker has drained its
-   queue ([Pool.stop] drains and joins).  The result cache is shared across
-   generations (keys embed the universe hash) and the retired hash's
-   entries are evicted at swap. *)
+   re-solved universe's relations are copied into a fresh frozen
+   generation ([Snapshot.copy]), a new worker is attached to it, and the
+   generation pointer is swapped atomically — in-flight queries finish
+   against the old generation, which is retired once its worker has
+   drained its queue ([Pool.stop] drains and joins).  The result cache
+   is shared across generations (keys embed the universe hash) and the
+   retired hash's entries are evicted at swap. *)
 
 module Json = Jedd_server.Json
 module Protocol = Jedd_server.Protocol
@@ -89,8 +89,11 @@ type stats = {
 }
 
 (* One serving generation: a (usually frozen) snapshot universe, its
-   evaluator, and the worker bound to it.  [hash] is the hex MD5
-   of the snapshot bytes — the cache-key component. *)
+   evaluator, and the worker bound to it.  [hash] names the generation
+   and is the cache-key component: generation 0's is given to [create]
+   (jeddd passes the hex MD5 of its snapshot bytes), and each update's
+   is the hex MD5 of the previous hash, a newline and the edit's
+   description, so it names the edit history since generation 0. *)
 type generation = {
   snap : Snapshot.t;
   hash : string;
@@ -364,7 +367,7 @@ let edit_of_json request : Edit.t =
   | None -> bad "edit is missing \"op\""
 
 (* Runs on the updater thread.  Applies the edit to the shadow
-   universe, re-solves incrementally, loads the result as a fresh
+   universe, re-solves incrementally, copies the result into a fresh
    (frozen iff the current generation is) universe with its own worker,
    swaps the generation pointer, then retires the old worker once it
    has drained its queue and evicts its cache entries. *)
@@ -385,10 +388,9 @@ let perform_update t ls request : Protocol.outcome =
           ]
         (Live.inst ls.session)
     in
-    let bytes = Snapshot.to_bytes snap_live in
-    let hash = Digest.to_hex (Digest.string bytes) in
-    let snap =
-      Snapshot.of_bytes ~freeze:(U.frozen old.snap.Snapshot.u) bytes
+    let snap = Snapshot.copy ~freeze:(U.frozen old.snap.Snapshot.u) snap_live in
+    let hash =
+      Digest.to_hex (Digest.string (old.hash ^ "\n" ^ Edit.describe edit))
     in
     let world =
       { Protocol.snap; extra_stats = (fun () -> server_stats t ()) }

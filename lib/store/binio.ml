@@ -36,23 +36,16 @@ let list_ w f l =
 
 (* -- reading ------------------------------------------------------------ *)
 
-type reader = { buf : string; mutable pos : int; stop : int }
+type reader = { buf : string; mutable pos : int }
 
-let reader ?(pos = 0) ?len buf =
-  let stop = match len with Some n -> pos + n | None -> String.length buf in
-  if pos < 0 || stop > String.length buf then raise Truncated;
-  { buf; pos; stop }
+let reader ?(pos = 0) buf =
+  if pos < 0 || pos > String.length buf then raise Truncated;
+  { buf; pos }
 
-let remaining r = r.stop - r.pos
-let at_end r = r.pos >= r.stop
+let remaining r = String.length r.buf - r.pos
+let at_end r = remaining r <= 0
 
 let need r n = if n < 0 || remaining r < n then raise Truncated
-
-let read_u8 r =
-  need r 1;
-  let v = Char.code r.buf.[r.pos] in
-  r.pos <- r.pos + 1;
-  v
 
 let read_i64 r =
   need r 8;

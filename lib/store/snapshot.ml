@@ -54,10 +54,11 @@ let format_version = 1
 (* -- saving ------------------------------------------------------------- *)
 
 (* Dense level renumbering: dump-time manager levels (which may have
-   holes from scratch physical domains) -> 0..k-1, monotonically.  Only
-   the declared physical domains' bits are recorded; every relation's
-   support must lie inside them (fields are always coerced to declared
-   layouts). *)
+   holes from scratch physical domains) -> 0..k-1, monotonically, as an
+   array indexed by level, -1 at a level no declared physical domain
+   holds.  Only the declared physical domains' bits are recorded; every
+   relation's support must lie inside them (fields are always coerced
+   to declared layouts). *)
 let dense_remap physdoms =
   let levels =
     List.concat_map
@@ -65,9 +66,38 @@ let dense_remap physdoms =
       physdoms
     |> List.sort_uniq compare
   in
-  let tbl = Hashtbl.create 64 in
-  List.iteri (fun i l -> Hashtbl.add tbl l i) levels;
-  tbl
+  let remap =
+    Array.make (List.fold_left (fun n l -> max n (l + 1)) 0 levels) (-1)
+  in
+  List.iteri (fun i l -> remap.(l) <- i) levels;
+  remap
+
+(* The two refusals of saving (and of [copy]): a relation whose root
+   leaves the declared physical domains' levels, or whose schema stores
+   an attribute in an undeclared (scratch) physical domain. *)
+let outside_levels name =
+  invalid_arg
+    (Printf.sprintf
+       "Snapshot: relation %s uses BDD levels outside the declared \
+        physical domains"
+       name)
+
+let declared_phys_name s name (e : Schema.entry) =
+  match List.find_opt (fun (_, p) -> Phys.equal p e.phys) s.physdoms with
+  | Some (n, _) -> n
+  | None ->
+    invalid_arg
+      (Printf.sprintf
+         "Snapshot: relation %s stores attribute %s in an undeclared \
+          (scratch?) physical domain %s"
+         name (Attr.name e.attr) (Phys.name e.phys))
+
+let recorded_meta s =
+  s.meta
+  @ [
+      ("jedd.version", Jedd_relation.Version.version);
+      ("jedd.backend", "incore");
+    ]
 
 let write_dump w (d : Lv.t) =
   Binio.int_ w d.Lv.root;
@@ -101,24 +131,14 @@ let read_dump r : Lv.t =
 let write_payload w s =
   let remap = dense_remap s.physdoms in
   let remap_level name l =
-    match Hashtbl.find_opt remap l with
-    | Some i -> i
-    | None ->
-      invalid_arg
-        (Printf.sprintf
-           "Snapshot: relation %s uses BDD levels outside the declared \
-            physical domains"
-           name)
+    if l < Array.length remap && remap.(l) >= 0 then remap.(l)
+    else outside_levels name
   in
   Binio.list_ w
     (fun w (k, v) ->
       Binio.string_ w k;
       Binio.string_ w v)
-    (s.meta
-    @ [
-        ("jedd.version", Jedd_relation.Version.version);
-        ("jedd.backend", "incore");
-      ]);
+    (recorded_meta s);
   Binio.list_ w
     (fun w (name, d) ->
       Binio.string_ w name;
@@ -142,19 +162,7 @@ let write_payload w s =
       Binio.list_ w
         (fun w (e : Schema.entry) ->
           Binio.string_ w (Attr.name e.attr);
-          let pname =
-            match
-              List.find_opt (fun (_, p) -> Phys.equal p e.phys) s.physdoms
-            with
-            | Some (n, _) -> n
-            | None ->
-              invalid_arg
-                (Printf.sprintf
-                   "Snapshot: relation %s stores attribute %s in an \
-                    undeclared (scratch?) physical domain %s"
-                   name (Attr.name e.attr) (Phys.name e.phys))
-          in
-          Binio.string_ w pname)
+          Binio.string_ w (declared_phys_name s name e))
         (Schema.entries (R.schema rel));
       Binio.int_ w (R.size rel);
       write_dump w (Lv.map_levels (remap_level name) (R.export rel)))
@@ -175,6 +183,23 @@ let to_bytes s =
   bytes_of_payload (Binio.contents body)
 
 (* -- loading ------------------------------------------------------------ *)
+
+(* Declare physical domains (name, width, levels) in order in a fresh
+   universe.  Declaration order fixes the variable order, and saving
+   renumbers the declared levels densely, so each domain must land
+   exactly at the levels it records. *)
+let declare_physdoms u specs =
+  let show levels =
+    String.concat "; " (Array.to_list (Array.map string_of_int levels))
+  in
+  List.map
+    (fun (name, width, recorded) ->
+      let p = Phys.declare u ~name ~bits:width in
+      if Phys.levels p <> recorded then
+        corrupt "physdom %s: recorded levels [%s], declared at [%s]" name
+          (show recorded) (show (Phys.levels p));
+      (name, p))
+    specs
 
 (* Verify the framing (magic, version, length, checksum) and return the
    raw payload. *)
@@ -249,22 +274,7 @@ let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit
           (name, width, levels))
     in
     let u = U.create ~node_capacity ?node_limit () in
-    (* Declaration order fixes the variable order, and saving renumbers
-       the declared levels densely, so each domain must land exactly at
-       the levels it recorded. *)
-    let show levels =
-      String.concat "; " (Array.to_list (Array.map string_of_int levels))
-    in
-    let physdoms =
-      List.map
-        (fun (name, width, recorded) ->
-          let p = Phys.declare u ~name ~bits:width in
-          if Phys.levels p <> recorded then
-            corrupt "physdom %s: recorded levels [%s], declared at [%s]" name
-              (show recorded) (show (Phys.levels p));
-          (name, p))
-        phys_specs
-    in
+    let physdoms = declare_physdoms u phys_specs in
     let find_attr name =
       match List.assoc_opt name attrs with
       | Some a -> a
@@ -319,6 +329,64 @@ let of_bytes ?(node_capacity = 1 lsl 16) ?node_limit
     if freeze then U.freeze u;
     { u; meta; domains; attrs; physdoms; relations }
   with Binio.Truncated -> corrupt "snapshot is truncated"
+
+(* -- copying ------------------------------------------------------------ *)
+
+(* [of_bytes (to_bytes s)] without the bytes: the same declarations and
+   dense levels, each root copied straight into the fresh manager
+   through one memo, so the relations share nodes there as they do in
+   [s].  The table starts at the manager's minimum and grows to fit the
+   copy. *)
+let copy ?(freeze = false) s =
+  let remap = dense_remap s.physdoms in
+  let u = U.create ~node_capacity:Jedd_bdd.Manager.min_node_capacity () in
+  let physdoms =
+    declare_physdoms u
+      (List.map
+         (fun (name, p) ->
+           ( name,
+             Phys.width p,
+             Array.map (fun l -> remap.(l)) (Phys.levels p) ))
+         s.physdoms)
+  in
+  let tr =
+    Jedd_bdd.Transfer.create ~src:(U.manager s.u) ~dst:(U.manager u)
+      ~levels:remap
+  in
+  let relations =
+    List.map
+      (fun (name, rel) ->
+        let schema =
+          Schema.make
+            (List.map
+               (fun (e : Schema.entry) ->
+                 let pname = declared_phys_name s name e in
+                 { e with phys = List.assoc pname physdoms })
+               (Schema.entries (R.schema rel)))
+        in
+        (* counted first, as [to_bytes] does, so that a root outside
+           its schema is refused with the same message *)
+        let expected = R.size rel in
+        let rel' =
+          try R.transfer tr u schema rel
+          with Jedd_bdd.Transfer.Unmapped_level _ -> outside_levels name
+        in
+        let actual = R.size rel' in
+        if actual <> expected then
+          corrupt "relation %s does not survive the copy: %d tuples, %d copied"
+            name expected actual;
+        (name, rel'))
+      s.relations
+  in
+  if freeze then U.freeze u;
+  {
+    u;
+    meta = recorded_meta s;
+    domains = s.domains;
+    attrs = s.attrs;
+    physdoms;
+    relations;
+  }
 
 (* -- convenience -------------------------------------------------------- *)
 

@@ -3,7 +3,7 @@
     relation as a shared-structure levelized BDD dump — with format
     versioning, an MD5 checksum over the body, and hard rejection of
     anything that fails to round-trip.  See [snapshot.ml] for the file
-    layout. *)
+    layout.  {!copy} gives what a save and a load would, in memory. *)
 
 type t = {
   u : Jedd_relation.Universe.t;
@@ -21,8 +21,6 @@ exception Corrupt of string
 (** Raised by every loading entry point on bad magic, version skew,
     length/checksum mismatch, truncation, dangling names, malformed
     dumps, or a tuple-count mismatch after reconstruction. *)
-
-val format_version : int
 
 val to_bytes : t -> string
 (** Serialize.  Raises [Invalid_argument] if a relation's support or
@@ -57,6 +55,20 @@ val of_bytes :
     directly in read-only serving mode
     ([Jedd_relation.Universe.freeze]): the final act of loading compacts
     the node store and fences off mutation. *)
+
+val copy : ?freeze:bool -> t -> t
+(** What [of_bytes ?freeze (to_bytes s)] gives, built without bytes: a
+    fresh universe with [s]'s physical domains declared in order at
+    their dense levels, every relation's root copied into it through one
+    shared memo ({!Jedd_bdd.Transfer}) and wrapped at the remapped
+    schema, and the meta [to_bytes] would record.  Domains and
+    attributes are [s]'s own (they belong to no universe).  The node
+    table starts at {!Jedd_bdd.Manager.min_node_capacity} and grows to
+    fit.  Makes no operation-cache lookups in [s]'s universe.  Refuses
+    what [to_bytes] refuses, with the same [Invalid_argument]; raises
+    [Corrupt] where a copied relation's tuple count differs from its
+    source's, or where [s]'s physical domains are not listed in their
+    declaration order. *)
 
 val save_file : string -> t -> unit
 (** Atomic (temp file + rename). *)

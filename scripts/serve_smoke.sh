@@ -2,9 +2,10 @@
 # Server smoke test: cold-start jeddd on the tiny workload, save a
 # snapshot, query it with jeddq over the socket, shut it down, then
 # warm-start from the snapshot and check the answers agree.  A third
-# run starts jeddd --live, sends one update, and checks that the reply
-# names generation 1, that points-to grew, and that the server now
-# serves the universe hash the reply names.  Exercises the full
+# run starts jeddd --live and sends two updates.  It checks that the
+# first reply names generation 1 and that points-to grew, that the
+# second names generation 2 under a new universe hash, and that the
+# server serves the hash each reply names.  Exercises the full
 # analyze/serve/query/persist/update loop without the test harness.
 set -eu
 
@@ -68,6 +69,9 @@ UPDATE=$($JEDDQ -s "$SOCK" raw \
     '{"verb":"update","edit":{"op":"add_alloc","var":0,"cls":0}}')
 LIVE_COUNT=$($JEDDQ -s "$SOCK" count pt)
 STATS=$($JEDDQ -s "$SOCK" stats)
+UPDATE2=$($JEDDQ -s "$SOCK" raw \
+    '{"verb":"update","edit":{"op":"add_assign","src":0,"dst":1}}')
+STATS2=$($JEDDQ -s "$SOCK" stats)
 $JEDDQ -s "$SOCK" shutdown
 wait $JEDDD_PID
 
@@ -81,5 +85,12 @@ case "$UPDATE" in *'"published"'*) fail_live "reply has a published key" ;; esac
 HASH=$(field "$UPDATE" universe_hash)
 [ -n "$HASH" ] && [ "$(field "$STATS" universe_hash)" = "$HASH" ] ||
     fail_live "stats serve another universe: $STATS"
+UPDATE=$UPDATE2 # the reply fail_live prints from here on
+[ "$(field "$UPDATE" generation)" = 2 ] || fail_live "not generation 2"
+HASH2=$(field "$UPDATE" universe_hash)
+[ -n "$HASH2" ] && [ "$HASH2" != "$HASH" ] ||
+    fail_live "generation 2 keeps generation 1's hash"
+[ "$(field "$STATS2" universe_hash)" = "$HASH2" ] ||
+    fail_live "stats serve another universe: $STATS2"
 
 echo "serve_smoke: OK ($COLD_COUNT; live $LIVE_COUNT)"

@@ -8,6 +8,7 @@ module Replace = Jedd_bdd.Replace
 module Count = Jedd_bdd.Count
 module Enum = Jedd_bdd.Enum
 module Fdd = Jedd_bdd.Fdd
+module Transfer = Jedd_bdd.Transfer
 
 let with_man ?(nvars = 8) f =
   let m = M.create ~node_capacity:2048 () in
@@ -199,6 +200,49 @@ let test_satcount () =
         (Invalid_argument
            "Count.satcount: BDD depends on a variable outside ~over")
         (fun () -> ignore (Count.satcount m f ~over:[ 0 ])))
+
+(* A copy through a monotone level map with gaps (0, 2, 4 -> 1, 5, 9)
+   makes no cache lookup, agrees with its source on every assignment and
+   shares what its sources share; an unmapped level and a map that
+   breaks the order or leaves the destination are refused. *)
+let test_transfer () =
+  with_man (fun m vars ->
+      let f = Ops.bor m (Ops.band m vars.(0) vars.(2)) vars.(4) in
+      let g = Ops.band m vars.(2) (Ops.bnot m vars.(4)) in
+      let dst = M.create () in
+      for _ = 1 to 12 do
+        ignore (M.new_var dst)
+      done;
+      let levels = [| 1; -1; 5; -1; 9 |] in
+      let tr = Transfer.create ~src:m ~dst ~levels in
+      let before = M.cache_totals m in
+      let f' = Transfer.copy tr f and g' = Transfer.copy tr g in
+      Alcotest.(check bool) "no cache lookups in the source" true
+        (M.cache_totals m = before);
+      List.iter
+        (fun code ->
+          let bit i = (code lsr i) land 1 = 1 in
+          let a = Array.make 8 false and b = Array.make 12 false in
+          List.iteri
+            (fun i l ->
+              a.(l) <- bit i;
+              b.(levels.(l)) <- bit i)
+            [ 0; 2; 4 ];
+          Alcotest.(check bool) "f agrees" (eval m f a) (eval dst f' b);
+          Alcotest.(check bool) "g agrees" (eval m g a) (eval dst g' b))
+        (List.init 8 Fun.id);
+      Alcotest.(check int) "shared nodes"
+        (Count.nodecount_many m [ f; g ])
+        (Count.nodecount_many dst [ f'; g' ]);
+      Alcotest.check_raises "unmapped level" (Transfer.Unmapped_level 1)
+        (fun () ->
+          ignore (Transfer.copy (Transfer.create ~src:m ~dst ~levels) vars.(1)));
+      List.iter
+        (fun levels ->
+          match Transfer.create ~src:m ~dst ~levels with
+          | _ -> Alcotest.fail "bad level map accepted"
+          | exception Invalid_argument _ -> ())
+        [ [| 3; 2 |]; [| 0; 12 |] ])
 
 let test_nodecount_shape () =
   with_man (fun m vars ->
@@ -590,16 +634,52 @@ let prop_canonicity =
           in
           (f1 = f2) = sem_equal))
 
+(* [~over] is a random superset of the support (the variables whose
+   flip changes the value somewhere), levels past the manager's last
+   variable included, passed unsorted and with duplicates.  The
+   brute-force count enumerates the assignments of the distinct [over]
+   levels, every other variable false (f reads none of them). *)
 let prop_satcount_matches_enumeration =
   QCheck.Test.make ~count:200 ~name:"satcount = brute-force count"
-    (arbitrary_expr nvars_prop) (fun expr ->
+    QCheck.(
+      triple (arbitrary_expr nvars_prop)
+        (small_list (int_bound (nvars_prop + 1)))
+        int)
+    (fun (expr, extra, seed) ->
       with_man ~nvars:nvars_prop (fun m _ ->
           let f = build m expr in
+          let support =
+            List.filter
+              (fun v ->
+                List.exists
+                  (fun a ->
+                    let b = Array.copy a in
+                    b.(v) <- not b.(v);
+                    eval_expr expr a <> eval_expr expr b)
+                  (all_assignments nvars_prop))
+              (List.init nvars_prop Fun.id)
+          in
+          let rng = Random.State.make [| seed |] in
+          let over =
+            support @ extra @ support
+            |> List.map (fun l -> (Random.State.bits rng, l))
+            |> List.sort compare |> List.map snd
+          in
+          let levels = List.sort_uniq compare over in
+          let satisfies code =
+            let a = Array.make nvars_prop false in
+            List.iteri
+              (fun i l ->
+                if l < nvars_prop then a.(l) <- (code lsr i) land 1 = 1)
+              levels;
+            eval_expr expr a
+          in
           let brute =
             List.length
-              (List.filter (eval_expr expr) (all_assignments nvars_prop))
+              (List.filter satisfies
+                 (List.init (1 lsl List.length levels) Fun.id))
           in
-          Count.satcount m f ~over:(List.init nvars_prop (fun i -> i)) = brute))
+          Count.satcount m f ~over = brute))
 
 let prop_exist_semantics =
   QCheck.Test.make ~count:200 ~name:"exists quantification semantics"
@@ -760,6 +840,7 @@ let suite =
     Alcotest.test_case "replace move" `Quick test_replace_move;
     Alcotest.test_case "replace distant swap" `Quick test_replace_distant_swap;
     Alcotest.test_case "satcount" `Quick test_satcount;
+    Alcotest.test_case "transfer" `Quick test_transfer;
     Alcotest.test_case "nodecount and shape" `Quick test_nodecount_shape;
     Alcotest.test_case "enumeration" `Quick test_enum;
     Alcotest.test_case "enumeration don't-cares" `Quick test_enum_dont_care;

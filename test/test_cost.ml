@@ -17,21 +17,8 @@ module Shape = Jedd_cost.Shape
 module Lint = Jedd_lint.Driver
 module Diag = Jedd_lint.Diag
 
-(* `dune runtest` runs with cwd = _build/default/test (deps copied in);
-   `dune exec test/test_main.exe` (make cost-smoke) runs from the
-   project root — resolve fixture paths against both. *)
 let read_file path =
-  let path =
-    if Sys.file_exists path then path
-    else
-      let alt =
-        match String.length path >= 3 && String.sub path 0 3 = "../" with
-        | true -> String.sub path 3 (String.length path - 3)
-        | false -> Filename.concat "test" path
-      in
-      if Sys.file_exists alt then alt else path
-  in
-  let ic = open_in_bin path in
+  let ic = open_in_bin (Fixture.path path) in
   let n = in_channel_length ic in
   let s = really_input_string ic n in
   close_in ic;

@@ -384,7 +384,8 @@ let read_file path =
   s
 
 let jeddc args =
-  Sys.command ("../bin/jeddc_main.exe " ^ String.concat " " args)
+  Sys.command
+    (String.concat " " (Fixture.path "../bin/jeddc_main.exe" :: args))
 
 let test_jeddc_dimacs () =
   let module Dimacs = Jedd_sat.Dimacs in
@@ -397,7 +398,8 @@ let test_jeddc_dimacs () =
       Alcotest.(check int) "exit status" 0
         (jeddc
            [ "--stats"; "--dimacs"; Filename.quote cnf;
-             "../examples/lint_clean.jedd"; ">"; Filename.quote out ]);
+             Fixture.path "../examples/lint_clean.jedd"; ">";
+             Filename.quote out ]);
       let text = read_file cnf in
       let problem = Dimacs.of_string text in
       let header =
@@ -434,8 +436,9 @@ let test_jeddc_dimacs () =
       let bad = Filename.concat cnf "x.cnf" in
       Alcotest.(check int) "unwritable OUT exits 1" 1
         (jeddc
-           [ "--dimacs"; Filename.quote bad; "../examples/lint_clean.jedd";
-             "> /dev/null 2>"; Filename.quote err ]);
+           [ "--dimacs"; Filename.quote bad;
+             Fixture.path "../examples/lint_clean.jedd"; "> /dev/null 2>";
+             Filename.quote err ]);
       let msg = read_file err in
       Alcotest.(check bool) ("message names the path: " ^ msg) true
         (Str.string_match (Str.regexp (".*" ^ Str.quote bad)) msg 0))
@@ -451,7 +454,8 @@ let test_jeddc_domain_report () =
     (fun () ->
       Alcotest.(check int) "exit status" 0
         (jeddc
-           [ "--domain-report=json"; "../examples/cost_defects.jedd"; ">";
+           [ "--domain-report=json";
+             Fixture.path "../examples/cost_defects.jedd"; ">";
              Filename.quote out ]);
       let report = Json.of_string (read_file out) in
       Alcotest.(check bool) "no weighted key" true

@@ -448,17 +448,51 @@ let test_live_update_swaps_generation () =
       let generation () =
         int_member "stats" "generation" (Client.request c (q "stats" []))
       in
-      (* the swap serves the generation the reply names, and nothing
-         publishes it *)
+      let string_member what key obj =
+        match Json.member key obj with
+        | Some (Json.String v) -> v
+        | _ ->
+          Alcotest.failf "%s: no string %S in %s" what key (Json.to_string obj)
+      in
+      (* the swap serves the generation the reply names, frozen, under a
+         hash chained from the previous one through the edit, with every
+         relation's count the live session's; nothing publishes it *)
+      let hash =
+        ref
+          (string_member "stats" "universe_hash"
+             (Client.request c (q "stats" [])))
+      in
       let check_served what resp =
-        (match
-           ( Json.member "universe_hash" resp,
-             Json.member "universe_hash" (Client.request c (q "stats" [])) )
-         with
-        | Some (Json.String h), Some (Json.String served) ->
-          check Alcotest.string (what ^ ": stats serve the reply's hash") h
-            served
-        | _ -> Alcotest.failf "%s: no universe_hash" what);
+        let h = string_member what "universe_hash" resp in
+        check Alcotest.string (what ^ ": hash chains the edit")
+          (Digest.to_hex
+             (Digest.string (!hash ^ "\n" ^ string_member what "edit" resp)))
+          h;
+        checkb (what ^ ": a new hash") true (h <> !hash);
+        hash := h;
+        let stats = Client.request c (q "stats" []) in
+        check Alcotest.string (what ^ ": stats serve the reply's hash") h
+          (string_member what "universe_hash" stats);
+        checkb (what ^ ": frozen") true
+          (Json.member "frozen" stats = Some (Json.Bool true));
+        let served =
+          match
+            Json.member "relations" (Client.request c (q "relations" []))
+          with
+          | Some (Json.List rels) ->
+            List.map
+              (fun r ->
+                (string_member what "name" r, int_member what "tuples" r))
+              rels
+          | _ -> Alcotest.failf "%s: no relations" what
+        in
+        check
+          Alcotest.(list (pair string int))
+          (what ^ ": tuple counts are the live session's")
+          (List.map
+             (fun (name, r) -> (name, Jedd_relation.Relation.size r))
+             (Jedd_lang.Interp.fields (Live.inst session)))
+          served;
         checkb (what ^ ": no published key") true
           (Json.member "published" resp = None)
       in

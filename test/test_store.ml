@@ -13,6 +13,7 @@ module Schema = Jedd_relation.Schema
 module Snapshot = Jedd_store.Snapshot
 module Binio = Jedd_store.Binio
 module Suite = Jedd_analyses.Suite
+module Live = Jedd_analyses.Live
 module Workload = Jedd_minijava.Workload
 
 (* A small two-relation world over three domains, with tuples drawn
@@ -372,6 +373,73 @@ let test_corruption_messages () =
   | exception Sys_error msg ->
     checkb "path in open error" true (contains msg path)
 
+(* -- in-memory copies ------------------------------------------------------ *)
+
+(* Distinct nodes under a snapshot's roots: each root rebuilt from its
+   dump in one fresh manager over the same levels, where hash-consing
+   merges what the roots share. *)
+let shared_nodes (s : Snapshot.t) =
+  let m = M.create () in
+  for _ = 1 to M.num_vars (U.manager s.Snapshot.u) do
+    ignore (M.new_var m)
+  done;
+  Jedd_bdd.Count.nodecount_many m
+    (List.map (fun (_, r) -> Lv.to_manager m (R.export r)) s.Snapshot.relations)
+
+let layout (name, r) =
+  ( name,
+    List.map
+      (fun (e : Schema.entry) -> (Attr.name e.attr, Phys.name e.phys))
+      (Schema.entries (R.schema r)) )
+
+(* [copy ~freeze:true s] is [of_bytes (to_bytes s)] up to node handles:
+   the same names, layouts, meta and tuples, frozen, holding exactly the
+   source's distinct nodes, read without one cache lookup in [s]. *)
+let check_copy what (s : Snapshot.t) =
+  let via_bytes = Snapshot.of_bytes (Snapshot.to_bytes s) in
+  let before = U.bdd_snapshot s.Snapshot.u in
+  let c = Snapshot.copy ~freeze:true s in
+  let d = U.bdd_delta_since s.Snapshot.u before in
+  Alcotest.(check int) (what ^ ": source cache lookups") 0
+    (d.U.cache_hits + d.U.cache_misses);
+  checkb (what ^ ": frozen") true (U.frozen c.Snapshot.u);
+  Alcotest.(check int) (what ^ ": frozen nodes = shared nodes + terminals")
+    (shared_nodes s + 2)
+    (M.frozen_live_nodes (U.manager c.Snapshot.u));
+  Alcotest.(check (list (pair string string))) (what ^ ": meta")
+    via_bytes.Snapshot.meta c.Snapshot.meta;
+  Alcotest.(check (list (pair string (list (pair string string)))))
+    (what ^ ": names and layouts")
+    (List.map layout via_bytes.Snapshot.relations)
+    (List.map layout c.Snapshot.relations);
+  check_same_relations via_bytes c
+
+let refusal f =
+  match f () with
+  | _ -> Alcotest.fail "accepted"
+  | exception Invalid_argument msg -> msg
+
+let test_snapshot_copy () =
+  check_copy "build_world" (build_world ());
+  let session = Live.create (Workload.generate Workload.tiny) in
+  check_copy "tiny Live session" (Suite.snapshot (Live.inst session));
+  (* what saving refuses, copying refuses with the same message: an
+     attribute in a scratch physical domain *)
+  let world = build_world () in
+  let r_ab = List.assoc "W.ab" world.Snapshot.relations in
+  let a = List.assoc "a" world.Snapshot.attrs in
+  let a2 = Attr.declare ~name:"a2" ~domain:(Attr.domain a) in
+  let s =
+    {
+      world with
+      relations =
+        world.Snapshot.relations @ [ ("W.bad", R.copy r_ab a ~as_:a2) ];
+    }
+  in
+  Alcotest.(check string) "scratch physical domain"
+    (refusal (fun () -> Snapshot.to_bytes s))
+    (refusal (fun () -> Snapshot.copy s))
+
 let suite =
   [
     Alcotest.test_case "levelized round-trip" `Quick test_levelized_roundtrip;
@@ -391,4 +459,5 @@ let suite =
     Alcotest.test_case "save_file/load_file" `Quick test_save_load_file;
     Alcotest.test_case "corruption errors name path and digests" `Quick
       test_corruption_messages;
+    Alcotest.test_case "snapshot copy" `Quick test_snapshot_copy;
   ]
